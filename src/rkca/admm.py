@@ -1,16 +1,19 @@
-"""ADMM-with-substitution solver for the degree-2 regularised decomposition.
+"""The one iteration loop, the kernels all six variants share, and ``admm2``.
 
-Solves, over the frontal slices of a 3-way observation tensor X,
+Every variant is one scheme: block updates of the separable factors
+``A R_i B^T``, shrinkage of the outliers E, then dual ascent under capped,
+geometrically growing penalties.  :func:`_iterate` is the loop all of them
+run, on one copy of each shared kernel: residual shrinkage (selective under
+an observation mask, for robust completion), per-slice ratios, the batched
+Stein core update and the basis normal-equation solve.  Here too are the
+block steps of ``admm2``, which solves
 
     min  alpha*||R||_1 + lambda*||E||_1 + (||A||_F^2 + ||B||_F^2)/2
     s.t. X = K x_1 A x_2 B + E,   R = K,
 
-by alternating exact block updates: elementwise shrinkage for E and R,
-normal-equation solves for the two bases, one Stein equation per slice for
-the split core K, then dual ascent with a capped geometric penalty schedule.
-An observation mask switches the E step to selective shrinkage, which leaves
-unobserved entries untouched and turns the solver into a robust completion
-method.
+by exact block updates: shrinkage for E and R, normal-equation solves for
+the bases and one Stein equation per slice for the split core K.  The other
+five variants' block steps live in :mod:`rkca.variants`.
 """
 
 from __future__ import annotations
@@ -25,18 +28,8 @@ from . import linalg, tensor
 from .model import FactorModel, IterationRecord, RunReport
 
 __all__ = [
-    "ETA_INIT",
-    "SolverAbort",
-    "SolverState",
-    "initialize",
-    "update_E",
-    "update_A",
-    "update_B",
-    "update_K",
-    "update_R",
-    "update_duals",
-    "residuals",
-    "solve",
+    "ETA_INIT", "SolverAbort", "SolverState", "initialize", "update_E", "update_A",
+    "update_B", "update_K", "update_R", "update_duals", "residuals", "solve",
 ]
 
 # Scaling coefficient for the initial penalty parameters.
@@ -83,8 +76,12 @@ def _stack(batch):
     return np.ascontiguousarray(np.moveaxis(batch, 0, 2))
 
 
-def _slice_sq_norms(t):
-    return np.sum(np.square(_slices(t)), axis=(1, 2))
+def _slice_ratio(diff, ref):
+    """Worst per-slice ratio ||diff_i||^2 / ||ref_i||^2; a zero ref_i counts as 1."""
+    num = np.sum(np.square(_slices(diff)), axis=(1, 2))
+    den = np.sum(np.square(_slices(ref)), axis=(1, 2))
+    out = np.where(den > 0, num / np.where(den > 0, den, 1.0), num)
+    return float(np.max(out)) if out.size else 0.0
 
 
 def initialize(X, cfg):
@@ -122,28 +119,26 @@ def initialize(X, cfg):
     b /= N
     mu = ETA_INIT * N / x_norm_sum if x_norm_sum > 0 else ETA_INIT
     mu_K = ETA_INIT * N / core_norm_sum if core_norm_sum > 0 else ETA_INIT
-    model = FactorModel(a, b, core)
     return SolverState(
-        model=model,
-        E=np.zeros_like(X),
-        K=core.copy(),
-        Lam=np.zeros_like(X),
-        Y=np.zeros_like(core),
-        mu=mu,
-        mu_K=mu_K,
-        mu_cap=cfg.mu_cap_factor * mu,
-        mu_K_cap=cfg.mu_cap_factor * mu_K,
+        model=FactorModel(a, b, core), E=np.zeros_like(X), K=core.copy(),
+        Lam=np.zeros_like(X), Y=np.zeros_like(core), mu=mu, mu_K=mu_K,
+        mu_cap=cfg.mu_cap_factor * mu, mu_K_cap=cfg.mu_cap_factor * mu_K,
     )
 
 
-def update_E(state, X, cfg):
-    """Shrink the residual X - K x_1 A x_2 B + Lam/mu at level lambda/mu."""
-    lam = cfg.resolved_lambda(X.shape)
-    resid = X - tensor.reconstruct(state.model.a, state.K, state.model.b)
+def _shrink_residual(state, resid, cfg, lam):
+    """Shrink resid + Lam/mu at level lam/mu (selectively under a mask); resid,
+    X minus the variant's reconstruction, is a fresh array updated in place."""
     resid += state.Lam / state.mu
     if cfg.mask is not None:
         return linalg.selective_shrink(resid, lam / state.mu, cfg.mask)
     return linalg.soft_shrink(resid, lam / state.mu)
+
+
+def update_E(state, X, cfg):
+    """Shrink the residual X - K x_1 A x_2 B + Lam/mu at level lambda/mu."""
+    resid = X - tensor.reconstruct(state.model.a, state.K, state.model.b)
+    return _shrink_residual(state, resid, cfg, cfg.resolved_lambda(X.shape))
 
 
 def _solve_spd_right(system, rhs, report, label, iteration):
@@ -151,9 +146,8 @@ def _solve_spd_right(system, rhs, report, label, iteration):
     if report is not None:
         cond = np.linalg.cond(system)
         if not np.isfinite(cond) or cond > COND_WARN_THRESHOLD:
-            message = f"{label}-update system ill-conditioned (cond={cond:.3e})"
-            if iteration is not None:
-                message += f" at iteration {iteration}"
+            message = (f"{label}-update system ill-conditioned (cond={cond:.3e})"
+                       f" at iteration {iteration}")
             if not any(w.startswith(f"{label}-update") for w in report.warnings):
                 report.warn(message)
     try:
@@ -163,50 +157,55 @@ def _solve_spd_right(system, rhs, report, label, iteration):
         return np.linalg.solve(system, rhs.T).T
 
 
+def _solve_basis(state, x_tilde, other, row, weight, report, label,
+                 anchor=None, mu_anchor=None):
+    """Normal-equation solve for one basis, with the core K and ``other`` (W) fixed.
+
+    Solves Z (I + weight * sum_i K_i W^T W K_i^T) = C, C = sum_i (mu*Xt_i +
+    Lam_i) W K_i^T, for the column basis; ``row=True`` transposes every slice.
+    A substitution copy passes an ``anchor``: the right side is anchor + C/mu_anchor.
+    """
+    k_t = _slices(state.K)
+    gram = _sym(other.T @ other)
+    p_t = _slices(state.mu * x_tilde + state.Lam)
+    if row:
+        cross = np.sum(k_t.transpose(0, 2, 1) @ gram @ k_t, axis=0)
+        rhs = np.sum(p_t.transpose(0, 2, 1) @ (other @ k_t), axis=0)
+    else:
+        cross = np.sum(k_t @ gram @ k_t.transpose(0, 2, 1), axis=0)
+        rhs = np.sum((p_t @ other) @ k_t.transpose(0, 2, 1), axis=0)
+    system = np.eye(len(gram)) + weight * _sym(cross)
+    if anchor is not None:
+        rhs = anchor + rhs / mu_anchor
+    return _solve_spd_right(system, rhs, report, label, state.iters)
+
+
 def update_A(state, x_tilde, cfg, report=None):
     """Exact minimiser of the A block: a normal-equation solve over r x r."""
-    mu = state.mu
-    k_t = _slices(state.K)
-    gram_b = _sym(state.model.b.T @ state.model.b)
-    system = np.eye(cfg.rank) + mu * _sym(
-        np.sum(k_t @ gram_b @ k_t.transpose(0, 2, 1), axis=0)
-    )
-    p_t = _slices(mu * x_tilde + state.Lam)
-    rhs = np.sum((p_t @ state.model.b) @ k_t.transpose(0, 2, 1), axis=0)
-    return _solve_spd_right(system, rhs, report, "A", state.iters)
+    return _solve_basis(state, x_tilde, state.model.b, False, state.mu, report, "A")
 
 
 def update_B(state, x_tilde, cfg, report=None):
     """Exact minimiser of the B block, using the freshly updated A."""
-    mu = state.mu
-    k_t = _slices(state.K)
-    gram_a = _sym(state.model.a.T @ state.model.a)
-    system = np.eye(cfg.rank) + mu * _sym(
-        np.sum(k_t.transpose(0, 2, 1) @ gram_a @ k_t, axis=0)
-    )
-    p_t = _slices(mu * x_tilde + state.Lam)
-    rhs = np.sum(p_t.transpose(0, 2, 1) @ (state.model.a @ k_t), axis=0)
-    return _solve_spd_right(system, rhs, report, "B", state.iters)
+    return _solve_basis(state, x_tilde, state.model.a, True, state.mu, report, "B")
+
+
+def _stein_core(state, x_tilde, left, right):
+    """Solve one Stein equation per slice for the split core K, all slices in
+    one :func:`linalg.stein_apply`: mu_K*K_i + mu*L^T L K_i R^T R =
+    L^T(Lam_i + mu*Xt_i)R + mu_K*R_i + Y_i, with L = ``left``, R = ``right``.
+    """
+    mu, mu_K = state.mu, state.mu_K
+    gram_l, gram_r = _sym(left.T @ left), _sym(right.T @ right)
+    factors = linalg.stein_factors(-(mu / mu_K) * gram_l, gram_r)
+    p_t = _slices(state.Lam + mu * x_tilde)
+    h_t = (left.T @ p_t @ right + _slices(state.Y)) / mu_K + _slices(state.model.core)
+    return _stack(linalg.stein_apply(factors, h_t))
 
 
 def update_K(state, x_tilde, cfg):
-    """Solve one Stein equation per slice for the split core.
-
-    Slice i satisfies mu_K*K_i + mu*A^T A K_i B^T B = A^T(Lam_i + mu*Xt_i)B
-    + mu_K*R_i + Y_i; both coefficient Grams are diagonalised once and reused
-    across slices.
-    """
-    a, b = state.model.a, state.model.b
-    mu, mu_K = state.mu, state.mu_K
-    F = -(mu / mu_K) * _sym(a.T @ a)
-    G = _sym(b.T @ b)
-    factors = linalg.stein_factors(F, G)
-    _, qf, _, qg, denom = factors
-    p_t = _slices(state.Lam + mu * x_tilde)
-    h_t = (a.T @ p_t @ b + _slices(state.Y)) / mu_K + _slices(state.model.core)
-    h_rot = qf.T @ h_t @ qg
-    k_t = qf @ (h_rot / denom) @ qg.T
-    return _stack(k_t)
+    """Solve one Stein equation per slice for the split core K."""
+    return _stein_core(state, x_tilde, state.model.a, state.model.b)
 
 
 def update_R(state, cfg):
@@ -224,57 +223,81 @@ def update_duals(state, x_tilde, cfg):
     return state
 
 
-def _max_ratio(num, den):
-    # Per-slice squared-norm ratios; zero denominators fall back to the
-    # absolute squared norm so all-zero slices never produce NaN.
-    out = np.where(den > 0, num / np.where(den > 0, den, 1.0), num)
-    return float(np.max(out)) if out.size else 0.0
-
-
 def residuals(state, X):
     """Primal-feasibility errors (err_rec, err_R), worst slice of each."""
     recon = state.model.reconstruct()
-    err_rec = _max_ratio(
-        _slice_sq_norms(X - recon - state.E), _slice_sq_norms(X)
-    )
-    err_core = _max_ratio(
-        _slice_sq_norms(state.model.core - state.K),
-        _slice_sq_norms(state.model.core),
-    )
+    err_rec = _slice_ratio(X - recon - state.E, X)
+    err_core = _slice_ratio(state.model.core - state.K, state.model.core)
     return err_rec, err_core
 
 
-def _objective_terms(state, cfg, lam):
-    sparse = state.E
-    if cfg.mask is not None:
-        sparse = np.where(cfg.mask, state.E, 0.0)
-    return {
-        "l1_core": cfg.alpha * tensor.l1(state.model.core),
-        "l1_sparse": lam * tensor.l1(sparse),
-        "basis": 0.5
-        * (tensor.frobenius(state.model.a) ** 2 + tensor.frobenius(state.model.b) ** 2),
-    }
-
-
-def _check_finite(state, report):
-    for name, arr in (
-        ("A", state.model.a),
-        ("B", state.model.b),
-        ("R", state.model.core),
-        ("K", state.K),
-        ("E", state.E),
-        ("Lam", state.Lam),
-        ("Y", state.Y),
-    ):
-        if not np.all(np.isfinite(arr)):
+def _check_finite(state, report, named=None):
+    """Abort unless every named value (default: every state array) is finite."""
+    if named is None:
+        named = {"A": state.model.a, "B": state.model.b, "R": state.model.core}
+        named.update((k, v) for k, v in vars(state).items() if isinstance(v, np.ndarray))
+    for name, value in named.items():
+        if not np.isfinite(value).all():
             report.termination = "abort"
-            raise SolverAbort(
-                f"non-finite values in {name} at iteration {state.iters}", report
-            )
+            msg = f"non-finite values in {name} at iteration {state.iters}"
+            raise SolverAbort(msg, report)
+
+
+def _iterate(X, cfg, state, e_step, sweep, errors, penalty):
+    """Run the iteration loop shared by every variant; returns (model, E, report).
+
+    The variant's steps: ``e_step(state, X, cfg)`` returns the new E;
+    ``sweep(state, X, cfg, report)`` runs the other block steps and the dual
+    and penalty updates; ``errors(state, X)`` names the residuals held to
+    ``cfg.tol``; ``penalty(state, cfg)`` names the low-rank objective terms.
+    """
+    lam = cfg.resolved_lambda(X.shape)
+    report = RunReport(variant=cfg.variant, config=cfg.resolved(X.shape))
+    for it in range(1, cfg.max_iters + 1):
+        t0 = time.perf_counter()
+        state.iters = it
+        state.E = e_step(state, X, cfg)
+        _check_finite(state, report, {"E": state.E})
+        sweep(state, X, cfg, report)
+        errs = errors(state, X)
+        elapsed_ms = (time.perf_counter() - t0) * 1e3
+        sparse = state.E if cfg.mask is None else np.where(cfg.mask, state.E, 0.0)
+        objective = {"l1_sparse": lam * tensor.l1(sparse), **penalty(state, cfg)}
+        report.append(IterationRecord(
+            iter=it, mu=state.mu, mu_K=getattr(state, "mu_K", None),
+            elapsed_ms=elapsed_ms, objective=objective, **errs,
+        ))
+        _check_finite(state, report)
+        _check_finite(state, report, errs)
+        if max(errs.values()) <= cfg.tol:
+            report.termination = "tol"
+            break
+    else:
+        report.termination = "max_iters"
+    return state.model, state.E, report
+
+
+def _admm2_sweep(state, X, cfg, report):
+    x_tilde = X - state.E
+    state.model.a = update_A(state, x_tilde, cfg, report)
+    state.model.b = update_B(state, x_tilde, cfg, report)
+    state.K = update_K(state, x_tilde, cfg)
+    state.model.core = update_R(state, cfg)
+    update_duals(state, x_tilde, cfg)
+
+
+def _admm2_errors(state, X):
+    return dict(zip(("err_rec", "err_R"), residuals(state, X)))
+
+
+def _admm2_penalty(state, cfg):
+    a, b = state.model.a, state.model.b
+    basis = 0.5 * (tensor.frobenius(a) ** 2 + tensor.frobenius(b) ** 2)
+    return {"l1_core": cfg.alpha * tensor.l1(state.model.core), "basis": basis}
 
 
 def solve(X, cfg):
-    """Run the full degree-2 ADMM loop; returns (model, E, report).
+    """Run the degree-2 ADMM solver; returns (model, E, report).
 
     Iterates the Algorithm-order updates (E, A, B, K, R, duals) until the
     worst primal-feasibility error drops below ``cfg.tol`` or ``max_iters``
@@ -284,42 +307,5 @@ def solve(X, cfg):
     cfg.validate_for(X.shape)
     if cfg.variant != "admm2":
         raise ValueError(f"admm.solve handles the admm2 variant, got {cfg.variant!r}")
-    lam = cfg.resolved_lambda(X.shape)
-    report = RunReport(variant=cfg.variant, config=cfg.resolved(X.shape))
-    state = initialize(X, cfg)
-    for it in range(1, cfg.max_iters + 1):
-        t0 = time.perf_counter()
-        state.iters = it
-        state.E = update_E(state, X, cfg)
-        if not np.all(np.isfinite(state.E)):
-            report.termination = "abort"
-            raise SolverAbort(f"non-finite values in E at iteration {it}", report)
-        x_tilde = X - state.E
-        state.model.a = update_A(state, x_tilde, cfg, report)
-        state.model.b = update_B(state, x_tilde, cfg, report)
-        state.K = update_K(state, x_tilde, cfg)
-        state.model.core = update_R(state, cfg)
-        update_duals(state, x_tilde, cfg)
-        err_rec, err_core = residuals(state, X)
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-        report.append(
-            IterationRecord(
-                iter=it,
-                err_rec=err_rec,
-                err_R=err_core,
-                mu=state.mu,
-                mu_K=state.mu_K,
-                elapsed_ms=elapsed_ms,
-                objective=_objective_terms(state, cfg, lam),
-            )
-        )
-        _check_finite(state, report)
-        if not (np.isfinite(err_rec) and np.isfinite(err_core)):
-            report.termination = "abort"
-            raise SolverAbort(f"non-finite residuals at iteration {it}", report)
-        if max(err_rec, err_core) <= cfg.tol:
-            report.termination = "tol"
-            break
-    else:
-        report.termination = "max_iters"
-    return state.model, state.E, report
+    return _iterate(X, cfg, initialize(X, cfg), update_E, _admm2_sweep, _admm2_errors,
+                    _admm2_penalty)

@@ -56,11 +56,6 @@ def _add_solver_flags(parser):
     parser.add_argument("--rho", type=float, default=1.1)
     parser.add_argument("--tol", type=float, default=1e-5)
     parser.add_argument("--max-iters", type=int, default=1000)
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads; reductions use a fixed order so results do not "
-        "depend on this value",
-    )
 
 
 def _solver_config(args, mask=None):
@@ -74,12 +69,6 @@ def _solver_config(args, mask=None):
         mask=mask,
         variant=VARIANT_FLAGS[args.variant],
     )
-
-
-def _report_payload(report, threads):
-    payload = report.to_dict()
-    payload["config"]["threads"] = threads
-    return payload
 
 
 def cmd_synth(args):
@@ -113,12 +102,12 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-def _run_solver(X, cfg, out, threads):
+def _run_solver(X, cfg, out):
     try:
         model, sparse, report = solve_variant(X, cfg)
     except SolverAbort as exc:
         if exc.report is not None:
-            _write_json(out / "report.json", _report_payload(exc.report, threads))
+            _write_json(out / "report.json", exc.report.to_dict())
         print(f"error: {exc}", file=sys.stderr)
         return None
     fileio.write_rkt(out / "A.rkt", model.a[:, :, None])
@@ -126,7 +115,7 @@ def _run_solver(X, cfg, out, threads):
     fileio.write_rkt(out / "R.rkt", model.core)
     fileio.write_rkt(out / "L.rkt", model.reconstruct())
     fileio.write_rkt(out / "E.rkt", sparse)
-    _write_json(out / "report.json", _report_payload(report, threads))
+    _write_json(out / "report.json", report.to_dict())
     return model, sparse, report
 
 
@@ -143,7 +132,7 @@ def cmd_decompose(args):
     cfg.validate_for(X.shape)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = _run_solver(X, cfg, out, args.threads)
+    result = _run_solver(X, cfg, out)
     return EXIT_OK if result is not None else EXIT_NUMERIC
 
 
@@ -175,7 +164,7 @@ def cmd_denoise(args):
     cfg.validate_for(noisy.shape)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = _run_solver(noisy, cfg, out, args.threads)
+    result = _run_solver(noisy, cfg, out)
     if result is None:
         return EXIT_NUMERIC
     model, _, _ = result
@@ -208,7 +197,7 @@ def cmd_complete(args):
     cfg.validate_for(X.shape)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = _run_solver(observed, cfg, out, args.threads)
+    result = _run_solver(observed, cfg, out)
     if result is None:
         return EXIT_NUMERIC
     model, _, _ = result

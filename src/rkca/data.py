@@ -62,19 +62,15 @@ class Metrics:
     density_E: float
     support_f1: float
     psnr: float
-    auc: float | None = None
 
     def to_dict(self):
-        out = {
+        return {
             "rel_error_L": self.rel_error_L,
             "rel_error_E": self.rel_error_E,
             "density_E": self.density_E,
             "support_f1": self.support_f1,
             "psnr": self.psnr,
         }
-        if self.auc is not None:
-            out["auc"] = self.auc
-        return out
 
 
 def synth_generate(spec):

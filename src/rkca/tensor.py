@@ -24,7 +24,6 @@ __all__ = [
     "l1",
     "inner",
     "as_tensor3",
-    "as_matrix",
 ]
 
 
@@ -39,16 +38,6 @@ def as_tensor3(data, name="tensor"):
     if not np.all(np.isfinite(t)):
         raise ValueError(f"{name} contains non-finite entries")
     return t
-
-
-def as_matrix(data, name="matrix"):
-    """Coerce external input to a float64 matrix, checking finiteness."""
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
 
 
 def unfold(t, mode):

@@ -1,6 +1,7 @@
-"""Linearised-ADMM solvers and the degree-3 substitution solver.
+"""Block steps of the linearised and degree-3 variants, and the dispatcher.
 
-Three regularizer families share one loop skeleton:
+All six variants run the one loop, ``admm._iterate``, on the kernels in
+:mod:`rkca.admm`, beside ``admm2``'s steps.  Here are the other five's steps:
 
 * ``ladmm2``   -- alpha*||R||_1 + (||A||_F^2 + ||B||_F^2)/2, linearised steps;
 * ``ladmm3_fro``/``ladmm3_nuc`` -- alpha*||R||_1 * |A| * |B| with |.| the
@@ -10,34 +11,26 @@ Three regularizer families share one loop skeleton:
   so the basis updates become plain proximal maps.
 
 Linearised block steps use directly computed Lipschitz bounds with a small
-safety margin, so each step is a proper majorise-minimise step and block
-objectives never increase.
+safety margin, so each is a majorise-minimise step that never increases the
+augmented Lagrangian.  :func:`solve_variant` runs a variant in the loop.
 """
 
 from __future__ import annotations
 
-import time
+import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import admm, linalg, tensor
-from .admm import ETA_INIT, SolverAbort
-from .model import FactorModel, IterationRecord, RunReport
+from .admm import ETA_INIT, _slices, _stack
+from .model import FactorModel
 
 __all__ = [
-    "LadmmState",
-    "Degree3State",
-    "LipschitzBounds",
-    "compute_lipschitz",
-    "ladmm_update_R",
-    "ladmm_update_A",
-    "ladmm_update_B",
-    "degree3_update_A_sub",
-    "degree3_update_B_sub",
-    "degree3_update_U",
-    "degree3_update_V",
-    "solve_variant",
+    "LadmmState", "Degree3State", "LipschitzBounds", "compute_lipschitz",
+    "ladmm_update_R", "ladmm_update_A", "ladmm_update_B", "degree3_update_A_sub",
+    "degree3_update_B_sub", "degree3_update_U", "degree3_update_V", "solve_variant",
 ]
 
 LIPSCHITZ_MARGIN = 1.01
@@ -59,28 +52,18 @@ class LadmmState:
     iters: int = 0
 
 
-@dataclass
-class Degree3State:
+@dataclass(kw_only=True)
+class Degree3State(admm.SolverState):
     """Substitution-method state: basis copies U, V carry the data constraint."""
 
-    model: FactorModel
-    E: np.ndarray
-    K: np.ndarray
-    Lam: np.ndarray
-    Y: np.ndarray
     U: np.ndarray
     V: np.ndarray
     Y_U: np.ndarray
     Y_V: np.ndarray
-    mu: float
-    mu_K: float
     mu_U: float
     mu_V: float
-    mu_cap: float
-    mu_K_cap: float
     mu_U_cap: float
     mu_V_cap: float
-    iters: int = 0
 
 
 @dataclass(frozen=True)
@@ -90,18 +73,6 @@ class LipschitzBounds:
     L_R: float
     L_A: float
     L_B: float
-
-
-def _slices(t):
-    return np.moveaxis(t, 2, 0)
-
-
-def _stack(batch):
-    return np.ascontiguousarray(np.moveaxis(batch, 0, 2))
-
-
-def _sym(mat):
-    return 0.5 * (mat + mat.T)
 
 
 def _bound(value):
@@ -148,6 +119,22 @@ def _basis_prox(mat, tau, variant):
     return linalg.frobenius_prox(mat, tau)
 
 
+def _core_weight(a, b, cfg):
+    """Weight of ||R||_1 in the objective: alpha, times |A| |B| at degree 3."""
+    if cfg.variant in ("ladmm2", "admm2"):
+        return cfg.alpha
+    return cfg.alpha * _basis_norm(a, cfg.variant) * _basis_norm(b, cfg.variant)
+
+
+def _basis_step(point, other, core, weight, cfg):
+    """Prox of the variant's basis penalty at ``point``, scaled by 1/weight."""
+    if cfg.variant == "ladmm2":
+        # Smooth ||A||_F^2/2 penalty: closed-form shrink toward the origin.
+        return point * (weight / (weight + 1.0))
+    scale = cfg.alpha * _basis_norm(other, cfg.variant) * tensor.l1(core) / weight
+    return _basis_prox(point, scale, cfg.variant)
+
+
 def _delta(state, X):
     return X - state.E + state.Lam / state.mu
 
@@ -160,17 +147,9 @@ def ladmm_update_R(state, X, cfg):
     """
     a, b, core = state.model.a, state.model.b, state.model.core
     lip = lipschitz_core(a, b)
-    delta_t = _slices(_delta(state, X))
-    diff_t = a @ _slices(core) @ b.T - delta_t
-    grad_t = a.T @ diff_t @ b
-    if cfg.variant == "ladmm2":
-        weight = cfg.alpha
-    else:
-        weight = (
-            cfg.alpha * _basis_norm(a, cfg.variant) * _basis_norm(b, cfg.variant)
-        )
-    step = _slices(core) - grad_t / lip
-    return _stack(linalg.soft_shrink(step, weight / (state.mu * lip)))
+    diff_t = a @ _slices(core) @ b.T - _slices(_delta(state, X))
+    step = _slices(core) - (a.T @ diff_t @ b) / lip
+    return _stack(linalg.soft_shrink(step, _core_weight(a, b, cfg) / (state.mu * lip)))
 
 
 def ladmm_update_A(state, X, cfg):
@@ -180,17 +159,7 @@ def ladmm_update_A(state, X, cfg):
     lip = lipschitz_a(core, b)
     delta_t = _slices(_delta(state, X))
     grad = np.sum((a @ c_t - delta_t) @ c_t.transpose(0, 2, 1), axis=0)
-    point = a - grad / lip
-    if cfg.variant == "ladmm2":
-        # Smooth ||A||_F^2/2 penalty: closed-form shrink toward the origin.
-        return point * (state.mu * lip / (state.mu * lip + 1.0))
-    scale = (
-        cfg.alpha
-        * _basis_norm(b, cfg.variant)
-        * tensor.l1(core)
-        / (state.mu * lip)
-    )
-    return _basis_prox(point, scale, cfg.variant)
+    return _basis_step(a - grad / lip, b, core, state.mu * lip, cfg)
 
 
 def ladmm_update_B(state, X, cfg):
@@ -200,341 +169,171 @@ def ladmm_update_B(state, X, cfg):
     lip = lipschitz_b(a, core)
     delta_t = _slices(_delta(state, X))
     grad = np.sum((b @ g_t.transpose(0, 2, 1) - delta_t.transpose(0, 2, 1)) @ g_t, axis=0)
-    point = b - grad / lip
-    if cfg.variant == "ladmm2":
-        return point * (state.mu * lip / (state.mu * lip + 1.0))
-    scale = (
-        cfg.alpha
-        * _basis_norm(a, cfg.variant)
-        * tensor.l1(core)
-        / (state.mu * lip)
-    )
-    return _basis_prox(point, scale, cfg.variant)
-
-
-def _ladmm_update_E(state, X, cfg, lam):
-    resid = X - state.model.reconstruct() + state.Lam / state.mu
-    if cfg.mask is not None:
-        return linalg.selective_shrink(resid, lam / state.mu, cfg.mask)
-    return linalg.soft_shrink(resid, lam / state.mu)
-
-
-def _err_rec(model, E, X):
-    recon = model.reconstruct()
-    num = np.sum(np.square(_slices(X - recon - E)), axis=(1, 2))
-    den = np.sum(np.square(_slices(X)), axis=(1, 2))
-    out = np.where(den > 0, num / np.where(den > 0, den, 1.0), num)
-    return float(np.max(out)) if out.size else 0.0
-
-
-def _ratio(diff, ref):
-    num = float(np.sum(np.square(diff)))
-    den = float(np.sum(np.square(ref)))
-    return num / den if den > 0 else num
-
-
-def _block_objectives(state, X, cfg, lam):
-    """Regularizer + coupling value for each LADMM block at the current point."""
-    a, b, core = state.model.a, state.model.b, state.model.core
-    mu = state.mu
-    delta = _delta(state, X)
-    recon = state.model.reconstruct()
-    couple = 0.5 * mu * float(np.sum(np.square(recon - delta)))
-    sparse = state.E if cfg.mask is None else np.where(cfg.mask, state.E, 0.0)
-    resid_e = X - recon - state.E + state.Lam / mu
-    obj_e = lam * tensor.l1(sparse) + 0.5 * mu * float(np.sum(np.square(resid_e)))
-    if cfg.variant == "ladmm2":
-        obj_a = 0.5 * tensor.frobenius(a) ** 2 + couple
-        obj_b = 0.5 * tensor.frobenius(b) ** 2 + couple
-        obj_r = cfg.alpha * tensor.l1(core) + couple
-    else:
-        sa = _basis_norm(a, cfg.variant)
-        sb = _basis_norm(b, cfg.variant)
-        l1_core = tensor.l1(core)
-        obj_a = cfg.alpha * l1_core * sb * sa + couple
-        obj_b = cfg.alpha * l1_core * sa * sb + couple
-        obj_r = cfg.alpha * l1_core * sa * sb + couple
-    return {"E": obj_e, "A": obj_a, "B": obj_b, "R": obj_r}
-
-
-def _solve_ladmm(X, cfg, block_log=None):
-    lam = cfg.resolved_lambda(X.shape)
-    report = RunReport(variant=cfg.variant, config=cfg.resolved(X.shape))
-    seed = admm.initialize(X, cfg)
-    state = LadmmState(
-        model=seed.model,
-        E=seed.E,
-        Lam=seed.Lam,
-        mu=seed.mu,
-        mu_cap=seed.mu_cap,
-    )
-
-    def log_step(stage, before_all):
-        if block_log is None:
-            return
-        after = _block_objectives(state, X, cfg, lam)[stage]
-        block_log.append(
-            {
-                "iter": state.iters,
-                "stage": stage,
-                "before": before_all[stage],
-                "after": after,
-            }
-        )
-
-    for it in range(1, cfg.max_iters + 1):
-        t0 = time.perf_counter()
-        state.iters = it
-        before = _block_objectives(state, X, cfg, lam) if block_log is not None else None
-        state.E = _ladmm_update_E(state, X, cfg, lam)
-        log_step("E", before)
-        before = _block_objectives(state, X, cfg, lam) if block_log is not None else None
-        state.model.a = ladmm_update_A(state, X, cfg)
-        log_step("A", before)
-        before = _block_objectives(state, X, cfg, lam) if block_log is not None else None
-        state.model.b = ladmm_update_B(state, X, cfg)
-        log_step("B", before)
-        before = _block_objectives(state, X, cfg, lam) if block_log is not None else None
-        state.model.core = ladmm_update_R(state, X, cfg)
-        log_step("R", before)
-        state.Lam = state.Lam + state.mu * (X - state.model.reconstruct() - state.E)
-        state.mu = min(state.mu_cap, cfg.rho * state.mu)
-        err_rec = _err_rec(state.model, state.E, X)
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-        sparse = state.E if cfg.mask is None else np.where(cfg.mask, state.E, 0.0)
-        report.append(
-            IterationRecord(
-                iter=it,
-                err_rec=err_rec,
-                mu=state.mu,
-                elapsed_ms=elapsed_ms,
-                objective={
-                    "l1_sparse": lam * tensor.l1(sparse),
-                    "low_rank_penalty": _low_rank_penalty(state.model, cfg),
-                },
-            )
-        )
-        if not np.isfinite(err_rec) or not np.all(np.isfinite(state.model.core)):
-            report.termination = "abort"
-            raise SolverAbort(f"non-finite values at iteration {it}", report)
-        if err_rec <= cfg.tol:
-            report.termination = "tol"
-            break
-    else:
-        report.termination = "max_iters"
-    return state.model, state.E, report
+    return _basis_step(b - grad / lip, a, core, state.mu * lip, cfg)
 
 
 def _low_rank_penalty(model, cfg):
+    penalty = _core_weight(model.a, model.b, cfg) * tensor.l1(model.core)
     if cfg.variant in ("ladmm2", "admm2"):
-        return cfg.alpha * tensor.l1(model.core) + 0.5 * (
-            tensor.frobenius(model.a) ** 2 + tensor.frobenius(model.b) ** 2
-        )
-    sa = _basis_norm(model.a, cfg.variant)
-    sb = _basis_norm(model.b, cfg.variant)
-    return cfg.alpha * tensor.l1(model.core) * sa * sb
+        penalty += 0.5 * (tensor.frobenius(model.a) ** 2 + tensor.frobenius(model.b) ** 2)
+    return penalty
+
+
+def _penalty(state, cfg):
+    return {"low_rank_penalty": _low_rank_penalty(state.model, cfg)}
+
+
+def _lagrangian(state, X, cfg, lam):
+    """Augmented Lagrangian of a LADMM run; no block step may increase it."""
+    sparse = state.E if cfg.mask is None else np.where(cfg.mask, state.E, 0.0)
+    recon = state.model.reconstruct()
+    couple = 0.5 * state.mu * float(np.sum(np.square(recon - _delta(state, X))))
+    return lam * tensor.l1(sparse) + _low_rank_penalty(state.model, cfg) + couple
+
+
+@contextlib.contextmanager
+def _logged(block_log, stage, state, X, cfg, lam):
+    """Log the augmented Lagrangian before and after the enclosed block step."""
+    if block_log is None:
+        yield
+        return
+    before = _lagrangian(state, X, cfg, lam)
+    yield
+    block_log.append({"iter": state.iters, "stage": stage, "before": before,
+                      "after": _lagrangian(state, X, cfg, lam)})
+
+
+def _ladmm_update_E(state, X, cfg, lam, block_log=None):
+    with _logged(block_log, "E", state, X, cfg, lam):
+        state.E = admm._shrink_residual(state, X - state.model.reconstruct(), cfg, lam)
+    return state.E
+
+
+def _ladmm_sweep(state, X, cfg, report, lam, block_log=None):
+    with _logged(block_log, "A", state, X, cfg, lam):
+        state.model.a = ladmm_update_A(state, X, cfg)
+    with _logged(block_log, "B", state, X, cfg, lam):
+        state.model.b = ladmm_update_B(state, X, cfg)
+    with _logged(block_log, "R", state, X, cfg, lam):
+        state.model.core = ladmm_update_R(state, X, cfg)
+    state.Lam = state.Lam + state.mu * (X - state.model.reconstruct() - state.E)
+    state.mu = min(state.mu_cap, cfg.rho * state.mu)
+
+
+def _ladmm_errors(state, X):
+    return {"err_rec": admm._slice_ratio(X - state.model.reconstruct() - state.E, X)}
 
 
 def degree3_update_A_sub(state, cfg):
     """Proximal map of the basis norm applied to U - Y_U/mu_U."""
-    scale = (
-        cfg.alpha
-        * _basis_norm(state.model.b, cfg.variant)
-        * tensor.l1(state.model.core)
-        / state.mu_U
-    )
-    return _basis_prox(state.U - state.Y_U / state.mu_U, scale, cfg.variant)
+    point = state.U - state.Y_U / state.mu_U
+    return _basis_step(point, state.model.b, state.model.core, state.mu_U, cfg)
 
 
 def degree3_update_B_sub(state, cfg):
     """Proximal map for the row basis, using the freshly updated A."""
-    scale = (
-        cfg.alpha
-        * _basis_norm(state.model.a, cfg.variant)
-        * tensor.l1(state.model.core)
-        / state.mu_V
-    )
-    return _basis_prox(state.V - state.Y_V / state.mu_V, scale, cfg.variant)
+    point = state.V - state.Y_V / state.mu_V
+    return _basis_step(point, state.model.a, state.model.core, state.mu_V, cfg)
 
 
-def degree3_update_U(state, x_tilde, cfg):
-    """Stationarity solve for the U copy of the column basis.
-
-    The coefficient acts only from the right, so the update is a single
-    linear system U (I + (mu/mu_U) sum_i K_i V^T V K_i^T) = RHS with a
-    symmetric positive definite r x r system matrix.
+def degree3_update_U(state, x_tilde, cfg, report=None):
+    """Stationarity solve for the U copy of the column basis: one symmetric
+    positive definite r x r system U (I + (mu/mu_U) sum_i K_i V^T V K_i^T) = RHS.
     """
-    k_t = _slices(state.K)
-    gram_v = _sym(state.V.T @ state.V)
-    ratio = state.mu / state.mu_U
-    system = np.eye(cfg.rank) + ratio * _sym(
-        np.sum(k_t @ gram_v @ k_t.transpose(0, 2, 1), axis=0)
+    return admm._solve_basis(
+        state, x_tilde, state.V, False, state.mu / state.mu_U, report, "U",
+        anchor=state.model.a + state.Y_U / state.mu_U, mu_anchor=state.mu_U,
     )
-    p_t = _slices(state.mu * x_tilde + state.Lam)
-    rhs = (
-        state.model.a
-        + state.Y_U / state.mu_U
-        + np.sum((p_t @ state.V) @ k_t.transpose(0, 2, 1), axis=0) / state.mu_U
-    )
-    return np.linalg.solve(system, rhs.T).T
 
 
-def degree3_update_V(state, x_tilde, cfg):
+def degree3_update_V(state, x_tilde, cfg, report=None):
     """Mirror of :func:`degree3_update_U` for the row-basis copy."""
-    k_t = _slices(state.K)
-    gram_u = _sym(state.U.T @ state.U)
-    ratio = state.mu / state.mu_V
-    system = np.eye(cfg.rank) + ratio * _sym(
-        np.sum(k_t.transpose(0, 2, 1) @ gram_u @ k_t, axis=0)
+    return admm._solve_basis(
+        state, x_tilde, state.U, True, state.mu / state.mu_V, report, "V",
+        anchor=state.model.b + state.Y_V / state.mu_V, mu_anchor=state.mu_V,
     )
-    p_t = _slices(state.mu * x_tilde + state.Lam)
-    rhs = (
-        state.model.b
-        + state.Y_V / state.mu_V
-        + np.sum(p_t.transpose(0, 2, 1) @ (state.U @ k_t), axis=0) / state.mu_V
-    )
-    return np.linalg.solve(system, rhs.T).T
 
 
 def _degree3_update_E(state, X, cfg, lam):
-    recon = tensor.reconstruct(state.U, state.K, state.V)
-    resid = X - recon + state.Lam / state.mu
-    if cfg.mask is not None:
-        return linalg.selective_shrink(resid, lam / state.mu, cfg.mask)
-    return linalg.soft_shrink(resid, lam / state.mu)
+    resid = X - tensor.reconstruct(state.U, state.K, state.V)
+    return admm._shrink_residual(state, resid, cfg, lam)
 
 
 def _degree3_update_K(state, x_tilde, cfg):
-    mu, mu_K = state.mu, state.mu_K
-    F = -(mu / mu_K) * _sym(state.U.T @ state.U)
-    G = _sym(state.V.T @ state.V)
-    _, qf, _, qg, denom = linalg.stein_factors(F, G)
-    p_t = _slices(state.Lam + mu * x_tilde)
-    h_t = (state.U.T @ p_t @ state.V + _slices(state.Y)) / mu_K + _slices(
-        state.model.core
-    )
-    return _stack(qf @ ((qf.T @ h_t @ qg) / denom) @ qg.T)
+    return admm._stein_core(state, x_tilde, state.U, state.V)
 
 
 def _degree3_update_R(state, cfg):
-    weight = (
-        cfg.alpha
-        * _basis_norm(state.model.a, cfg.variant)
-        * _basis_norm(state.model.b, cfg.variant)
-    )
-    return linalg.soft_shrink(
-        state.K - state.Y / state.mu_K, weight / state.mu_K
-    )
+    weight = _core_weight(state.model.a, state.model.b, cfg)
+    return linalg.soft_shrink(state.K - state.Y / state.mu_K, weight / state.mu_K)
 
 
 def _init_degree3(X, cfg):
     seed = admm.initialize(X, cfg)
-    norm_a = float(np.linalg.norm(seed.model.a))
-    norm_b = float(np.linalg.norm(seed.model.b))
-    N = X.shape[2]
+    a, b, N = seed.model.a, seed.model.b, X.shape[2]
+    norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     mu_U = ETA_INIT * N / norm_a if norm_a > 0 else ETA_INIT
     mu_V = ETA_INIT * N / norm_b if norm_b > 0 else ETA_INIT
     return Degree3State(
-        model=seed.model,
-        E=seed.E,
-        K=seed.K,
-        Lam=seed.Lam,
-        Y=seed.Y,
-        U=seed.model.a.copy(),
-        V=seed.model.b.copy(),
-        Y_U=np.zeros_like(seed.model.a),
-        Y_V=np.zeros_like(seed.model.b),
-        mu=seed.mu,
-        mu_K=seed.mu_K,
-        mu_U=mu_U,
-        mu_V=mu_V,
-        mu_cap=seed.mu_cap,
-        mu_K_cap=seed.mu_K_cap,
-        mu_U_cap=cfg.mu_cap_factor * mu_U,
-        mu_V_cap=cfg.mu_cap_factor * mu_V,
+        **vars(seed),
+        U=a.copy(), V=b.copy(), Y_U=np.zeros_like(a), Y_V=np.zeros_like(b),
+        mu_U=mu_U, mu_V=mu_V,
+        mu_U_cap=cfg.mu_cap_factor * mu_U, mu_V_cap=cfg.mu_cap_factor * mu_V,
     )
 
 
-def _solve_degree3(X, cfg):
-    lam = cfg.resolved_lambda(X.shape)
-    report = RunReport(variant=cfg.variant, config=cfg.resolved(X.shape))
-    state = _init_degree3(X, cfg)
-    for it in range(1, cfg.max_iters + 1):
-        t0 = time.perf_counter()
-        state.iters = it
-        state.E = _degree3_update_E(state, X, cfg, lam)
-        x_tilde = X - state.E
-        state.model.a = degree3_update_A_sub(state, cfg)
-        state.model.b = degree3_update_B_sub(state, cfg)
-        state.U = degree3_update_U(state, x_tilde, cfg)
-        state.V = degree3_update_V(state, x_tilde, cfg)
-        state.K = _degree3_update_K(state, x_tilde, cfg)
-        state.model.core = _degree3_update_R(state, cfg)
-        recon_split = tensor.reconstruct(state.U, state.K, state.V)
-        state.Lam = state.Lam + state.mu * (x_tilde - recon_split)
-        state.Y = state.Y + state.mu_K * (state.model.core - state.K)
-        state.Y_U = state.Y_U + state.mu_U * (state.model.a - state.U)
-        state.Y_V = state.Y_V + state.mu_V * (state.model.b - state.V)
-        state.mu = min(state.mu_cap, cfg.rho * state.mu)
-        state.mu_K = min(state.mu_K_cap, cfg.rho * state.mu_K)
-        state.mu_U = min(state.mu_U_cap, cfg.rho * state.mu_U)
-        state.mu_V = min(state.mu_V_cap, cfg.rho * state.mu_V)
-        err_rec = _err_rec(state.model, state.E, X)
-        err_core = _ratio_slicewise(state.model.core, state.K)
-        err_a = _ratio(state.model.a - state.U, state.model.a)
-        err_b = _ratio(state.model.b - state.V, state.model.b)
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-        sparse = state.E if cfg.mask is None else np.where(cfg.mask, state.E, 0.0)
-        report.append(
-            IterationRecord(
-                iter=it,
-                err_rec=err_rec,
-                err_R=err_core,
-                err_A=err_a,
-                err_B=err_b,
-                mu=state.mu,
-                mu_K=state.mu_K,
-                elapsed_ms=elapsed_ms,
-                objective={
-                    "l1_sparse": lam * tensor.l1(sparse),
-                    "low_rank_penalty": _low_rank_penalty(state.model, cfg),
-                },
-            )
-        )
-        errs = (err_rec, err_core, err_a, err_b)
-        if not all(np.isfinite(e) for e in errs) or not np.all(
-            np.isfinite(state.model.core)
-        ):
-            report.termination = "abort"
-            raise SolverAbort(f"non-finite values at iteration {it}", report)
-        if max(errs) <= cfg.tol:
-            report.termination = "tol"
-            break
-    else:
-        report.termination = "max_iters"
-    return state.model, state.E, report
+def _degree3_sweep(state, X, cfg, report):
+    x_tilde = X - state.E
+    state.model.a = degree3_update_A_sub(state, cfg)
+    state.model.b = degree3_update_B_sub(state, cfg)
+    state.U = degree3_update_U(state, x_tilde, cfg, report)
+    state.V = degree3_update_V(state, x_tilde, cfg, report)
+    state.K = _degree3_update_K(state, x_tilde, cfg)
+    state.model.core = _degree3_update_R(state, cfg)
+    recon_split = tensor.reconstruct(state.U, state.K, state.V)
+    state.Lam = state.Lam + state.mu * (x_tilde - recon_split)
+    state.Y = state.Y + state.mu_K * (state.model.core - state.K)
+    state.Y_U = state.Y_U + state.mu_U * (state.model.a - state.U)
+    state.Y_V = state.Y_V + state.mu_V * (state.model.b - state.V)
+    state.mu = min(state.mu_cap, cfg.rho * state.mu)
+    state.mu_K = min(state.mu_K_cap, cfg.rho * state.mu_K)
+    state.mu_U = min(state.mu_U_cap, cfg.rho * state.mu_U)
+    state.mu_V = min(state.mu_V_cap, cfg.rho * state.mu_V)
 
 
-def _ratio_slicewise(core, K):
-    num = np.sum(np.square(_slices(core - K)), axis=(1, 2))
-    den = np.sum(np.square(_slices(core)), axis=(1, 2))
-    out = np.where(den > 0, num / np.where(den > 0, den, 1.0), num)
-    return float(np.max(out)) if out.size else 0.0
+def _ratio(diff, ref):
+    num, den = float(np.sum(np.square(diff))), float(np.sum(np.square(ref)))
+    return num / den if den > 0 else num
+
+
+def _degree3_errors(state, X):
+    errs = dict(zip(("err_rec", "err_R"), admm.residuals(state, X)))
+    errs["err_A"] = _ratio(state.model.a - state.U, state.model.a)
+    errs["err_B"] = _ratio(state.model.b - state.V, state.model.b)
+    return errs
 
 
 def solve_variant(X, cfg, block_log=None):
     """Dispatch on ``cfg.variant``; returns (model, E, report).
 
     ``block_log``, when a list, receives one entry per LADMM block step with
-    the block objective before and after (used by the majorisation checks);
-    it is ignored by the substitution solvers.
+    the augmented Lagrangian before and after; the other variants ignore it.
     """
-    X = tensor.as_tensor3(X, "X")
-    cfg.validate_for(X.shape)
     if cfg.variant == "admm2":
         return admm.solve(X, cfg)
+    X = tensor.as_tensor3(X, "X")
+    cfg.validate_for(X.shape)
+    lam = cfg.resolved_lambda(X.shape)
     if cfg.variant in LADMM_VARIANTS:
-        return _solve_ladmm(X, cfg, block_log=block_log)
-    if cfg.variant in DEGREE3_SUB_VARIANTS:
-        return _solve_degree3(X, cfg)
-    raise ValueError(f"unknown variant {cfg.variant!r}")
+        seed = admm.initialize(X, cfg)
+        state = LadmmState(seed.model, seed.E, seed.Lam, seed.mu, seed.mu_cap)
+        steps = (functools.partial(_ladmm_update_E, lam=lam, block_log=block_log),
+                 functools.partial(_ladmm_sweep, lam=lam, block_log=block_log),
+                 _ladmm_errors)
+    elif cfg.variant in DEGREE3_SUB_VARIANTS:
+        state = _init_degree3(X, cfg)
+        steps = (functools.partial(_degree3_update_E, lam=lam), _degree3_sweep,
+                 _degree3_errors)
+    else:
+        raise ValueError(f"unknown variant {cfg.variant!r}")
+    return admm._iterate(X, cfg, state, *steps, penalty=_penalty)

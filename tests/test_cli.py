@@ -83,7 +83,6 @@ def test_decompose_records_lambda_heuristic(tmp_path):
     assert report["config"]["lambda"] == pytest.approx(
         1.0 / np.sqrt(dims[2] * max(dims[0], dims[1]))
     )
-    assert report["config"]["threads"] == 1
     assert report["variant"] == "admm2"
 
 
@@ -147,6 +146,21 @@ def test_decompose_numeric_abort_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_variant", boom)
     assert run_cli("decompose", "--input", x_path, "--rank", 2,
                    "--out-dir", out) == 4
+    assert json.loads((out / "report.json").read_text())["termination"] == "abort"
+
+
+@pytest.mark.parametrize("variant", sorted(cli.VARIANT_FLAGS))
+def test_decompose_overflow_aborts_every_variant(tmp_path, variant):
+    # Finite entries whose slice norms overflow drive the initial penalties to
+    # zero and the first E step to NaN: every variant must exit 4 and still
+    # write its partial report.
+    x_path = tmp_path / "X.rkt"
+    fileio.write_rkt(x_path, np.full((4, 4, 2), 1e160))
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = run_cli("decompose", "--input", x_path, "--rank", 2, "--max-iters", 5,
+                       "--variant", variant, "--out-dir", out)
+    assert code == 4
     assert json.loads((out / "report.json").read_text())["termination"] == "abort"
 
 

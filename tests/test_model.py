@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rkca import admm
+from rkca import admm, variants
 from rkca.model import (
     FactorModel,
     IterationRecord,
@@ -86,3 +86,24 @@ def test_update_A_warns_on_ill_conditioning():
     assert out.shape == (m, r)
     assert np.all(np.isfinite(out))
     assert any(w.startswith("A-update") for w in report.warnings)
+
+    # The degree-3 U copy goes through the same guarded solve.
+    d3 = variants.Degree3State(
+        model=model,
+        E=np.zeros((m, n, N)),
+        K=np.stack([scale, scale], axis=2),
+        Lam=np.zeros((m, n, N)),
+        Y=np.zeros((r, r, N)),
+        U=rng.standard_normal((m, r)),
+        V=rng.standard_normal((n, r)),
+        Y_U=np.zeros((m, r)),
+        Y_V=np.zeros((n, r)),
+        mu=1.0, mu_K=1.0, mu_U=1.0, mu_V=1.0,
+        mu_cap=1e7, mu_K_cap=1e7, mu_U_cap=1e7, mu_V_cap=1e7,
+    )
+    report = RunReport(variant="admm3_fro", config={})
+    out = variants.degree3_update_U(d3, rng.standard_normal((m, n, N)),
+                                    SolverConfig(rank=r, variant="admm3_fro"), report)
+    assert out.shape == (m, r)
+    assert np.all(np.isfinite(out))
+    assert any(w.startswith("U-update") for w in report.warnings)
