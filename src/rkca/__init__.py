@@ -21,7 +21,6 @@ from .linalg import (
     stein_solve_dense,
     svd,
     symmetric_eig,
-    top_singular_value,
 )
 from .model import FactorModel, RunReport, SolverConfig, default_lambda
 from .tensor import (
@@ -79,7 +78,6 @@ __all__ = [
     "svd",
     "symmetric_eig",
     "synth_generate",
-    "top_singular_value",
     "unfold",
     "vectorize",
     "write_pgm",

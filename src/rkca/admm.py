@@ -5,8 +5,9 @@ Every variant is one scheme: block updates of the separable factors
 geometrically growing penalties.  :func:`_iterate` is the loop all of them
 run, on one copy of each shared kernel: residual shrinkage (selective under
 an observation mask, for robust completion), per-slice ratios, the batched
-Stein core update and the basis normal-equation solve.  Here too are the
-block steps of ``admm2``, which solves
+Stein core update and the basis normal-equation solve, both resting on
+:func:`linalg.symmetric_eig`.  Here too are the block steps of ``admm2``,
+which solves
 
     min  alpha*||R||_1 + lambda*||E||_1 + (||A||_F^2 + ||B||_F^2)/2
     s.t. X = K x_1 A x_2 B + E,   R = K,
@@ -22,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg, tensor
 from .model import FactorModel, IterationRecord, RunReport
@@ -39,7 +39,7 @@ COND_WARN_THRESHOLD = 1e12
 
 
 class SolverAbort(linalg.NumericalError):
-    """Non-finite values appeared mid-run; carries the partial report."""
+    """Non-finite values or a failed kernel stopped a run; carries the partial report."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -142,19 +142,21 @@ def update_E(state, X, cfg):
 
 
 def _solve_spd_right(system, rhs, report, label, iteration):
-    """Solve Z @ system = rhs for Z with a symmetric positive definite system."""
+    """Solve Z @ system = rhs for Z by one eigendecomposition of the system.
+
+    The system is I + w * (PSD) with w > 0, so flooring its eigenvalues at 1
+    is exact and keeps round-off from making them nonpositive.
+    """
+    evals, q = linalg.symmetric_eig(system)
+    evals = np.maximum(evals, 1.0)
     if report is not None:
-        cond = np.linalg.cond(system)
+        cond = evals[-1] / evals[0]
         if not np.isfinite(cond) or cond > COND_WARN_THRESHOLD:
             message = (f"{label}-update system ill-conditioned (cond={cond:.3e})"
                        f" at iteration {iteration}")
             if not any(w.startswith(f"{label}-update") for w in report.warnings):
                 report.warn(message)
-    try:
-        cho = scipy.linalg.cho_factor(system, lower=True)
-        return scipy.linalg.cho_solve(cho, rhs.T).T
-    except scipy.linalg.LinAlgError:
-        return np.linalg.solve(system, rhs.T).T
+    return ((rhs @ q) / evals) @ q.T
 
 
 def _solve_basis(state, x_tilde, other, row, weight, report, label,
@@ -250,30 +252,37 @@ def _iterate(X, cfg, state, e_step, sweep, errors, penalty):
     ``sweep(state, X, cfg, report)`` runs the other block steps and the dual
     and penalty updates; ``errors(state, X)`` names the residuals held to
     ``cfg.tol``; ``penalty(state, cfg)`` names the low-rank objective terms.
+    A kernel failure in any of them aborts the run like non-finite values do.
     """
     lam = cfg.resolved_lambda(X.shape)
     report = RunReport(variant=cfg.variant, config=cfg.resolved(X.shape))
-    for it in range(1, cfg.max_iters + 1):
-        t0 = time.perf_counter()
-        state.iters = it
-        state.E = e_step(state, X, cfg)
-        _check_finite(state, report, {"E": state.E})
-        sweep(state, X, cfg, report)
-        errs = errors(state, X)
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-        sparse = state.E if cfg.mask is None else np.where(cfg.mask, state.E, 0.0)
-        objective = {"l1_sparse": lam * tensor.l1(sparse), **penalty(state, cfg)}
-        report.append(IterationRecord(
-            iter=it, mu=state.mu, mu_K=getattr(state, "mu_K", None),
-            elapsed_ms=elapsed_ms, objective=objective, **errs,
-        ))
-        _check_finite(state, report)
-        _check_finite(state, report, errs)
-        if max(errs.values()) <= cfg.tol:
-            report.termination = "tol"
-            break
-    else:
-        report.termination = "max_iters"
+    try:
+        for it in range(1, cfg.max_iters + 1):
+            t0 = time.perf_counter()
+            state.iters = it
+            state.E = e_step(state, X, cfg)
+            _check_finite(state, report, {"E": state.E})
+            sweep(state, X, cfg, report)
+            errs = errors(state, X)
+            elapsed_ms = (time.perf_counter() - t0) * 1e3
+            sparse = state.E if cfg.mask is None else np.where(cfg.mask, state.E, 0.0)
+            objective = {"l1_sparse": lam * tensor.l1(sparse), **penalty(state, cfg)}
+            report.append(IterationRecord(
+                iter=it, mu=state.mu, mu_K=getattr(state, "mu_K", None),
+                elapsed_ms=elapsed_ms, objective=objective, **errs,
+            ))
+            _check_finite(state, report)
+            _check_finite(state, report, errs)
+            if max(errs.values()) <= cfg.tol:
+                report.termination = "tol"
+                break
+        else:
+            report.termination = "max_iters"
+    except SolverAbort:
+        raise
+    except (linalg.NumericalError, np.linalg.LinAlgError) as exc:
+        report.termination = "abort"
+        raise SolverAbort(f"{exc} at iteration {state.iters}", report) from exc
     return state.model, state.E, report
 
 

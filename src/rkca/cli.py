@@ -16,7 +16,8 @@ import numpy as np
 
 from . import data, fileio
 from .admm import SolverAbort
-from .model import SolverConfig
+from .linalg import NumericalError
+from .model import VARIANTS, SolverConfig
 from .variants import solve_variant
 
 __all__ = ["main"]
@@ -26,14 +27,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-VARIANT_FLAGS = {
-    "admm2": "admm2",
-    "ladmm2": "ladmm2",
-    "ladmm3-fro": "ladmm3_fro",
-    "ladmm3-nuc": "ladmm3_nuc",
-    "admm3-fro": "admm3_fro",
-    "admm3-nuc": "admm3_nuc",
-}
+VARIANT_FLAGS = {v.replace("_", "-"): v for v in VARIANTS}
 
 
 def _write_json(path, payload):
@@ -333,7 +327,7 @@ def main(argv=None):
     try:
         args = _apply_config_file(args, parser, argv)
         return args.func(args)
-    except SolverAbort as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:

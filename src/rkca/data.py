@@ -173,15 +173,7 @@ def roc_auc(scores, labels):
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("labels must contain both classes")
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    ranks = np.empty(labels.size, dtype=np.float64)
-    i = 0
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
     rank_sum = float(np.sum(ranks[labels]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

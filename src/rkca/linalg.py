@@ -2,8 +2,8 @@
 
 The Stein solver exploits that both coefficient matrices are symmetric in
 every call the solvers make: diagonalise both, divide elementwise, rotate
-back.  A dense vectorised solver over the r^2 unknowns is kept both as a test
-oracle and as a runtime fallback for small systems.
+back.  The dense vectorised solve over the r^2 unknowns is a test oracle
+only; no solver calls it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "stein_apply",
     "stein_solve",
     "stein_solve_dense",
-    "top_singular_value",
     "symmetric_eig",
     "svd",
 ]
@@ -32,10 +31,6 @@ __all__ = [
 SYMMETRY_ATOL = 1e-12
 # Relative gap below which the pencil 1 - f_i*g_j counts as singular.
 PENCIL_RTOL = 1e-13
-
-# Dimension up to which the dense vectorised Stein solve is cheap enough to
-# serve as a runtime fallback.
-DENSE_FALLBACK_DIM = 8
 
 
 class NumericalError(RuntimeError):
@@ -146,18 +141,9 @@ def stein_solve(prob):
     """Solve the Stein equation K - F K G = H of a :class:`SteinProblem`.
 
     Diagonalises F and G (both symmetric), divides elementwise and rotates
-    back; exact up to round-off in O(r^3).  If the residual check fails on a
-    small system, falls back to the dense vectorised solve.
+    back: the O(r^3) solve the solvers run, exact up to round-off.
     """
-    factors = stein_factors(prob.F, prob.G)
-    K = stein_apply(factors, prob.H)
-    r = prob.F.shape[0]
-    if r <= DENSE_FALLBACK_DIM:
-        scale = max(1.0, float(np.linalg.norm(prob.H)))
-        resid = np.linalg.norm(K - prob.F @ K @ prob.G - prob.H)
-        if resid > 1e-9 * scale:
-            K = stein_solve_dense(prob)
-    return K
+    return stein_apply(stein_factors(prob.F, prob.G), prob.H)
 
 
 def stein_solve_dense(prob):
@@ -170,45 +156,6 @@ def stein_solve_dense(prob):
     except np.linalg.LinAlgError as exc:
         raise SteinSingularError(f"dense Stein solve failed: {exc}") from exc
     return vec_k.reshape((rf, rg), order="F")
-
-
-_POWER_SEED = 0x5EED
-
-
-def top_singular_value(x, tol=1e-8):
-    """Largest singular value via power iteration on the Gram matrix.
-
-    Deterministic: the start vector comes from a fixed-seed generator.  The
-    iteration count is capped at 10 * max(dims); a zero matrix returns 0.
-    """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {x.shape}")
-    if not np.any(x):
-        return 0.0
-    # Iterate on the smaller Gram matrix.
-    gram = x.T @ x if x.shape[1] <= x.shape[0] else x @ x.T
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(gram.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(10 * max(x.shape)):
-        w = gram @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            # Start vector landed in the null space; reseed deterministically.
-            v = rng.standard_normal(gram.shape[0])
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nrm
-        lam_new = float(v @ (gram @ v))
-        if abs(lam_new - lam) <= tol * max(lam_new, np.finfo(float).tiny):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
 
 
 def symmetric_eig(x):

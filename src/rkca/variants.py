@@ -79,11 +79,13 @@ def _bound(value):
     return max(LIPSCHITZ_MARGIN * float(value), LIPSCHITZ_FLOOR)
 
 
+def _top_eig(gram):
+    return max(float(linalg.symmetric_eig(gram)[0][-1]), 0.0)
+
+
 def lipschitz_core(a, b):
-    """Bound for the core gradient: sigma_max(A)^2 * sigma_max(B)^2."""
-    sa = linalg.top_singular_value(a)
-    sb = linalg.top_singular_value(b)
-    return _bound((sa * sb) ** 2)
+    """Bound for the core gradient: lambda_max(A^T A) * lambda_max(B^T B)."""
+    return _bound(_top_eig(a.T @ a) * _top_eig(b.T @ b))
 
 
 def lipschitz_a(core, b):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rkca import cli, data, fileio
+from rkca import cli, data, fileio, linalg
 from rkca.admm import SolverAbort
 from rkca.model import RunReport
 
@@ -162,6 +162,30 @@ def test_decompose_overflow_aborts_every_variant(tmp_path, variant):
                        "--variant", variant, "--out-dir", out)
     assert code == 4
     assert json.loads((out / "report.json").read_text())["termination"] == "abort"
+
+
+@pytest.mark.parametrize("variant", sorted(cli.VARIANT_FLAGS))
+def test_kernel_failure_mid_run_aborts_every_variant(tmp_path, monkeypatch, variant):
+    # A symmetric eigensolve that fails partway through a run must end it as a
+    # numeric abort (exit 4) with the partial report, not a traceback.
+    gen = tmp_path / "gen"
+    assert run_cli(*synth_args(gen)) == 0
+    real_eig, calls = linalg.symmetric_eig, []
+
+    def failing_eig(x):
+        calls.append(1)
+        if len(calls) >= 10:
+            raise linalg.NumericalError("symmetric eigendecomposition failed")
+        return real_eig(x)
+
+    monkeypatch.setattr(linalg, "symmetric_eig", failing_eig)
+    out = tmp_path / "out"
+    code = run_cli("decompose", "--input", gen / "X.rkt", "--rank", 3, "--tol", 1e-12,
+                   "--variant", variant, "--out-dir", out)
+    assert code == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["termination"] == "abort"
+    assert len(report["iterations"]) >= 1
 
 
 def test_decompose_config_file(tmp_path):

@@ -6,6 +6,11 @@ of random perturbations.  The Stein solver is cross-checked against the
 dense vectorised solve.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -176,28 +181,6 @@ def test_stein_problem_validation():
         linalg.SteinProblem(F=np.eye(2), G=np.eye(3), H=np.zeros((3, 3)))
 
 
-def test_top_singular_value_basic():
-    assert linalg.top_singular_value(np.diag([3.0, 1.0])) == pytest.approx(3.0)
-    assert linalg.top_singular_value(np.zeros((4, 3))) == 0.0
-    with pytest.raises(ValueError):
-        linalg.top_singular_value(np.eye(2), tol=0.0)
-
-
-def test_top_singular_value_vs_svd():
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal((8, 5))
-    tol = 1e-8
-    est = linalg.top_singular_value(x, tol=tol)
-    true = float(np.linalg.svd(x, compute_uv=False)[0])
-    assert abs(est - true) <= tol * true
-
-
-def test_top_singular_value_deterministic():
-    rng = np.random.default_rng(14)
-    x = rng.standard_normal((6, 6))
-    assert linalg.top_singular_value(x) == linalg.top_singular_value(x)
-
-
 def test_symmetric_eig_basic():
     w, q = linalg.symmetric_eig(np.diag([2.0, 5.0]))
     assert_allclose(sorted(w), [2.0, 5.0])
@@ -230,3 +213,13 @@ def test_svd_contract():
     assert np.linalg.norm((u * s) @ v.T - x) <= 1e-9 * np.linalg.norm(x)
     assert np.linalg.norm(u.T @ u - np.eye(4)) <= 1e-10
     assert np.linalg.norm(v.T @ v - np.eye(4)) <= 1e-10
+
+
+def test_import_loads_no_scipy():
+    # Every solve rests on numpy's symmetric eigensolver; scipy is not a dependency.
+    code = ("import rkca, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(linalg.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

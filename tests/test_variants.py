@@ -68,7 +68,7 @@ def test_compute_lipschitz_vs_svd_oracle():
     bounds = variants.compute_lipschitz(model)
     sa = np.linalg.svd(model.a, compute_uv=False)[0]
     sb = np.linalg.svd(model.b, compute_uv=False)[0]
-    assert bounds.L_R / 1.01 == pytest.approx((sa * sb) ** 2, rel=1e-7)
+    assert bounds.L_R / 1.01 == pytest.approx((sa * sb) ** 2, rel=1e-12)
     c_sum = sum(
         model.core[:, :, i] @ model.b.T @ model.b @ model.core[:, :, i].T
         for i in range(4)
