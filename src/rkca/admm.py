@@ -15,12 +15,18 @@ which solves
 by exact block updates: shrinkage for E and R, normal-equation solves for
 the bases and one Stein equation per slice for the split core K.  The other
 five variants' block steps live in :mod:`rkca.variants`.
+
+X and the mask are copied once to slice-major storage
+(:func:`tensor.slice_major`), which every data-sized tensor derived from them
+keeps; cores stay (r, r, N) C-ordered.  Data-sized updates are built in place
+on the one fresh array each allocates, and the reconstruction a dual update
+builds is cached for the next E step, which subtracts the same tensor.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +54,12 @@ class SolverAbort(linalg.NumericalError):
 
 @dataclass
 class SolverState:
-    """All primal/dual variables of one ADMM run."""
+    """All primal/dual variables of one ADMM run.
+
+    ``recon`` caches ``(a, core, b, core x_1 a x_2 b)`` from a dual update for
+    the next E step; it is used only while the state still holds those very
+    arrays (factors are replaced, never written in place).
+    """
 
     model: FactorModel
     E: np.ndarray
@@ -60,6 +71,7 @@ class SolverState:
     mu_cap: float
     mu_K_cap: float
     iters: int = 0
+    recon: tuple | None = None
 
 
 def _sym(mat):
@@ -73,13 +85,13 @@ def _slices(t):
 
 
 def _stack(batch):
+    # A (N, r, r) batch of core slices as a C-ordered (r, r, N) core.
     return np.ascontiguousarray(np.moveaxis(batch, 0, 2))
 
 
 def _slice_ratio(diff, ref):
     """Worst per-slice ratio ||diff_i||^2 / ||ref_i||^2; a zero ref_i counts as 1."""
-    num = np.sum(np.square(_slices(diff)), axis=(1, 2))
-    den = np.sum(np.square(_slices(ref)), axis=(1, 2))
+    num, den = (np.einsum("kij,kij->k", t, t) for t in (_slices(diff), _slices(ref)))
     out = np.where(den > 0, num / np.where(den > 0, den, 1.0), num)
     return float(np.max(out)) if out.size else 0.0
 
@@ -126,6 +138,54 @@ def initialize(X, cfg):
     )
 
 
+def _prepare(X, cfg):
+    """Check X and cfg; return X and a copy of cfg, both slice-major.
+
+    Neither argument is modified: X is copied unless already slice-major and
+    the mask is converted in a new config.
+    """
+    X = tensor.slice_major(tensor.as_tensor3(X, "X"))
+    cfg.validate_for(X.shape)
+    if cfg.mask is not None:
+        mask = tensor.slice_major(np.asarray(cfg.mask, dtype=bool))
+        cfg = replace(cfg, mask=mask)
+    return X, cfg
+
+
+def _keep_recon(state, a, core, b):
+    """Reconstruct from (a, core, b) and cache it on the state for the E step."""
+    recon = tensor.reconstruct(a, core, b)
+    state.recon = (a, core, b, recon)
+    return recon
+
+
+def _cached_recon(state, a, core, b, take):
+    """``core x_1 a x_2 b``: the cached one if built from these very arrays,
+    else a fresh reconstruct.  ``take`` drops the cache, handing the array
+    over to the caller to overwrite."""
+    cached = state.recon
+    if take:
+        state.recon = None
+    if cached is not None and all(x is y for x, y in zip(cached, (a, core, b))):
+        return cached[3]
+    return tensor.reconstruct(a, core, b)
+
+
+def _residual(X, recon, E=None, out=None):
+    """X - recon (- E), written to ``out`` (a new array if None; may be recon)."""
+    out = np.subtract(X, recon, out=out)
+    if E is not None:
+        out -= E
+    return out
+
+
+def _ascend_lam(state, resid):
+    """Dual ascent Lam <- Lam + mu * resid, built in place in the fresh ``resid``."""
+    resid *= state.mu
+    resid += state.Lam
+    state.Lam = resid
+
+
 def _shrink_residual(state, resid, cfg, lam):
     """Shrink resid + Lam/mu at level lam/mu (selectively under a mask); resid,
     X minus the variant's reconstruction, is a fresh array updated in place."""
@@ -135,10 +195,16 @@ def _shrink_residual(state, resid, cfg, lam):
     return linalg.soft_shrink(resid, lam / state.mu)
 
 
+def _split_E(state, X, cfg, lam, left, right):
+    """E step against the split reconstruction K x_1 left x_2 right."""
+    recon = _cached_recon(state, left, state.K, right, take=True)
+    return _shrink_residual(state, _residual(X, recon, out=recon), cfg, lam)
+
+
 def update_E(state, X, cfg):
     """Shrink the residual X - K x_1 A x_2 B + Lam/mu at level lambda/mu."""
-    resid = X - tensor.reconstruct(state.model.a, state.K, state.model.b)
-    return _shrink_residual(state, resid, cfg, cfg.resolved_lambda(X.shape))
+    lam = cfg.resolved_lambda(X.shape)
+    return _split_E(state, X, cfg, lam, state.model.a, state.model.b)
 
 
 def _solve_spd_right(system, rhs, report, label, iteration):
@@ -169,7 +235,9 @@ def _solve_basis(state, x_tilde, other, row, weight, report, label,
     """
     k_t = _slices(state.K)
     gram = _sym(other.T @ other)
-    p_t = _slices(state.mu * x_tilde + state.Lam)
+    p = state.mu * x_tilde
+    p += state.Lam
+    p_t = _slices(p)
     if row:
         cross = np.sum(k_t.transpose(0, 2, 1) @ gram @ k_t, axis=0)
         rhs = np.sum(p_t.transpose(0, 2, 1) @ (other @ k_t), axis=0)
@@ -200,7 +268,9 @@ def _stein_core(state, x_tilde, left, right):
     mu, mu_K = state.mu, state.mu_K
     gram_l, gram_r = _sym(left.T @ left), _sym(right.T @ right)
     factors = linalg.stein_factors(-(mu / mu_K) * gram_l, gram_r)
-    p_t = _slices(state.Lam + mu * x_tilde)
+    p = mu * x_tilde
+    p += state.Lam
+    p_t = _slices(p)
     h_t = (left.T @ p_t @ right + _slices(state.Y)) / mu_K + _slices(state.model.core)
     return _stack(linalg.stein_apply(factors, h_t))
 
@@ -216,9 +286,12 @@ def update_R(state, cfg):
 
 
 def update_duals(state, x_tilde, cfg):
-    """Dual ascent on both constraints, then grow the capped penalties."""
-    recon = tensor.reconstruct(state.model.a, state.K, state.model.b)
-    state.Lam = state.Lam + state.mu * (x_tilde - recon)
+    """Dual ascent on both constraints, then grow the capped penalties.
+
+    The reconstruction K x_1 A x_2 B stays cached for the next E step.
+    """
+    recon = _keep_recon(state, state.model.a, state.K, state.model.b)
+    _ascend_lam(state, x_tilde - recon)
     state.Y = state.Y + state.mu_K * (state.model.core - state.K)
     state.mu = min(state.mu_cap, cfg.rho * state.mu)
     state.mu_K = min(state.mu_K_cap, cfg.rho * state.mu_K)
@@ -228,7 +301,7 @@ def update_duals(state, x_tilde, cfg):
 def residuals(state, X):
     """Primal-feasibility errors (err_rec, err_R), worst slice of each."""
     recon = state.model.reconstruct()
-    err_rec = _slice_ratio(X - recon - state.E, X)
+    err_rec = _slice_ratio(_residual(X, recon, state.E, out=recon), X)
     err_core = _slice_ratio(state.model.core - state.K, state.model.core)
     return err_rec, err_core
 
@@ -312,8 +385,7 @@ def solve(X, cfg):
     worst primal-feasibility error drops below ``cfg.tol`` or ``max_iters``
     is reached.  Deterministic for fixed inputs.
     """
-    X = tensor.as_tensor3(X, "X")
-    cfg.validate_for(X.shape)
+    X, cfg = _prepare(X, cfg)
     if cfg.variant != "admm2":
         raise ValueError(f"admm.solve handles the admm2 variant, got {cfg.variant!r}")
     return _iterate(X, cfg, initialize(X, cfg), update_E, _admm2_sweep, _admm2_errors,

@@ -29,6 +29,14 @@ EXIT_NUMERIC = 4
 
 VARIANT_FLAGS = {v.replace("_", "-"): v for v in VARIANTS}
 
+# What a --config value of a flag with this argparse type must be in JSON.
+JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+              None: ((str,), "a string")}
+
+
+class UsageError(ValueError):
+    """Bad flags or config file: exit code 2."""
+
 
 def _write_json(path, payload):
     with open(path, "w", encoding="ascii") as fh:
@@ -37,32 +45,38 @@ def _write_json(path, payload):
 
 
 def _add_solver_flags(parser):
-    parser.add_argument(
-        "--variant", choices=sorted(VARIANT_FLAGS), default="admm2",
-        help="solver variant (default admm2)",
-    )
-    parser.add_argument("--rank", type=int, required=True, help="rank upper bound r")
-    parser.add_argument("--alpha", type=float, default=1e-2)
-    parser.add_argument(
-        "--lambda", dest="lam", type=float, default=None,
-        help="sparsity weight; defaults to 1/sqrt(N*max(m,n))",
-    )
-    parser.add_argument("--rho", type=float, default=1.1)
-    parser.add_argument("--tol", type=float, default=1e-5)
-    parser.add_argument("--max-iters", type=int, default=1000)
+    """Add the solver flags; returns their argparse actions."""
+    return [
+        parser.add_argument(
+            "--variant", choices=sorted(VARIANT_FLAGS), default="admm2",
+            help="solver variant (default admm2)",
+        ),
+        parser.add_argument("--rank", type=int, required=True, help="rank upper bound r"),
+        parser.add_argument("--alpha", type=float, default=1e-2),
+        parser.add_argument(
+            "--lambda", dest="lam", type=float, default=None,
+            help="sparsity weight; defaults to 1/sqrt(N*max(m,n))",
+        ),
+        parser.add_argument("--rho", type=float, default=1.1),
+        parser.add_argument("--tol", type=float, default=1e-5),
+        parser.add_argument("--max-iters", type=int, default=1000),
+    ]
 
 
-def _solver_config(args, mask=None):
-    return SolverConfig(
-        rank=args.rank,
-        alpha=args.alpha,
-        lam=args.lam,
-        rho=args.rho,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        mask=mask,
-        variant=VARIANT_FLAGS[args.variant],
-    )
+def _solver_config(args):
+    """The solver flags as a SolverConfig (no mask yet); bad values are usage errors."""
+    try:
+        return SolverConfig(
+            rank=args.rank,
+            alpha=args.alpha,
+            lam=args.lam,
+            rho=args.rho,
+            tol=args.tol,
+            max_iters=args.max_iters,
+            variant=VARIANT_FLAGS[args.variant],
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_synth(args):
@@ -114,15 +128,14 @@ def _run_solver(X, cfg, out):
 
 
 def cmd_decompose(args):
+    cfg = _solver_config(args)
     X = fileio.read_rkt(args.input)
-    mask = None
     if args.mask is not None:
-        mask = fileio.read_rkt(args.mask) != 0
-        if mask.shape != X.shape:
+        cfg.mask = fileio.read_rkt(args.mask) != 0
+        if cfg.mask.shape != X.shape:
             raise ValueError(
-                f"mask dims {mask.shape} do not match data dims {X.shape}"
+                f"mask dims {cfg.mask.shape} do not match data dims {X.shape}"
             )
-    cfg = _solver_config(args, mask=mask)
     cfg.validate_for(X.shape)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -150,11 +163,11 @@ def _load_image_stack(directory):
 
 
 def cmd_denoise(args):
+    cfg = _solver_config(args)
     X, paths, kind = _load_image_stack(args.images)
     noisy = X
     if args.noise_level > 0:
         noisy, _ = data.add_salt_pepper(X, args.noise_level, 0.0, 1.0, args.seed)
-    cfg = _solver_config(args)
     cfg.validate_for(noisy.shape)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,6 +193,7 @@ def cmd_denoise(args):
 
 
 def cmd_complete(args):
+    cfg = _solver_config(args)
     X = fileio.read_rkt(args.input)
     mask = fileio.read_rkt(args.mask) != 0
     if mask.shape != X.shape:
@@ -187,7 +201,7 @@ def cmd_complete(args):
     if not mask.any():
         raise ValueError("empty observation mask: nothing to complete from")
     observed = np.where(mask, X, 0.0)
-    cfg = _solver_config(args, mask=mask)
+    cfg.mask = mask
     cfg.validate_for(X.shape)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -242,23 +256,49 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def _apply_config_file(args, parser, argv):
-    """Fill flags from --config JSON for keys not given on the command line."""
+def _config_value(action, key, value):
+    """Convert a config value as its flag converts a command-line value.
+
+    The JSON value must already be of the flag's kind: "0.1" is not a
+    number and 2.5 is not an integer.
+    """
+    kinds, noun = JSON_KINDS[action.type]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise UsageError(f"config key {key!r} must be {noun}, got {value!r}")
+    try:
+        value = value if action.type is None else action.type(value)
+    except OverflowError as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(
+            f"config key {key!r} must be one of {', '.join(action.choices)}, got {value!r}"
+        )
+    return value
+
+
+def _apply_config_file(args, argv):
+    """Fill solver flags from the --config JSON object; flags given on the
+    command line win."""
     if getattr(args, "config", None) is None:
         return args
     with open(args.config, "r", encoding="ascii") as fh:
-        overrides = json.load(fh)
+        try:
+            overrides = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config file {args.config}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise UsageError(f"config file {args.config} must hold a JSON object")
+    actions = {}
+    for action in _add_solver_flags(argparse.ArgumentParser(add_help=False)):
+        actions[action.dest] = action
+        actions.update((opt.lstrip("-"), action) for opt in action.option_strings)
     given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
     for key, value in overrides.items():
-        flag = "--" + key.replace("_", "-")
-        if flag in given:
-            continue
-        dest = key.replace("-", "_")
-        if dest == "lambda":
-            dest = "lam"
-        if not hasattr(args, dest):
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(args, dest, value)
+        action = actions.get(key) or actions.get(key.replace("_", "-"))
+        if action is None:
+            raise UsageError(f"unknown config key {key!r}")
+        if given.isdisjoint(action.option_strings):
+            setattr(args, action.dest, _config_value(action, key, value))
     return args
 
 
@@ -325,8 +365,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args, parser, argv)
+        args = _apply_config_file(args, argv)
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -42,11 +42,17 @@ class SteinSingularError(NumericalError):
 
 
 def soft_shrink(x, tau):
-    """Elementwise soft thresholding sign(x) * max(|x| - tau, 0)."""
+    """Elementwise soft thresholding sign(x) * max(|x| - tau, 0).
+
+    Computed as x - clip(x, -tau, tau) in one new array of x's layout; the two
+    forms agree bit for bit except for the sign of zeros.
+    """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     x = np.asarray(x)
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    out = np.empty_like(x, dtype=np.result_type(x, 0.0))
+    np.clip(x, -tau, tau, out=out)
+    return np.subtract(x, out, out=out)
 
 
 def selective_shrink(x, tau, mask):

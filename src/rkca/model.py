@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,15 @@ def default_lambda(dims):
     """Sparsity weight heuristic 1 / sqrt(N * max(m, n))."""
     m, n, N = dims
     return 1.0 / np.sqrt(N * max(m, n))
+
+
+def _check_number(name, value, kind):
+    """Reject booleans, values not of ``kind`` and, for reals, non-finite ones."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def check_mask(mask, dims):
@@ -86,6 +97,8 @@ class SolverConfig:
     ``lam=None`` resolves to the 1/sqrt(N*max(m,n)) heuristic at solve time.
     ``rho`` and ``mu_cap_factor`` control the penalty schedule
     mu <- min(mu_cap, rho*mu) with mu_cap = mu_cap_factor * initial mu.
+    ``rank`` and ``max_iters`` must be integers and the other numbers finite
+    reals; booleans are refused.
     """
 
     rank: int
@@ -99,6 +112,12 @@ class SolverConfig:
     variant: str = "admm2"
 
     def __post_init__(self):
+        for name in ("rank", "max_iters"):
+            _check_number(name, getattr(self, name), numbers.Integral)
+        for name in ("alpha", "rho", "mu_cap_factor", "tol"):
+            _check_number(name, getattr(self, name), numbers.Real)
+        if self.lam is not None:
+            _check_number("lambda", self.lam, numbers.Real)
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
         if self.alpha < 0:

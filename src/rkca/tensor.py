@@ -1,10 +1,17 @@
 """Dense 3-way tensor primitives.
 
 A 3-way tensor is represented as a ``numpy.ndarray`` of shape ``(m, n, N)``
-and dtype float64.  The canonical linear layout is column-major: entry
+and dtype float64.  The canonical linear order is column-major: entry
 ``(i, j, k)`` sits at flat position ``i + m*j + m*n*k``.  All unfoldings,
 vectorisations and the binary file format follow that ordering, so modes are
 numbered 1..3 and the first index always varies fastest.
+
+That order says how entries are numbered, not how memory is laid out.  The
+solvers hold every data-sized tensor slice-major (:func:`slice_major`): a
+C-contiguous ``(N, m, n)`` buffer seen through ``np.moveaxis`` as
+``(m, n, N)``, so each frontal slice is one contiguous block for the batched
+per-slice products.  :func:`reconstruct` returns that layout too.  Shapes and
+values do not depend on layout, and every function here accepts any strides.
 
 Unfoldings are explicit copies, never views.
 """
@@ -24,6 +31,7 @@ __all__ = [
     "l1",
     "inner",
     "as_tensor3",
+    "slice_major",
 ]
 
 
@@ -38,6 +46,14 @@ def as_tensor3(data, name="tensor"):
     if not np.all(np.isfinite(t)):
         raise ValueError(f"{name} contains non-finite entries")
     return t
+
+
+def slice_major(t):
+    """``t`` backed by a C-contiguous ``(N, m, n)`` buffer, viewed as ``(m, n, N)``.
+
+    Copies unless ``t`` already has that layout; values and shape are unchanged.
+    """
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(t, 2, 0)), 0, 2)
 
 
 def unfold(t, mode):
@@ -108,7 +124,8 @@ def reconstruct(a, core, b):
     """Assemble the low-rank tensor with frontal slices ``a @ core_k @ b.T``.
 
     ``a`` is (m, r), ``b`` is (n, r) and ``core`` is (r, r, N); the result
-    equals ``core x_1 a x_2 b`` and has shape (m, n, N).
+    equals ``core x_1 a x_2 b``, has shape (m, n, N) and is slice-major: a view
+    of the C-contiguous (N, m, n) batch of slice products.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -120,8 +137,7 @@ def reconstruct(a, core, b):
             f"incompatible shapes: a {a.shape}, b {b.shape}, core {core.shape}"
         )
     slices = np.moveaxis(core, 2, 0)  # (N, r, r)
-    out = a @ slices @ b.T  # (N, m, n)
-    return np.ascontiguousarray(np.moveaxis(out, 0, 2))
+    return np.moveaxis(a @ slices @ b.T, 0, 2)
 
 
 def frobenius(x):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,12 @@ DEGREE3_SUB_VARIANTS = ("admm3_fro", "admm3_nuc")
 
 @dataclass
 class LadmmState:
-    """Primal/dual variables of a linearised-ADMM run (no split variables)."""
+    """Primal/dual variables of a linearised-ADMM run (no split variables).
+
+    ``recon`` caches the model's reconstruction from the dual update for the
+    residual and the next E step (see ``admm.SolverState``); ``basis_norms``
+    holds the last two (basis, norm) pairs for :func:`_basis_norm`.
+    """
 
     model: FactorModel
     E: np.ndarray
@@ -50,6 +55,8 @@ class LadmmState:
     mu: float
     mu_cap: float
     iters: int = 0
+    recon: tuple | None = None
+    basis_norms: list = field(default_factory=list)
 
 
 @dataclass(kw_only=True)
@@ -64,6 +71,7 @@ class Degree3State(admm.SolverState):
     mu_V: float
     mu_U_cap: float
     mu_V_cap: float
+    basis_norms: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -109,10 +117,23 @@ def compute_lipschitz(model):
     )
 
 
-def _basis_norm(mat, variant):
+def _basis_norm(mat, variant, cache=None):
+    """|mat|: the nuclear norm for ``*_nuc`` variants, else the Frobenius norm.
+
+    ``cache``, a state's ``basis_norms``, keeps the last two (array, norm)
+    pairs, so each basis array is measured once: bases are replaced, never
+    written in place.
+    """
+    for arr, value in cache or ():
+        if arr is mat:
+            return value
     if variant.endswith("_nuc"):
-        return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
-    return float(np.linalg.norm(mat))
+        value = float(np.sum(np.linalg.svd(mat, compute_uv=False)))
+    else:
+        value = float(np.linalg.norm(mat))
+    if cache is not None:
+        cache[:] = [(mat, value), *cache[:1]]
+    return value
 
 
 def _basis_prox(mat, tau, variant):
@@ -121,68 +142,82 @@ def _basis_prox(mat, tau, variant):
     return linalg.frobenius_prox(mat, tau)
 
 
-def _core_weight(a, b, cfg):
+def _core_weight(a, b, cfg, cache=None):
     """Weight of ||R||_1 in the objective: alpha, times |A| |B| at degree 3."""
     if cfg.variant in ("ladmm2", "admm2"):
         return cfg.alpha
-    return cfg.alpha * _basis_norm(a, cfg.variant) * _basis_norm(b, cfg.variant)
+    return (cfg.alpha * _basis_norm(a, cfg.variant, cache)
+            * _basis_norm(b, cfg.variant, cache))
 
 
-def _basis_step(point, other, core, weight, cfg):
+def _basis_step(point, other, core, weight, cfg, cache=None):
     """Prox of the variant's basis penalty at ``point``, scaled by 1/weight."""
     if cfg.variant == "ladmm2":
         # Smooth ||A||_F^2/2 penalty: closed-form shrink toward the origin.
         return point * (weight / (weight + 1.0))
-    scale = cfg.alpha * _basis_norm(other, cfg.variant) * tensor.l1(core) / weight
+    scale = cfg.alpha * _basis_norm(other, cfg.variant, cache) * tensor.l1(core) / weight
     return _basis_prox(point, scale, cfg.variant)
 
 
 def _delta(state, X):
-    return X - state.E + state.Lam / state.mu
+    """Delta = X - E + Lam/mu, the target of the linearised steps."""
+    delta = X - state.E
+    delta += state.Lam / state.mu
+    return delta
 
 
-def ladmm_update_R(state, X, cfg):
+def _delta_slices(state, X, delta):
+    return _slices(_delta(state, X) if delta is None else delta)
+
+
+def ladmm_update_R(state, X, cfg, delta=None):
     """One proximal-gradient step on the core.
 
     Gradient of the coupling term is (R x_1 A x_2 B - Delta) x_1 A^T x_2 B^T;
     the shrinkage level is the variant's core weight divided by mu * L_R.
+    ``delta`` passes a Delta already computed for this sweep.
     """
     a, b, core = state.model.a, state.model.b, state.model.core
     lip = lipschitz_core(a, b)
-    diff_t = a @ _slices(core) @ b.T - _slices(_delta(state, X))
+    diff_t = a @ _slices(core) @ b.T
+    diff_t -= _delta_slices(state, X, delta)
     step = _slices(core) - (a.T @ diff_t @ b) / lip
-    return _stack(linalg.soft_shrink(step, _core_weight(a, b, cfg) / (state.mu * lip)))
+    weight = _core_weight(a, b, cfg, state.basis_norms)
+    return _stack(linalg.soft_shrink(step, weight / (state.mu * lip)))
 
 
-def ladmm_update_A(state, X, cfg):
-    """One majorise-minimise step on the column basis."""
+def ladmm_update_A(state, X, cfg, delta=None):
+    """One majorise-minimise step on the column basis; ``delta`` as in
+    :func:`ladmm_update_R`."""
     a, b, core = state.model.a, state.model.b, state.model.core
     c_t = _slices(core) @ b.T
     lip = lipschitz_a(core, b)
-    delta_t = _slices(_delta(state, X))
-    grad = np.sum((a @ c_t - delta_t) @ c_t.transpose(0, 2, 1), axis=0)
-    return _basis_step(a - grad / lip, b, core, state.mu * lip, cfg)
+    diff_t = a @ c_t
+    diff_t -= _delta_slices(state, X, delta)
+    grad = np.sum(diff_t @ c_t.transpose(0, 2, 1), axis=0)
+    return _basis_step(a - grad / lip, b, core, state.mu * lip, cfg, state.basis_norms)
 
 
-def ladmm_update_B(state, X, cfg):
+def ladmm_update_B(state, X, cfg, delta=None):
     """Mirror of :func:`ladmm_update_A` for the row basis, using fresh A."""
     a, b, core = state.model.a, state.model.b, state.model.core
     g_t = a @ _slices(core)
     lip = lipschitz_b(a, core)
-    delta_t = _slices(_delta(state, X))
-    grad = np.sum((b @ g_t.transpose(0, 2, 1) - delta_t.transpose(0, 2, 1)) @ g_t, axis=0)
-    return _basis_step(b - grad / lip, a, core, state.mu * lip, cfg)
+    diff_t = b @ g_t.transpose(0, 2, 1)
+    diff_t -= _delta_slices(state, X, delta).transpose(0, 2, 1)
+    grad = np.sum(diff_t @ g_t, axis=0)
+    return _basis_step(b - grad / lip, a, core, state.mu * lip, cfg, state.basis_norms)
 
 
-def _low_rank_penalty(model, cfg):
-    penalty = _core_weight(model.a, model.b, cfg) * tensor.l1(model.core)
+def _low_rank_penalty(model, cfg, cache=None):
+    penalty = _core_weight(model.a, model.b, cfg, cache) * tensor.l1(model.core)
     if cfg.variant in ("ladmm2", "admm2"):
         penalty += 0.5 * (tensor.frobenius(model.a) ** 2 + tensor.frobenius(model.b) ** 2)
     return penalty
 
 
 def _penalty(state, cfg):
-    return {"low_rank_penalty": _low_rank_penalty(state.model, cfg)}
+    return {"low_rank_penalty": _low_rank_penalty(state.model, cfg, state.basis_norms)}
 
 
 def _lagrangian(state, X, cfg, lam):
@@ -190,7 +225,8 @@ def _lagrangian(state, X, cfg, lam):
     sparse = state.E if cfg.mask is None else np.where(cfg.mask, state.E, 0.0)
     recon = state.model.reconstruct()
     couple = 0.5 * state.mu * float(np.sum(np.square(recon - _delta(state, X))))
-    return lam * tensor.l1(sparse) + _low_rank_penalty(state.model, cfg) + couple
+    penalty = _low_rank_penalty(state.model, cfg, state.basis_norms)
+    return lam * tensor.l1(sparse) + penalty + couple
 
 
 @contextlib.contextmanager
@@ -205,37 +241,52 @@ def _logged(block_log, stage, state, X, cfg, lam):
                       "after": _lagrangian(state, X, cfg, lam)})
 
 
+def _model_recon(state, take):
+    a, b, core = state.model.a, state.model.b, state.model.core
+    return admm._cached_recon(state, a, core, b, take)
+
+
 def _ladmm_update_E(state, X, cfg, lam, block_log=None):
     with _logged(block_log, "E", state, X, cfg, lam):
-        state.E = admm._shrink_residual(state, X - state.model.reconstruct(), cfg, lam)
+        recon = _model_recon(state, take=True)
+        resid = admm._residual(X, recon, out=recon)
+        state.E = admm._shrink_residual(state, resid, cfg, lam)
     return state.E
 
 
 def _ladmm_sweep(state, X, cfg, report, lam, block_log=None):
+    # One Delta serves all three steps: E, Lam and mu are fixed until the dual update.
+    delta = _delta(state, X)
     with _logged(block_log, "A", state, X, cfg, lam):
-        state.model.a = ladmm_update_A(state, X, cfg)
+        state.model.a = ladmm_update_A(state, X, cfg, delta)
     with _logged(block_log, "B", state, X, cfg, lam):
-        state.model.b = ladmm_update_B(state, X, cfg)
+        state.model.b = ladmm_update_B(state, X, cfg, delta)
     with _logged(block_log, "R", state, X, cfg, lam):
-        state.model.core = ladmm_update_R(state, X, cfg)
-    state.Lam = state.Lam + state.mu * (X - state.model.reconstruct() - state.E)
+        state.model.core = ladmm_update_R(state, X, cfg, delta)
+    del delta  # freed before the dual update allocates
+    model = state.model
+    recon = admm._keep_recon(state, model.a, model.core, model.b)
+    admm._ascend_lam(state, admm._residual(X, recon, state.E))
     state.mu = min(state.mu_cap, cfg.rho * state.mu)
 
 
 def _ladmm_errors(state, X):
-    return {"err_rec": admm._slice_ratio(X - state.model.reconstruct() - state.E, X)}
+    resid = admm._residual(X, _model_recon(state, take=False), state.E)
+    return {"err_rec": admm._slice_ratio(resid, X)}
 
 
 def degree3_update_A_sub(state, cfg):
     """Proximal map of the basis norm applied to U - Y_U/mu_U."""
     point = state.U - state.Y_U / state.mu_U
-    return _basis_step(point, state.model.b, state.model.core, state.mu_U, cfg)
+    return _basis_step(point, state.model.b, state.model.core, state.mu_U, cfg,
+                       state.basis_norms)
 
 
 def degree3_update_B_sub(state, cfg):
     """Proximal map for the row basis, using the freshly updated A."""
     point = state.V - state.Y_V / state.mu_V
-    return _basis_step(point, state.model.a, state.model.core, state.mu_V, cfg)
+    return _basis_step(point, state.model.a, state.model.core, state.mu_V, cfg,
+                       state.basis_norms)
 
 
 def degree3_update_U(state, x_tilde, cfg, report=None):
@@ -257,8 +308,7 @@ def degree3_update_V(state, x_tilde, cfg, report=None):
 
 
 def _degree3_update_E(state, X, cfg, lam):
-    resid = X - tensor.reconstruct(state.U, state.K, state.V)
-    return admm._shrink_residual(state, resid, cfg, lam)
+    return admm._split_E(state, X, cfg, lam, state.U, state.V)
 
 
 def _degree3_update_K(state, x_tilde, cfg):
@@ -266,7 +316,7 @@ def _degree3_update_K(state, x_tilde, cfg):
 
 
 def _degree3_update_R(state, cfg):
-    weight = _core_weight(state.model.a, state.model.b, cfg)
+    weight = _core_weight(state.model.a, state.model.b, cfg, state.basis_norms)
     return linalg.soft_shrink(state.K - state.Y / state.mu_K, weight / state.mu_K)
 
 
@@ -292,8 +342,8 @@ def _degree3_sweep(state, X, cfg, report):
     state.V = degree3_update_V(state, x_tilde, cfg, report)
     state.K = _degree3_update_K(state, x_tilde, cfg)
     state.model.core = _degree3_update_R(state, cfg)
-    recon_split = tensor.reconstruct(state.U, state.K, state.V)
-    state.Lam = state.Lam + state.mu * (x_tilde - recon_split)
+    recon_split = admm._keep_recon(state, state.U, state.K, state.V)
+    admm._ascend_lam(state, x_tilde - recon_split)
     state.Y = state.Y + state.mu_K * (state.model.core - state.K)
     state.Y_U = state.Y_U + state.mu_U * (state.model.a - state.U)
     state.Y_V = state.Y_V + state.mu_V * (state.model.b - state.V)
@@ -323,8 +373,7 @@ def solve_variant(X, cfg, block_log=None):
     """
     if cfg.variant == "admm2":
         return admm.solve(X, cfg)
-    X = tensor.as_tensor3(X, "X")
-    cfg.validate_for(X.shape)
+    X, cfg = admm._prepare(X, cfg)
     lam = cfg.resolved_lambda(X.shape)
     if cfg.variant in LADMM_VARIANTS:
         seed = admm.initialize(X, cfg)

@@ -203,6 +203,34 @@ def test_decompose_config_file(tmp_path):
     assert report["config"]["max_iters"] == 7
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--tol", "nan"], None),
+    (["--rho", "inf"], None),
+    (["--alpha", "nan"], None),
+    ([], {"alpha": "0.1"}),
+    ([], {"max_iters": 2.5}),
+    ([], [{"rank": 2}]),
+    ([], {"alpha": 10**400}),
+    ([], {"variant": "bogus"}),
+], ids=["tol-nan", "rho-inf", "alpha-nan", "config-str-alpha", "config-float-iters",
+        "config-list", "config-huge-int", "config-bad-choice"])
+def test_bad_solver_settings_are_usage_errors(tmp_path, capsys, flags, config):
+    # Non-finite flags and mistyped config values stop before any solve, with
+    # exit 2 and a one-line message.
+    x_path = tmp_path / "X.rkt"
+    fileio.write_rkt(x_path, np.ones((6, 5, 2)))
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        flags = ["--config", tmp_path / "run.json"]
+    capsys.readouterr()
+    code = run_cli("decompose", "--input", x_path, "--rank", 2, *flags,
+                   "--out-dir", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_matches_library_bitwise(tmp_path):
     gen = tmp_path / "gen"
     run_cli(*synth_args(gen, **{"p-clean": 0.7}))

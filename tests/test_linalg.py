@@ -38,6 +38,19 @@ def test_soft_shrink_scalars():
         linalg.soft_shrink(x, -1.0)
 
 
+def test_soft_shrink_matches_sign_max_formula():
+    # x - clip(x, -tau, tau) equals sign(x) * max(|x| - tau, 0) bit for bit,
+    # up to the sign of zeros, which np.array_equal does not distinguish.
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((40, 30, 5)) * 10.0 ** rng.integers(-3, 4, (40, 30, 5))
+    for tau in (0.0, 1e-3, 0.3, 2.0):
+        edges = np.array([tau, -tau, 0.0, -0.0, np.nextafter(tau, 0), np.nextafter(tau, 9),
+                          -np.nextafter(tau, 9), np.inf, -np.inf])
+        for arr in (x, edges, np.moveaxis(x, 2, 0)):
+            old = np.sign(arr) * np.maximum(np.abs(arr) - tau, 0.0)
+            assert np.array_equal(linalg.soft_shrink(arr, tau), old)
+
+
 def test_soft_shrink_local_optimality():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 3))

@@ -48,6 +48,25 @@ def test_solver_config_validation():
     assert resolved["variant"] == "admm2"
 
 
+def test_solver_config_rejects_nonfinite_and_mistyped_values():
+    for bad in (
+        dict(rank=2, tol=float("nan")),
+        dict(rank=2, rho=float("inf")),
+        dict(rank=2, alpha=float("nan")),
+        dict(rank=2, lam=float("inf")),
+        dict(rank=2, mu_cap_factor=float("inf")),
+        dict(rank=2, alpha="0.1"),
+        dict(rank=2, max_iters=2.5),
+        dict(rank=2.0),
+        dict(rank=True),
+        dict(rank=2, tol=None),
+    ):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+    cfg = SolverConfig(rank=np.int64(3), alpha=0, rho=2, tol=np.float64(1e-8))
+    assert cfg.rank == 3 and cfg.rho == 2
+
+
 def test_report_round_trips_through_json():
     report = RunReport(variant="admm2", config={"rank": 3})
     report.append(IterationRecord(iter=1, err_rec=0.5, mu=1.0, elapsed_ms=2.0,

@@ -213,3 +213,25 @@ def test_as_tensor3_rejects_nonfinite():
         tensor.as_tensor3(bad)
     with pytest.raises(ValueError):
         tensor.as_tensor3(np.zeros((2, 2)))
+
+
+def test_reconstruct_is_slice_major():
+    # The result is a view of a C-contiguous (N, m, n) batch of slice products.
+    rng = np.random.default_rng(14)
+    a, b = rng.standard_normal((6, 3)), rng.standard_normal((5, 3))
+    core = rng.standard_normal((3, 3, 4))
+    for core in (core, tensor.slice_major(core)):
+        out = tensor.reconstruct(a, core, b)
+        assert out.shape == (6, 5, 4)
+        assert np.moveaxis(out, 2, 0).flags.c_contiguous
+        assert_allclose(out, np.einsum("ir,rsk,js->ijk", a, core, b), rtol=1e-13, atol=1e-13)
+
+
+def test_slice_major_copies_only_when_needed():
+    t = np.random.default_rng(15).standard_normal((4, 3, 5))
+    for layout in (t, np.asfortranarray(t), t[:, ::-1, :]):
+        out = tensor.slice_major(layout)
+        assert np.array_equal(out, layout)
+        assert np.moveaxis(out, 2, 0).flags.c_contiguous
+    once = tensor.slice_major(t)
+    assert tensor.slice_major(once).base is once.base

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from rkca import linalg, tensor, variants
 from rkca.data import SynthSpec, synth_generate, support_f1
-from rkca.model import FactorModel, SolverConfig
+from rkca.model import VARIANTS, FactorModel, SolverConfig
 from rkca.variants import Degree3State, LadmmState
 
 from conftest import rel_error
@@ -437,3 +437,73 @@ def test_cross_solver_support_consistency_small():
         _, e_ladmm, _ = variants.solve_variant(X, cfg_l)
         best = max(best, support_f1(e_ladmm, sparse))
     assert best >= 0.99
+
+
+def _layouts(t):
+    """The same tensor as a C-ordered, an F-ordered and a slice-major array."""
+    return {"C": np.ascontiguousarray(t), "F": np.asfortranarray(t),
+            "slice-major": tensor.slice_major(t)}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_solve_is_layout_independent_and_leaves_inputs_alone(variant):
+    spec = SynthSpec(m=12, n=10, n_slices=4, rank_a=2, rank_b=2, p_clean=0.8, seed=27)
+    _, _, X = synth_generate(spec)
+    mask = np.random.default_rng(28).random(X.shape) < 0.7
+    alpha = 1e-2 if variant in ("admm2", "ladmm2") else 1e-4
+    outputs = {}
+    for (name, x), m in zip(_layouts(X).items(), _layouts(mask).values()):
+        x_bytes, m_bytes, strides = x.tobytes(order="A"), m.tobytes(order="A"), x.strides
+        cfg = SolverConfig(rank=3, alpha=alpha, tol=1e-30, max_iters=12, mask=m,
+                           variant=variant)
+        model, E, _ = variants.solve_variant(x, cfg)
+        outputs[name] = (model.a, model.b, model.core, E)
+        assert x.tobytes(order="A") == x_bytes and x.strides == strides, name
+        assert cfg.mask is m and m.tobytes(order="A") == m_bytes, name
+    for name, got in outputs.items():
+        for label, ref, out in zip("ABRE", outputs["C"], got):
+            assert np.array_equal(ref, out), f"{name} {label}"
+
+
+EXPECTED_RECONSTRUCTS = {"admm2": 2, "ladmm2": 1, "ladmm3_fro": 1, "ladmm3_nuc": 1,
+                         "admm3_fro": 2, "admm3_nuc": 2}
+
+
+def _calls_per_iteration(monkeypatch, module, name, variant, counted=lambda kw: True):
+    # Steady-state calls of module.name per iteration: the difference between
+    # two runs that stop after 6 and after 9 iterations.
+    real, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        if counted(kwargs):
+            calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    spec = SynthSpec(m=14, n=12, n_slices=5, rank_a=2, rank_b=2, p_clean=0.8, seed=29)
+    _, _, X = synth_generate(spec)
+    counts = []
+    for iters in (6, 9):
+        calls.clear()
+        cfg = SolverConfig(rank=3, alpha=1e-4, tol=1e-30, max_iters=iters, variant=variant)
+        _, _, report = variants.solve_variant(X, cfg)
+        assert report.n_iterations == iters
+        counts.append(len(calls))
+    return (counts[1] - counts[0]) / 3
+
+
+@pytest.mark.parametrize("variant", sorted(EXPECTED_RECONSTRUCTS))
+def test_one_reconstruct_per_factor_set(monkeypatch, variant):
+    # The tensor a dual update reconstructs is the one the next E step
+    # subtracts (and, in LADMM, the one its residual uses), so it is built once.
+    per_iter = _calls_per_iteration(monkeypatch, tensor, "reconstruct", variant)
+    assert per_iter == EXPECTED_RECONSTRUCTS[variant]
+
+
+@pytest.mark.parametrize("variant", ["ladmm3_nuc", "admm3_nuc"])
+def test_basis_norms_computed_once_per_factor(monkeypatch, variant):
+    # Only the fresh A and the fresh B are measured each iteration; for the
+    # nuclear norm each measurement is one singular-value-only SVD.
+    per_iter = _calls_per_iteration(monkeypatch, np.linalg, "svd", variant,
+                                    counted=lambda kw: kw.get("compute_uv") is False)
+    assert per_iter == 2
