@@ -58,7 +58,8 @@ class SolverState:
 
     ``recon`` caches ``(a, core, b, core x_1 a x_2 b)`` from a dual update for
     the next E step; it is used only while the state still holds those very
-    arrays (factors are replaced, never written in place).
+    arrays (factors are replaced, never written in place).  ``x_norms`` caches
+    ``(X, per-slice squared norms of X)`` the same way, for the residuals.
     """
 
     model: FactorModel
@@ -72,6 +73,7 @@ class SolverState:
     mu_K_cap: float
     iters: int = 0
     recon: tuple | None = None
+    x_norms: tuple | None = None
 
 
 def _sym(mat):
@@ -89,11 +91,24 @@ def _stack(batch):
     return np.ascontiguousarray(np.moveaxis(batch, 0, 2))
 
 
-def _slice_ratio(diff, ref):
-    """Worst per-slice ratio ||diff_i||^2 / ||ref_i||^2; a zero ref_i counts as 1."""
-    num, den = (np.einsum("kij,kij->k", t, t) for t in (_slices(diff), _slices(ref)))
+def _sq_norms(t):
+    """Per-slice squared Frobenius norms of a (m, n, N) tensor."""
+    return np.einsum("kij,kij->k", _slices(t), _slices(t))
+
+
+def _slice_ratio(diff, den):
+    """Worst per-slice ratio ||diff_i||^2 / den_i, with ``den`` the reference's
+    :func:`_sq_norms`; a zero den_i counts as 1."""
+    num = _sq_norms(diff)
     out = np.where(den > 0, num / np.where(den > 0, den, 1.0), num)
     return float(np.max(out)) if out.size else 0.0
+
+
+def _x_norms(state, X):
+    """:func:`_sq_norms` of X, computed once per X (matched by identity)."""
+    if state.x_norms is None or state.x_norms[0] is not X:
+        state.x_norms = (X, _sq_norms(X))
+    return state.x_norms[1]
 
 
 def initialize(X, cfg):
@@ -225,59 +240,72 @@ def _solve_spd_right(system, rhs, report, label, iteration):
     return ((rhs @ q) / evals) @ q.T
 
 
+def _target(state, x_tilde, p=None):
+    """P = mu*Xt + Lam for the basis and core solves, unless ``p`` passes the
+    one its sweep built (mu and Lam are fixed until the dual update)."""
+    if p is None:
+        p = state.mu * x_tilde
+        p += state.Lam
+    return p
+
+
+def _cross_gram(core, other, row):
+    """sum_i K_i W^T W K_i^T over the slices K_i of ``core``, W = ``other``;
+    ``row=True`` transposes every slice: sum_i K_i^T W^T W K_i."""
+    k_t = _slices(core)
+    gram = _sym(other.T @ other)
+    if row:
+        return np.sum(k_t.transpose(0, 2, 1) @ gram @ k_t, axis=0)
+    return np.sum(k_t @ gram @ k_t.transpose(0, 2, 1), axis=0)
+
+
 def _solve_basis(state, x_tilde, other, row, weight, report, label,
-                 anchor=None, mu_anchor=None):
+                 anchor=None, mu_anchor=None, p=None):
     """Normal-equation solve for one basis, with the core K and ``other`` (W) fixed.
 
-    Solves Z (I + weight * sum_i K_i W^T W K_i^T) = C, C = sum_i (mu*Xt_i +
-    Lam_i) W K_i^T, for the column basis; ``row=True`` transposes every slice.
-    A substitution copy passes an ``anchor``: the right side is anchor + C/mu_anchor.
+    Solves Z (I + weight * sum_i K_i W^T W K_i^T) = C, C = sum_i P_i W K_i^T,
+    for the column basis (P as in :func:`_target`); ``row=True`` transposes
+    every slice.  A substitution copy passes an ``anchor``: C -> anchor + C/mu_anchor.
     """
     k_t = _slices(state.K)
-    gram = _sym(other.T @ other)
-    p = state.mu * x_tilde
-    p += state.Lam
-    p_t = _slices(p)
+    p_t = _slices(_target(state, x_tilde, p))
     if row:
-        cross = np.sum(k_t.transpose(0, 2, 1) @ gram @ k_t, axis=0)
         rhs = np.sum(p_t.transpose(0, 2, 1) @ (other @ k_t), axis=0)
     else:
-        cross = np.sum(k_t @ gram @ k_t.transpose(0, 2, 1), axis=0)
         rhs = np.sum((p_t @ other) @ k_t.transpose(0, 2, 1), axis=0)
-    system = np.eye(len(gram)) + weight * _sym(cross)
+    system = np.eye(other.shape[1]) + weight * _sym(_cross_gram(state.K, other, row))
     if anchor is not None:
         rhs = anchor + rhs / mu_anchor
     return _solve_spd_right(system, rhs, report, label, state.iters)
 
 
-def update_A(state, x_tilde, cfg, report=None):
-    """Exact minimiser of the A block: a normal-equation solve over r x r."""
-    return _solve_basis(state, x_tilde, state.model.b, False, state.mu, report, "A")
+def update_A(state, x_tilde, cfg, report=None, p=None):
+    """Exact minimiser of the A block: a normal-equation solve over r x r.
+    ``p`` passes the sweep's mu*Xt + Lam."""
+    return _solve_basis(state, x_tilde, state.model.b, False, state.mu, report, "A", p=p)
 
 
-def update_B(state, x_tilde, cfg, report=None):
+def update_B(state, x_tilde, cfg, report=None, p=None):
     """Exact minimiser of the B block, using the freshly updated A."""
-    return _solve_basis(state, x_tilde, state.model.a, True, state.mu, report, "B")
+    return _solve_basis(state, x_tilde, state.model.a, True, state.mu, report, "B", p=p)
 
 
-def _stein_core(state, x_tilde, left, right):
+def _stein_core(state, x_tilde, left, right, p=None):
     """Solve one Stein equation per slice for the split core K, all slices in
     one :func:`linalg.stein_apply`: mu_K*K_i + mu*L^T L K_i R^T R =
-    L^T(Lam_i + mu*Xt_i)R + mu_K*R_i + Y_i, with L = ``left``, R = ``right``.
+    L^T P_i R + mu_K*R_i + Y_i, L = ``left``, R = ``right``, P = mu*Xt + Lam.
     """
     mu, mu_K = state.mu, state.mu_K
     gram_l, gram_r = _sym(left.T @ left), _sym(right.T @ right)
     factors = linalg.stein_factors(-(mu / mu_K) * gram_l, gram_r)
-    p = mu * x_tilde
-    p += state.Lam
-    p_t = _slices(p)
+    p_t = _slices(_target(state, x_tilde, p))
     h_t = (left.T @ p_t @ right + _slices(state.Y)) / mu_K + _slices(state.model.core)
     return _stack(linalg.stein_apply(factors, h_t))
 
 
-def update_K(state, x_tilde, cfg):
+def update_K(state, x_tilde, cfg, p=None):
     """Solve one Stein equation per slice for the split core K."""
-    return _stein_core(state, x_tilde, state.model.a, state.model.b)
+    return _stein_core(state, x_tilde, state.model.a, state.model.b, p)
 
 
 def update_R(state, cfg):
@@ -301,16 +329,18 @@ def update_duals(state, x_tilde, cfg):
 def residuals(state, X):
     """Primal-feasibility errors (err_rec, err_R), worst slice of each."""
     recon = state.model.reconstruct()
-    err_rec = _slice_ratio(_residual(X, recon, state.E, out=recon), X)
-    err_core = _slice_ratio(state.model.core - state.K, state.model.core)
+    err_rec = _slice_ratio(_residual(X, recon, state.E, out=recon), _x_norms(state, X))
+    err_core = _slice_ratio(state.model.core - state.K, _sq_norms(state.model.core))
     return err_rec, err_core
 
 
 def _check_finite(state, report, named=None):
-    """Abort unless every named value (default: every state array) is finite."""
+    """Abort unless every named value is finite.  The default is every state
+    array but E, which the loop checks right after the E step."""
     if named is None:
         named = {"A": state.model.a, "B": state.model.b, "R": state.model.core}
-        named.update((k, v) for k, v in vars(state).items() if isinstance(v, np.ndarray))
+        named.update((k, v) for k, v in vars(state).items()
+                     if isinstance(v, np.ndarray) and k != "E")
     for name, value in named.items():
         if not np.isfinite(value).all():
             report.termination = "abort"
@@ -334,12 +364,14 @@ def _iterate(X, cfg, state, e_step, sweep, errors, penalty):
             t0 = time.perf_counter()
             state.iters = it
             state.E = e_step(state, X, cfg)
-            _check_finite(state, report, {"E": state.E})
+            # A finite l1 sum proves E finite; only a non-finite one is scanned.
+            l1_sparse = tensor.l1(state.E, cfg.mask)
+            if not np.isfinite(l1_sparse):
+                _check_finite(state, report, {"E": state.E})
             sweep(state, X, cfg, report)
             errs = errors(state, X)
             elapsed_ms = (time.perf_counter() - t0) * 1e3
-            sparse = state.E if cfg.mask is None else np.where(cfg.mask, state.E, 0.0)
-            objective = {"l1_sparse": lam * tensor.l1(sparse), **penalty(state, cfg)}
+            objective = {"l1_sparse": lam * l1_sparse, **penalty(state, cfg)}
             report.append(IterationRecord(
                 iter=it, mu=state.mu, mu_K=getattr(state, "mu_K", None),
                 elapsed_ms=elapsed_ms, objective=objective, **errs,
@@ -361,9 +393,11 @@ def _iterate(X, cfg, state, e_step, sweep, errors, penalty):
 
 def _admm2_sweep(state, X, cfg, report):
     x_tilde = X - state.E
-    state.model.a = update_A(state, x_tilde, cfg, report)
-    state.model.b = update_B(state, x_tilde, cfg, report)
-    state.K = update_K(state, x_tilde, cfg)
+    p = _target(state, x_tilde)
+    state.model.a = update_A(state, x_tilde, cfg, report, p)
+    state.model.b = update_B(state, x_tilde, cfg, report, p)
+    state.K = update_K(state, x_tilde, cfg, p)
+    del p  # freed before the dual update allocates
     state.model.core = update_R(state, cfg)
     update_duals(state, x_tilde, cfg)
 

@@ -105,6 +105,8 @@ def _read_raster(payload, pos, count, maxval, path):
     if len(payload) - pos < need:
         raise ValueError(f"{path}: truncated raster data")
     raw = np.frombuffer(payload, dtype=dtype, count=count, offset=pos)
+    if raw.max(initial=0) > maxval:
+        raise ValueError(f"{path}: sample above maxval {maxval}")
     return raw.astype(np.float64) / maxval
 
 

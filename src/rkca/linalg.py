@@ -56,12 +56,22 @@ def soft_shrink(x, tau):
 
 
 def selective_shrink(x, tau, mask):
-    """Soft-shrink the entries flagged by ``mask``; pass the rest through."""
+    """Soft-shrink the entries flagged by ``mask``; pass the rest through.
+
+    Computed branch-free as x - clip(x, -tau, tau) * mask in one new array of
+    x's layout: a random mask makes a per-entry select mispredict.  Equal to
+    ``np.where(mask, soft_shrink(x, tau), x)`` except for the sign of zeros.
+    """
+    if tau < 0:
+        raise ValueError(f"threshold must be nonnegative, got {tau}")
     x = np.asarray(x)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape:
         raise ValueError(f"mask shape {mask.shape} does not match {x.shape}")
-    return np.where(mask, soft_shrink(x, tau), x)
+    out = np.empty_like(x, dtype=np.result_type(x, 0.0))
+    np.clip(x, -tau, tau, out=out)
+    out *= mask
+    return np.subtract(x, out, out=out)
 
 
 def frobenius_prox(x, tau):

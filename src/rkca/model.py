@@ -31,12 +31,18 @@ def default_lambda(dims):
 
 
 def _check_number(name, value, kind):
-    """Reject booleans, values not of ``kind`` and, for reals, non-finite ones."""
+    """Reject booleans, values not of ``kind`` and, for reals, values that are
+    not finite as a float (an integer too large for one overflows it)."""
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a real number"
         raise ValueError(f"{name} must be {noun}, got {value!r}")
-    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    if kind is numbers.Real:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def check_mask(mask, dims):

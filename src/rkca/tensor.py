@@ -145,9 +145,19 @@ def frobenius(x):
     return float(np.linalg.norm(np.asarray(x).ravel()))
 
 
-def l1(x):
-    """Entrywise l1 norm of a matrix or tensor."""
-    return float(np.sum(np.abs(x)))
+def l1(x, mask=None):
+    """Entrywise l1 norm of a matrix or tensor; with a boolean or 0/1 ``mask``
+    of x's shape, of the flagged entries only.
+
+    The masked sum is sum(|x| * mask), without a per-entry select, so an
+    unflagged inf or nan still makes it non-finite (inf * 0 is nan): a finite
+    result proves every entry of x finite.
+    """
+    out = np.abs(x)
+    if mask is not None:
+        with np.errstate(invalid="ignore"):  # the nan from inf * 0 is wanted
+            out *= mask
+    return float(np.sum(out))
 
 
 def inner(a, b):

@@ -44,9 +44,8 @@ DEGREE3_SUB_VARIANTS = ("admm3_fro", "admm3_nuc")
 class LadmmState:
     """Primal/dual variables of a linearised-ADMM run (no split variables).
 
-    ``recon`` caches the model's reconstruction from the dual update for the
-    residual and the next E step (see ``admm.SolverState``); ``basis_norms``
-    holds the last two (basis, norm) pairs for :func:`_basis_norm`.
+    ``recon`` and ``x_norms`` are the caches of ``admm.SolverState``;
+    ``basis_norms`` holds the last two (basis, norm) pairs for :func:`_basis_norm`.
     """
 
     model: FactorModel
@@ -56,6 +55,7 @@ class LadmmState:
     mu_cap: float
     iters: int = 0
     recon: tuple | None = None
+    x_norms: tuple | None = None
     basis_norms: list = field(default_factory=list)
 
 
@@ -98,14 +98,12 @@ def lipschitz_core(a, b):
 
 def lipschitz_a(core, b):
     """Bound for the A gradient: ||sum_i C_i C_i^T||_F with C_i = R_i B^T."""
-    c_t = _slices(core) @ b.T
-    return _bound(np.linalg.norm(np.sum(c_t @ c_t.transpose(0, 2, 1), axis=0)))
+    return _bound(np.linalg.norm(admm._cross_gram(core, b, False)))
 
 
 def lipschitz_b(a, core):
     """Bound for the B gradient: ||sum_i G_i^T G_i||_F with G_i = A R_i."""
-    g_t = a @ _slices(core)
-    return _bound(np.linalg.norm(np.sum(g_t.transpose(0, 2, 1) @ g_t, axis=0)))
+    return _bound(np.linalg.norm(admm._cross_gram(core, a, True)))
 
 
 def compute_lipschitz(model):
@@ -173,39 +171,40 @@ def _delta_slices(state, X, delta):
 def ladmm_update_R(state, X, cfg, delta=None):
     """One proximal-gradient step on the core.
 
-    Gradient of the coupling term is (R x_1 A x_2 B - Delta) x_1 A^T x_2 B^T;
-    the shrinkage level is the variant's core weight divided by mu * L_R.
-    ``delta`` passes a Delta already computed for this sweep.
+    Gradient of the coupling term is (R x_1 A x_2 B - Delta) x_1 A^T x_2 B^T,
+    formed per slice as A^T A R_i B^T B - A^T Delta_i B; the shrinkage level
+    is the variant's core weight divided by mu * L_R.  ``delta`` passes a
+    Delta already computed for this sweep.
     """
     a, b, core = state.model.a, state.model.b, state.model.core
     lip = lipschitz_core(a, b)
-    diff_t = a @ _slices(core) @ b.T
-    diff_t -= _delta_slices(state, X, delta)
-    step = _slices(core) - (a.T @ diff_t @ b) / lip
+    core_t = _slices(core)
+    grad_t = (a.T @ a) @ core_t @ (b.T @ b)
+    grad_t -= a.T @ _delta_slices(state, X, delta) @ b
     weight = _core_weight(a, b, cfg, state.basis_norms)
-    return _stack(linalg.soft_shrink(step, weight / (state.mu * lip)))
+    return _stack(linalg.soft_shrink(core_t - grad_t / lip, weight / (state.mu * lip)))
 
 
 def ladmm_update_A(state, X, cfg, delta=None):
     """One majorise-minimise step on the column basis; ``delta`` as in
-    :func:`ladmm_update_R`."""
+    :func:`ladmm_update_R`.  The gradient sum_i (A C_i - Delta_i) C_i^T,
+    C_i = R_i B^T, is formed as A sum_i C_i C_i^T - sum_i Delta_i B R_i^T."""
     a, b, core = state.model.a, state.model.b, state.model.core
-    c_t = _slices(core) @ b.T
-    lip = lipschitz_a(core, b)
-    diff_t = a @ c_t
-    diff_t -= _delta_slices(state, X, delta)
-    grad = np.sum(diff_t @ c_t.transpose(0, 2, 1), axis=0)
+    gram = admm._cross_gram(core, b, False)
+    lip = _bound(np.linalg.norm(gram))
+    cross = (_delta_slices(state, X, delta) @ b) @ _slices(core).transpose(0, 2, 1)
+    grad = a @ gram - np.sum(cross, axis=0)
     return _basis_step(a - grad / lip, b, core, state.mu * lip, cfg, state.basis_norms)
 
 
 def ladmm_update_B(state, X, cfg, delta=None):
-    """Mirror of :func:`ladmm_update_A` for the row basis, using fresh A."""
+    """Mirror of :func:`ladmm_update_A` for the row basis, using fresh A: the
+    gradient is B sum_i G_i^T G_i - sum_i Delta_i^T A R_i, G_i = A R_i."""
     a, b, core = state.model.a, state.model.b, state.model.core
-    g_t = a @ _slices(core)
-    lip = lipschitz_b(a, core)
-    diff_t = b @ g_t.transpose(0, 2, 1)
-    diff_t -= _delta_slices(state, X, delta).transpose(0, 2, 1)
-    grad = np.sum(diff_t @ g_t, axis=0)
+    gram = admm._cross_gram(core, a, True)
+    lip = _bound(np.linalg.norm(gram))
+    cross = _slices(core).transpose(0, 2, 1) @ (a.T @ _delta_slices(state, X, delta))
+    grad = b @ gram - np.sum(cross, axis=0).T
     return _basis_step(b - grad / lip, a, core, state.mu * lip, cfg, state.basis_norms)
 
 
@@ -222,11 +221,10 @@ def _penalty(state, cfg):
 
 def _lagrangian(state, X, cfg, lam):
     """Augmented Lagrangian of a LADMM run; no block step may increase it."""
-    sparse = state.E if cfg.mask is None else np.where(cfg.mask, state.E, 0.0)
     recon = state.model.reconstruct()
     couple = 0.5 * state.mu * float(np.sum(np.square(recon - _delta(state, X))))
     penalty = _low_rank_penalty(state.model, cfg, state.basis_norms)
-    return lam * tensor.l1(sparse) + penalty + couple
+    return lam * tensor.l1(state.E, cfg.mask) + penalty + couple
 
 
 @contextlib.contextmanager
@@ -272,7 +270,7 @@ def _ladmm_sweep(state, X, cfg, report, lam, block_log=None):
 
 def _ladmm_errors(state, X):
     resid = admm._residual(X, _model_recon(state, take=False), state.E)
-    return {"err_rec": admm._slice_ratio(resid, X)}
+    return {"err_rec": admm._slice_ratio(resid, admm._x_norms(state, X))}
 
 
 def degree3_update_A_sub(state, cfg):
@@ -289,21 +287,22 @@ def degree3_update_B_sub(state, cfg):
                        state.basis_norms)
 
 
-def degree3_update_U(state, x_tilde, cfg, report=None):
+def degree3_update_U(state, x_tilde, cfg, report=None, p=None):
     """Stationarity solve for the U copy of the column basis: one symmetric
     positive definite r x r system U (I + (mu/mu_U) sum_i K_i V^T V K_i^T) = RHS.
+    ``p`` passes the sweep's mu*Xt + Lam.
     """
     return admm._solve_basis(
         state, x_tilde, state.V, False, state.mu / state.mu_U, report, "U",
-        anchor=state.model.a + state.Y_U / state.mu_U, mu_anchor=state.mu_U,
+        anchor=state.model.a + state.Y_U / state.mu_U, mu_anchor=state.mu_U, p=p,
     )
 
 
-def degree3_update_V(state, x_tilde, cfg, report=None):
+def degree3_update_V(state, x_tilde, cfg, report=None, p=None):
     """Mirror of :func:`degree3_update_U` for the row-basis copy."""
     return admm._solve_basis(
         state, x_tilde, state.U, True, state.mu / state.mu_V, report, "V",
-        anchor=state.model.b + state.Y_V / state.mu_V, mu_anchor=state.mu_V,
+        anchor=state.model.b + state.Y_V / state.mu_V, mu_anchor=state.mu_V, p=p,
     )
 
 
@@ -311,8 +310,8 @@ def _degree3_update_E(state, X, cfg, lam):
     return admm._split_E(state, X, cfg, lam, state.U, state.V)
 
 
-def _degree3_update_K(state, x_tilde, cfg):
-    return admm._stein_core(state, x_tilde, state.U, state.V)
+def _degree3_update_K(state, x_tilde, cfg, p=None):
+    return admm._stein_core(state, x_tilde, state.U, state.V, p)
 
 
 def _degree3_update_R(state, cfg):
@@ -336,11 +335,13 @@ def _init_degree3(X, cfg):
 
 def _degree3_sweep(state, X, cfg, report):
     x_tilde = X - state.E
+    p = admm._target(state, x_tilde)
     state.model.a = degree3_update_A_sub(state, cfg)
     state.model.b = degree3_update_B_sub(state, cfg)
-    state.U = degree3_update_U(state, x_tilde, cfg, report)
-    state.V = degree3_update_V(state, x_tilde, cfg, report)
-    state.K = _degree3_update_K(state, x_tilde, cfg)
+    state.U = degree3_update_U(state, x_tilde, cfg, report, p)
+    state.V = degree3_update_V(state, x_tilde, cfg, report, p)
+    state.K = _degree3_update_K(state, x_tilde, cfg, p)
+    del p
     state.model.core = _degree3_update_R(state, cfg)
     recon_split = admm._keep_recon(state, state.U, state.K, state.V)
     admm._ascend_lam(state, x_tilde - recon_split)

@@ -143,6 +143,20 @@ def test_pnm_malformed_headers(tmp_path):
             fileio.read_pgm(path)
 
 
+def test_pnm_sample_above_maxval_rejected(tmp_path):
+    # Samples may not exceed maxval, or a read would leave [0, 1].
+    cases = {
+        "over8.pgm": (fileio.read_pgm, b"P5\n2 1\n10\n" + bytes([5, 200])),
+        "over16.ppm": (fileio.read_ppm,
+                       b"P6\n1 1\n300\n" + struct.pack(">3H", 0, 300, 301)),
+    }
+    for name, (read, raw) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="above maxval"):
+            read(path)
+
+
 def test_write_pgm_validation(tmp_path):
     with pytest.raises(ValueError):
         fileio.write_pgm(tmp_path / "bad.pgm", np.zeros((2, 2, 2)))

@@ -84,6 +84,28 @@ def test_selective_shrink_casewise_oracle():
         linalg.selective_shrink(x, 0.3, mask[:, :, :1])
 
 
+def test_selective_shrink_matches_select_oracle():
+    # x - clip(x, -tau, tau) * mask equals np.where(mask, soft_shrink(x, tau), x)
+    # up to the sign of zeros, which np.array_equal does not distinguish; inf
+    # and nan pass through where the mask is off.
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((30, 20, 4)) * 10.0 ** rng.integers(-3, 4, (30, 20, 4))
+    mask = rng.random(x.shape) < 0.5
+    x.flat[np.flatnonzero(~mask)[:3]] = [np.inf, -np.inf, np.nan]
+    x.flat[np.flatnonzero(mask)[:2]] = [np.inf, -np.inf]
+    for tau in (0.0, 1e-3, 0.3, 2.0):
+        want = np.where(mask, linalg.soft_shrink(x, tau), x)
+        cases = ((x, mask, want), (x, mask.astype(np.float64), want),
+                 tuple(np.moveaxis(t, 2, 0) for t in (x, mask, want)))
+        for arr, m, expected in cases:
+            out = linalg.selective_shrink(arr, tau, m)
+            assert np.array_equal(out, expected, equal_nan=True)
+    with pytest.raises(ValueError):
+        linalg.selective_shrink(x, -0.1, mask)
+    with pytest.raises(ValueError):
+        linalg.selective_shrink(x, 0.3, mask[:, :, :1])
+
+
 def test_frobenius_prox_closed_form():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 3))

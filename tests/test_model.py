@@ -1,12 +1,17 @@
 """Config, factor-model and report contract tests."""
 
 import json
+import math
+import numbers
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkca import admm, variants
 from rkca.model import (
+    VARIANTS,
     FactorModel,
     IterationRecord,
     RunReport,
@@ -65,6 +70,32 @@ def test_solver_config_rejects_nonfinite_and_mistyped_values():
             SolverConfig(**bad)
     cfg = SolverConfig(rank=np.int64(3), alpha=0, rho=2, tol=np.float64(1e-8))
     assert cfg.rank == 3 and cfg.rho == 2
+
+
+CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([10**400, -10**400, np.int64(3), np.float64(0.5), "0.1", "admm2"]),
+    st.text(max_size=3), st.lists(st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(["rank", "alpha", "lam", "rho", "mu_cap_factor", "tol",
+                              "max_iters", "variant"]),
+       value=CONFIG_VALUES)
+def test_solver_config_accepts_only_valid_values(field, value):
+    # Any value either raises ValueError or leaves a field the solvers can use.
+    try:
+        cfg = SolverConfig(**{"rank": 2, field: value})
+    except ValueError:
+        return
+    got = getattr(cfg, field)
+    if field in ("rank", "max_iters"):
+        assert isinstance(got, numbers.Integral) and not isinstance(got, bool) and got >= 1
+    elif field == "variant":
+        assert got in VARIANTS
+    elif not (field == "lam" and got is None):
+        assert not isinstance(got, bool) and math.isfinite(float(got))
 
 
 def test_report_round_trips_through_json():

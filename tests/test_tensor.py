@@ -159,6 +159,20 @@ def test_norms_basic():
         tensor.inner(a, np.zeros((3, 4)))
 
 
+def test_masked_l1_sums_flagged_entries_and_sees_every_nonfinite():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((6, 5, 4))
+    mask = rng.random(x.shape) < 0.5
+    expected = float(np.sum(np.abs(np.where(mask, x, 0.0))))
+    assert tensor.l1(x, mask) == expected
+    assert tensor.l1(x, mask.astype(np.float64)) == expected
+    # A non-finite entry the mask leaves out still makes the sum non-finite.
+    for bad in (np.inf, -np.inf, np.nan):
+        y = x.copy()
+        y.flat[np.flatnonzero(~mask)[0]] = bad
+        assert not np.isfinite(tensor.l1(y, mask))
+
+
 def test_kronecker_schatten_identity():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((3, 2))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rkca import linalg, tensor, variants
+from rkca import admm, linalg, tensor, variants
 from rkca.data import SynthSpec, synth_generate, support_f1
 from rkca.model import VARIANTS, FactorModel, SolverConfig
 from rkca.variants import Degree3State, LadmmState
@@ -498,6 +498,81 @@ def test_one_reconstruct_per_factor_set(monkeypatch, variant):
     # subtracts (and, in LADMM, the one its residual uses), so it is built once.
     per_iter = _calls_per_iteration(monkeypatch, tensor, "reconstruct", variant)
     assert per_iter == EXPECTED_RECONSTRUCTS[variant]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_x_slice_norms_computed_once_per_solve(monkeypatch, variant):
+    # Each iteration takes the per-slice norms of one data-sized residual;
+    # those of X are taken once per solve.
+    real, data_sized = admm._sq_norms, []
+
+    def counting(t):
+        if t.shape[:2] == (14, 12):
+            data_sized.append(1)
+        return real(t)
+
+    monkeypatch.setattr(admm, "_sq_norms", counting)
+    spec = SynthSpec(m=14, n=12, n_slices=5, rank_a=2, rank_b=2, p_clean=0.8, seed=29)
+    _, _, X = synth_generate(spec)
+    cfg = SolverConfig(rank=3, alpha=1e-4, tol=1e-30, max_iters=6, variant=variant)
+    _, _, report = variants.solve_variant(X, cfg)
+    assert report.n_iterations == 6
+    assert len(data_sized) == 6 + 1
+
+
+def test_passed_target_matches_recomputed():
+    # A sweep builds P = mu*Xt + Lam once and passes it to each basis and
+    # core step; each step's output is bitwise the one it computes alone.
+    rng = np.random.default_rng(31)
+    state = make_degree3_state(rng)
+    x_tilde = rng.standard_normal(state.E.shape)
+    p = state.mu * x_tilde + state.Lam
+    cfg = SolverConfig(rank=3, alpha=1e-3, variant="admm3_fro")
+    steps = {
+        "A": lambda q: admm.update_A(state, x_tilde, cfg, None, q),
+        "B": lambda q: admm.update_B(state, x_tilde, cfg, None, q),
+        "K": lambda q: admm.update_K(state, x_tilde, cfg, q),
+        "U": lambda q: variants.degree3_update_U(state, x_tilde, cfg, None, q),
+        "V": lambda q: variants.degree3_update_V(state, x_tilde, cfg, None, q),
+        "K (degree 3)": lambda q: variants._degree3_update_K(state, x_tilde, cfg, q),
+    }
+    for name, step in steps.items():
+        assert np.array_equal(step(p), step(None)), name
+
+
+@pytest.mark.parametrize("variant", ["ladmm2", "ladmm3_fro"])
+def test_ladmm_gram_form_steps_match_explicit_gradients(variant):
+    # The Gram-form gradients equal the explicit residual forms
+    # sum_i (A C_i - Delta_i) C_i^T, C_i = R_i B^T, and their B and R mirrors,
+    # with Delta passed in or recomputed.
+    rng = np.random.default_rng(32)
+    state = make_ladmm_state(rng, m=9, n=7, N=4)
+    X = rng.standard_normal(state.E.shape)
+    cfg = SolverConfig(rank=3, alpha=0.3, variant=variant)
+    a, b, core, mu = state.model.a, state.model.b, state.model.core, state.mu
+    delta = X - state.E + state.Lam / mu
+    slices = range(core.shape[2])
+    c = [core[:, :, i] @ b.T for i in slices]
+    g = [a @ core[:, :, i] for i in slices]
+    lip_a = 1.01 * np.linalg.norm(sum(ci @ ci.T for ci in c))
+    lip_b = 1.01 * np.linalg.norm(sum(gi.T @ gi for gi in g))
+    lip_r = variants.lipschitz_core(a, b)
+    grad_a = sum((a @ c[i] - delta[:, :, i]) @ c[i].T for i in slices)
+    grad_b = sum((b @ g[i].T - delta[:, :, i].T) @ g[i] for i in slices)
+    grad_r = np.stack([a.T @ (a @ core[:, :, i] @ b.T - delta[:, :, i]) @ b
+                       for i in slices], axis=2)
+    weight = variants._core_weight(a, b, cfg)
+    expected = {
+        variants.ladmm_update_A:
+            variants._basis_step(a - grad_a / lip_a, b, core, mu * lip_a, cfg),
+        variants.ladmm_update_B:
+            variants._basis_step(b - grad_b / lip_b, a, core, mu * lip_b, cfg),
+        variants.ladmm_update_R:
+            linalg.soft_shrink(core - grad_r / lip_r, weight / (mu * lip_r)),
+    }
+    for step, want in expected.items():
+        for passed in (delta, None):
+            assert rel_error(step(state, X, cfg, passed), want) <= 1e-12, step.__name__
 
 
 @pytest.mark.parametrize("variant", ["ladmm3_nuc", "admm3_nuc"])
