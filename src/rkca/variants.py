@@ -168,19 +168,26 @@ def _delta_slices(state, X, delta):
     return _slices(_delta(state, X) if delta is None else delta)
 
 
-def ladmm_update_R(state, X, cfg, delta=None):
+def _a_delta(state, X, delta, a_delta):
+    """A^T Delta_i for every slice, unless ``a_delta`` passes the sweep's."""
+    if a_delta is None:
+        a_delta = state.model.a.T @ _delta_slices(state, X, delta)
+    return a_delta
+
+
+def ladmm_update_R(state, X, cfg, delta=None, a_delta=None):
     """One proximal-gradient step on the core.
 
     Gradient of the coupling term is (R x_1 A x_2 B - Delta) x_1 A^T x_2 B^T,
     formed per slice as A^T A R_i B^T B - A^T Delta_i B; the shrinkage level
     is the variant's core weight divided by mu * L_R.  ``delta`` passes a
-    Delta already computed for this sweep.
+    Delta already computed for this sweep, ``a_delta`` the product A^T Delta_i.
     """
     a, b, core = state.model.a, state.model.b, state.model.core
     lip = lipschitz_core(a, b)
     core_t = _slices(core)
     grad_t = (a.T @ a) @ core_t @ (b.T @ b)
-    grad_t -= a.T @ _delta_slices(state, X, delta) @ b
+    grad_t -= _a_delta(state, X, delta, a_delta) @ b
     weight = _core_weight(a, b, cfg, state.basis_norms)
     return _stack(linalg.soft_shrink(core_t - grad_t / lip, weight / (state.mu * lip)))
 
@@ -197,13 +204,13 @@ def ladmm_update_A(state, X, cfg, delta=None):
     return _basis_step(a - grad / lip, b, core, state.mu * lip, cfg, state.basis_norms)
 
 
-def ladmm_update_B(state, X, cfg, delta=None):
+def ladmm_update_B(state, X, cfg, delta=None, a_delta=None):
     """Mirror of :func:`ladmm_update_A` for the row basis, using fresh A: the
     gradient is B sum_i G_i^T G_i - sum_i Delta_i^T A R_i, G_i = A R_i."""
     a, b, core = state.model.a, state.model.b, state.model.core
     gram = admm._cross_gram(core, a, True)
     lip = _bound(np.linalg.norm(gram))
-    cross = _slices(core).transpose(0, 2, 1) @ (a.T @ _delta_slices(state, X, delta))
+    cross = _slices(core).transpose(0, 2, 1) @ _a_delta(state, X, delta, a_delta)
     grad = b @ gram - np.sum(cross, axis=0).T
     return _basis_step(b - grad / lip, a, core, state.mu * lip, cfg, state.basis_norms)
 
@@ -253,19 +260,48 @@ def _ladmm_update_E(state, X, cfg, lam, block_log=None):
 
 
 def _ladmm_sweep(state, X, cfg, report, lam, block_log=None):
-    # One Delta serves all three steps: E, Lam and mu are fixed until the dual update.
+    # One Delta serves all three steps: E, Lam and mu are fixed until the dual
+    # update.  The B step keeps A, so B and R share one A^T Delta_i.
     delta = _delta(state, X)
     with _logged(block_log, "A", state, X, cfg, lam):
         state.model.a = ladmm_update_A(state, X, cfg, delta)
+    a_delta = state.model.a.T @ _slices(delta)
+    del delta  # freed before the remaining steps allocate
     with _logged(block_log, "B", state, X, cfg, lam):
-        state.model.b = ladmm_update_B(state, X, cfg, delta)
+        state.model.b = ladmm_update_B(state, X, cfg, a_delta=a_delta)
     with _logged(block_log, "R", state, X, cfg, lam):
-        state.model.core = ladmm_update_R(state, X, cfg, delta)
-    del delta  # freed before the dual update allocates
+        state.model.core = ladmm_update_R(state, X, cfg, a_delta=a_delta)
     model = state.model
     recon = admm._keep_recon(state, model.a, model.core, model.b)
     admm._ascend_lam(state, admm._residual(X, recon, state.E))
     state.mu = min(state.mu_cap, cfg.rho * state.mu)
+
+
+def _init_tucker(X, cfg):
+    """Tucker-2 start (truncated HOSVD) for the LADMM variants.
+
+    A and B are the top-r eigenvectors of sum_i X_i X_i^T and sum_i X_i^T X_i,
+    formed slice by slice from X / max|X|, which leaves the eigenvectors as
+    they are and keeps the Grams finite; R_i = A^T X_i B, E = Lam = 0 and
+    mu = eta*N / sum_i ||X_i||, as in :func:`admm.initialize`.  Zero input
+    gives zero bases and mu = eta.
+    """
+    (m, n, N), r = X.shape, cfg.rank
+    a, b = np.zeros((m, r)), np.zeros((n, r))
+    scale = max(float(X.max()), -float(X.min()))
+    if scale > 0:
+        gram_a, gram_b = np.zeros((m, m)), np.zeros((n, n))
+        for x_i in _slices(X):
+            x_i = x_i / scale
+            gram_a += x_i @ x_i.T
+            gram_b += x_i.T @ x_i
+        # Eigenvalues ascend: the last r eigenvectors, largest first.
+        a, b = (linalg.symmetric_eig(gram)[1][:, ::-1][:, :r].copy()
+                for gram in (gram_a, gram_b))
+    x_norm_sum = sum(np.linalg.norm(x_i) for x_i in _slices(X))
+    mu = ETA_INIT * N / x_norm_sum if x_norm_sum > 0 else ETA_INIT
+    return LadmmState(FactorModel(a, b, _stack(a.T @ _slices(X) @ b)), np.zeros_like(X),
+                      np.zeros_like(X), mu, cfg.mu_cap_factor * mu)
 
 
 def _ladmm_errors(state, X):
@@ -377,8 +413,7 @@ def solve_variant(X, cfg, block_log=None):
     X, cfg = admm._prepare(X, cfg)
     lam = cfg.resolved_lambda(X.shape)
     if cfg.variant in LADMM_VARIANTS:
-        seed = admm.initialize(X, cfg)
-        state = LadmmState(seed.model, seed.E, seed.Lam, seed.mu, seed.mu_cap)
+        state = _init_tucker(X, cfg)
         steps = (functools.partial(_ladmm_update_E, lam=lam, block_log=block_log),
                  functools.partial(_ladmm_sweep, lam=lam, block_log=block_log),
                  _ladmm_errors)

@@ -251,6 +251,31 @@ def test_eval_matches_library_bitwise(tmp_path):
     assert emitted == reference
 
 
+@pytest.mark.parametrize("support", ["mixed", "empty", "full"])
+def test_eval_reports_sparse_roc_auc(tmp_path, support):
+    # roc_auc ranks |E_hat| against the support of E_true; a truth of one
+    # class has no AUC, which is reported as null with exit code 0.
+    rng = np.random.default_rng(12)
+    shape = (6, 5, 3)
+    sparse_truth = {"mixed": np.where(rng.random(shape) < 0.3, 1.0, 0.0),
+                    "empty": np.zeros(shape), "full": np.ones(shape)}[support]
+    sparse_est = sparse_truth * rng.random(shape) + 0.1 * rng.standard_normal(shape)
+    paths = {}
+    for name, arr in (("L", rng.standard_normal(shape)), ("E_est", sparse_est),
+                      ("E_true", sparse_truth)):
+        paths[name] = tmp_path / f"{name}.rkt"
+        fileio.write_rkt(paths[name], arr)
+    out_file = tmp_path / "metrics.json"
+    assert run_cli("eval", "--estimate", paths["L"], "--truth", paths["L"],
+                   "--sparse-estimate", paths["E_est"], "--sparse-truth", paths["E_true"],
+                   "--out", out_file) == 0
+    want = None
+    if support == "mixed":
+        want = data.roc_auc(np.abs(sparse_est), sparse_truth != 0)
+        assert 0.5 < want < 1.0
+    assert json.loads(out_file.read_text())["roc_auc"] == want
+
+
 def test_eval_exact_estimate_psnr_sentinel(tmp_path, capsys):
     t = np.ones((3, 3, 2))
     fileio.write_rkt(tmp_path / "t.rkt", t)

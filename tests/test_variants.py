@@ -582,3 +582,77 @@ def test_basis_norms_computed_once_per_factor(monkeypatch, variant):
     per_iter = _calls_per_iteration(monkeypatch, np.linalg, "svd", variant,
                                     counted=lambda kw: kw.get("compute_uv") is False)
     assert per_iter == 2
+
+
+def _tucker_start(X, rank):
+    cfg = SolverConfig(rank=rank, variant="ladmm2")
+    X, cfg = admm._prepare(X, cfg)
+    return X, cfg, variants._init_tucker(X, cfg)
+
+
+def test_tucker_start_is_the_truncated_hosvd():
+    # span(A), span(B): the top-r left singular vectors of the mode-1 and
+    # mode-2 unfoldings (sine of the largest principal angle); R_i = A^T X_i B.
+    rng = np.random.default_rng(41)
+    X = 3.0 * rng.standard_normal((9, 7, 5))
+    X, cfg, state = _tucker_start(X, rank=3)
+    for basis, mode in ((state.model.a, 1), (state.model.b, 2)):
+        u = np.linalg.svd(tensor.unfold(X, mode), full_matrices=False)[0][:, :3]
+        assert np.linalg.norm(basis - u @ (u.T @ basis), 2) <= 1e-10
+        assert_allclose(basis.T @ basis, np.eye(3), atol=1e-12)
+    a, b = state.model.a, state.model.b
+    for i in range(X.shape[2]):
+        assert_allclose(state.model.core[:, :, i], a.T @ X[:, :, i] @ b, rtol=1e-12)
+    assert not state.E.any() and not state.Lam.any()
+    seed = admm.initialize(X, cfg)
+    assert state.mu == seed.mu and state.mu_cap == seed.mu_cap
+
+
+def test_tucker_start_zero_and_overflowing_input():
+    _, _, state = _tucker_start(np.zeros((6, 5, 3)), rank=2)
+    assert not state.model.a.any() and not state.model.b.any()
+    assert state.mu == admm.ETA_INIT
+    # Slice norms overflow here, but the Grams of X / max|X| do not.
+    rng = np.random.default_rng(42)
+    for X in (np.full((4, 4, 2), 1e160), 1e160 * rng.standard_normal((6, 5, 3))):
+        with np.errstate(over="ignore"):
+            _, _, state = _tucker_start(X, rank=2)
+        for basis in (state.model.a, state.model.b):
+            assert np.isfinite(basis).all()
+            assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", variants.LADMM_VARIANTS)
+def test_ladmm_start_takes_no_svd(monkeypatch, variant):
+    real_svd, real_iterate, calls, before_loop = np.linalg.svd, admm._iterate, [], []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    def iterate(*args, **kwargs):
+        before_loop.append(len(calls))
+        return real_iterate(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(admm, "_iterate", iterate)
+    _, _, X = synth_generate(SynthSpec(m=14, n=12, n_slices=5, rank_a=2, rank_b=2,
+                                       p_clean=0.8, seed=29))
+    cfg = SolverConfig(rank=3, alpha=1e-4, max_iters=2, variant=variant)
+    variants.solve_variant(X, cfg)
+    assert before_loop == [0]
+
+
+@pytest.mark.parametrize("variant", variants.LADMM_VARIANTS)
+def test_passed_a_delta_matches_recomputed(variant):
+    # The sweep passes the one A^T Delta_i to the B and R steps; either step
+    # gives the same bits as when it forms the product itself.
+    rng = np.random.default_rng(43)
+    state = make_ladmm_state(rng, m=9, n=7, N=4)
+    X = rng.standard_normal(state.E.shape)
+    cfg = SolverConfig(rank=3, alpha=0.3, variant=variant)
+    delta = variants._delta(state, X)
+    a_delta = state.model.a.T @ admm._slices(delta)
+    for step in (variants.ladmm_update_B, variants.ladmm_update_R):
+        want = step(state, X, cfg, delta)
+        assert np.array_equal(step(state, X, cfg, a_delta=a_delta), want), step.__name__

@@ -1,0 +1,103 @@
+"""Run alternating parent/change pairs of the benchmark and write a BENCH file.
+
+    python3 tools/bench_pairs.py --parent ../rkca-parent --change . \
+        --parent-rev 7f93ddf --change-rev HEAD \
+        --pairs large-100=10 accept-50=5 complete-cli=5 \
+        --records ../bench-records --out BENCH_6.json
+
+``--parent`` and ``--change`` are checkouts (``git archive`` copies will do).
+Pair i runs ``python3 perfbench/run.py --workload W`` in both, parent first
+when i is odd, change first when even, each in a fresh process with the
+benchmark's own defaults.  Every run's ``.perfbench_out`` record is copied
+to ``--records`` as ``<workload>-<side>-<i>.json``; a record already there
+is reused, so an interrupted run resumes where it stopped.  The BENCH file
+holds, per workload, q25/median/q75 of each end-to-end metric named in
+BENCHMARK.json for both sides, the pairs the change won, attempted and
+failed solves, nondeterminism reports, the seeds and the environment, all
+read from the records.
+"""
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout, workload, dest):
+    """One benchmark run, unless ``dest`` holds its record already; returns it."""
+    if not dest.exists():
+        subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload],
+                       cwd=checkout, capture_output=True, check=True)
+        (record,) = (checkout / ".perfbench_out").glob(f"{workload}-seed*-trace0.json")
+        shutil.copyfile(record, dest)
+    return json.loads(dest.read_text())
+
+
+def quartiles(values):
+    q25, median, q75 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q25": q25, "median": median, "q75": q75}
+
+
+def summarise(runs, metrics):
+    """Per-workload summary of ``runs[side]``, lists of records in pair order."""
+    first = runs["change"][0]
+    out = {"pairs": len(runs["change"]), "seed": first["seed"],
+           "mask_seed": first["mask_seed"], "environment": first["environment"],
+           "metrics": {}}
+    solves = {side: [res for r in recs for rnd in r["rounds"] for res in rnd]
+              for side, recs in runs.items()}
+    out["attempted"] = {side: len(res) for side, res in solves.items()}
+    out["failed"] = {side: sum(bool(res["failures"]) for res in results)
+                     for side, results in solves.items()}
+    out["nondeterminism"] = {side: sum(len(r["nondeterminism"]) for r in recs)
+                             for side, recs in runs.items()}
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        values = {side: [r["metrics"][name]["value"] for r in recs]
+                  for side, recs in runs.items()}
+        wins = sum((c < p) if lower else (c > p)
+                   for p, c in zip(values["parent"], values["change"]))
+        parent, change = quartiles(values["parent"]), quartiles(values["change"])
+        out["metrics"][name] = {
+            "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+            "parent": parent, "change": change, "change_wins": wins,
+            "median_ratio": change["median"] / parent["median"],
+        }
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--parent-rev", required=True)
+    parser.add_argument("--change-rev", required=True)
+    parser.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
+    parser.add_argument("--records", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    args.records.mkdir(parents=True, exist_ok=True)
+    bench = {"parent": args.parent_rev, "change": args.change_rev,
+             "command": "python3 perfbench/run.py --workload <workload>",
+             "order": "alternating: parent first in odd pairs, change first in even",
+             "workloads": {}}
+    for spec in args.pairs:
+        workload, n_pairs = spec.split("=")
+        runs = {"parent": [], "change": []}
+        for i in range(1, int(n_pairs) + 1):
+            for side in ("parent", "change") if i % 2 else ("change", "parent"):
+                dest = args.records / f"{workload}-{side}-{i}.json"
+                runs[side].append(run_once(checkouts[side], workload, dest))
+                print(f"{workload} pair {i} {side}:",
+                      json.dumps(runs[side][-1]["metrics"]), flush=True)
+        bench["workloads"][workload] = summarise(runs, benchmark["end_to_end"])
+    args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()
