@@ -18,15 +18,16 @@ five variants' block steps live in :mod:`rkca.variants`.
 
 X and the mask are copied once to slice-major storage
 (:func:`tensor.slice_major`), which every data-sized tensor derived from them
-keeps; cores stay (r, r, N) C-ordered.  Data-sized updates are built in place
-on the one fresh array each allocates, and the reconstruction a dual update
-builds is cached for the next E step, which subtracts the same tensor.
+keeps; cores stay (r, r, N) C-ordered.  A run's start allocates E, Lam and
+two work buffers, and every data-sized array an iteration builds goes into
+one of these four (:func:`_spare`).  The reconstruction a dual update builds
+is cached for the next E step, which subtracts the same tensor.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,6 +61,7 @@ class SolverState:
     the next E step; it is used only while the state still holds those very
     arrays (factors are replaced, never written in place).  ``x_norms`` caches
     ``(X, per-slice squared norms of X)`` the same way, for the residuals.
+    ``buffers`` lists the run's own data-sized arrays (see :func:`_spare`).
     """
 
     model: FactorModel
@@ -74,6 +76,7 @@ class SolverState:
     iters: int = 0
     recon: tuple | None = None
     x_norms: tuple | None = None
+    buffers: list = field(default_factory=list)
 
 
 def _sym(mat):
@@ -102,6 +105,21 @@ def _slice_ratio(diff, den):
     num = _sq_norms(diff)
     out = np.where(den > 0, num / np.where(den > 0, den, 1.0), num)
     return float(np.max(out)) if out.size else 0.0
+
+
+def _spare(state, *busy):
+    """A data-sized scratch array: one of ``state.buffers`` bound to none of
+    E, Lam, the cached reconstruction and ``busy``, else a new slice-major one.
+
+    A step overwrites only these buffers, and arrays it allocated itself;
+    never X, the mask or an array its caller passed.
+    """
+    taken = (state.E, state.Lam, state.recon and state.recon[3], *busy)
+    for buf in state.buffers:
+        if not any(buf is t for t in taken):
+            return buf
+    m, n, N = state.E.shape
+    return np.moveaxis(np.empty((N, m, n)), 0, 2)
 
 
 def _x_norms(state, X):
@@ -167,23 +185,22 @@ def _prepare(X, cfg):
     return X, cfg
 
 
-def _keep_recon(state, a, core, b):
-    """Reconstruct from (a, core, b) and cache it on the state for the E step."""
-    recon = tensor.reconstruct(a, core, b)
+def _keep_recon(state, a, core, b, *busy):
+    """Reconstruct from (a, core, b) into a spare, and cache it on the state
+    for the E step."""
+    recon = tensor.reconstruct(a, core, b, out=_spare(state, *busy))
     state.recon = (a, core, b, recon)
     return recon
 
 
-def _cached_recon(state, a, core, b, take):
-    """``core x_1 a x_2 b``: the cached one if built from these very arrays,
-    else a fresh reconstruct.  ``take`` drops the cache, handing the array
-    over to the caller to overwrite."""
-    cached = state.recon
-    if take:
-        state.recon = None
+def _take_recon(state, a, core, b):
+    """``core x_1 a x_2 b`` for the caller to overwrite: the cached one if
+    built from these very arrays, else a new reconstruct into a spare.  The
+    cache is dropped either way."""
+    cached, state.recon = state.recon, None
     if cached is not None and all(x is y for x, y in zip(cached, (a, core, b))):
         return cached[3]
-    return tensor.reconstruct(a, core, b)
+    return tensor.reconstruct(a, core, b, out=_spare(state))
 
 
 def _residual(X, recon, E=None, out=None):
@@ -195,31 +212,35 @@ def _residual(X, recon, E=None, out=None):
 
 
 def _ascend_lam(state, resid):
-    """Dual ascent Lam <- Lam + mu * resid, built in place in the fresh ``resid``."""
+    """Dual ascent Lam <- Lam + mu * resid, built in place in ``resid``, an
+    array of the step's own; the old Lam's buffer returns to the spares."""
     resid *= state.mu
     resid += state.Lam
     state.Lam = resid
 
 
-def _shrink_residual(state, resid, cfg, lam):
-    """Shrink resid + Lam/mu at level lam/mu (selectively under a mask); resid,
-    X minus the variant's reconstruction, is a fresh array updated in place."""
-    resid += state.Lam / state.mu
+def _add_lam_over_mu(state, t):
+    """t += Lam/mu, with Lam/mu formed in a spare; returns that spare."""
+    lam_mu = np.divide(state.Lam, state.mu, out=_spare(state, t))
+    t += lam_mu
+    return lam_mu
+
+
+def _shrink_E(state, X, cfg, lam, left, core, right):
+    """E step: shrink X - core x_1 left x_2 right + Lam/mu at level lam/mu
+    (selectively under a mask).  The residual is built in the reconstruction's
+    array, the shrinkage in a spare."""
+    resid = _take_recon(state, left, core, right)
+    out = _add_lam_over_mu(state, _residual(X, resid, out=resid))
     if cfg.mask is not None:
-        return linalg.selective_shrink(resid, lam / state.mu, cfg.mask)
-    return linalg.soft_shrink(resid, lam / state.mu)
-
-
-def _split_E(state, X, cfg, lam, left, right):
-    """E step against the split reconstruction K x_1 left x_2 right."""
-    recon = _cached_recon(state, left, state.K, right, take=True)
-    return _shrink_residual(state, _residual(X, recon, out=recon), cfg, lam)
+        return linalg.selective_shrink(resid, lam / state.mu, cfg.mask, out=out)
+    return linalg.soft_shrink(resid, lam / state.mu, out=out)
 
 
 def update_E(state, X, cfg):
     """Shrink the residual X - K x_1 A x_2 B + Lam/mu at level lambda/mu."""
     lam = cfg.resolved_lambda(X.shape)
-    return _split_E(state, X, cfg, lam, state.model.a, state.model.b)
+    return _shrink_E(state, X, cfg, lam, state.model.a, state.K, state.model.b)
 
 
 def _solve_spd_right(system, rhs, report, label, iteration):
@@ -244,9 +265,17 @@ def _target(state, x_tilde, p=None):
     """P = mu*Xt + Lam for the basis and core solves, unless ``p`` passes the
     one its sweep built (mu and Lam are fixed until the dual update)."""
     if p is None:
-        p = state.mu * x_tilde
+        p = np.multiply(state.mu, x_tilde, out=_spare(state, x_tilde))
         p += state.Lam
     return p
+
+
+def _basis_target(state, x_tilde, basis, p=None, g=None):
+    """G_i = W^T P_i for every slice, W = ``basis``, as an (N, r, n) batch,
+    unless ``g`` passes the one its sweep formed after updating W."""
+    if g is None:
+        g = basis.T @ _slices(_target(state, x_tilde, p))
+    return g
 
 
 def _cross_gram(core, other, row):
@@ -260,18 +289,20 @@ def _cross_gram(core, other, row):
 
 
 def _solve_basis(state, x_tilde, other, row, weight, report, label,
-                 anchor=None, mu_anchor=None, p=None):
+                 anchor=None, mu_anchor=None, p=None, g=None):
     """Normal-equation solve for one basis, with the core K and ``other`` (W) fixed.
 
     Solves Z (I + weight * sum_i K_i W^T W K_i^T) = C, C = sum_i P_i W K_i^T,
     for the column basis (P as in :func:`_target`); ``row=True`` transposes
-    every slice.  A substitution copy passes an ``anchor``: C -> anchor + C/mu_anchor.
+    every slice, C = sum_i G_i^T K_i with G as in :func:`_basis_target`.  A
+    substitution copy passes an ``anchor``: C -> anchor + C/mu_anchor.
     """
     k_t = _slices(state.K)
-    p_t = _slices(_target(state, x_tilde, p))
     if row:
-        rhs = np.sum(p_t.transpose(0, 2, 1) @ (other @ k_t), axis=0)
+        g = _basis_target(state, x_tilde, other, p, g)
+        rhs = np.sum(g.transpose(0, 2, 1) @ k_t, axis=0)
     else:
+        p_t = _slices(_target(state, x_tilde, p))
         rhs = np.sum((p_t @ other) @ k_t.transpose(0, 2, 1), axis=0)
     system = np.eye(other.shape[1]) + weight * _sym(_cross_gram(state.K, other, row))
     if anchor is not None:
@@ -285,27 +316,30 @@ def update_A(state, x_tilde, cfg, report=None, p=None):
     return _solve_basis(state, x_tilde, state.model.b, False, state.mu, report, "A", p=p)
 
 
-def update_B(state, x_tilde, cfg, report=None, p=None):
-    """Exact minimiser of the B block, using the freshly updated A."""
-    return _solve_basis(state, x_tilde, state.model.a, True, state.mu, report, "B", p=p)
+def update_B(state, x_tilde, cfg, report=None, p=None, g=None):
+    """Exact minimiser of the B block, using the freshly updated A; ``g``
+    passes the sweep's A^T P_i."""
+    return _solve_basis(state, x_tilde, state.model.a, True, state.mu, report, "B",
+                        p=p, g=g)
 
 
-def _stein_core(state, x_tilde, left, right, p=None):
+def _stein_core(state, x_tilde, left, right, p=None, g=None):
     """Solve one Stein equation per slice for the split core K, all slices in
     one :func:`linalg.stein_apply`: mu_K*K_i + mu*L^T L K_i R^T R =
-    L^T P_i R + mu_K*R_i + Y_i, L = ``left``, R = ``right``, P = mu*Xt + Lam.
+    G_i R + mu_K*R_i + Y_i, L = ``left``, R = ``right``, G_i = L^T P_i.
     """
     mu, mu_K = state.mu, state.mu_K
     gram_l, gram_r = _sym(left.T @ left), _sym(right.T @ right)
     factors = linalg.stein_factors(-(mu / mu_K) * gram_l, gram_r)
-    p_t = _slices(_target(state, x_tilde, p))
-    h_t = (left.T @ p_t @ right + _slices(state.Y)) / mu_K + _slices(state.model.core)
+    g = _basis_target(state, x_tilde, left, p, g)
+    h_t = (g @ right + _slices(state.Y)) / mu_K + _slices(state.model.core)
     return _stack(linalg.stein_apply(factors, h_t))
 
 
-def update_K(state, x_tilde, cfg, p=None):
-    """Solve one Stein equation per slice for the split core K."""
-    return _stein_core(state, x_tilde, state.model.a, state.model.b, p)
+def update_K(state, x_tilde, cfg, p=None, g=None):
+    """Solve one Stein equation per slice for the split core K; ``g`` passes
+    the sweep's A^T P_i."""
+    return _stein_core(state, x_tilde, state.model.a, state.model.b, p, g)
 
 
 def update_R(state, cfg):
@@ -313,14 +347,22 @@ def update_R(state, cfg):
     return linalg.soft_shrink(state.K - state.Y / state.mu_K, cfg.alpha / state.mu_K)
 
 
+def _split_duals(state, x_tilde, left, right):
+    """Dual ascent on Xt = K x_1 left x_2 right and on R = K.  The
+    reconstruction stays cached for the next E step; Lam is built in
+    x_tilde's array if that is a state buffer, else in a spare."""
+    recon = _keep_recon(state, left, state.K, right, x_tilde)
+    out = x_tilde if any(x_tilde is buf for buf in state.buffers) else _spare(state)
+    _ascend_lam(state, np.subtract(x_tilde, recon, out=out))
+    state.Y = state.Y + state.mu_K * (state.model.core - state.K)
+
+
 def update_duals(state, x_tilde, cfg):
     """Dual ascent on both constraints, then grow the capped penalties.
 
     The reconstruction K x_1 A x_2 B stays cached for the next E step.
     """
-    recon = _keep_recon(state, state.model.a, state.K, state.model.b)
-    _ascend_lam(state, x_tilde - recon)
-    state.Y = state.Y + state.mu_K * (state.model.core - state.K)
+    _split_duals(state, x_tilde, state.model.a, state.model.b)
     state.mu = min(state.mu_cap, cfg.rho * state.mu)
     state.mu_K = min(state.mu_K_cap, cfg.rho * state.mu_K)
     return state
@@ -328,9 +370,10 @@ def update_duals(state, x_tilde, cfg):
 
 def residuals(state, X):
     """Primal-feasibility errors (err_rec, err_R), worst slice of each."""
-    recon = state.model.reconstruct()
+    a, b, core = state.model.a, state.model.b, state.model.core
+    recon = tensor.reconstruct(a, core, b, out=_spare(state))
     err_rec = _slice_ratio(_residual(X, recon, state.E, out=recon), _x_norms(state, X))
-    err_core = _slice_ratio(state.model.core - state.K, _sq_norms(state.model.core))
+    err_core = _slice_ratio(core - state.K, _sq_norms(core))
     return err_rec, err_core
 
 
@@ -341,35 +384,40 @@ def _check_finite(state, report, named=None):
         named = {"A": state.model.a, "B": state.model.b, "R": state.model.core}
         named.update((k, v) for k, v in vars(state).items()
                      if isinstance(v, np.ndarray) and k != "E")
-    for name, value in named.items():
-        if not np.isfinite(value).all():
+    for name, value in named.items():  # only a non-finite sum is scanned
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.sum(value)
+        if not np.isfinite(total) and not np.isfinite(value).all():
             report.termination = "abort"
             msg = f"non-finite values in {name} at iteration {state.iters}"
             raise SolverAbort(msg, report)
 
 
-def _iterate(X, cfg, state, e_step, sweep, errors, penalty):
+def _iterate(X, cfg, start, e_step, sweep, penalty):
     """Run the iteration loop shared by every variant; returns (model, E, report).
 
-    The variant's steps: ``e_step(state, X, cfg)`` returns the new E;
-    ``sweep(state, X, cfg, report)`` runs the other block steps and the dual
-    and penalty updates; ``errors(state, X)`` names the residuals held to
-    ``cfg.tol``; ``penalty(state, cfg)`` names the low-rank objective terms.
-    A kernel failure in any of them aborts the run like non-finite values do.
+    The variant's steps: ``start(X, cfg)`` returns the initial state;
+    ``e_step(state, X, cfg)`` returns the new E; ``sweep(state, X, cfg,
+    report)`` runs the other block steps and the dual and penalty updates and
+    names the residuals held to ``cfg.tol``; ``penalty(state, cfg)`` names the
+    low-rank objective terms.  A kernel failure in any of them, the start
+    included, aborts the run like non-finite values do.
     """
     lam = cfg.resolved_lambda(X.shape)
     report = RunReport(variant=cfg.variant, config=cfg.resolved(X.shape))
+    state = None
     try:
+        state = start(X, cfg)
+        state.buffers = [state.E, state.Lam, np.empty_like(X), np.empty_like(X)]
         for it in range(1, cfg.max_iters + 1):
             t0 = time.perf_counter()
             state.iters = it
             state.E = e_step(state, X, cfg)
             # A finite l1 sum proves E finite; only a non-finite one is scanned.
-            l1_sparse = tensor.l1(state.E, cfg.mask)
+            l1_sparse = tensor.l1(state.E, cfg.mask, out=_spare(state))
             if not np.isfinite(l1_sparse):
                 _check_finite(state, report, {"E": state.E})
-            sweep(state, X, cfg, report)
-            errs = errors(state, X)
+            errs = sweep(state, X, cfg, report)
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             objective = {"l1_sparse": lam * l1_sparse, **penalty(state, cfg)}
             report.append(IterationRecord(
@@ -387,22 +435,22 @@ def _iterate(X, cfg, state, e_step, sweep, errors, penalty):
         raise
     except (linalg.NumericalError, np.linalg.LinAlgError) as exc:
         report.termination = "abort"
-        raise SolverAbort(f"{exc} at iteration {state.iters}", report) from exc
+        where = "the start" if state is None else f"iteration {state.iters}"
+        raise SolverAbort(f"{exc} at {where}", report) from exc
     return state.model, state.E, report
 
 
 def _admm2_sweep(state, X, cfg, report):
-    x_tilde = X - state.E
+    # Xt and P fill the two work buffers; the B and K steps share A^T P_i,
+    # and P's buffer then receives the dual update's reconstruction.
+    x_tilde = np.subtract(X, state.E, out=_spare(state))
     p = _target(state, x_tilde)
     state.model.a = update_A(state, x_tilde, cfg, report, p)
-    state.model.b = update_B(state, x_tilde, cfg, report, p)
-    state.K = update_K(state, x_tilde, cfg, p)
-    del p  # freed before the dual update allocates
+    g = _basis_target(state, x_tilde, state.model.a, p)
+    state.model.b = update_B(state, x_tilde, cfg, report, p, g)
+    state.K = update_K(state, x_tilde, cfg, p, g)
     state.model.core = update_R(state, cfg)
     update_duals(state, x_tilde, cfg)
-
-
-def _admm2_errors(state, X):
     return dict(zip(("err_rec", "err_R"), residuals(state, X)))
 
 
@@ -422,5 +470,4 @@ def solve(X, cfg):
     X, cfg = _prepare(X, cfg)
     if cfg.variant != "admm2":
         raise ValueError(f"admm.solve handles the admm2 variant, got {cfg.variant!r}")
-    return _iterate(X, cfg, initialize(X, cfg), update_E, _admm2_sweep, _admm2_errors,
-                    _admm2_penalty)
+    return _iterate(X, cfg, initialize, update_E, _admm2_sweep, _admm2_penalty)

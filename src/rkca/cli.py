@@ -242,10 +242,7 @@ def cmd_eval(args):
         payload = result.to_dict()
     else:
         payload = {
-            "rel_error_L": data.metrics(
-                estimate, np.zeros_like(estimate), truth, np.zeros_like(truth),
-                args.range,
-            ).rel_error_L,
+            "rel_error_L": data._rel_error(estimate, truth),
             "psnr": data.psnr(estimate, truth, args.range),
         }
     text = json.dumps(payload, indent=2, sort_keys=True)

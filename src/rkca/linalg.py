@@ -41,25 +41,28 @@ class SteinSingularError(NumericalError):
     """The Stein pencil is (numerically) singular: some 1 - f_i*g_j ~ 0."""
 
 
-def soft_shrink(x, tau):
+def soft_shrink(x, tau, out=None):
     """Elementwise soft thresholding sign(x) * max(|x| - tau, 0).
 
-    Computed as x - clip(x, -tau, tau) in one new array of x's layout; the two
-    forms agree bit for bit except for the sign of zeros.
+    Computed as x - clip(x, -tau, tau) in one new array of x's layout, or in
+    ``out``, a float array of x's shape other than x; the two forms agree bit
+    for bit except for the sign of zeros.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=np.result_type(x, 0.0))
+    if out is None:
+        out = np.empty_like(x, dtype=np.result_type(x, 0.0))
     np.clip(x, -tau, tau, out=out)
     return np.subtract(x, out, out=out)
 
 
-def selective_shrink(x, tau, mask):
+def selective_shrink(x, tau, mask, out=None):
     """Soft-shrink the entries flagged by ``mask``; pass the rest through.
 
     Computed branch-free as x - clip(x, -tau, tau) * mask in one new array of
-    x's layout: a random mask makes a per-entry select mispredict.  Equal to
+    x's layout, or in ``out`` as for :func:`soft_shrink`: a random mask makes
+    a per-entry select mispredict.  Equal to
     ``np.where(mask, soft_shrink(x, tau), x)`` except for the sign of zeros.
     """
     if tau < 0:
@@ -68,7 +71,8 @@ def selective_shrink(x, tau, mask):
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape:
         raise ValueError(f"mask shape {mask.shape} does not match {x.shape}")
-    out = np.empty_like(x, dtype=np.result_type(x, 0.0))
+    if out is None:
+        out = np.empty_like(x, dtype=np.result_type(x, 0.0))
     np.clip(x, -tau, tau, out=out)
     out *= mask
     return np.subtract(x, out, out=out)

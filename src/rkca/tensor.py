@@ -120,12 +120,13 @@ def kronecker(a, b):
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def reconstruct(a, core, b):
+def reconstruct(a, core, b, out=None):
     """Assemble the low-rank tensor with frontal slices ``a @ core_k @ b.T``.
 
     ``a`` is (m, r), ``b`` is (n, r) and ``core`` is (r, r, N); the result
     equals ``core x_1 a x_2 b``, has shape (m, n, N) and is slice-major: a view
-    of the C-contiguous (N, m, n) batch of slice products.
+    of the C-contiguous (N, m, n) batch of slice products.  ``out``, a
+    slice-major (m, n, N) array, receives it and is returned itself.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -137,7 +138,10 @@ def reconstruct(a, core, b):
             f"incompatible shapes: a {a.shape}, b {b.shape}, core {core.shape}"
         )
     slices = np.moveaxis(core, 2, 0)  # (N, r, r)
-    return np.moveaxis(a @ slices @ b.T, 0, 2)
+    if out is None:
+        return np.moveaxis(a @ slices @ b.T, 0, 2)
+    np.matmul(a @ slices, b.T, out=np.moveaxis(out, 2, 0))
+    return out
 
 
 def frobenius(x):
@@ -145,15 +149,16 @@ def frobenius(x):
     return float(np.linalg.norm(np.asarray(x).ravel()))
 
 
-def l1(x, mask=None):
+def l1(x, mask=None, out=None):
     """Entrywise l1 norm of a matrix or tensor; with a boolean or 0/1 ``mask``
     of x's shape, of the flagged entries only.
 
     The masked sum is sum(|x| * mask), without a per-entry select, so an
     unflagged inf or nan still makes it non-finite (inf * 0 is nan): a finite
-    result proves every entry of x finite.
+    result proves every entry of x finite.  ``out``, an array of x's shape
+    and layout, is scratch for |x| in place of a new array.
     """
-    out = np.abs(x)
+    out = np.abs(x, out=out)
     if mask is not None:
         with np.errstate(invalid="ignore"):  # the nan from inf * 0 is wanted
             out *= mask

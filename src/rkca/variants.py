@@ -44,7 +44,7 @@ DEGREE3_SUB_VARIANTS = ("admm3_fro", "admm3_nuc")
 class LadmmState:
     """Primal/dual variables of a linearised-ADMM run (no split variables).
 
-    ``recon`` and ``x_norms`` are the caches of ``admm.SolverState``;
+    ``recon``, ``x_norms`` and ``buffers`` are as in ``admm.SolverState``;
     ``basis_norms`` holds the last two (basis, norm) pairs for :func:`_basis_norm`.
     """
 
@@ -56,6 +56,7 @@ class LadmmState:
     iters: int = 0
     recon: tuple | None = None
     x_norms: tuple | None = None
+    buffers: list = field(default_factory=list)
     basis_norms: list = field(default_factory=list)
 
 
@@ -246,35 +247,34 @@ def _logged(block_log, stage, state, X, cfg, lam):
                       "after": _lagrangian(state, X, cfg, lam)})
 
 
-def _model_recon(state, take):
-    a, b, core = state.model.a, state.model.b, state.model.core
-    return admm._cached_recon(state, a, core, b, take)
-
-
 def _ladmm_update_E(state, X, cfg, lam, block_log=None):
     with _logged(block_log, "E", state, X, cfg, lam):
-        recon = _model_recon(state, take=True)
-        resid = admm._residual(X, recon, out=recon)
-        state.E = admm._shrink_residual(state, resid, cfg, lam)
+        model = state.model
+        state.E = admm._shrink_E(state, X, cfg, lam, model.a, model.core, model.b)
     return state.E
 
 
 def _ladmm_sweep(state, X, cfg, report, lam, block_log=None):
-    # One Delta serves all three steps: E, Lam and mu are fixed until the dual
-    # update.  The B step keeps A, so B and R share one A^T Delta_i.
-    delta = _delta(state, X)
+    # One Delta, in a work buffer, serves all three steps: E, Lam and mu are
+    # fixed until the dual update.  The B step keeps A, so B and R share one
+    # A^T Delta_i.  err_rec is read off the dual update's residual before
+    # that residual is scaled into Lam.
+    delta = np.subtract(X, state.E, out=admm._spare(state))
+    admm._add_lam_over_mu(state, delta)
     with _logged(block_log, "A", state, X, cfg, lam):
         state.model.a = ladmm_update_A(state, X, cfg, delta)
     a_delta = state.model.a.T @ _slices(delta)
-    del delta  # freed before the remaining steps allocate
     with _logged(block_log, "B", state, X, cfg, lam):
         state.model.b = ladmm_update_B(state, X, cfg, a_delta=a_delta)
     with _logged(block_log, "R", state, X, cfg, lam):
         state.model.core = ladmm_update_R(state, X, cfg, a_delta=a_delta)
     model = state.model
     recon = admm._keep_recon(state, model.a, model.core, model.b)
-    admm._ascend_lam(state, admm._residual(X, recon, state.E))
+    resid = admm._residual(X, recon, state.E, out=admm._spare(state))
+    err_rec = admm._slice_ratio(resid, admm._x_norms(state, X))
+    admm._ascend_lam(state, resid)
     state.mu = min(state.mu_cap, cfg.rho * state.mu)
+    return {"err_rec": err_rec}
 
 
 def _init_tucker(X, cfg):
@@ -304,11 +304,6 @@ def _init_tucker(X, cfg):
                       np.zeros_like(X), mu, cfg.mu_cap_factor * mu)
 
 
-def _ladmm_errors(state, X):
-    resid = admm._residual(X, _model_recon(state, take=False), state.E)
-    return {"err_rec": admm._slice_ratio(resid, admm._x_norms(state, X))}
-
-
 def degree3_update_A_sub(state, cfg):
     """Proximal map of the basis norm applied to U - Y_U/mu_U."""
     point = state.U - state.Y_U / state.mu_U
@@ -334,20 +329,21 @@ def degree3_update_U(state, x_tilde, cfg, report=None, p=None):
     )
 
 
-def degree3_update_V(state, x_tilde, cfg, report=None, p=None):
-    """Mirror of :func:`degree3_update_U` for the row-basis copy."""
+def degree3_update_V(state, x_tilde, cfg, report=None, p=None, g=None):
+    """Mirror of :func:`degree3_update_U` for the row-basis copy; ``g``
+    passes the sweep's U^T P_i."""
     return admm._solve_basis(
         state, x_tilde, state.U, True, state.mu / state.mu_V, report, "V",
-        anchor=state.model.b + state.Y_V / state.mu_V, mu_anchor=state.mu_V, p=p,
+        anchor=state.model.b + state.Y_V / state.mu_V, mu_anchor=state.mu_V, p=p, g=g,
     )
 
 
 def _degree3_update_E(state, X, cfg, lam):
-    return admm._split_E(state, X, cfg, lam, state.U, state.V)
+    return admm._shrink_E(state, X, cfg, lam, state.U, state.K, state.V)
 
 
-def _degree3_update_K(state, x_tilde, cfg, p=None):
-    return admm._stein_core(state, x_tilde, state.U, state.V, p)
+def _degree3_update_K(state, x_tilde, cfg, p=None, g=None):
+    return admm._stein_core(state, x_tilde, state.U, state.V, p, g)
 
 
 def _degree3_update_R(state, cfg):
@@ -370,36 +366,32 @@ def _init_degree3(X, cfg):
 
 
 def _degree3_sweep(state, X, cfg, report):
-    x_tilde = X - state.E
+    # Buffers as in admm2's sweep; the V and K steps share U^T P_i.
+    x_tilde = np.subtract(X, state.E, out=admm._spare(state))
     p = admm._target(state, x_tilde)
     state.model.a = degree3_update_A_sub(state, cfg)
     state.model.b = degree3_update_B_sub(state, cfg)
     state.U = degree3_update_U(state, x_tilde, cfg, report, p)
-    state.V = degree3_update_V(state, x_tilde, cfg, report, p)
-    state.K = _degree3_update_K(state, x_tilde, cfg, p)
-    del p
+    g = admm._basis_target(state, x_tilde, state.U, p)
+    state.V = degree3_update_V(state, x_tilde, cfg, report, p, g)
+    state.K = _degree3_update_K(state, x_tilde, cfg, p, g)
     state.model.core = _degree3_update_R(state, cfg)
-    recon_split = admm._keep_recon(state, state.U, state.K, state.V)
-    admm._ascend_lam(state, x_tilde - recon_split)
-    state.Y = state.Y + state.mu_K * (state.model.core - state.K)
+    admm._split_duals(state, x_tilde, state.U, state.V)
     state.Y_U = state.Y_U + state.mu_U * (state.model.a - state.U)
     state.Y_V = state.Y_V + state.mu_V * (state.model.b - state.V)
     state.mu = min(state.mu_cap, cfg.rho * state.mu)
     state.mu_K = min(state.mu_K_cap, cfg.rho * state.mu_K)
     state.mu_U = min(state.mu_U_cap, cfg.rho * state.mu_U)
     state.mu_V = min(state.mu_V_cap, cfg.rho * state.mu_V)
+    errs = dict(zip(("err_rec", "err_R"), admm.residuals(state, X)))
+    errs["err_A"] = _ratio(state.model.a - state.U, state.model.a)
+    errs["err_B"] = _ratio(state.model.b - state.V, state.model.b)
+    return errs
 
 
 def _ratio(diff, ref):
     num, den = float(np.sum(np.square(diff))), float(np.sum(np.square(ref)))
     return num / den if den > 0 else num
-
-
-def _degree3_errors(state, X):
-    errs = dict(zip(("err_rec", "err_R"), admm.residuals(state, X)))
-    errs["err_A"] = _ratio(state.model.a - state.U, state.model.a)
-    errs["err_B"] = _ratio(state.model.b - state.V, state.model.b)
-    return errs
 
 
 def solve_variant(X, cfg, block_log=None):
@@ -413,14 +405,12 @@ def solve_variant(X, cfg, block_log=None):
     X, cfg = admm._prepare(X, cfg)
     lam = cfg.resolved_lambda(X.shape)
     if cfg.variant in LADMM_VARIANTS:
-        state = _init_tucker(X, cfg)
-        steps = (functools.partial(_ladmm_update_E, lam=lam, block_log=block_log),
-                 functools.partial(_ladmm_sweep, lam=lam, block_log=block_log),
-                 _ladmm_errors)
+        steps = (_init_tucker,
+                 functools.partial(_ladmm_update_E, lam=lam, block_log=block_log),
+                 functools.partial(_ladmm_sweep, lam=lam, block_log=block_log))
     elif cfg.variant in DEGREE3_SUB_VARIANTS:
-        state = _init_degree3(X, cfg)
-        steps = (functools.partial(_degree3_update_E, lam=lam), _degree3_sweep,
-                 _degree3_errors)
+        steps = (_init_degree3, functools.partial(_degree3_update_E, lam=lam),
+                 _degree3_sweep)
     else:
         raise ValueError(f"unknown variant {cfg.variant!r}")
-    return admm._iterate(X, cfg, state, *steps, penalty=_penalty)
+    return admm._iterate(X, cfg, *steps, penalty=_penalty)

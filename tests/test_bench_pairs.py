@@ -1,0 +1,82 @@
+"""tools/bench_pairs.py: the BENCH summary and the record lookup, without
+running the benchmark."""
+
+import importlib.util
+import json
+import types
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+METRICS = [
+    {"name": "time_to_tol_rel", "unit": "x", "better": "lower", "bound": 0.25},
+    {"name": "accuracy_digits", "unit": "digits", "better": "higher", "bound": 0.1},
+]
+
+
+def record(time_to_tol, digits, failed=0, nondeterminism=()):
+    solves = [{"failures": ["quality floor missed"] if i < failed else []}
+              for i in range(3)]
+    return {
+        "seed": 123, "mask_seed": None, "environment": {"numpy": "x"},
+        "metrics": {"time_to_tol_rel": {"value": time_to_tol},
+                    "accuracy_digits": {"value": digits}},
+        "rounds": [solves[:2], solves[2:]],
+        "nondeterminism": list(nondeterminism),
+    }
+
+
+def test_summarise_quartiles_wins_and_ratio(bench_pairs):
+    parent = [record(t, 5.0) for t in (10.0, 20.0, 30.0, 40.0, 50.0)]
+    change = [record(t, d) for t, d in ((9.0, 6.0), (20.0, 5.0), (31.0, 4.0),
+                                        (35.0, 6.0), (45.0, 5.0))]
+    change[1] = record(20.0, 5.0, failed=1, nondeterminism=["digest differs"])
+    out = bench_pairs.summarise({"parent": parent, "change": change}, METRICS)
+    time = out["metrics"]["time_to_tol_rel"]
+    assert time["parent"] == {"q25": 20.0, "median": 30.0, "q75": 40.0}
+    assert time["change"] == {"q25": 20.0, "median": 31.0, "q75": 35.0}
+    # Lower is better: pairs 1, 4 and 5 won; the tie in pair 2 counts for neither.
+    assert time["change_wins"] == 3
+    assert time["median_ratio"] == 31.0 / 30.0
+    # Higher is better: pairs 1 and 4 won; ties in pairs 2 and 5 count for neither.
+    assert out["metrics"]["accuracy_digits"]["change_wins"] == 2
+    assert out["metrics"]["accuracy_digits"]["median_ratio"] == 1.0
+    assert out["pairs"] == 5 and out["seed"] == 123
+    assert out["attempted"] == {"parent": 15, "change": 15}
+    assert out["failed"] == {"parent": 0, "change": 1}
+    assert out["nondeterminism"] == {"parent": 0, "change": 1}
+
+
+def test_run_once_takes_the_record_the_run_wrote(bench_pairs, tmp_path, monkeypatch):
+    # Two seeds' records sit side by side; the run's own is the one copied.
+    checkout, out_dir = tmp_path / "checkout", tmp_path / "checkout" / ".perfbench_out"
+    out_dir.mkdir(parents=True)
+    for seed in (20260808, 3):
+        (out_dir / f"accept-50-seed{seed}-trace0.json").write_text(
+            json.dumps({"seed": seed}))
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append(cmd)
+        stdout = ("workload accept-50: instance 50x50x20 seed 3, trace 0\n"
+                  "record written to .perfbench_out/accept-50-seed3-trace0.json\n{}\n")
+        return types.SimpleNamespace(stdout=stdout)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    dest = tmp_path / "accept-50-seed3-change-1.json"
+    assert bench_pairs.run_once(checkout, "accept-50", 3, dest) == {"seed": 3}
+    assert calls[0][-4:] == ["--workload", "accept-50", "--seed", "3"]
+    # A record already copied is reused without a run.
+    assert bench_pairs.run_once(checkout, "accept-50", 3, dest) == {"seed": 3}
+    assert len(calls) == 1

@@ -188,6 +188,29 @@ def test_kernel_failure_mid_run_aborts_every_variant(tmp_path, monkeypatch, vari
     assert len(report["iterations"]) >= 1
 
 
+@pytest.mark.parametrize("variant, module, name, error", [
+    ("ladmm2", linalg, "symmetric_eig", linalg.NumericalError),
+    ("admm2", np.linalg, "svd", np.linalg.LinAlgError),
+])
+def test_failed_start_writes_report(tmp_path, monkeypatch, variant, module, name, error):
+    # A kernel failure in a solver's start is a numeric abort like one in the
+    # loop: exit 4 and a report with no iterations.
+    gen = tmp_path / "gen"
+    assert run_cli(*synth_args(gen)) == 0
+
+    def failing(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(module, name, failing)
+    out = tmp_path / "out"
+    code = run_cli("decompose", "--input", gen / "X.rkt", "--rank", 3,
+                   "--variant", variant, "--out-dir", out)
+    assert code == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["termination"] == "abort"
+    assert report["iterations"] == []
+
+
 def test_decompose_config_file(tmp_path):
     x_path = tmp_path / "X.rkt"
     fileio.write_rkt(x_path, np.zeros((8, 7, 3)))
@@ -284,6 +307,18 @@ def test_eval_exact_estimate_psnr_sentinel(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["rel_error_L"] == 0.0
     assert payload["psnr"] == float("inf")
+
+
+def test_eval_without_sparse_pair_matches_metrics_bitwise(tmp_path, capsys):
+    rng = np.random.default_rng(14)
+    estimate, truth = rng.standard_normal((6, 5, 3)), rng.standard_normal((6, 5, 3))
+    fileio.write_rkt(tmp_path / "est.rkt", estimate)
+    fileio.write_rkt(tmp_path / "truth.rkt", truth)
+    assert run_cli("eval", "--estimate", tmp_path / "est.rkt",
+                   "--truth", tmp_path / "truth.rkt") == 0
+    payload = json.loads(capsys.readouterr().out)
+    zeros = np.zeros_like(truth)
+    assert payload["rel_error_L"] == data.metrics(estimate, zeros, truth, zeros).rel_error_L
 
 
 def test_complete_full_mask_equals_decompose(tmp_path):

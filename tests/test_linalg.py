@@ -258,3 +258,15 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_shrinkage_out_gives_the_same_bits_in_the_given_array():
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((7, 5, 3))
+    mask = rng.random(x.shape) < 0.5
+    for tau in (0.0, 0.4):
+        buf = np.full_like(x, np.nan)
+        assert linalg.soft_shrink(x, tau, out=buf) is buf
+        assert np.array_equal(buf, linalg.soft_shrink(x, tau))
+        assert linalg.selective_shrink(x, tau, mask, out=buf) is buf
+        assert np.array_equal(buf, linalg.selective_shrink(x, tau, mask))

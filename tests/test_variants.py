@@ -2,6 +2,8 @@
 against finite differences, substitution updates against plug-back oracles,
 and end-to-end behaviour of every variant."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -656,3 +658,98 @@ def test_passed_a_delta_matches_recomputed(variant):
     for step in (variants.ladmm_update_B, variants.ladmm_update_R):
         want = step(state, X, cfg, delta)
         assert np.array_equal(step(state, X, cfg, a_delta=a_delta), want), step.__name__
+
+
+def test_tucker_start_takes_no_svd(monkeypatch):
+    # The start runs inside the loop now, so this is checked on the start alone.
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the Tucker-2 start took an SVD")
+
+    X = np.random.default_rng(44).standard_normal((9, 7, 5))
+    cfg = SolverConfig(rank=3, variant="ladmm2")
+    X, cfg = admm._prepare(X, cfg)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    variants._init_tucker(X, cfg)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_solve_holds_x_and_four_buffers(variant):
+    # Besides the slice-major copy of X, a solve holds E, Lam and two work
+    # buffers; everything else it allocates is r-sized, so no iteration
+    # allocates a data-sized array.
+    spec = SynthSpec(m=40, n=30, n_slices=24, rank_a=3, rank_b=3, p_clean=0.8, seed=45)
+    X = np.ascontiguousarray(synth_generate(spec)[2])
+    cfg = SolverConfig(rank=3, alpha=1e-4, tol=1e-30, max_iters=8, variant=variant)
+    tracemalloc.start()
+    try:
+        _, _, report = variants.solve_variant(X, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_iterations == 8
+    assert peak <= 5.5 * X.nbytes, peak / X.nbytes
+
+
+def _stein_oracle(state, p, left, right):
+    # Each slice's Stein equation as one dense r^2 x r^2 solve:
+    # mu_K*K_i + mu*L^T L K_i R^T R = L^T P_i R + mu_K*R_i + Y_i.
+    r = left.shape[1]
+    system = (state.mu_K * np.eye(r * r)
+              + state.mu * np.kron(right.T @ right, left.T @ left))
+    out = np.empty_like(state.K)
+    for i in range(out.shape[2]):
+        h = (left.T @ p[:, :, i] @ right + state.mu_K * state.model.core[:, :, i]
+             + state.Y[:, :, i])
+        vec = np.linalg.solve(system, h.reshape(-1, order="F"))
+        out[:, :, i] = vec.reshape((r, r), order="F")
+    return out
+
+
+def _row_basis_oracle(state, p, other, weight):
+    # sum_i P_i^T (W K_i) against I + weight * sum_i K_i^T W^T W K_i.
+    slices = range(state.K.shape[2])
+    rhs = sum(p[:, :, i].T @ (other @ state.K[:, :, i]) for i in slices)
+    gram = sum(state.K[:, :, i].T @ other.T @ other @ state.K[:, :, i] for i in slices)
+    return rhs, np.eye(other.shape[1]) + weight * gram
+
+
+def test_passed_g_matches_recomputed_and_explicit_forms():
+    # The sweeps form G_i = W^T P_i once, after the W step, and pass it to
+    # the next basis step and the core step; each step gives the same bits
+    # with G passed or formed itself, and matches the explicit forms.
+    rng = np.random.default_rng(46)
+    state = make_degree3_state(rng, m=9, n=7, N=4)
+    x_tilde = rng.standard_normal(state.E.shape)
+    p = state.mu * x_tilde + state.Lam
+    cfg = SolverConfig(rank=3, alpha=1e-3, variant="admm3_fro")
+    a, u = state.model.a, state.U
+    rhs_b, sys_b = _row_basis_oracle(state, p, a, state.mu)
+    rhs_v, sys_v = _row_basis_oracle(state, p, u, state.mu / state.mu_V)
+    anchor_v = state.model.b + state.Y_V / state.mu_V
+    steps = {
+        "B": (a, lambda g: admm.update_B(state, x_tilde, cfg, None, p, g),
+              np.linalg.solve(sys_b.T, rhs_b.T).T),
+        "K": (a, lambda g: admm.update_K(state, x_tilde, cfg, p, g),
+              _stein_oracle(state, p, a, state.model.b)),
+        "V": (u, lambda g: variants.degree3_update_V(state, x_tilde, cfg, None, p, g),
+              np.linalg.solve(sys_v.T, (anchor_v + rhs_v / state.mu_V).T).T),
+        "K (degree 3)": (u, lambda g: variants._degree3_update_K(state, x_tilde, cfg, p, g),
+                         _stein_oracle(state, p, u, state.V)),
+    }
+    for name, (basis, step, explicit) in steps.items():
+        g = basis.T @ admm._slices(p)
+        assert np.array_equal(step(g), step(None)), name
+        assert rel_error(step(g), explicit) <= 1e-12, name
+
+
+@pytest.mark.parametrize("variant", variants.LADMM_VARIANTS)
+def test_ladmm_err_rec_is_the_dual_update_residual(variant):
+    # The last err_rec is read off the dual update's residual X - A R B^T - E,
+    # bit for bit the ratio recomputed from the returned factors.
+    spec = SynthSpec(m=14, n=12, n_slices=5, rank_a=2, rank_b=2, p_clean=0.8, seed=29)
+    _, _, X = synth_generate(spec)
+    cfg = SolverConfig(rank=3, alpha=1e-4, tol=1e-30, max_iters=6, variant=variant)
+    model, E, report = variants.solve_variant(X, cfg)
+    X = tensor.slice_major(X)
+    resid = X - tensor.reconstruct(model.a, model.core, model.b) - E
+    assert report.iterations[-1].err_rec == admm._slice_ratio(resid, admm._sq_norms(X))

@@ -4,21 +4,27 @@
         --parent-rev 7f93ddf --change-rev HEAD \
         --pairs large-100=10 accept-50=5 complete-cli=5 \
         --records ../bench-records --out BENCH_6.json
+    python3 tools/bench_pairs.py ... --seed 7 --pairs large-100=3 --out BENCH_6.json
 
 ``--parent`` and ``--change`` are checkouts (``git archive`` copies will do).
-Pair i runs ``python3 perfbench/run.py --workload W`` in both, parent first
-when i is odd, change first when even, each in a fresh process with the
-benchmark's own defaults.  Every run's ``.perfbench_out`` record is copied
-to ``--records`` as ``<workload>-<side>-<i>.json``; a record already there
-is reused, so an interrupted run resumes where it stopped.  The BENCH file
-holds, per workload, q25/median/q75 of each end-to-end metric named in
+Pair i runs ``python3 perfbench/run.py --workload W [--seed N]`` in both,
+parent first when i is odd, change first when even, each in a fresh process
+with the benchmark's other defaults.  The record each run writes and names
+on its ``record written to`` line, ``.perfbench_out/<workload>-seed<seed>-
+trace0.json`` (the workload's default seed without ``--seed``), is copied to
+``--records`` as
+``<workload>[-seed<N>]-<side>-<i>.json``; a record already there is reused,
+so an interrupted run resumes where it stopped.  The BENCH file holds, per
+workload and seed, q25/median/q75 of each end-to-end metric named in
 BENCHMARK.json for both sides, the pairs the change won, attempted and
 failed solves, nondeterminism reports, the seeds and the environment, all
-read from the records.
+read from the records.  An existing ``--out`` file for the same two
+revisions is extended, so a held-out seed's pairs join the default ones.
 """
 
 import argparse
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -26,13 +32,24 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout, workload, dest):
+def command(workload, seed):
+    cmd = ["python3", "perfbench/run.py", "--workload", workload]
+    return cmd if seed is None else [*cmd, "--seed", str(seed)]
+
+
+def record_path(checkout, stdout):
+    """The record a run wrote, by the exact name its output gives; records of
+    other seeds in the same directory are left alone."""
+    (name,) = re.findall(r"^record written to (\S+)$", stdout, re.M)
+    return checkout / name
+
+
+def run_once(checkout, workload, seed, dest):
     """One benchmark run, unless ``dest`` holds its record already; returns it."""
     if not dest.exists():
-        subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload],
-                       cwd=checkout, capture_output=True, check=True)
-        (record,) = (checkout / ".perfbench_out").glob(f"{workload}-seed*-trace0.json")
-        shutil.copyfile(record, dest)
+        run = subprocess.run([sys.executable, *command(workload, seed)[1:]], cwd=checkout,
+                             capture_output=True, check=True, text=True)
+        shutil.copyfile(record_path(checkout, run.stdout), dest)
     return json.loads(dest.read_text())
 
 
@@ -78,24 +95,34 @@ def main(argv=None):
     parser.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
     parser.add_argument("--records", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="instance seed passed to perfbench/run.py; "
+                             "default: the benchmark's own")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     args.records.mkdir(parents=True, exist_ok=True)
     bench = {"parent": args.parent_rev, "change": args.change_rev,
-             "command": "python3 perfbench/run.py --workload <workload>",
+             "command": "python3 perfbench/run.py --workload <workload> [--seed <seed>]",
              "order": "alternating: parent first in odd pairs, change first in even",
              "workloads": {}}
+    if args.out.exists():
+        old = json.loads(args.out.read_text())
+        if (old["parent"], old["change"]) == (args.parent_rev, args.change_rev):
+            bench = old
+    tag = "" if args.seed is None else f"-seed{args.seed}"
     for spec in args.pairs:
         workload, n_pairs = spec.split("=")
         runs = {"parent": [], "change": []}
         for i in range(1, int(n_pairs) + 1):
             for side in ("parent", "change") if i % 2 else ("change", "parent"):
-                dest = args.records / f"{workload}-{side}-{i}.json"
-                runs[side].append(run_once(checkouts[side], workload, dest))
-                print(f"{workload} pair {i} {side}:",
+                dest = args.records / f"{workload}{tag}-{side}-{i}.json"
+                runs[side].append(run_once(checkouts[side], workload, args.seed, dest))
+                print(f"{workload}{tag} pair {i} {side}:",
                       json.dumps(runs[side][-1]["metrics"]), flush=True)
-        bench["workloads"][workload] = summarise(runs, benchmark["end_to_end"])
+        summary = summarise(runs, benchmark["end_to_end"])
+        summary["command"] = " ".join(command(workload, args.seed))
+        bench["workloads"][workload + tag] = summary
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
 
 
