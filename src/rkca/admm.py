@@ -1,13 +1,15 @@
 """The one iteration loop, the kernels all six variants share, and ``admm2``.
 
-Every variant is one scheme: block updates of the separable factors
-``A R_i B^T``, shrinkage of the outliers E, then dual ascent under capped,
-geometrically growing penalties.  :func:`_iterate` is the loop all of them
-run, on one copy of each shared kernel: residual shrinkage (selective under
-an observation mask, for robust completion), per-slice ratios, the batched
-Stein core update and the basis normal-equation solve, both resting on
-:func:`linalg.symmetric_eig`.  Here too are the block steps of ``admm2``,
-which solves
+Every variant is one augmented-Lagrangian scheme: shrinkage of the
+outliers E, a sweep of block steps on the separable factors ``A R_i B^T``,
+then dual ascent under capped, geometrically growing penalties.
+:func:`_iterate` is the loop all of them run, from a table: the start, the
+sweep, the factors whose reconstruction L carries X = L + E, and one
+:class:`Split` row per split constraint.  It runs on one copy of each shared
+kernel: residual shrinkage (selective under an observation mask, for robust
+completion), per-slice ratios, the batched Stein core update and the basis
+normal-equation solve, both resting on :func:`linalg.symmetric_eig`.  Here
+too are the block steps of ``admm2``, which solves
 
     min  alpha*||R||_1 + lambda*||E||_1 + (||A||_F^2 + ||B||_F^2)/2
     s.t. X = K x_1 A x_2 B + E,   R = K,
@@ -18,16 +20,18 @@ five variants' block steps live in :mod:`rkca.variants`.
 
 X and the mask are copied once to slice-major storage
 (:func:`tensor.slice_major`), which every data-sized tensor derived from them
-keeps; cores stay (r, r, N) C-ordered.  A run's start allocates E, Lam and
-two work buffers, and every data-sized array an iteration builds goes into
-one of these four (:func:`_spare`).  The reconstruction a dual update builds
-is cached for the next E step, which subtracts the same tensor.
+keeps, and cores are slice-major too, so :func:`_slices` and :func:`_stack`
+are views.  A run's start allocates E, Lam and two work buffers, and every
+data-sized array an iteration builds goes into one of these four
+(:func:`_spare`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,30 +57,42 @@ class SolverAbort(linalg.NumericalError):
         self.report = report
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SolverState:
-    """All primal/dual variables of one ADMM run.
-
-    ``recon`` caches ``(a, core, b, core x_1 a x_2 b)`` from a dual update for
-    the next E step; it is used only while the state still holds those very
-    arrays (factors are replaced, never written in place).  ``x_norms`` caches
-    ``(X, per-slice squared norms of X)`` the same way, for the residuals.
-    ``buffers`` lists the run's own data-sized arrays (see :func:`_spare`).
-    """
+    """All primal/dual variables of one run; K, Y, mu_K and mu_K_cap stay
+    None in the linearised variants, which have no split.  ``x_norms`` caches
+    ``(X, per-slice squared norms of X)``, matched by identity, and
+    ``basis_norms`` the norms of ``variants._basis_norm``; ``buffers`` lists
+    the run's own data-sized arrays (see :func:`_spare`)."""
 
     model: FactorModel
     E: np.ndarray
-    K: np.ndarray
     Lam: np.ndarray
-    Y: np.ndarray
     mu: float
-    mu_K: float
     mu_cap: float
-    mu_K_cap: float
+    K: np.ndarray | None = None
+    Y: np.ndarray | None = None
+    mu_K: float | None = None
+    mu_K_cap: float | None = None
     iters: int = 0
-    recon: tuple | None = None
     x_norms: tuple | None = None
+    basis_norms: list = field(default_factory=list)
     buffers: list = field(default_factory=list)
+
+
+class Split(NamedTuple):
+    """A split constraint ``primal = copy`` as attribute paths on the state:
+    the report name of its residual, its dual, and its penalty, which grows
+    up to ``<penalty>_cap``."""
+
+    err: str
+    primal: str
+    copy: str
+    dual: str
+    penalty: str
+
+
+CORE_SPLIT = Split("err_R", "model.core", "K", "Y", "mu_K")
 
 
 def _sym(mat):
@@ -86,17 +102,19 @@ def _sym(mat):
 
 def _slices(t):
     # View of a (m, n, N) tensor as a (N, m, n) batch.
-    return np.moveaxis(t, 2, 0)
+    return t.transpose(2, 0, 1)
 
 
 def _stack(batch):
-    # A (N, r, r) batch of core slices as a C-ordered (r, r, N) core.
-    return np.ascontiguousarray(np.moveaxis(batch, 0, 2))
+    # View of a (N, r, r) batch of core slices as a (r, r, N) core.
+    return batch.transpose(1, 2, 0)
 
 
 def _sq_norms(t):
-    """Per-slice squared Frobenius norms of a (m, n, N) tensor."""
-    return np.einsum("kij,kij->k", _slices(t), _slices(t))
+    """Per-slice squared Frobenius norms of a (m, n, N) tensor; a matrix is
+    one slice."""
+    s = _slices(t) if t.ndim == 3 else t
+    return np.einsum("...ij,...ij->...", s, s)
 
 
 def _slice_ratio(diff, den):
@@ -109,17 +127,17 @@ def _slice_ratio(diff, den):
 
 def _spare(state, *busy):
     """A data-sized scratch array: one of ``state.buffers`` bound to none of
-    E, Lam, the cached reconstruction and ``busy``, else a new slice-major one.
+    E, Lam and ``busy``, else a new slice-major one.
 
     A step overwrites only these buffers, and arrays it allocated itself;
     never X, the mask or an array its caller passed.
     """
-    taken = (state.E, state.Lam, state.recon and state.recon[3], *busy)
+    taken = (state.E, state.Lam, *busy)
     for buf in state.buffers:
         if not any(buf is t for t in taken):
             return buf
     m, n, N = state.E.shape
-    return np.moveaxis(np.empty((N, m, n)), 0, 2)
+    return np.empty((N, m, n)).transpose(1, 2, 0)
 
 
 def _x_norms(state, X):
@@ -141,7 +159,7 @@ def initialize(X, cfg):
     r = cfg.rank
     a = np.zeros((m, r))
     b = np.zeros((n, r))
-    core = np.zeros((r, r, N))
+    core = _stack(np.zeros((N, r, r)))
     core_norm_sum = 0.0
     x_norm_sum = 0.0
     for i in range(N):
@@ -165,7 +183,7 @@ def initialize(X, cfg):
     mu = ETA_INIT * N / x_norm_sum if x_norm_sum > 0 else ETA_INIT
     mu_K = ETA_INIT * N / core_norm_sum if core_norm_sum > 0 else ETA_INIT
     return SolverState(
-        model=FactorModel(a, b, core), E=np.zeros_like(X), K=core.copy(),
+        model=FactorModel(a, b, core), E=np.zeros_like(X), K=core.copy(order="K"),
         Lam=np.zeros_like(X), Y=np.zeros_like(core), mu=mu, mu_K=mu_K,
         mu_cap=cfg.mu_cap_factor * mu, mu_K_cap=cfg.mu_cap_factor * mu_K,
     )
@@ -185,62 +203,25 @@ def _prepare(X, cfg):
     return X, cfg
 
 
-def _keep_recon(state, a, core, b, *busy):
-    """Reconstruct from (a, core, b) into a spare, and cache it on the state
-    for the E step."""
-    recon = tensor.reconstruct(a, core, b, out=_spare(state, *busy))
-    state.recon = (a, core, b, recon)
-    return recon
-
-
-def _take_recon(state, a, core, b):
-    """``core x_1 a x_2 b`` for the caller to overwrite: the cached one if
-    built from these very arrays, else a new reconstruct into a spare.  The
-    cache is dropped either way."""
-    cached, state.recon = state.recon, None
-    if cached is not None and all(x is y for x, y in zip(cached, (a, core, b))):
-        return cached[3]
-    return tensor.reconstruct(a, core, b, out=_spare(state))
-
-
-def _residual(X, recon, E=None, out=None):
-    """X - recon (- E), written to ``out`` (a new array if None; may be recon)."""
-    out = np.subtract(X, recon, out=out)
-    if E is not None:
-        out -= E
-    return out
-
-
-def _ascend_lam(state, resid):
-    """Dual ascent Lam <- Lam + mu * resid, built in place in ``resid``, an
-    array of the step's own; the old Lam's buffer returns to the spares."""
-    resid *= state.mu
-    resid += state.Lam
-    state.Lam = resid
-
-
-def _add_lam_over_mu(state, t):
-    """t += Lam/mu, with Lam/mu formed in a spare; returns that spare."""
-    lam_mu = np.divide(state.Lam, state.mu, out=_spare(state, t))
-    t += lam_mu
-    return lam_mu
-
-
-def _shrink_E(state, X, cfg, lam, left, core, right):
-    """E step: shrink X - core x_1 left x_2 right + Lam/mu at level lam/mu
-    (selectively under a mask).  The residual is built in the reconstruction's
-    array, the shrinkage in a spare."""
-    resid = _take_recon(state, left, core, right)
-    out = _add_lam_over_mu(state, _residual(X, resid, out=resid))
+def _shrink_E(state, X, cfg, lam, recon):
+    """E step: shrink X - recon + Lam/mu at level lam/mu (selectively under a
+    mask).  The residual is built in recon's array, which is overwritten;
+    Lam/mu and then the shrinkage in a spare."""
+    resid = np.subtract(X, recon, out=recon)
+    out = np.divide(state.Lam, state.mu, out=_spare(state, resid))
+    resid += out
     if cfg.mask is not None:
         return linalg.selective_shrink(resid, lam / state.mu, cfg.mask, out=out)
     return linalg.soft_shrink(resid, lam / state.mu, out=out)
 
 
-def update_E(state, X, cfg):
-    """Shrink the residual X - K x_1 A x_2 B + Lam/mu at level lambda/mu."""
-    lam = cfg.resolved_lambda(X.shape)
-    return _shrink_E(state, X, cfg, lam, state.model.a, state.K, state.model.b)
+def update_E(state, X, cfg, recon=None):
+    """Shrink the residual X - L + Lam/mu at level lambda/mu, with
+    L = K x_1 A x_2 B unless ``recon`` passes the loop's L, which is
+    overwritten."""
+    if recon is None:
+        recon = tensor.reconstruct(state.model.a, state.K, state.model.b, out=_spare(state))
+    return _shrink_E(state, X, cfg, cfg.resolved_lambda(X.shape), recon)
 
 
 def _solve_spd_right(system, rhs, report, label, iteration):
@@ -347,32 +328,42 @@ def update_R(state, cfg):
     return linalg.soft_shrink(state.K - state.Y / state.mu_K, cfg.alpha / state.mu_K)
 
 
-def _split_duals(state, x_tilde, left, right):
-    """Dual ascent on Xt = K x_1 left x_2 right and on R = K.  The
-    reconstruction stays cached for the next E step; Lam is built in
-    x_tilde's array if that is a state buffer, else in a spare."""
-    recon = _keep_recon(state, left, state.K, right, x_tilde)
-    out = x_tilde if any(x_tilde is buf for buf in state.buffers) else _spare(state)
-    _ascend_lam(state, np.subtract(x_tilde, recon, out=out))
-    state.Y = state.Y + state.mu_K * (state.model.core - state.K)
+def _ascend(state, resid, splits, cfg):
+    """Dual ascent on X = L + E, ``resid`` its residual, and on each of the
+    ``splits``, each by its own penalty, which then grows up to its cap.
+    Lam is built in ``resid``, an array of the caller's own.  Returns each
+    split's worst per-slice residual by its report name."""
+    resid *= state.mu
+    resid += state.Lam
+    state.Lam = resid
+    state.mu = min(state.mu_cap, cfg.rho * state.mu)
+    errs = {}
+    for row in splits:
+        primal = attrgetter(row.primal)(state)
+        diff = primal - getattr(state, row.copy)
+        mu = getattr(state, row.penalty)
+        setattr(state, row.dual, getattr(state, row.dual) + mu * diff)
+        setattr(state, row.penalty, min(getattr(state, row.penalty + "_cap"), cfg.rho * mu))
+        errs[row.err] = _slice_ratio(diff, _sq_norms(primal))
+    return errs
 
 
 def update_duals(state, x_tilde, cfg):
-    """Dual ascent on both constraints, then grow the capped penalties.
-
-    The reconstruction K x_1 A x_2 B stays cached for the next E step.
-    """
-    _split_duals(state, x_tilde, state.model.a, state.model.b)
-    state.mu = min(state.mu_cap, cfg.rho * state.mu)
-    state.mu_K = min(state.mu_K_cap, cfg.rho * state.mu_K)
+    """Dual ascent on Xt = K x_1 A x_2 B and on R = K, then grow both capped
+    penalties: the loop's tail (:func:`_ascend`) on the admm2 table."""
+    recon = tensor.reconstruct(state.model.a, state.K, state.model.b)
+    _ascend(state, np.subtract(x_tilde, recon, out=recon), (CORE_SPLIT,), cfg)
     return state
 
 
-def residuals(state, X):
-    """Primal-feasibility errors (err_rec, err_R), worst slice of each."""
+def residuals(state, X, out=None):
+    """Primal-feasibility errors (err_rec, err_R), worst slice of each;
+    ``out`` is scratch for A R B^T (a spare if None)."""
     a, b, core = state.model.a, state.model.b, state.model.core
-    recon = tensor.reconstruct(a, core, b, out=_spare(state))
-    err_rec = _slice_ratio(_residual(X, recon, state.E, out=recon), _x_norms(state, X))
+    resid = tensor.reconstruct(a, core, b, out=_spare(state) if out is None else out)
+    np.subtract(X, resid, out=resid)
+    resid -= state.E
+    err_rec = _slice_ratio(resid, _x_norms(state, X))
     err_core = _slice_ratio(core - state.K, _sq_norms(core))
     return err_rec, err_core
 
@@ -384,46 +375,74 @@ def _check_finite(state, report, named=None):
         named = {"A": state.model.a, "B": state.model.b, "R": state.model.core}
         named.update((k, v) for k, v in vars(state).items()
                      if isinstance(v, np.ndarray) and k != "E")
-    for name, value in named.items():  # only a non-finite sum is scanned
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = np.sum(value)
-        if not np.isfinite(total) and not np.isfinite(value).all():
+    for name, value in named.items():
+        if not tensor._all_finite(value):
             report.termination = "abort"
             msg = f"non-finite values in {name} at iteration {state.iters}"
             raise SolverAbort(msg, report)
 
 
-def _iterate(X, cfg, start, e_step, sweep, penalty):
+def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None,
+             block_log=None):
     """Run the iteration loop shared by every variant; returns (model, E, report).
 
-    The variant's steps: ``start(X, cfg)`` returns the initial state;
-    ``e_step(state, X, cfg)`` returns the new E; ``sweep(state, X, cfg,
-    report)`` runs the other block steps and the dual and penalty updates and
-    names the residuals held to ``cfg.tol``; ``penalty(state, cfg)`` names the
-    low-rank objective terms.  A kernel failure in any of them, the start
+    ``start(X, cfg)`` returns the first state.  An iteration runs the E step
+    on the last L, the reconstruction from ``carriers`` (attribute paths of
+    left, core and right), then ``sweep(state, X, x_tilde, cfg, report)``:
+    the block steps on Xt = X - E (read only), each yielding its name first.
+    The tail builds L once, ascends Lam and each of the ``splits`` and grows
+    every penalty (:func:`_ascend`); the run stops once every residual is
+    within ``cfg.tol``.  ``penalty(state, cfg)`` names the low-rank objective
+    terms.  With a ``block_log`` list, ``lagrangian(state, X, cfg, lam)`` is
+    taken once at every step boundary, and each step appends {"iter",
+    "stage", "before", "after"}.  A kernel failure anywhere, the start
     included, aborts the run like non-finite values do.
     """
     lam = cfg.resolved_lambda(X.shape)
     report = RunReport(variant=cfg.variant, config=cfg.resolved(X.shape))
-    state = None
+    carriers = attrgetter(*carriers)
+    state, opened = None, []
+
+    def boundary(stage):
+        # One Lagrangian value closes the open block_log entry, if any, and
+        # opens one for ``stage`` (None after the sweep).
+        if block_log is not None:
+            value = lagrangian(state, X, cfg, lam)
+            for name, before in opened:
+                block_log.append({"iter": state.iters, "stage": name,
+                                  "before": before, "after": value})
+            opened[:] = [(stage, value)] if stage else []
+
     try:
         state = start(X, cfg)
         state.buffers = [state.E, state.Lam, np.empty_like(X), np.empty_like(X)]
+        recon = tensor.reconstruct(*carriers(state), out=_spare(state))
         for it in range(1, cfg.max_iters + 1):
             t0 = time.perf_counter()
             state.iters = it
-            state.E = e_step(state, X, cfg)
+            boundary("E")
+            state.E = update_E(state, X, cfg, recon)
             # A finite l1 sum proves E finite; only a non-finite one is scanned.
             l1_sparse = tensor.l1(state.E, cfg.mask, out=_spare(state))
             if not np.isfinite(l1_sparse):
                 _check_finite(state, report, {"E": state.E})
-            errs = sweep(state, X, cfg, report)
+            x_tilde = np.subtract(X, state.E, out=_spare(state))
+            for stage in sweep(state, X, x_tilde, cfg, report):
+                boundary(stage)
+            boundary(None)
+            recon = tensor.reconstruct(*carriers(state), out=_spare(state, x_tilde))
+            if splits:  # copies carry L: err_rec needs the model's own A R B^T
+                errs = _ascend(state, np.subtract(x_tilde, recon, out=x_tilde), splits, cfg)
+                errs = {"err_rec": residuals(state, X, out=_spare(state, recon))[0], **errs}
+            else:  # L is the model's own A R B^T: err_rec is read off its residual
+                resid = np.subtract(X, recon, out=x_tilde)
+                resid -= state.E
+                errs = {"err_rec": _slice_ratio(resid, _x_norms(state, X))}
+                _ascend(state, resid, (), cfg)
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             objective = {"l1_sparse": lam * l1_sparse, **penalty(state, cfg)}
-            report.append(IterationRecord(
-                iter=it, mu=state.mu, mu_K=getattr(state, "mu_K", None),
-                elapsed_ms=elapsed_ms, objective=objective, **errs,
-            ))
+            report.append(IterationRecord(iter=it, mu=state.mu, mu_K=state.mu_K,
+                                          elapsed_ms=elapsed_ms, objective=objective, **errs))
             _check_finite(state, report)
             _check_finite(state, report, errs)
             if max(errs.values()) <= cfg.tol:
@@ -440,18 +459,18 @@ def _iterate(X, cfg, start, e_step, sweep, penalty):
     return state.model, state.E, report
 
 
-def _admm2_sweep(state, X, cfg, report):
-    # Xt and P fill the two work buffers; the B and K steps share A^T P_i,
-    # and P's buffer then receives the dual update's reconstruction.
-    x_tilde = np.subtract(X, state.E, out=_spare(state))
+def _admm2_sweep(state, X, x_tilde, cfg, report):
+    # P fills the spare work buffer; the B and K steps share A^T P_i.
     p = _target(state, x_tilde)
+    yield "A"
     state.model.a = update_A(state, x_tilde, cfg, report, p)
+    yield "B"
     g = _basis_target(state, x_tilde, state.model.a, p)
     state.model.b = update_B(state, x_tilde, cfg, report, p, g)
+    yield "K"
     state.K = update_K(state, x_tilde, cfg, p, g)
+    yield "R"
     state.model.core = update_R(state, cfg)
-    update_duals(state, x_tilde, cfg)
-    return dict(zip(("err_rec", "err_R"), residuals(state, X)))
 
 
 def _admm2_penalty(state, cfg):
@@ -470,4 +489,5 @@ def solve(X, cfg):
     X, cfg = _prepare(X, cfg)
     if cfg.variant != "admm2":
         raise ValueError(f"admm.solve handles the admm2 variant, got {cfg.variant!r}")
-    return _iterate(X, cfg, initialize, update_E, _admm2_sweep, _admm2_penalty)
+    return _iterate(X, cfg, initialize, _admm2_sweep, _admm2_penalty,
+                    ("model.a", "K", "model.b"), (CORE_SPLIT,))

@@ -45,12 +45,15 @@ def _check_number(name, value, kind):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_mask_shape(mask, dims):
+    if np.shape(mask) != tuple(dims):
+        raise ValueError(f"mask shape {np.shape(mask)} does not match data dims {dims}")
+
+
 def check_mask(mask, dims):
     """Validate an observation mask against tensor dims; returns bool array."""
-    mask = np.asarray(mask)
-    if mask.shape != tuple(dims):
-        raise ValueError(f"mask shape {mask.shape} does not match data dims {dims}")
-    return mask.astype(bool)
+    _check_mask_shape(mask, dims)
+    return np.asarray(mask).astype(bool)
 
 
 @dataclass
@@ -144,12 +147,13 @@ class SolverConfig:
             )
 
     def validate_for(self, dims):
-        """Check rank and mask against concrete data dims."""
+        """Check rank and mask shape against concrete data dims; the mask is
+        not copied."""
         m, n, _ = dims
         if self.rank > min(m, n):
             raise ValueError(f"rank {self.rank} exceeds min(m, n) = {min(m, n)}")
         if self.mask is not None:
-            check_mask(self.mask, dims)
+            _check_mask_shape(self.mask, dims)
 
     def resolved_lambda(self, dims):
         return self.lam if self.lam is not None else float(default_lambda(dims))

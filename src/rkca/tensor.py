@@ -7,11 +7,12 @@ vectorisations and the binary file format follow that ordering, so modes are
 numbered 1..3 and the first index always varies fastest.
 
 That order says how entries are numbered, not how memory is laid out.  The
-solvers hold every data-sized tensor slice-major (:func:`slice_major`): a
-C-contiguous ``(N, m, n)`` buffer seen through ``np.moveaxis`` as
-``(m, n, N)``, so each frontal slice is one contiguous block for the batched
-per-slice products.  :func:`reconstruct` returns that layout too.  Shapes and
-values do not depend on layout, and every function here accepts any strides.
+solvers hold every data-sized tensor and every core slice-major
+(:func:`slice_major`): a C-contiguous ``(N, m, n)`` buffer seen through a view
+as ``(m, n, N)``, so each frontal slice is one contiguous block for the
+batched per-slice products.  :func:`reconstruct` returns that layout too.
+Shapes and values do not depend on layout, and every function here accepts
+any strides.
 
 Unfoldings are explicit copies, never views.
 """
@@ -43,9 +44,17 @@ def as_tensor3(data, name="tensor"):
     t = np.asarray(data, dtype=np.float64)
     if t.ndim != 3:
         raise ValueError(f"{name} must be 3-way, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
+    if not _all_finite(t):
         raise ValueError(f"{name} contains non-finite entries")
     return t
+
+
+def _all_finite(t):
+    """Whether every entry of ``t`` is finite, without a data-sized temporary
+    unless the sum is not finite: only then are the entries scanned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(t)
+    return bool(np.isfinite(total) or np.isfinite(t).all())
 
 
 def slice_major(t):
@@ -137,10 +146,10 @@ def reconstruct(a, core, b, out=None):
         raise ValueError(
             f"incompatible shapes: a {a.shape}, b {b.shape}, core {core.shape}"
         )
-    slices = np.moveaxis(core, 2, 0)  # (N, r, r)
+    slices = core.transpose(2, 0, 1)  # (N, r, r)
     if out is None:
-        return np.moveaxis(a @ slices @ b.T, 0, 2)
-    np.matmul(a @ slices, b.T, out=np.moveaxis(out, 2, 0))
+        return (a @ slices @ b.T).transpose(1, 2, 0)
+    np.matmul(a @ slices, b.T, out=out.transpose(2, 0, 1))
     return out
 
 

@@ -1,7 +1,8 @@
 """Block steps of the linearised and degree-3 variants, and the dispatcher.
 
 All six variants run the one loop, ``admm._iterate``, on the kernels in
-:mod:`rkca.admm`, beside ``admm2``'s steps.  Here are the other five's steps:
+:mod:`rkca.admm`, beside ``admm2``'s steps.  Here are the other five's steps
+and tables:
 
 * ``ladmm2``   -- alpha*||R||_1 + (||A||_F^2 + ||B||_F^2)/2, linearised steps;
 * ``ladmm3_fro``/``ladmm3_nuc`` -- alpha*||R||_1 * |A| * |B| with |.| the
@@ -17,9 +18,7 @@ augmented Lagrangian.  :func:`solve_variant` runs a variant in the loop.
 
 from __future__ import annotations
 
-import contextlib
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,24 +39,8 @@ LADMM_VARIANTS = ("ladmm2", "ladmm3_fro", "ladmm3_nuc")
 DEGREE3_SUB_VARIANTS = ("admm3_fro", "admm3_nuc")
 
 
-@dataclass
-class LadmmState:
-    """Primal/dual variables of a linearised-ADMM run (no split variables).
-
-    ``recon``, ``x_norms`` and ``buffers`` are as in ``admm.SolverState``;
-    ``basis_norms`` holds the last two (basis, norm) pairs for :func:`_basis_norm`.
-    """
-
-    model: FactorModel
-    E: np.ndarray
-    Lam: np.ndarray
-    mu: float
-    mu_cap: float
-    iters: int = 0
-    recon: tuple | None = None
-    x_norms: tuple | None = None
-    buffers: list = field(default_factory=list)
-    basis_norms: list = field(default_factory=list)
+# A linearised-ADMM run has no split: its K, Y and mu_K stay None.
+LadmmState = admm.SolverState
 
 
 @dataclass(kw_only=True)
@@ -72,7 +55,6 @@ class Degree3State(admm.SolverState):
     mu_V: float
     mu_U_cap: float
     mu_V_cap: float
-    basis_norms: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -235,46 +217,19 @@ def _lagrangian(state, X, cfg, lam):
     return lam * tensor.l1(state.E, cfg.mask) + penalty + couple
 
 
-@contextlib.contextmanager
-def _logged(block_log, stage, state, X, cfg, lam):
-    """Log the augmented Lagrangian before and after the enclosed block step."""
-    if block_log is None:
-        yield
-        return
-    before = _lagrangian(state, X, cfg, lam)
-    yield
-    block_log.append({"iter": state.iters, "stage": stage, "before": before,
-                      "after": _lagrangian(state, X, cfg, lam)})
-
-
-def _ladmm_update_E(state, X, cfg, lam, block_log=None):
-    with _logged(block_log, "E", state, X, cfg, lam):
-        model = state.model
-        state.E = admm._shrink_E(state, X, cfg, lam, model.a, model.core, model.b)
-    return state.E
-
-
-def _ladmm_sweep(state, X, cfg, report, lam, block_log=None):
-    # One Delta, in a work buffer, serves all three steps: E, Lam and mu are
-    # fixed until the dual update.  The B step keeps A, so B and R share one
-    # A^T Delta_i.  err_rec is read off the dual update's residual before
-    # that residual is scaled into Lam.
-    delta = np.subtract(X, state.E, out=admm._spare(state))
-    admm._add_lam_over_mu(state, delta)
-    with _logged(block_log, "A", state, X, cfg, lam):
-        state.model.a = ladmm_update_A(state, X, cfg, delta)
+def _ladmm_sweep(state, X, x_tilde, cfg, report):
+    # One Delta = Xt + Lam/mu, in the spare work buffer, serves all three
+    # steps: E, Lam and mu are fixed until the dual update.  The B step keeps
+    # A, so B and R share one A^T Delta_i.
+    delta = np.divide(state.Lam, state.mu, out=admm._spare(state, x_tilde))
+    delta += x_tilde
+    yield "A"
+    state.model.a = ladmm_update_A(state, X, cfg, delta)
+    yield "B"
     a_delta = state.model.a.T @ _slices(delta)
-    with _logged(block_log, "B", state, X, cfg, lam):
-        state.model.b = ladmm_update_B(state, X, cfg, a_delta=a_delta)
-    with _logged(block_log, "R", state, X, cfg, lam):
-        state.model.core = ladmm_update_R(state, X, cfg, a_delta=a_delta)
-    model = state.model
-    recon = admm._keep_recon(state, model.a, model.core, model.b)
-    resid = admm._residual(X, recon, state.E, out=admm._spare(state))
-    err_rec = admm._slice_ratio(resid, admm._x_norms(state, X))
-    admm._ascend_lam(state, resid)
-    state.mu = min(state.mu_cap, cfg.rho * state.mu)
-    return {"err_rec": err_rec}
+    state.model.b = ladmm_update_B(state, X, cfg, a_delta=a_delta)
+    yield "R"
+    state.model.core = ladmm_update_R(state, X, cfg, a_delta=a_delta)
 
 
 def _init_tucker(X, cfg):
@@ -300,8 +255,9 @@ def _init_tucker(X, cfg):
                 for gram in (gram_a, gram_b))
     x_norm_sum = sum(np.linalg.norm(x_i) for x_i in _slices(X))
     mu = ETA_INIT * N / x_norm_sum if x_norm_sum > 0 else ETA_INIT
-    return LadmmState(FactorModel(a, b, _stack(a.T @ _slices(X) @ b)), np.zeros_like(X),
-                      np.zeros_like(X), mu, cfg.mu_cap_factor * mu)
+    return LadmmState(model=FactorModel(a, b, _stack(a.T @ _slices(X) @ b)),
+                      E=np.zeros_like(X), Lam=np.zeros_like(X),
+                      mu=mu, mu_cap=cfg.mu_cap_factor * mu)
 
 
 def degree3_update_A_sub(state, cfg):
@@ -339,7 +295,8 @@ def degree3_update_V(state, x_tilde, cfg, report=None, p=None, g=None):
 
 
 def _degree3_update_E(state, X, cfg, lam):
-    return admm._shrink_E(state, X, cfg, lam, state.U, state.K, state.V)
+    recon = tensor.reconstruct(state.U, state.K, state.V, out=admm._spare(state))
+    return admm._shrink_E(state, X, cfg, lam, recon)
 
 
 def _degree3_update_K(state, x_tilde, cfg, p=None, g=None):
@@ -365,33 +322,22 @@ def _init_degree3(X, cfg):
     )
 
 
-def _degree3_sweep(state, X, cfg, report):
-    # Buffers as in admm2's sweep; the V and K steps share U^T P_i.
-    x_tilde = np.subtract(X, state.E, out=admm._spare(state))
+def _degree3_sweep(state, X, x_tilde, cfg, report):
+    # As admm2's sweep; the V and K steps share U^T P_i.
     p = admm._target(state, x_tilde)
+    yield "A"
     state.model.a = degree3_update_A_sub(state, cfg)
+    yield "B"
     state.model.b = degree3_update_B_sub(state, cfg)
+    yield "U"
     state.U = degree3_update_U(state, x_tilde, cfg, report, p)
+    yield "V"
     g = admm._basis_target(state, x_tilde, state.U, p)
     state.V = degree3_update_V(state, x_tilde, cfg, report, p, g)
+    yield "K"
     state.K = _degree3_update_K(state, x_tilde, cfg, p, g)
+    yield "R"
     state.model.core = _degree3_update_R(state, cfg)
-    admm._split_duals(state, x_tilde, state.U, state.V)
-    state.Y_U = state.Y_U + state.mu_U * (state.model.a - state.U)
-    state.Y_V = state.Y_V + state.mu_V * (state.model.b - state.V)
-    state.mu = min(state.mu_cap, cfg.rho * state.mu)
-    state.mu_K = min(state.mu_K_cap, cfg.rho * state.mu_K)
-    state.mu_U = min(state.mu_U_cap, cfg.rho * state.mu_U)
-    state.mu_V = min(state.mu_V_cap, cfg.rho * state.mu_V)
-    errs = dict(zip(("err_rec", "err_R"), admm.residuals(state, X)))
-    errs["err_A"] = _ratio(state.model.a - state.U, state.model.a)
-    errs["err_B"] = _ratio(state.model.b - state.V, state.model.b)
-    return errs
-
-
-def _ratio(diff, ref):
-    num, den = float(np.sum(np.square(diff))), float(np.sum(np.square(ref)))
-    return num / den if den > 0 else num
 
 
 def solve_variant(X, cfg, block_log=None):
@@ -403,14 +349,13 @@ def solve_variant(X, cfg, block_log=None):
     if cfg.variant == "admm2":
         return admm.solve(X, cfg)
     X, cfg = admm._prepare(X, cfg)
-    lam = cfg.resolved_lambda(X.shape)
     if cfg.variant in LADMM_VARIANTS:
-        steps = (_init_tucker,
-                 functools.partial(_ladmm_update_E, lam=lam, block_log=block_log),
-                 functools.partial(_ladmm_sweep, lam=lam, block_log=block_log))
-    elif cfg.variant in DEGREE3_SUB_VARIANTS:
-        steps = (_init_degree3, functools.partial(_degree3_update_E, lam=lam),
-                 _degree3_sweep)
-    else:
-        raise ValueError(f"unknown variant {cfg.variant!r}")
-    return admm._iterate(X, cfg, *steps, penalty=_penalty)
+        return admm._iterate(X, cfg, _init_tucker, _ladmm_sweep, _penalty,
+                             ("model.a", "model.core", "model.b"),
+                             lagrangian=_lagrangian, block_log=block_log)
+    if cfg.variant in DEGREE3_SUB_VARIANTS:
+        splits = (admm.CORE_SPLIT, admm.Split("err_A", "model.a", "U", "Y_U", "mu_U"),
+                  admm.Split("err_B", "model.b", "V", "Y_V", "mu_V"))
+        return admm._iterate(X, cfg, _init_degree3, _degree3_sweep, _penalty,
+                             ("U", "K", "V"), splits)
+    raise ValueError(f"unknown variant {cfg.variant!r}")

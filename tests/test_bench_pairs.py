@@ -80,3 +80,23 @@ def test_run_once_takes_the_record_the_run_wrote(bench_pairs, tmp_path, monkeypa
     # A record already copied is reused without a run.
     assert bench_pairs.run_once(checkout, "accept-50", 3, dest) == {"seed": 3}
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", ["accept-50=1", "accept-50", "accept-50=x", "accept-50=2.5",
+                                  "accept50=3", "large-100=3 bogus=3"])
+def test_bad_pairs_fail_before_any_run(bench_pairs, tmp_path, monkeypatch, capsys, spec):
+    # One pair cannot give quartiles, and a misspelt workload or a missing
+    # count would fail only after minutes of runs: all exit 2 up front.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark run was started")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_run)
+    out, records = tmp_path / "BENCH.json", tmp_path / "records"
+    argv = ["--parent", str(SCRIPT.parent.parent), "--change", str(SCRIPT.parent.parent),
+            "--parent-rev", "a", "--change-rev", "b", "--records", str(records),
+            "--out", str(out), "--pairs", *spec.split()]
+    with pytest.raises(SystemExit) as excinfo:
+        bench_pairs.main(argv)
+    assert excinfo.value.code == 2
+    assert "--pairs" in capsys.readouterr().err
+    assert not out.exists() and not records.exists()

@@ -3,6 +3,7 @@
 import json
 import math
 import numbers
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,3 +158,17 @@ def test_update_A_warns_on_ill_conditioning():
     assert out.shape == (m, r)
     assert np.all(np.isfinite(out))
     assert any(w.startswith("U-update") for w in report.warnings)
+
+
+def test_validate_for_checks_the_mask_without_copying_it():
+    mask = np.random.default_rng(16).random((100, 100, 50)) < 0.5
+    cfg = SolverConfig(rank=4, mask=mask)
+    tracemalloc.start()
+    try:
+        cfg.validate_for(mask.shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mask.nbytes / 8, peak / mask.nbytes
+    with pytest.raises(ValueError, match="mask shape"):
+        cfg.validate_for((100, 100, 49))

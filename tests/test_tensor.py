@@ -1,5 +1,7 @@
 """Tensor primitive tests: unfoldings against the index bijection, identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -227,6 +229,27 @@ def test_as_tensor3_rejects_nonfinite():
         tensor.as_tensor3(bad)
     with pytest.raises(ValueError):
         tensor.as_tensor3(np.zeros((2, 2)))
+
+
+def test_as_tensor3_finiteness_check_takes_no_data_sized_temporary():
+    X = np.random.default_rng(15).standard_normal((100, 100, 50))
+    tracemalloc.start()
+    try:
+        assert tensor.as_tensor3(X) is X
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= X.nbytes / 16, peak / X.nbytes
+
+
+def test_as_tensor3_accepts_an_overflowing_sum_and_rejects_nonfinite():
+    big = np.full((4, 3, 2), 1e308)  # every entry finite, the sum is inf
+    assert tensor.as_tensor3(big) is big
+    for value in (np.nan, np.inf, -np.inf):
+        for base in (np.zeros((4, 3, 2)), big.copy()):
+            base[1, 2, 1] = value
+            with pytest.raises(ValueError, match="X contains non-finite entries"):
+                tensor.as_tensor3(base, "X")
 
 
 def test_reconstruct_is_slice_major():

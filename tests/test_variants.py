@@ -494,6 +494,23 @@ def _calls_per_iteration(monkeypatch, module, name, variant, counted=lambda kw: 
     return (counts[1] - counts[0]) / 3
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_moveaxis_per_iteration(monkeypatch, variant):
+    # Data tensors and cores are all slice-major, so an iteration changes
+    # layouts only by transpose views.
+    assert _calls_per_iteration(monkeypatch, np, "moveaxis", variant) == 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_returned_core_is_slice_major(variant):
+    # A view of a C-contiguous (N, r, r) batch, like the data tensors.
+    spec = SynthSpec(m=14, n=12, n_slices=5, rank_a=2, rank_b=2, p_clean=0.8, seed=29)
+    cfg = SolverConfig(rank=3, alpha=1e-4, tol=1e-30, max_iters=3, variant=variant)
+    model, _, _ = variants.solve_variant(synth_generate(spec)[2], cfg)
+    assert model.core.shape == (3, 3, 5)
+    assert model.core.transpose(2, 0, 1).flags.c_contiguous
+
+
 @pytest.mark.parametrize("variant", sorted(EXPECTED_RECONSTRUCTS))
 def test_one_reconstruct_per_factor_set(monkeypatch, variant):
     # The tensor a dual update reconstructs is the one the next E step

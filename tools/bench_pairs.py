@@ -86,6 +86,26 @@ def summarise(runs, metrics):
     return out
 
 
+def parse_pairs(parser, specs, workloads):
+    """``{workload: N}`` from the ``WORKLOAD=N`` specs.  A spec without
+    ``=N``, a non-integer N, N < 2 (the quartiles need two runs a side) or a
+    workload not in ``workloads`` is a usage error (exit 2), raised before
+    any run."""
+    pairs = {}
+    for spec in specs:
+        workload, _, count = spec.partition("=")
+        if workload not in workloads:
+            parser.error(f"--pairs {spec}: unknown workload {workload!r}; "
+                         f"BENCHMARK.json has {', '.join(workloads)}")
+        try:
+            pairs[workload] = int(count)
+        except ValueError:
+            parser.error(f"--pairs {spec}: expected {workload}=N with an integer N")
+        if pairs[workload] < 2:
+            parser.error(f"--pairs {spec}: N must be at least 2")
+    return pairs
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -101,6 +121,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    pairs = parse_pairs(parser, args.pairs, [w["name"] for w in benchmark["workloads"]])
     args.records.mkdir(parents=True, exist_ok=True)
     bench = {"parent": args.parent_rev, "change": args.change_rev,
              "command": "python3 perfbench/run.py --workload <workload> [--seed <seed>]",
@@ -111,10 +132,9 @@ def main(argv=None):
         if (old["parent"], old["change"]) == (args.parent_rev, args.change_rev):
             bench = old
     tag = "" if args.seed is None else f"-seed{args.seed}"
-    for spec in args.pairs:
-        workload, n_pairs = spec.split("=")
+    for workload, n_pairs in pairs.items():
         runs = {"parent": [], "change": []}
-        for i in range(1, int(n_pairs) + 1):
+        for i in range(1, n_pairs + 1):
             for side in ("parent", "change") if i % 2 else ("change", "parent"):
                 dest = args.records / f"{workload}{tag}-{side}-{i}.json"
                 runs[side].append(run_once(checkouts[side], workload, args.seed, dest))
