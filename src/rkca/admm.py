@@ -120,7 +120,11 @@ def _sq_norms(t):
 def _slice_ratio(diff, den):
     """Worst per-slice ratio ||diff_i||^2 / den_i, with ``den`` the reference's
     :func:`_sq_norms`; a zero den_i counts as 1."""
-    num = _sq_norms(diff)
+    return _worst_ratio(_sq_norms(diff), den)
+
+
+def _worst_ratio(num, den):
+    """max_i num_i / den_i, a zero den_i counting as 1; 0 for no slices."""
     out = np.where(den > 0, num / np.where(den > 0, den, 1.0), num)
     return float(np.max(out)) if out.size else 0.0
 
@@ -204,21 +208,42 @@ def _prepare(X, cfg):
 
 
 def _shrink_E(state, X, cfg, lam, recon):
-    """E step: shrink X - recon + Lam/mu at level lam/mu (selectively under a
-    mask).  The residual is built in recon's array, which is overwritten;
-    Lam/mu and then the shrinkage in a spare."""
+    """E step: shrink T = X - recon + Lam/mu at level lam/mu (selectively
+    under a mask).  T is built in recon's array and E is written over it;
+    Lam/mu and then the clip C = clip(T, -lam/mu, lam/mu) [* mask] go to
+    ``_spare(state, recon)``, where C stays for :func:`_shrunk_l1`."""
     resid = np.subtract(X, recon, out=recon)
-    out = np.divide(state.Lam, state.mu, out=_spare(state, resid))
-    resid += out
-    if cfg.mask is not None:
-        return linalg.selective_shrink(resid, lam / state.mu, cfg.mask, out=out)
-    return linalg.soft_shrink(resid, lam / state.mu, out=out)
+    clip = np.divide(state.Lam, state.mu, out=_spare(state, resid))
+    resid += clip
+    return linalg._shrink(resid, lam / state.mu, cfg.mask, out=resid, clip=clip)
+
+
+# Below this threshold tau * |E| can fall below the smallest normal float for
+# the smallest nonzero |E| (one ulp of tau), so <E, C>/tau could lose digits.
+_TAU_MIN = float(np.sqrt(np.finfo(float).tiny / np.finfo(float).eps))
+
+
+def _shrunk_l1(E, clip, tau, mask):
+    """||E||_1, over the entries ``mask`` flags, of an E step's output
+    E = T - C with its clip C (``clip``) at level ``tau``.
+
+    Where E != 0 and is flagged, C = tau*sign(E); elsewhere E = 0 or C = 0.
+    So ||E||_1 = <E, C>/tau: one dot, no data-sized write.  An unflagged inf
+    or nan makes it nan (inf*0), so a finite value proves E finite, as for
+    :func:`tensor.l1`, which is the fallback (writing over ``clip``) for a
+    tau outside [_TAU_MIN, inf) or a dot that overflows.
+    """
+    if _TAU_MIN <= tau < np.inf:
+        value = float(np.vdot(_slices(E), _slices(clip))) / tau
+        if np.isfinite(value):
+            return value
+    return tensor.l1(E, mask, out=clip)
 
 
 def update_E(state, X, cfg, recon=None):
     """Shrink the residual X - L + Lam/mu at level lambda/mu, with
-    L = K x_1 A x_2 B unless ``recon`` passes the loop's L, which is
-    overwritten."""
+    L = K x_1 A x_2 B unless ``recon`` passes the loop's L, which E is
+    written over (see :func:`_shrink_E`)."""
     if recon is None:
         recon = tensor.reconstruct(state.model.a, state.K, state.model.b, out=_spare(state))
     return _shrink_E(state, X, cfg, cfg.resolved_lambda(X.shape), recon)
@@ -368,6 +393,25 @@ def residuals(state, X, out=None):
     return err_rec, err_core
 
 
+def _rec_ratio(state, X, diff, core):
+    """err_rec, max_i ||X_i - E_i - A R_i B^T||^2 / ||X_i||^2, from the
+    residual D = Xt - A K B^T (``diff``) of a reconstruction that shares the
+    model's bases, K = ``core``.
+
+    With Delta = R - K the numerator is ||D_i||^2 - 2<A^T D_i B, Delta_i> +
+    <A^T A Delta_i B^T B, Delta_i>, clamped at 0: D is read for its norms
+    and, unless K is R itself, once more for A^T D_i; it is not written.
+    """
+    num = _sq_norms(diff)
+    if core is not state.model.core:
+        a, b = state.model.a, state.model.b
+        delta = _slices(state.model.core - core)
+        cross = (a.T @ _slices(diff)) @ b
+        quad = _sym(a.T @ a) @ delta @ _sym(b.T @ b)
+        num = np.maximum(num - np.einsum("kij,kij->k", 2.0 * cross - quad, delta), 0.0)
+    return _worst_ratio(num, _x_norms(state, X))
+
+
 def _check_finite(state, report, named=None):
     """Abort unless every named value is finite.  The default is every state
     array but E, which the loop checks right after the E step."""
@@ -391,8 +435,9 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
     left, core and right), then ``sweep(state, X, x_tilde, cfg, report)``:
     the block steps on Xt = X - E (read only), each yielding its name first.
     The tail builds L once, ascends Lam and each of the ``splits`` and grows
-    every penalty (:func:`_ascend`); the run stops once every residual is
-    within ``cfg.tol``.  ``penalty(state, cfg)`` names the low-rank objective
+    every penalty (:func:`_ascend`); where L shares the model's A and B,
+    err_rec comes from its residual and r x r products (:func:`_rec_ratio`).
+    The run stops once every residual is within ``cfg.tol``.  ``penalty(state, cfg)`` names the low-rank objective
     terms.  With a ``block_log`` list, ``lagrangian(state, X, cfg, lam)`` is
     taken once at every step boundary, and each step appends {"iter",
     "stage", "before", "after"}.  A kernel failure anywhere, the start
@@ -421,24 +466,25 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
             t0 = time.perf_counter()
             state.iters = it
             boundary("E")
+            clip = _spare(state, recon)  # where the E step leaves its clip
             state.E = update_E(state, X, cfg, recon)
             # A finite l1 sum proves E finite; only a non-finite one is scanned.
-            l1_sparse = tensor.l1(state.E, cfg.mask, out=_spare(state))
+            l1_sparse = _shrunk_l1(state.E, clip, lam / state.mu, cfg.mask)
             if not np.isfinite(l1_sparse):
                 _check_finite(state, report, {"E": state.E})
             x_tilde = np.subtract(X, state.E, out=_spare(state))
             for stage in sweep(state, X, x_tilde, cfg, report):
                 boundary(stage)
             boundary(None)
-            recon = tensor.reconstruct(*carriers(state), out=_spare(state, x_tilde))
-            if splits:  # copies carry L: err_rec needs the model's own A R B^T
-                errs = _ascend(state, np.subtract(x_tilde, recon, out=x_tilde), splits, cfg)
+            left, core, right = carriers(state)
+            recon = tensor.reconstruct(left, core, right, out=_spare(state, x_tilde))
+            diff = np.subtract(x_tilde, recon, out=x_tilde)
+            if left is state.model.a and right is state.model.b:  # err_rec in r x r
+                errs = {"err_rec": _rec_ratio(state, X, diff, core)}
+                errs.update(_ascend(state, diff, splits, cfg))
+            else:  # copies carry L: err_rec needs the model's own A R B^T
+                errs = _ascend(state, diff, splits, cfg)
                 errs = {"err_rec": residuals(state, X, out=_spare(state, recon))[0], **errs}
-            else:  # L is the model's own A R B^T: err_rec is read off its residual
-                resid = np.subtract(X, recon, out=x_tilde)
-                resid -= state.E
-                errs = {"err_rec": _slice_ratio(resid, _x_norms(state, X))}
-                _ascend(state, resid, (), cfg)
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             objective = {"l1_sparse": lam * l1_sparse, **penalty(state, cfg)}
             report.append(IterationRecord(iter=it, mu=state.mu, mu_K=state.mu_K,

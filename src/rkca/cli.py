@@ -111,6 +111,8 @@ def cmd_synth(args):
 
 
 def _run_solver(X, cfg, out):
+    """Solve and write the factors, L, E and the report to ``out``; returns the
+    reconstruction L, or None after an abort (its report written if any)."""
     try:
         model, sparse, report = solve_variant(X, cfg)
     except SolverAbort as exc:
@@ -121,10 +123,11 @@ def _run_solver(X, cfg, out):
     fileio.write_rkt(out / "A.rkt", model.a[:, :, None])
     fileio.write_rkt(out / "B.rkt", model.b[:, :, None])
     fileio.write_rkt(out / "R.rkt", model.core)
-    fileio.write_rkt(out / "L.rkt", model.reconstruct())
+    low_rank = model.reconstruct()
+    fileio.write_rkt(out / "L.rkt", low_rank)
     fileio.write_rkt(out / "E.rkt", sparse)
     _write_json(out / "report.json", report.to_dict())
-    return model, sparse, report
+    return low_rank
 
 
 def cmd_decompose(args):
@@ -139,8 +142,8 @@ def cmd_decompose(args):
     cfg.validate_for(X.shape)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = _run_solver(X, cfg, out)
-    return EXIT_OK if result is not None else EXIT_NUMERIC
+    low_rank = _run_solver(X, cfg, out)
+    return EXIT_OK if low_rank is not None else EXIT_NUMERIC
 
 
 def _load_image_stack(directory):
@@ -171,11 +174,10 @@ def cmd_denoise(args):
     cfg.validate_for(noisy.shape)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = _run_solver(noisy, cfg, out)
-    if result is None:
+    low_rank = _run_solver(noisy, cfg, out)
+    if low_rank is None:
         return EXIT_NUMERIC
-    model, _, _ = result
-    denoised = np.clip(model.reconstruct(), 0.0, 1.0)
+    denoised = np.clip(low_rank, 0.0, 1.0, out=low_rank)
     if kind == "ppm":
         fileio.write_ppm(out / paths[0].name, denoised)
     else:
@@ -192,6 +194,15 @@ def cmd_denoise(args):
     return EXIT_OK
 
 
+def _hidden_norms(completed, truth, hidden):
+    """||completed - truth|| and ||truth|| over the ``hidden`` entries, in one
+    scratch array that is zero elsewhere."""
+    scratch = np.subtract(completed, truth, out=np.zeros(truth.shape), where=hidden)
+    diff = float(np.linalg.norm(scratch))
+    np.copyto(scratch, truth, where=hidden)
+    return diff, float(np.linalg.norm(scratch))
+
+
 def cmd_complete(args):
     cfg = _solver_config(args)
     X = fileio.read_rkt(args.input)
@@ -205,18 +216,14 @@ def cmd_complete(args):
     cfg.validate_for(X.shape)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = _run_solver(observed, cfg, out)
-    if result is None:
+    completed = _run_solver(observed, cfg, out)
+    if completed is None:
         return EXIT_NUMERIC
-    model, _, _ = result
     if args.truth is not None:
         truth = fileio.read_rkt(args.truth)
         if truth.shape != X.shape:
             raise ValueError("truth dims do not match data dims")
-        completed = model.reconstruct()
-        hidden = ~mask
-        diff = float(np.linalg.norm((completed - truth)[hidden]))
-        ref = float(np.linalg.norm(truth[hidden]))
+        diff, ref = _hidden_norms(completed, truth, ~mask)
         _write_json(
             out / "metrics.json",
             {
@@ -278,11 +285,11 @@ def _apply_config_file(args, argv):
     command line win."""
     if getattr(args, "config", None) is None:
         return args
-    with open(args.config, "r", encoding="ascii") as fh:
-        try:
-            overrides = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {args.config}: {exc}") from exc
+    raw = Path(args.config).read_bytes()
+    try:  # JSON text is UTF-8 (RFC 8259); a leading BOM is tolerated
+        overrides = json.loads(raw.decode("utf-8-sig"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"config file {args.config}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise UsageError(f"config file {args.config} must hold a JSON object")
     actions = {}

@@ -41,6 +41,24 @@ class SteinSingularError(NumericalError):
     """The Stein pencil is (numerically) singular: some 1 - f_i*g_j ~ 0."""
 
 
+def _shrink(x, tau, mask=None, out=None, clip=None):
+    """The one shrinkage kernel: x - C with C = clip(x, -tau, tau) [* mask].
+
+    C is formed in ``clip`` and x - C in ``out``, which may be x itself; each
+    defaults to the other, and both to one new array of x's layout.  Returns
+    x - C; C stays in ``clip`` when that is not ``out``.
+    """
+    if tau < 0:
+        raise ValueError(f"threshold must be nonnegative, got {tau}")
+    x = np.asarray(x)
+    if clip is None:
+        clip = out if out is not None else np.empty_like(x, dtype=np.result_type(x, 0.0))
+    np.clip(x, -tau, tau, out=clip)
+    if mask is not None:
+        clip *= mask
+    return np.subtract(x, clip, out=clip if out is None else out)
+
+
 def soft_shrink(x, tau, out=None):
     """Elementwise soft thresholding sign(x) * max(|x| - tau, 0).
 
@@ -48,13 +66,7 @@ def soft_shrink(x, tau, out=None):
     ``out``, a float array of x's shape other than x; the two forms agree bit
     for bit except for the sign of zeros.
     """
-    if tau < 0:
-        raise ValueError(f"threshold must be nonnegative, got {tau}")
-    x = np.asarray(x)
-    if out is None:
-        out = np.empty_like(x, dtype=np.result_type(x, 0.0))
-    np.clip(x, -tau, tau, out=out)
-    return np.subtract(x, out, out=out)
+    return _shrink(x, tau, out=out)
 
 
 def selective_shrink(x, tau, mask, out=None):
@@ -65,17 +77,11 @@ def selective_shrink(x, tau, mask, out=None):
     a per-entry select mispredict.  Equal to
     ``np.where(mask, soft_shrink(x, tau), x)`` except for the sign of zeros.
     """
-    if tau < 0:
-        raise ValueError(f"threshold must be nonnegative, got {tau}")
     x = np.asarray(x)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape:
         raise ValueError(f"mask shape {mask.shape} does not match {x.shape}")
-    if out is None:
-        out = np.empty_like(x, dtype=np.result_type(x, 0.0))
-    np.clip(x, -tau, tau, out=out)
-    out *= mask
-    return np.subtract(x, out, out=out)
+    return _shrink(x, tau, mask, out)
 
 
 def frobenius_prox(x, tau):

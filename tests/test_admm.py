@@ -421,3 +421,63 @@ def test_solve_rejects_bad_inputs():
     bad[0, 0, 0] = np.inf
     with pytest.raises(ValueError):
         admm.solve(bad, SolverConfig(rank=2))
+
+
+def _e_step_l1(X, lam, mask=None, scale=1.0):
+    # The loop's E step on a crafted X, the state's A and Lam times ``scale``:
+    # E written over the reconstruction, its clip left in the spare, and
+    # ||E||_1 from the two.
+    state = make_state(np.random.default_rng(60))
+    state.model.a, state.Lam = scale * state.model.a, scale * state.Lam
+    X = tensor.slice_major(X)
+    state.E, state.Lam = tensor.slice_major(state.E), tensor.slice_major(state.Lam)
+    state.buffers = [state.E, state.Lam, np.empty_like(X), np.empty_like(X)]
+    cfg = SolverConfig(rank=3, mask=None if mask is None else tensor.slice_major(mask))
+    recon = tensor.reconstruct(state.model.a, state.K, state.model.b, out=admm._spare(state))
+    clip = admm._spare(state, recon)
+    with np.errstate(all="ignore"):
+        E = admm._shrink_E(state, X, cfg, lam, recon)
+        return E, admm._shrunk_l1(E, clip, lam / state.mu, cfg.mask), cfg.mask
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_e_step_l1_is_the_l1_of_e(masked):
+    # <E, C>/tau equals tensor.l1 of the E step's output, to round-off, and E
+    # is bitwise the shrinkage of the residual.
+    rng = np.random.default_rng(61)
+    X = 3.0 * rng.standard_normal((6, 5, 3))
+    mask = rng.random(X.shape) < 0.6 if masked else None
+    E, value, mask = _e_step_l1(X, 0.9, mask)
+    want = tensor.l1(E, mask)
+    assert 0 < want and abs(value - want) <= 1e-12 * want
+    state = make_state(np.random.default_rng(60))
+    assert np.array_equal(E, admm.update_E(state, X, SolverConfig(rank=3, lam=0.9, mask=mask)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_e_step_l1_is_not_finite_for_an_unflagged_non_finite_entry(bad):
+    # Unflagged entries pass through the shrinkage with C = 0, so inf * 0 or
+    # nan makes the dot nan, and a flagged one (no mask) makes it inf or nan:
+    # a finite ||E||_1 still proves E finite.
+    X = np.random.default_rng(62).standard_normal((6, 5, 3))
+    mask = np.ones(X.shape, dtype=bool)
+    X[2, 1, 0], mask[2, 1, 0] = bad, False
+    for m in (mask, None):
+        E, value, _ = _e_step_l1(X, 0.5, m)
+        assert not np.isfinite(value)
+        assert not np.isfinite(E[2, 1, 0])
+
+
+@pytest.mark.parametrize("lam, scale", [(0.0, 1.0), (np.inf, 1.0), (1e-160, 1e-150),
+                                        (1e200, 1e250)],
+                         ids=["tau-zero", "tau-inf", "tau-tiny", "dot-overflows"])
+def test_e_step_l1_falls_back_to_tensor_l1(lam, scale):
+    # tau = 0 gives 0/0 and tau = inf inf/inf; a tiny tau could underflow
+    # tau*|E| and a huge one overflow the dot.  Each falls back to tensor.l1,
+    # exactly, so a report never carries a NaN l1_sparse.
+    rng = np.random.default_rng(63)
+    X = scale * rng.standard_normal((6, 5, 3))
+    mask = rng.random(X.shape) < 0.6
+    for m in (None, mask):
+        E, value, m = _e_step_l1(X, lam, m, scale)
+        assert np.isfinite(value) and value == tensor.l1(E, m)

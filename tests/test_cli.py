@@ -7,7 +7,7 @@ import pytest
 
 from rkca import cli, data, fileio, linalg
 from rkca.admm import SolverAbort
-from rkca.model import RunReport
+from rkca.model import FactorModel, RunReport
 
 
 def run_cli(*args):
@@ -254,6 +254,32 @@ def test_bad_solver_settings_are_usage_errors(tmp_path, capsys, flags, config):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("raw, code", [
+    (b'\xef\xbb\xbf{"max_iters": 3}', 0),
+    (b'{"max_iters": 3, "variant": "admm2"}', 0),
+    (b'{"max_iters": 3, "variant": "\xff"}', 2),
+    (b'\xef\xbb\xbf{"alpha": 0.1, "\xce\xb1": 1}', 2),
+    (b'{"alpha": "\xe9"}', 2),
+    (b'\xff\xfe{\x00}\x00', 2),
+], ids=["bom", "ascii", "undecodable", "bom-non-ascii-key", "latin-1", "utf-16"])
+def test_config_file_is_utf8_json_text(tmp_path, capsys, raw, code):
+    # The config file is read as JSON text: UTF-8, a leading BOM tolerated.
+    # Bytes that are not UTF-8 are a usage error, like malformed JSON.
+    x_path = tmp_path / "X.rkt"
+    fileio.write_rkt(x_path, np.ones((6, 5, 2)))
+    (tmp_path / "run.json").write_bytes(raw)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli("decompose", "--input", x_path, "--rank", 2,
+                   "--config", tmp_path / "run.json", "--out-dir", out) == code
+    if code == 0:
+        assert json.loads((out / "report.json").read_text())["config"]["max_iters"] == 3
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 def test_eval_matches_library_bitwise(tmp_path):
     gen = tmp_path / "gen"
     run_cli(*synth_args(gen, **{"p-clean": 0.7}))
@@ -428,3 +454,61 @@ def test_denoise_rejects_mixed_dims(tmp_path):
     fileio.write_pgm(src / "b.pgm", np.zeros((5, 4)))
     assert run_cli("denoise", "--images", src, "--rank", 2,
                    "--out-dir", tmp_path / "o") == 3
+
+
+def _count_reconstructs(monkeypatch):
+    calls, real = [], FactorModel.reconstruct
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(FactorModel, "reconstruct", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["decompose", "complete", "denoise"])
+def test_each_command_reconstructs_once(tmp_path, monkeypatch, command):
+    # The L written to L.rkt is the one the command's own outputs use.
+    gen = tmp_path / "gen"
+    run_cli(*synth_args(gen, **{"p-clean": 0.9}))
+    fileio.write_rkt(tmp_path / "mask.rkt", data.make_mask((20, 18, 5), 0.7, seed=4) * 1.0)
+    write_grayscale_stack(tmp_path / "imgs", low_rank_images(m=12, n=10, n_img=3))
+    args = {
+        "decompose": ["--input", gen / "X.rkt"],
+        "complete": ["--input", gen / "X.rkt", "--mask", tmp_path / "mask.rkt",
+                     "--truth", gen / "L_true.rkt"],
+        "denoise": ["--images", tmp_path / "imgs", "--clean", tmp_path / "imgs"],
+    }[command]
+    calls = _count_reconstructs(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli(command, *args, "--rank", 3, "--max-iters", 5, "--out-dir", out) == 0
+    assert len(calls) == 1
+    low_rank = fileio.read_rkt(out / "L.rkt")
+    if command == "denoise":
+        for i in range(3):
+            got = fileio.read_pgm(out / f"img_{i:02d}.pgm")
+            want = np.clip(low_rank[:, :, i], 0.0, 1.0)
+            assert np.max(np.abs(got - want)) <= 0.5 / 255 + 1e-12
+
+
+def test_complete_metrics_match_the_indexed_forms(tmp_path):
+    # The hidden-entry error is taken without boolean-index copies; it agrees
+    # with the indexed form to round-off, and the PSNRs are unchanged.
+    gen = tmp_path / "gen"
+    run_cli(*synth_args(gen, **{"p-clean": 1.0, "m": 30, "n": 30, "N": 8}))
+    truth = fileio.read_rkt(gen / "L_true.rkt")
+    mask = data.make_mask(truth.shape, 0.6, seed=5)
+    fileio.write_rkt(tmp_path / "mask.rkt", mask.astype(float))
+    out = tmp_path / "comp"
+    assert run_cli("complete", "--input", gen / "X.rkt", "--mask", tmp_path / "mask.rkt",
+                   "--truth", gen / "L_true.rkt", "--rank", 6, "--lambda", 1e4,
+                   "--max-iters", 20, "--out-dir", out) == 0
+    result = json.loads((out / "metrics.json").read_text())
+    completed = fileio.read_rkt(out / "L.rkt")
+    observed = np.where(mask, fileio.read_rkt(gen / "X.rkt"), 0.0)
+    want = (np.linalg.norm((completed - truth)[~mask]) / np.linalg.norm(truth[~mask]))
+    assert sorted(result) == ["psnr_completed", "psnr_zero_filled", "rel_error_unobserved"]
+    assert abs(result["rel_error_unobserved"] - want) <= 1e-12 * want
+    assert result["psnr_completed"] == data.psnr(completed, truth, 1.0)
+    assert result["psnr_zero_filled"] == data.psnr(observed, truth, 1.0)

@@ -467,7 +467,7 @@ def test_solve_is_layout_independent_and_leaves_inputs_alone(variant):
             assert np.array_equal(ref, out), f"{name} {label}"
 
 
-EXPECTED_RECONSTRUCTS = {"admm2": 2, "ladmm2": 1, "ladmm3_fro": 1, "ladmm3_nuc": 1,
+EXPECTED_RECONSTRUCTS = {"admm2": 1, "ladmm2": 1, "ladmm3_fro": 1, "ladmm3_nuc": 1,
                          "admm3_fro": 2, "admm3_nuc": 2}
 
 
@@ -514,7 +514,7 @@ def test_returned_core_is_slice_major(variant):
 @pytest.mark.parametrize("variant", sorted(EXPECTED_RECONSTRUCTS))
 def test_one_reconstruct_per_factor_set(monkeypatch, variant):
     # The tensor a dual update reconstructs is the one the next E step
-    # subtracts (and, in LADMM, the one its residual uses), so it is built once.
+    # subtracts (and, in admm2 and LADMM, the one err_rec uses), so it is built once.
     per_iter = _calls_per_iteration(monkeypatch, tensor, "reconstruct", variant)
     assert per_iter == EXPECTED_RECONSTRUCTS[variant]
 
@@ -770,3 +770,43 @@ def test_ladmm_err_rec_is_the_dual_update_residual(variant):
     X = tensor.slice_major(X)
     resid = X - tensor.reconstruct(model.a, model.core, model.b) - E
     assert report.iterations[-1].err_rec == admm._slice_ratio(resid, admm._sq_norms(X))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("variant", ["admm2", "ladmm2"])
+def test_reported_err_rec_and_l1_match_direct_forms(variant, masked):
+    # admm2 takes err_rec from D = Xt - A K B^T and r x r products, LADMM off
+    # the dual update's residual; both take ||E||_1 from the E step's clip.
+    # At every iteration they match the direct forms on the returned factors.
+    spec = SynthSpec(m=14, n=12, n_slices=5, rank_a=2, rank_b=2, p_clean=0.8, seed=29)
+    _, _, X = synth_generate(spec)
+    mask = np.random.default_rng(48).random(X.shape) < 0.7 if masked else None
+    for k in range(1, 9):
+        cfg = SolverConfig(rank=3, alpha=1e-2, tol=1e-30, max_iters=k, mask=mask,
+                           variant=variant)
+        model, E, report = variants.solve_variant(X, cfg)
+        last = report.iterations[-1]
+        assert last.iter == k
+        resid = X - model.reconstruct() - E
+        direct = max(np.sum(resid[:, :, i] ** 2) / np.sum(X[:, :, i] ** 2) for i in range(5))
+        assert abs(last.err_rec - direct) <= 1e-9 * direct, k
+        l1 = cfg.resolved_lambda(X.shape) * tensor.l1(E, mask)
+        assert abs(last.objective["l1_sparse"] - l1) <= 1e-12 * l1, k
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_data_sized_l1_per_iteration(monkeypatch, variant):
+    # ||E||_1 comes from the E step's own clip; only the core's l1 is taken.
+    # _calls_per_iteration counts calls of an attribute, so the data-sized
+    # calls of tensor.l1 are forwarded to a probe's.
+    probe = type("Probe", (), {"data_sized": staticmethod(lambda: None)})
+    real = tensor.l1
+
+    def l1(x, *args, **kwargs):
+        if np.shape(x)[:2] == (14, 12):
+            probe.data_sized()
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(tensor, "l1", l1)
+    assert _calls_per_iteration(monkeypatch, probe, "data_sized", variant) == 0
+    assert _calls_per_iteration(monkeypatch, tensor, "l1", variant) > 0
