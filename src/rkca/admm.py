@@ -207,13 +207,14 @@ def _prepare(X, cfg):
     return X, cfg
 
 
-def _shrink_E(state, X, cfg, lam, recon):
+def _shrink_E(state, X, cfg, lam, recon, out=None):
     """E step: shrink T = X - recon + Lam/mu at level lam/mu (selectively
-    under a mask).  T is built in recon's array and E is written over it;
-    Lam/mu and then the clip C = clip(T, -lam/mu, lam/mu) [* mask] go to
-    ``_spare(state, recon)``, where C stays for :func:`_shrunk_l1`."""
-    resid = np.subtract(X, recon, out=recon)
-    clip = np.divide(state.Lam, state.mu, out=_spare(state, resid))
+    under a mask).  T is built in ``out``, E's array or by default recon's,
+    and E is written over it; Lam/mu and then the clip
+    C = clip(T, -lam/mu, lam/mu) [* mask] go to ``_spare(state, recon)``,
+    where C stays for :func:`_shrunk_l1`."""
+    resid = np.subtract(X, recon, out=recon if out is None else out)
+    clip = np.divide(state.Lam, state.mu, out=_spare(state, recon))
     resid += clip
     return linalg._shrink(resid, lam / state.mu, cfg.mask, out=resid, clip=clip)
 
@@ -230,23 +231,24 @@ def _shrunk_l1(E, clip, tau, mask):
     Where E != 0 and is flagged, C = tau*sign(E); elsewhere E = 0 or C = 0.
     So ||E||_1 = <E, C>/tau: one dot, no data-sized write.  An unflagged inf
     or nan makes it nan (inf*0), so a finite value proves E finite, as for
-    :func:`tensor.l1`, which is the fallback (writing over ``clip``) for a
-    tau outside [_TAU_MIN, inf) or a dot that overflows.
+    :func:`tensor.l1`, which is the fallback for a tau outside
+    [_TAU_MIN, inf) or a dot that overflows.  The fallback takes a new array:
+    the loop's sweep target is built over C.
     """
     if _TAU_MIN <= tau < np.inf:
         value = float(np.vdot(_slices(E), _slices(clip))) / tau
         if np.isfinite(value):
             return value
-    return tensor.l1(E, mask, out=clip)
+    return tensor.l1(E, mask)
 
 
-def update_E(state, X, cfg, recon=None):
+def update_E(state, X, cfg, recon=None, out=None):
     """Shrink the residual X - L + Lam/mu at level lambda/mu, with
-    L = K x_1 A x_2 B unless ``recon`` passes the loop's L, which E is
-    written over (see :func:`_shrink_E`)."""
+    L = K x_1 A x_2 B unless ``recon`` passes the loop's L.  E is written
+    over ``out``, by default over L (see :func:`_shrink_E`)."""
     if recon is None:
         recon = tensor.reconstruct(state.model.a, state.K, state.model.b, out=_spare(state))
-    return _shrink_E(state, X, cfg, cfg.resolved_lambda(X.shape), recon)
+    return _shrink_E(state, X, cfg, cfg.resolved_lambda(X.shape), recon, out)
 
 
 def _solve_spd_right(system, rhs, report, label, iteration):
@@ -269,7 +271,8 @@ def _solve_spd_right(system, rhs, report, label, iteration):
 
 def _target(state, x_tilde, p=None):
     """P = mu*Xt + Lam for the basis and core solves, unless ``p`` passes the
-    one its sweep built (mu and Lam are fixed until the dual update)."""
+    one its sweep built (mu and Lam are fixed until the dual update), in which
+    case ``x_tilde`` is not read."""
     if p is None:
         p = np.multiply(state.mu, x_tilde, out=_spare(state, x_tilde))
         p += state.Lam
@@ -395,8 +398,8 @@ def residuals(state, X, out=None):
 
 def _rec_ratio(state, X, diff, core):
     """err_rec, max_i ||X_i - E_i - A R_i B^T||^2 / ||X_i||^2, from the
-    residual D = Xt - A K B^T (``diff``) of a reconstruction that shares the
-    model's bases, K = ``core``.
+    residual D = (X - A K B^T) - E (``diff``) of a reconstruction that shares
+    the model's bases, K = ``core``.
 
     With Delta = R - K the numerator is ||D_i||^2 - 2<A^T D_i B, Delta_i> +
     <A^T A Delta_i B^T B, Delta_i>, clamped at 0: D is read for its norms
@@ -432,12 +435,15 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
 
     ``start(X, cfg)`` returns the first state.  An iteration runs the E step
     on the last L, the reconstruction from ``carriers`` (attribute paths of
-    left, core and right), then ``sweep(state, X, x_tilde, cfg, report)``:
-    the block steps on Xt = X - E (read only), each yielding its name first.
-    The tail builds L once, ascends Lam and each of the ``splits`` and grows
-    every penalty (:func:`_ascend`); where L shares the model's A and B,
-    err_rec comes from its residual and r x r products (:func:`_rec_ratio`).
-    The run stops once every residual is within ``cfg.tol``.  ``penalty(state, cfg)`` names the low-rank objective
+    left, core and right), with T built in E's own array, then
+    ``sweep(state, X, target, cfg, report)``: the block steps on Xt = X - E,
+    each yielding its name first.  Xt is never formed: ``target`` is
+    Xt + Lam/mu = L + C, C the E step's clip, which the sweep may overwrite.
+    The tail builds L once, forms the residual D = (X - L) - E, ascends Lam
+    and each of the ``splits`` and grows every penalty (:func:`_ascend`);
+    where L shares the model's A and B, err_rec comes from D and r x r
+    products (:func:`_rec_ratio`).  The run stops once every residual is
+    within ``cfg.tol``.  ``penalty(state, cfg)`` names the low-rank objective
     terms.  With a ``block_log`` list, ``lagrangian(state, X, cfg, lam)`` is
     taken once at every step boundary, and each step appends {"iter",
     "stage", "before", "after"}.  A kernel failure anywhere, the start
@@ -467,18 +473,20 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
             state.iters = it
             boundary("E")
             clip = _spare(state, recon)  # where the E step leaves its clip
-            state.E = update_E(state, X, cfg, recon)
+            state.E = update_E(state, X, cfg, recon, out=state.E)
             # A finite l1 sum proves E finite; only a non-finite one is scanned.
             l1_sparse = _shrunk_l1(state.E, clip, lam / state.mu, cfg.mask)
             if not np.isfinite(l1_sparse):
                 _check_finite(state, report, {"E": state.E})
-            x_tilde = np.subtract(X, state.E, out=_spare(state))
-            for stage in sweep(state, X, x_tilde, cfg, report):
+            # E = T - C, so Xt + Lam/mu = L + C: the sweep's target, over C.
+            target = np.add(recon, clip, out=clip)
+            for stage in sweep(state, X, target, cfg, report):
                 boundary(stage)
             boundary(None)
             left, core, right = carriers(state)
-            recon = tensor.reconstruct(left, core, right, out=_spare(state, x_tilde))
-            diff = np.subtract(x_tilde, recon, out=x_tilde)
+            recon = tensor.reconstruct(left, core, right, out=_spare(state))
+            diff = np.subtract(X, recon, out=_spare(state, recon))
+            diff -= state.E
             if left is state.model.a and right is state.model.b:  # err_rec in r x r
                 errs = {"err_rec": _rec_ratio(state, X, diff, core)}
                 errs.update(_ascend(state, diff, splits, cfg))
@@ -505,16 +513,17 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
     return state.model, state.E, report
 
 
-def _admm2_sweep(state, X, x_tilde, cfg, report):
-    # P fills the spare work buffer; the B and K steps share A^T P_i.
-    p = _target(state, x_tilde)
+def _admm2_sweep(state, X, target, cfg, report):
+    # P = mu*(Xt + Lam/mu) over the loop's target, so no step reads Xt; the
+    # B and K steps share A^T P_i.
+    p = np.multiply(target, state.mu, out=target)
     yield "A"
-    state.model.a = update_A(state, x_tilde, cfg, report, p)
+    state.model.a = update_A(state, None, cfg, report, p)
     yield "B"
-    g = _basis_target(state, x_tilde, state.model.a, p)
-    state.model.b = update_B(state, x_tilde, cfg, report, p, g)
+    g = _basis_target(state, None, state.model.a, p)
+    state.model.b = update_B(state, None, cfg, report, p, g)
     yield "K"
-    state.K = update_K(state, x_tilde, cfg, p, g)
+    state.K = update_K(state, None, cfg, p, g)
     yield "R"
     state.model.core = update_R(state, cfg)
 

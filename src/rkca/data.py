@@ -120,13 +120,27 @@ def _rel_error(estimate, truth):
     return diff / ref if ref > 0 else diff
 
 
+def _sum_sq_diff(estimate, truth):
+    """sum((estimate - truth)**2), reduced slice by slice (last axis, 3-D and
+    up) in a fixed order over C-order copies of one slice's difference, so
+    equal arrays give the same bits whatever their memory layout."""
+    pairs = (zip(np.moveaxis(estimate, -1, 0), np.moveaxis(truth, -1, 0))
+             if estimate.ndim >= 3 else ((np.atleast_1d(estimate), np.atleast_1d(truth)),))
+    total = 0.0
+    for est_i, tru_i in pairs:
+        diff = np.subtract(est_i, tru_i, order="C")
+        total += float(np.square(diff, out=diff).sum())
+    return total
+
+
 def psnr(estimate, truth, data_range=1.0):
-    """Peak signal-to-noise ratio 10*log10(range^2 / MSE), +inf when exact."""
+    """Peak signal-to-noise ratio 10*log10(range^2 / MSE), +inf when exact;
+    the same bits for any memory layout of equal inputs."""
     estimate = np.asarray(estimate, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if estimate.shape != truth.shape:
         raise ValueError(f"shape mismatch: {estimate.shape} vs {truth.shape}")
-    mse = float(np.mean(np.square(estimate - truth)))
+    mse = _sum_sq_diff(estimate, truth) / estimate.size if estimate.size else np.nan
     if mse == 0.0:
         return PSNR_EXACT
     return float(10.0 * np.log10(data_range**2 / mse))

@@ -217,12 +217,10 @@ def _lagrangian(state, X, cfg, lam):
     return lam * tensor.l1(state.E, cfg.mask) + penalty + couple
 
 
-def _ladmm_sweep(state, X, x_tilde, cfg, report):
-    # One Delta = Xt + Lam/mu, in the spare work buffer, serves all three
-    # steps: E, Lam and mu are fixed until the dual update.  The B step keeps
-    # A, so B and R share one A^T Delta_i.
-    delta = np.divide(state.Lam, state.mu, out=admm._spare(state, x_tilde))
-    delta += x_tilde
+def _ladmm_sweep(state, X, delta, cfg, report):
+    # The loop's target is Delta = Xt + Lam/mu, which serves all three steps:
+    # E, Lam and mu are fixed until the dual update.  The B step keeps A, so
+    # B and R share one A^T Delta_i.
     yield "A"
     state.model.a = ladmm_update_A(state, X, cfg, delta)
     yield "B"
@@ -237,9 +235,17 @@ def _init_tucker(X, cfg):
 
     A and B are the top-r eigenvectors of sum_i X_i X_i^T and sum_i X_i^T X_i,
     formed slice by slice from X / max|X|, which leaves the eigenvectors as
-    they are and keeps the Grams finite; R_i = A^T X_i B, E = Lam = 0 and
-    mu = eta*N / sum_i ||X_i||, as in :func:`admm.initialize`.  Zero input
-    gives zero bases and mu = eta.
+    they are and keeps the Grams finite; R_i = A^T X_i B and E = Lam = 0.
+
+    mu starts at eta*N / sum_i ||X_i||, as in :func:`admm.initialize`, the
+    inexact-ALM scale for a start from zero.  This start already fits the
+    data, so without a mask mu is raised to lambda / max|X - A R B^T| where
+    that is larger: the first E step's threshold lambda/mu then equals the
+    largest residual, and E turns on at the second iteration instead of
+    idling at 0 while mu grows.  Under a mask the start fits zero-filled
+    data, its residual is start error rather than outliers, and mu is kept;
+    so it is for a zero, non-finite or overflowed scale.  mu_cap follows mu.
+    Zero input gives zero bases and mu = eta.
     """
     (m, n, N), r = X.shape, cfg.rank
     a, b = np.zeros((m, r)), np.zeros((n, r))
@@ -255,7 +261,15 @@ def _init_tucker(X, cfg):
                 for gram in (gram_a, gram_b))
     x_norm_sum = sum(np.linalg.norm(x_i) for x_i in _slices(X))
     mu = ETA_INIT * N / x_norm_sum if x_norm_sum > 0 else ETA_INIT
-    return LadmmState(model=FactorModel(a, b, _stack(a.T @ _slices(X) @ b)),
+    core_t = a.T @ _slices(X) @ b
+    if cfg.mask is None and 0 < mu < np.inf:
+        # Slice by slice, so the residual takes no data-sized buffer.
+        worst = max(float(np.max(np.abs(x_i - (a @ r_i) @ b.T)))
+                    for x_i, r_i in zip(_slices(X), core_t))
+        raised = cfg.resolved_lambda(X.shape) / worst if worst > 0 else np.inf
+        if raised < np.inf:
+            mu = max(mu, raised)
+    return LadmmState(model=FactorModel(a, b, _stack(core_t)),
                       E=np.zeros_like(X), Lam=np.zeros_like(X),
                       mu=mu, mu_cap=cfg.mu_cap_factor * mu)
 
@@ -322,20 +336,20 @@ def _init_degree3(X, cfg):
     )
 
 
-def _degree3_sweep(state, X, x_tilde, cfg, report):
+def _degree3_sweep(state, X, target, cfg, report):
     # As admm2's sweep; the V and K steps share U^T P_i.
-    p = admm._target(state, x_tilde)
+    p = np.multiply(target, state.mu, out=target)
     yield "A"
     state.model.a = degree3_update_A_sub(state, cfg)
     yield "B"
     state.model.b = degree3_update_B_sub(state, cfg)
     yield "U"
-    state.U = degree3_update_U(state, x_tilde, cfg, report, p)
+    state.U = degree3_update_U(state, None, cfg, report, p)
     yield "V"
-    g = admm._basis_target(state, x_tilde, state.U, p)
-    state.V = degree3_update_V(state, x_tilde, cfg, report, p, g)
+    g = admm._basis_target(state, None, state.U, p)
+    state.V = degree3_update_V(state, None, cfg, report, p, g)
     yield "K"
-    state.K = _degree3_update_K(state, x_tilde, cfg, p, g)
+    state.K = _degree3_update_K(state, None, cfg, p, g)
     yield "R"
     state.model.core = _degree3_update_R(state, cfg)
 

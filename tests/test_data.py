@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rkca import data
+from rkca import data, tensor
 
 
 def binomial_3sigma(count, n, p):
@@ -91,6 +91,19 @@ def test_psnr_zero_db_case():
     truth = np.zeros((4, 4, 1))
     estimate = np.ones((4, 4, 1))  # MSE = 1 = range^2
     assert data.psnr(estimate, truth, data_range=1.0) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_psnr_bits_do_not_depend_on_memory_layout(seed):
+    # C-order, F-order and slice-major copies of one pair, in every pairing,
+    # give the same PSNR bit for bit, and agree with the formula to round-off.
+    rng = np.random.default_rng(seed)
+    x, t = rng.random((30, 20, 8)), rng.random((30, 20, 8))
+    copies = [(np.ascontiguousarray(a), np.asfortranarray(a), tensor.slice_major(a))
+              for a in (x, t)]
+    values = {data.psnr(e, g) for e in copies[0] for g in copies[1]}
+    assert len(values) == 1
+    assert values.pop() == pytest.approx(-10 * np.log10(np.mean((x - t) ** 2)), rel=1e-14)
 
 
 def test_metrics_formula_oracle():

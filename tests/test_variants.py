@@ -641,6 +641,44 @@ def test_tucker_start_zero_and_overflowing_input():
             assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
 
 
+def _low_rank_instance():
+    spec = SynthSpec(m=14, n=12, n_slices=5, rank_a=2, rank_b=2, p_clean=0.8, seed=29)
+    return synth_generate(spec)[2]
+
+
+def test_tucker_start_penalty_meets_the_largest_residual():
+    # Unmasked, mu0 = max(eta*N / sum ||X_i||, lambda / max|X - A R B^T|),
+    # which here raises mu, and the cap scales with it: the first E step's
+    # threshold lambda/mu0 is the largest residual of the start.
+    X, cfg, state = _tucker_start(_low_rank_instance(), rank=3)
+    resid = X - tensor.reconstruct(state.model.a, state.model.core, state.model.b)
+    raised = cfg.resolved_lambda(X.shape) / np.max(np.abs(resid))
+    data_scaled = admm.initialize(X, cfg).mu
+    assert raised > 10 * data_scaled
+    assert_allclose(state.mu, max(data_scaled, raised), rtol=1e-12)
+    assert state.mu_cap == cfg.mu_cap_factor * state.mu
+
+
+def test_tucker_start_keeps_the_data_scaled_penalty():
+    # A masked start fits zero-filled data, so its residual is no outlier
+    # scale; zero input has no residual, and 1e160 input overflows the slice
+    # norms (mu0 = 0, which the first E step turns into an abort).  Each keeps
+    # admm.initialize's penalty and cap, though lambda = 1e4 would raise mu
+    # on the zero-filled data without its mask.
+    X = _low_rank_instance()
+    mask = np.random.default_rng(47).random(X.shape) < 0.7
+    filled = np.where(mask, X, 0.0)
+    cases = {"masked": (filled, mask), "unmasked": (filled, None),
+             "zero": (np.zeros_like(X), None), "overflowing": (np.full((4, 4, 2), 1e160), None)}
+    for name, (x, m) in cases.items():
+        cfg = SolverConfig(rank=2, lam=1e4, variant="ladmm2", mask=m)
+        with np.errstate(over="ignore"):
+            x, cfg = admm._prepare(x, cfg)
+            state, seed = variants._init_tucker(x, cfg), admm.initialize(x, cfg)
+        kept = (state.mu, state.mu_cap) == (seed.mu, seed.mu_cap)
+        assert kept == (name != "unmasked"), name
+
+
 @pytest.mark.parametrize("variant", variants.LADMM_VARIANTS)
 def test_ladmm_start_takes_no_svd(monkeypatch, variant):
     real_svd, real_iterate, calls, before_loop = np.linalg.svd, admm._iterate, [], []
@@ -810,3 +848,29 @@ def test_no_data_sized_l1_per_iteration(monkeypatch, variant):
     monkeypatch.setattr(tensor, "l1", l1)
     assert _calls_per_iteration(monkeypatch, probe, "data_sized", variant) == 0
     assert _calls_per_iteration(monkeypatch, tensor, "l1", variant) > 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150], ids=["unit", "tiny-threshold"])
+@pytest.mark.parametrize("variant, module, name", [
+    ("admm2", admm, "_admm2_sweep"), ("ladmm2", variants, "_ladmm_sweep"),
+    ("admm3_fro", variants, "_degree3_sweep")])
+def test_sweep_target_is_xt_plus_lam_over_mu(monkeypatch, variant, module, name, scale):
+    # The loop hands every sweep L + C, C the E step's clip, for Xt + Lam/mu
+    # (E = T - C).  At a threshold lambda/mu below admm._TAU_MIN, ||E||_1 is
+    # taken by tensor.l1, which must leave C as it is.
+    real, errors = getattr(module, name), []
+
+    def sweep(state, X, target, cfg, report):
+        want = X - state.E + state.Lam / state.mu
+        errors.append(rel_error(target, want))
+        yield from real(state, X, target, cfg, report)
+
+    monkeypatch.setattr(module, name, sweep)
+    X = scale * _low_rank_instance()
+    cfg = SolverConfig(rank=3, alpha=1e-4, tol=1e-30, max_iters=6, variant=variant)
+    with np.errstate(under="ignore"):
+        _, _, report = variants.solve_variant(X, cfg)
+    assert report.n_iterations == 6
+    assert (cfg.resolved_lambda(X.shape) / report.iterations[0].mu < admm._TAU_MIN) == (
+        scale < 1)
+    assert max(errors) <= 1e-13, errors
