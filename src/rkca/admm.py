@@ -151,13 +151,22 @@ def _x_norms(state, X):
     return state.x_norms[1]
 
 
+def _data_penalty(X):
+    """eta*N / sum_i ||X_i|| over the N slices of X, the inexact-ALM penalty
+    for a start from zero (Lin, Chen & Ma 2010); eta for all-zero input, and
+    0 once the slice norms overflow."""
+    norm_sum = sum(np.linalg.norm(x_i) for x_i in _slices(X))
+    return ETA_INIT * X.shape[2] / norm_sum if norm_sum > 0 else ETA_INIT
+
+
 def initialize(X, cfg):
     """Spectral initialisation from per-slice SVDs.
 
     Each slice contributes its top-r singular triplet: the core slice is the
     truncated singular-value block, the bases average the per-slice singular
-    vectors.  Zero slices contribute nothing.  Initial penalties are
-    eta*N / sum of slice norms, falling back to eta for all-zero input.
+    vectors.  Zero slices contribute nothing.  The data penalty is
+    :func:`_data_penalty`, and mu_K is eta*N over the sum of the core slices'
+    norms, falling back to eta for all-zero input.
     """
     m, n, N = X.shape
     r = cfg.rank
@@ -165,12 +174,9 @@ def initialize(X, cfg):
     b = np.zeros((n, r))
     core = _stack(np.zeros((N, r, r)))
     core_norm_sum = 0.0
-    x_norm_sum = 0.0
     for i in range(N):
         slice_i = X[:, :, i]
-        nrm = np.linalg.norm(slice_i)
-        x_norm_sum += nrm
-        if nrm == 0.0:
+        if np.linalg.norm(slice_i) == 0.0:
             continue
         try:
             u, s, vt = np.linalg.svd(slice_i, full_matrices=False)
@@ -184,7 +190,7 @@ def initialize(X, cfg):
         b += vt[:r, :].T
     a /= N
     b /= N
-    mu = ETA_INIT * N / x_norm_sum if x_norm_sum > 0 else ETA_INIT
+    mu = _data_penalty(X)
     mu_K = ETA_INIT * N / core_norm_sum if core_norm_sum > 0 else ETA_INIT
     return SolverState(
         model=FactorModel(a, b, core), E=np.zeros_like(X), K=core.copy(order="K"),

@@ -18,7 +18,6 @@ __all__ = [
     "IterationRecord",
     "RunReport",
     "default_lambda",
-    "check_mask",
 ]
 
 VARIANTS = ("admm2", "ladmm2", "ladmm3_fro", "ladmm3_nuc", "admm3_fro", "admm3_nuc")
@@ -43,17 +42,6 @@ def _check_number(name, value, kind):
             finite = False
         if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _check_mask_shape(mask, dims):
-    if np.shape(mask) != tuple(dims):
-        raise ValueError(f"mask shape {np.shape(mask)} does not match data dims {dims}")
-
-
-def check_mask(mask, dims):
-    """Validate an observation mask against tensor dims; returns bool array."""
-    _check_mask_shape(mask, dims)
-    return np.asarray(mask).astype(bool)
 
 
 @dataclass
@@ -152,8 +140,9 @@ class SolverConfig:
         m, n, _ = dims
         if self.rank > min(m, n):
             raise ValueError(f"rank {self.rank} exceeds min(m, n) = {min(m, n)}")
-        if self.mask is not None:
-            _check_mask_shape(self.mask, dims)
+        if self.mask is not None and np.shape(self.mask) != tuple(dims):
+            raise ValueError(
+                f"mask shape {np.shape(self.mask)} does not match data dims {dims}")
 
     def resolved_lambda(self, dims):
         return self.lam if self.lam is not None else float(default_lambda(dims))

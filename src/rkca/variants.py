@@ -231,21 +231,23 @@ def _ladmm_sweep(state, X, delta, cfg, report):
 
 
 def _init_tucker(X, cfg):
-    """Tucker-2 start (truncated HOSVD) for the LADMM variants.
+    """Tucker-2 start (truncated HOSVD) for the LADMM and ``admm3_*`` variants.
 
     A and B are the top-r eigenvectors of sum_i X_i X_i^T and sum_i X_i^T X_i,
     formed slice by slice from X / max|X|, which leaves the eigenvectors as
     they are and keeps the Grams finite; R_i = A^T X_i B and E = Lam = 0.
 
-    mu starts at eta*N / sum_i ||X_i||, as in :func:`admm.initialize`, the
-    inexact-ALM scale for a start from zero.  This start already fits the
-    data, so without a mask mu is raised to lambda / max|X - A R B^T| where
-    that is larger: the first E step's threshold lambda/mu then equals the
-    largest residual, and E turns on at the second iteration instead of
-    idling at 0 while mu grows.  Under a mask the start fits zero-filled
-    data, its residual is start error rather than outliers, and mu is kept;
-    so it is for a zero, non-finite or overflowed scale.  mu_cap follows mu.
-    Zero input gives zero bases and mu = eta.
+    mu starts at :func:`admm._data_penalty`, the scale for a start from zero.
+    This start already fits the data, so without a mask mu is raised to
+    lambda / max|X - A R B^T| where that is larger, up to mu_cap_factor times
+    the data-scaled value: the first E step's threshold lambda/mu then equals
+    the largest residual, and E turns on at the second iteration instead of
+    idling at 0 while mu grows.  The bound keeps a near-exact fit, whose
+    residual is round-off, from starting mu at the scale of 1/eps.  Under a
+    mask the start fits zero-filled data, its residual is start error rather
+    than outliers, and mu is kept; so it is for a zero, non-finite or
+    overflowed scale.  mu_cap follows mu.  Zero input gives zero bases and
+    mu = eta.
     """
     (m, n, N), r = X.shape, cfg.rank
     a, b = np.zeros((m, r)), np.zeros((n, r))
@@ -259,8 +261,7 @@ def _init_tucker(X, cfg):
         # Eigenvalues ascend: the last r eigenvectors, largest first.
         a, b = (linalg.symmetric_eig(gram)[1][:, ::-1][:, :r].copy()
                 for gram in (gram_a, gram_b))
-    x_norm_sum = sum(np.linalg.norm(x_i) for x_i in _slices(X))
-    mu = ETA_INIT * N / x_norm_sum if x_norm_sum > 0 else ETA_INIT
+    mu = admm._data_penalty(X)
     core_t = a.T @ _slices(X) @ b
     if cfg.mask is None and 0 < mu < np.inf:
         # Slice by slice, so the residual takes no data-sized buffer.
@@ -268,7 +269,7 @@ def _init_tucker(X, cfg):
                     for x_i, r_i in zip(_slices(X), core_t))
         raised = cfg.resolved_lambda(X.shape) / worst if worst > 0 else np.inf
         if raised < np.inf:
-            mu = max(mu, raised)
+            mu = max(mu, min(raised, cfg.mu_cap_factor * mu))
     return LadmmState(model=FactorModel(a, b, _stack(core_t)),
                       E=np.zeros_like(X), Lam=np.zeros_like(X),
                       mu=mu, mu_cap=cfg.mu_cap_factor * mu)
@@ -323,11 +324,25 @@ def _degree3_update_R(state, cfg):
 
 
 def _init_degree3(X, cfg):
-    seed = admm.initialize(X, cfg)
-    a, b, N = seed.model.a, seed.model.b, X.shape[2]
+    """The Tucker-2 start (:func:`_init_tucker`) with the substitution copies
+    U = A, V = B and K = R, and Y = Y_U = Y_V = 0.
+
+    mu_K, mu_U and mu_V are eta*N over sum_i ||R_i||, ||A|| and ||B||, each
+    times sqrt(f), where f = mu0 / :func:`admm._data_penalty` is the raise the
+    start gave mu.  Scaled by f itself, the splits took more iterations.
+    """
+    seed = _init_tucker(X, cfg)
+    a, b, core = seed.model.a, seed.model.b, seed.model.core
+    data_mu = admm._data_penalty(X)
+    # Equal when mu was kept: f = 1, also where both are 0 (overflowed norms).
+    root_f = 1.0 if seed.mu == data_mu else float(np.sqrt(seed.mu / data_mu))
+    N = X.shape[2]
     norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    mu_U = ETA_INIT * N / norm_a if norm_a > 0 else ETA_INIT
-    mu_V = ETA_INIT * N / norm_b if norm_b > 0 else ETA_INIT
+    seed.K, seed.Y = core.copy(order="K"), np.zeros_like(core)
+    seed.mu_K = root_f * admm._data_penalty(core)
+    seed.mu_K_cap = cfg.mu_cap_factor * seed.mu_K
+    mu_U = root_f * (ETA_INIT * N / norm_a if norm_a > 0 else ETA_INIT)
+    mu_V = root_f * (ETA_INIT * N / norm_b if norm_b > 0 else ETA_INIT)
     return Degree3State(
         **vars(seed),
         U=a.copy(), V=b.copy(), Y_U=np.zeros_like(a), Y_V=np.zeros_like(b),

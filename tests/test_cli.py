@@ -191,6 +191,7 @@ def test_kernel_failure_mid_run_aborts_every_variant(tmp_path, monkeypatch, vari
 @pytest.mark.parametrize("variant, module, name, error", [
     ("ladmm2", linalg, "symmetric_eig", linalg.NumericalError),
     ("admm2", np.linalg, "svd", np.linalg.LinAlgError),
+    ("admm3-fro", linalg, "symmetric_eig", linalg.NumericalError),
 ])
 def test_failed_start_writes_report(tmp_path, monkeypatch, variant, module, name, error):
     # A kernel failure in a solver's start is a numeric abort like one in the

@@ -679,17 +679,23 @@ def test_tucker_start_keeps_the_data_scaled_penalty():
         assert kept == (name != "unmasked"), name
 
 
-@pytest.mark.parametrize("variant", variants.LADMM_VARIANTS)
+@pytest.mark.parametrize("variant",
+                         variants.LADMM_VARIANTS + variants.DEGREE3_SUB_VARIANTS)
 def test_ladmm_start_takes_no_svd(monkeypatch, variant):
-    real_svd, real_iterate, calls, before_loop = np.linalg.svd, admm._iterate, [], []
+    # Counted around the start that the loop is given, which it runs first.
+    real_svd, real_iterate, calls, in_start = np.linalg.svd, admm._iterate, [], []
 
     def counting_svd(*args, **kwargs):
         calls.append(1)
         return real_svd(*args, **kwargs)
 
-    def iterate(*args, **kwargs):
-        before_loop.append(len(calls))
-        return real_iterate(*args, **kwargs)
+    def iterate(X, cfg, start, *args, **kwargs):
+        def counted_start(X, cfg):
+            before = len(calls)
+            state = start(X, cfg)
+            in_start.append(len(calls) - before)
+            return state
+        return real_iterate(X, cfg, counted_start, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(admm, "_iterate", iterate)
@@ -697,7 +703,7 @@ def test_ladmm_start_takes_no_svd(monkeypatch, variant):
                                        p_clean=0.8, seed=29))
     cfg = SolverConfig(rank=3, alpha=1e-4, max_iters=2, variant=variant)
     variants.solve_variant(X, cfg)
-    assert before_loop == [0]
+    assert in_start == [0]
 
 
 @pytest.mark.parametrize("variant", variants.LADMM_VARIANTS)
@@ -713,6 +719,64 @@ def test_passed_a_delta_matches_recomputed(variant):
     for step in (variants.ladmm_update_B, variants.ladmm_update_R):
         want = step(state, X, cfg, delta)
         assert np.array_equal(step(state, X, cfg, a_delta=a_delta), want), step.__name__
+
+
+def test_tucker_start_penalty_is_bounded_by_the_cap_factor():
+    # Noiseless data: the start fits X to round-off, so lambda / max|X - A R B^T|
+    # is near 1e16 times the data-scaled penalty; mu0 stops at mu_cap_factor
+    # times it, and each variant still ends "tol" at once at tol 1e-12.
+    for seed in (5, 6, 7):
+        spec = SynthSpec(m=20, n=20, n_slices=6, rank_a=3, rank_b=3, p_clean=1.0,
+                         seed=seed)
+        low_rank, _, X = synth_generate(spec)
+        for variant in ("ladmm2", *variants.DEGREE3_SUB_VARIANTS):
+            alpha = 1e-2 if variant == "ladmm2" else 1e-5
+            cfg = SolverConfig(rank=5, alpha=alpha, lam=1e4, tol=1e-12, max_iters=50,
+                               variant=variant)
+            x, prepared = admm._prepare(X, cfg)
+            state = variants._init_tucker(x, prepared)
+            assert state.mu == cfg.mu_cap_factor * admm._data_penalty(x)
+            model, _, report = variants.solve_variant(X, cfg)
+            assert report.termination == "tol" and report.n_iterations <= 2, variant
+            assert rel_error(model.reconstruct(), low_rank) <= 1e-8, variant
+
+
+@pytest.mark.parametrize("lam", [None, 1e4])
+def test_degree3_start_is_the_tucker_start_with_copies(lam):
+    # The start raises mu by f ~ 30 here at the default lambda, ~ 3e6 at 1e4.
+    X = _low_rank_instance()
+    cfg = SolverConfig(rank=3, alpha=1e-5, lam=lam, variant="admm3_fro")
+    X, cfg = admm._prepare(X, cfg)
+    tucker, state = variants._init_tucker(X, cfg), variants._init_degree3(X, cfg)
+    for name in ("a", "b", "core"):
+        assert np.array_equal(getattr(state.model, name), getattr(tucker.model, name))
+    assert (state.mu, state.mu_cap) == (tucker.mu, tucker.mu_cap)
+    f = state.mu / admm._data_penalty(X)
+    assert f > 10
+    for copy, primal in ((state.U, state.model.a), (state.V, state.model.b),
+                         (state.K, state.model.core)):
+        assert np.array_equal(copy, primal) and not np.shares_memory(copy, primal)
+    for zero in (state.E, state.Lam, state.Y, state.Y_U, state.Y_V):
+        assert not zero.any()
+    N = X.shape[2]
+    rules = {"mu_K": admm.ETA_INIT * N / sum(np.linalg.norm(state.model.core[:, :, i])
+                                             for i in range(N)),
+             "mu_U": admm.ETA_INIT * N / np.linalg.norm(state.model.a),
+             "mu_V": admm.ETA_INIT * N / np.linalg.norm(state.model.b)}
+    for name, rule in rules.items():
+        assert_allclose(getattr(state, name), np.sqrt(f) * rule, rtol=1e-14, err_msg=name)
+        assert getattr(state, name + "_cap") == cfg.mu_cap_factor * getattr(state, name)
+
+
+def test_degree3_start_keeps_data_scaled_splits_when_mu_is_kept():
+    # A masked start keeps the data-scaled mu (f = 1), and so do its splits.
+    X = _low_rank_instance()
+    mask = np.random.default_rng(48).random(X.shape) < 0.7
+    cfg = SolverConfig(rank=3, alpha=1e-5, variant="admm3_nuc", mask=mask)
+    X, cfg = admm._prepare(np.where(mask, X, 0.0), cfg)
+    state = variants._init_degree3(X, cfg)
+    assert state.mu == admm._data_penalty(X)
+    assert state.mu_U == admm.ETA_INIT * X.shape[2] / np.linalg.norm(state.model.a)
 
 
 def test_tucker_start_takes_no_svd(monkeypatch):
