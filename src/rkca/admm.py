@@ -159,8 +159,80 @@ def _data_penalty(X):
     return ETA_INIT * X.shape[2] / norm_sum if norm_sum > 0 else ETA_INIT
 
 
+def _init_tucker(X, cfg):
+    """Tucker-2 start (truncated HOSVD): the LADMM and ``admm3_*`` start, and
+    the fit that admm2's unmasked start balances (:func:`_init_balanced`).
+
+    A and B are the top-r eigenvectors of sum_i X_i X_i^T and sum_i X_i^T X_i,
+    formed slice by slice from X / max|X|, which leaves the eigenvectors as
+    they are and keeps the Grams finite; R_i = A^T X_i B and E = Lam = 0.
+
+    mu starts at :func:`_data_penalty`, the scale for a start from zero.
+    This start already fits the data, so without a mask mu is raised to
+    lambda / max|X - A R B^T| where that is larger, up to mu_cap_factor times
+    the data-scaled value: the first E step's threshold lambda/mu then equals
+    the largest residual, and E turns on at the second iteration instead of
+    idling at 0 while mu grows.  The bound keeps a near-exact fit, whose
+    residual is round-off, from starting mu at the scale of 1/eps.  Under a
+    mask the start fits zero-filled data, its residual is start error rather
+    than outliers, and mu is kept; so it is for a zero, non-finite or
+    overflowed scale.  mu_cap follows mu.  Zero input gives zero bases and
+    mu = eta.
+    """
+    (m, n, N), r = X.shape, cfg.rank
+    a, b = np.zeros((m, r)), np.zeros((n, r))
+    scale = max(float(X.max()), -float(X.min()))
+    if scale > 0:
+        gram_a, gram_b = np.zeros((m, m)), np.zeros((n, n))
+        for x_i in _slices(X):
+            x_i = x_i / scale
+            gram_a += x_i @ x_i.T
+            gram_b += x_i.T @ x_i
+        # Eigenvalues ascend: the last r eigenvectors, largest first.
+        a, b = (linalg.symmetric_eig(gram)[1][:, ::-1][:, :r].copy()
+                for gram in (gram_a, gram_b))
+    mu = _data_penalty(X)
+    core_t = a.T @ _slices(X) @ b
+    if cfg.mask is None and 0 < mu < np.inf:
+        # Slice by slice, so the residual takes no data-sized buffer.
+        worst = max(float(np.max(np.abs(x_i - (a @ r_i) @ b.T)))
+                    for x_i, r_i in zip(_slices(X), core_t))
+        raised = cfg.resolved_lambda(X.shape) / worst if worst > 0 else np.inf
+        if raised < np.inf:
+            mu = max(mu, min(raised, cfg.mu_cap_factor * mu))
+    return SolverState(model=FactorModel(a, b, _stack(core_t)),
+                       E=np.zeros_like(X), Lam=np.zeros_like(X),
+                       mu=mu, mu_cap=cfg.mu_cap_factor * mu)
+
+
+def _init_balanced(X, cfg):
+    """admm2's unmasked start: the Tucker-2 fit (:func:`_init_tucker`) moved
+    along A -> cA, B -> cB, R -> R/c^2, which keeps every A R_i B^T, to the c
+    that minimises the degree-2 penalty (||A||_F^2 + ||B||_F^2)/2 +
+    alpha*||R||_1 on that orbit: c^4 = 2*alpha*||R||_1 / (||A||_F^2 + ||B||_F^2),
+    and c = 1 where that is no positive finite number (zero input, alpha = 0).
+
+    mu and mu_cap are the Tucker start's; K = R and Y = 0, and mu_K is
+    :func:`_data_penalty` of the balanced core, without the raise the start
+    gave mu.
+    """
+    state = _init_tucker(X, cfg)
+    a, b, core = state.model.a, state.model.b, state.model.core
+    basis_sq = float(np.vdot(a, a) + np.vdot(b, b))
+    c = (2.0 * cfg.alpha * tensor.l1(core) / basis_sq) ** 0.25 if basis_sq > 0 else 1.0
+    if not 0.0 < c < np.inf:
+        c = 1.0
+    a *= c
+    b *= c
+    core /= c * c
+    state.K, state.Y = core.copy(order="K"), np.zeros_like(core)
+    state.mu_K = _data_penalty(core)
+    state.mu_K_cap = cfg.mu_cap_factor * state.mu_K
+    return state
+
+
 def initialize(X, cfg):
-    """Spectral initialisation from per-slice SVDs.
+    """Spectral initialisation from per-slice SVDs: admm2's masked start.
 
     Each slice contributes its top-r singular triplet: the core slice is the
     truncated singular-value block, the bases average the per-slice singular
@@ -203,13 +275,13 @@ def _prepare(X, cfg):
     """Check X and cfg; return X and a copy of cfg, both slice-major.
 
     Neither argument is modified: X is copied unless already slice-major and
-    the mask is converted in a new config.
+    the mask is converted in a new config, or dropped if it hides no entry.
     """
     X = tensor.slice_major(tensor.as_tensor3(X, "X"))
     cfg.validate_for(X.shape)
     if cfg.mask is not None:
         mask = tensor.slice_major(np.asarray(cfg.mask, dtype=bool))
-        cfg = replace(cfg, mask=mask)
+        cfg = replace(cfg, mask=None if mask.all() else mask)
     return X, cfg
 
 
@@ -543,12 +615,15 @@ def _admm2_penalty(state, cfg):
 def solve(X, cfg):
     """Run the degree-2 ADMM solver; returns (model, E, report).
 
-    Iterates the Algorithm-order updates (E, A, B, K, R, duals) until the
-    worst primal-feasibility error drops below ``cfg.tol`` or ``max_iters``
-    is reached.  Deterministic for fixed inputs.
+    Starts from the balanced Tucker-2 fit (:func:`_init_balanced`), or from
+    per-slice SVDs (:func:`initialize`) under a mask, then iterates the
+    Algorithm-order updates (E, A, B, K, R, duals) until the worst
+    primal-feasibility error drops below ``cfg.tol`` or ``max_iters`` is
+    reached.  Deterministic for fixed inputs.
     """
     X, cfg = _prepare(X, cfg)
     if cfg.variant != "admm2":
         raise ValueError(f"admm.solve handles the admm2 variant, got {cfg.variant!r}")
-    return _iterate(X, cfg, initialize, _admm2_sweep, _admm2_penalty,
+    start = _init_balanced if cfg.mask is None else initialize
+    return _iterate(X, cfg, start, _admm2_sweep, _admm2_penalty,
                     ("model.a", "K", "model.b"), (CORE_SPLIT,))

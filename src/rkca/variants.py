@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import admm, linalg, tensor
-from .admm import ETA_INIT, _slices, _stack
+from .admm import ETA_INIT, _init_tucker, _slices, _stack
 from .model import FactorModel
 
 __all__ = [
@@ -228,51 +228,6 @@ def _ladmm_sweep(state, X, delta, cfg, report):
     state.model.b = ladmm_update_B(state, X, cfg, a_delta=a_delta)
     yield "R"
     state.model.core = ladmm_update_R(state, X, cfg, a_delta=a_delta)
-
-
-def _init_tucker(X, cfg):
-    """Tucker-2 start (truncated HOSVD) for the LADMM and ``admm3_*`` variants.
-
-    A and B are the top-r eigenvectors of sum_i X_i X_i^T and sum_i X_i^T X_i,
-    formed slice by slice from X / max|X|, which leaves the eigenvectors as
-    they are and keeps the Grams finite; R_i = A^T X_i B and E = Lam = 0.
-
-    mu starts at :func:`admm._data_penalty`, the scale for a start from zero.
-    This start already fits the data, so without a mask mu is raised to
-    lambda / max|X - A R B^T| where that is larger, up to mu_cap_factor times
-    the data-scaled value: the first E step's threshold lambda/mu then equals
-    the largest residual, and E turns on at the second iteration instead of
-    idling at 0 while mu grows.  The bound keeps a near-exact fit, whose
-    residual is round-off, from starting mu at the scale of 1/eps.  Under a
-    mask the start fits zero-filled data, its residual is start error rather
-    than outliers, and mu is kept; so it is for a zero, non-finite or
-    overflowed scale.  mu_cap follows mu.  Zero input gives zero bases and
-    mu = eta.
-    """
-    (m, n, N), r = X.shape, cfg.rank
-    a, b = np.zeros((m, r)), np.zeros((n, r))
-    scale = max(float(X.max()), -float(X.min()))
-    if scale > 0:
-        gram_a, gram_b = np.zeros((m, m)), np.zeros((n, n))
-        for x_i in _slices(X):
-            x_i = x_i / scale
-            gram_a += x_i @ x_i.T
-            gram_b += x_i.T @ x_i
-        # Eigenvalues ascend: the last r eigenvectors, largest first.
-        a, b = (linalg.symmetric_eig(gram)[1][:, ::-1][:, :r].copy()
-                for gram in (gram_a, gram_b))
-    mu = admm._data_penalty(X)
-    core_t = a.T @ _slices(X) @ b
-    if cfg.mask is None and 0 < mu < np.inf:
-        # Slice by slice, so the residual takes no data-sized buffer.
-        worst = max(float(np.max(np.abs(x_i - (a @ r_i) @ b.T)))
-                    for x_i, r_i in zip(_slices(X), core_t))
-        raised = cfg.resolved_lambda(X.shape) / worst if worst > 0 else np.inf
-        if raised < np.inf:
-            mu = max(mu, min(raised, cfg.mu_cap_factor * mu))
-    return LadmmState(model=FactorModel(a, b, _stack(core_t)),
-                      E=np.zeros_like(X), Lam=np.zeros_like(X),
-                      mu=mu, mu_cap=cfg.mu_cap_factor * mu)
 
 
 def degree3_update_A_sub(state, cfg):

@@ -494,3 +494,30 @@ def test_a12_degree3_recovery_and_iteration_budget():
         " ".join(f"{v}@{s}:{t},iters={n},rel_L={r:.1e},F1={f:.4f},empty_tol={e}"
                  for v, s, t, n, r, f, e in rows),
     )
+
+
+def test_a13_admm2_recovery_and_iteration_budget():
+    # From the balanced Tucker-2 start admm2 meets A1's floors at tol 1e-10
+    # within 60 iterations at both of A11's seeds, and at the default tol no
+    # run reports "tol" before E has any support or below F1 0.99.
+    rows = []
+    for seed in (BENCH_SPEC.seed, 2):
+        spec = SynthSpec(**{**vars(BENCH_SPEC), "seed": seed})
+        low_rank, sparse, observed = synth_generate(spec)
+        cfg = SolverConfig(rank=10, alpha=1e-2, tol=1e-10)
+        model, e_hat, report = admm.solve(observed, cfg)
+        result = metrics(model.reconstruct(), e_hat, low_rank, sparse)
+        default_tol = SolverConfig(rank=10, alpha=1e-2)
+        m_default, e_default, default_report = admm.solve(observed, default_tol)
+        f1_default = metrics(m_default.reconstruct(), e_default, low_rank, sparse).support_f1
+        bad_tol = default_report.termination == "tol" and (
+            not np.count_nonzero(e_default) or f1_default < 0.99)
+        rows.append((seed, report.termination, report.n_iterations, result.rel_error_L,
+                     result.support_f1, f1_default, bad_tol))
+    criterion(
+        "A13 admm2 recovery and iteration budget",
+        all(term == "tol" and iters <= 60 and rel_l <= 1e-4 and f1 >= 0.999
+            and not bad for _, term, iters, rel_l, f1, _, bad in rows),
+        " ".join(f"admm2@{s}:{t},iters={n},rel_L={r:.1e},F1={f:.4f},"
+                 f"default_F1={d:.4f},bad_tol={b}" for s, t, n, r, f, d, b in rows),
+    )

@@ -68,6 +68,50 @@ def test_initialize_matches_per_slice_svd():
     assert not state.E.any() and not state.Lam.any() and not state.Y.any()
 
 
+def _penalty(a, b, core, alpha):
+    return 0.5 * (np.vdot(a, a) + np.vdot(b, b)) + alpha * tensor.l1(core)
+
+
+@pytest.mark.parametrize("lam", [None, 1e4])
+def test_balanced_start_is_the_tucker_fit_at_the_penalty_minimiser(lam):
+    # A -> cA, B -> cB, R -> R/c^2 keeps the Tucker-2 fit; the start takes the
+    # c that minimises the degree-2 penalty along that orbit.
+    spec = SynthSpec(m=14, n=12, n_slices=5, rank_a=2, rank_b=2, p_clean=0.8, seed=29)
+    alpha = 1e-2
+    cfg = SolverConfig(rank=3, alpha=alpha, lam=lam)
+    X, cfg = admm._prepare(synth_generate(spec)[2], cfg)
+    tucker, state = admm._init_tucker(X, cfg), admm._init_balanced(X, cfg)
+    a0, b0, core0 = tucker.model.a, tucker.model.b, tucker.model.core
+    a, b, core = state.model.a, state.model.b, state.model.core
+    assert rel_error(state.model.reconstruct(), tucker.model.reconstruct()) <= 1e-12
+    assert_allclose(np.linalg.norm(a), np.linalg.norm(b), rtol=1e-12)
+    c = np.linalg.norm(a) / np.linalg.norm(a0)
+    basis_sq = np.linalg.norm(a0) ** 2 + np.linalg.norm(b0) ** 2
+    assert_allclose(c ** 4, 2 * alpha * tensor.l1(core0) / basis_sq, rtol=1e-12)
+    assert abs(c - 1.0) > 0.1
+    at_start = _penalty(a, b, core, alpha)
+    for s in (1 - 1e-3, 1 + 1e-3):
+        assert at_start <= _penalty(s * a, s * b, core / s ** 2, alpha)
+    assert (state.mu, state.mu_cap) == (tucker.mu, tucker.mu_cap)
+    assert np.array_equal(state.K, core) and not np.shares_memory(state.K, core)
+    assert state.Y.shape == core.shape and not state.Y.any()
+    assert not state.E.any() and not state.Lam.any()
+    assert state.mu_K == admm._data_penalty(core)
+    assert state.mu_K_cap == cfg.mu_cap_factor * state.mu_K
+
+
+def test_balanced_start_keeps_c_one_without_a_minimiser():
+    # Zero input (no basis norm) and alpha = 0 (no core penalty) give c = 1.
+    for X, alpha in ((np.zeros((6, 5, 3)), 1e-2),
+                     (np.random.default_rng(3).standard_normal((6, 5, 3)), 0.0)):
+        X, cfg = admm._prepare(X, SolverConfig(rank=2, alpha=alpha))
+        tucker, state = admm._init_tucker(X, cfg), admm._init_balanced(X, cfg)
+        for part in ("a", "b", "core"):
+            assert np.array_equal(getattr(state.model, part), getattr(tucker.model, part))
+    zero = admm._init_balanced(np.zeros((6, 5, 3)), SolverConfig(rank=2))
+    assert zero.mu == zero.mu_K == admm.ETA_INIT
+
+
 def test_update_E_zero_residual_and_scalar():
     rng = np.random.default_rng(1)
     state = make_state(rng)

@@ -190,7 +190,7 @@ def test_kernel_failure_mid_run_aborts_every_variant(tmp_path, monkeypatch, vari
 
 @pytest.mark.parametrize("variant, module, name, error", [
     ("ladmm2", linalg, "symmetric_eig", linalg.NumericalError),
-    ("admm2", np.linalg, "svd", np.linalg.LinAlgError),
+    ("admm2", linalg, "symmetric_eig", linalg.NumericalError),
     ("admm3-fro", linalg, "symmetric_eig", linalg.NumericalError),
 ])
 def test_failed_start_writes_report(tmp_path, monkeypatch, variant, module, name, error):
@@ -198,15 +198,28 @@ def test_failed_start_writes_report(tmp_path, monkeypatch, variant, module, name
     # loop: exit 4 and a report with no iterations.
     gen = tmp_path / "gen"
     assert run_cli(*synth_args(gen)) == 0
+    _assert_failed_start(tmp_path, monkeypatch, module, name, error,
+                         "decompose", "--input", gen / "X.rkt", "--variant", variant)
 
+
+def test_failed_masked_start_writes_report(tmp_path, monkeypatch):
+    # A masked admm2 solve starts from per-slice SVDs; a failed one aborts
+    # the same way.
+    gen = tmp_path / "gen"
+    assert run_cli(*synth_args(gen)) == 0
+    mask = data.make_mask((20, 18, 5), 0.7, seed=5)
+    fileio.write_rkt(tmp_path / "mask.rkt", mask.astype(float))
+    _assert_failed_start(tmp_path, monkeypatch, np.linalg, "svd", np.linalg.LinAlgError,
+                         "complete", "--input", gen / "X.rkt", "--mask", tmp_path / "mask.rkt")
+
+
+def _assert_failed_start(tmp_path, monkeypatch, module, name, error, *command):
     def failing(*args, **kwargs):
         raise error("injected failure")
 
     monkeypatch.setattr(module, name, failing)
     out = tmp_path / "out"
-    code = run_cli("decompose", "--input", gen / "X.rkt", "--rank", 3,
-                   "--variant", variant, "--out-dir", out)
-    assert code == 4
+    assert run_cli(*command, "--rank", 3, "--out-dir", out) == 4
     report = json.loads((out / "report.json").read_text())
     assert report["termination"] == "abort"
     assert report["iterations"] == []
@@ -361,6 +374,25 @@ def test_complete_full_mask_equals_decompose(tmp_path):
     assert run_cli("decompose", "--input", gen / "X.rkt",
                    "--out-dir", out_d, *common) == 0
     assert (out_c / "L.rkt").read_bytes() == (out_d / "L.rkt").read_bytes()
+
+
+@pytest.mark.parametrize("variant", ["ladmm2", "admm3-fro"])
+def test_complete_full_mask_equals_decompose_for_tucker_starts(tmp_path, variant):
+    # A mask that hides nothing is no mask: the Tucker-2 start raises mu as
+    # for a decomposition, and the report says the run was not masked.
+    gen = tmp_path / "gen"
+    run_cli(*synth_args(gen, **{"p-clean": 0.7}))
+    mask_path = tmp_path / "mask.rkt"
+    fileio.write_rkt(mask_path, np.ones((20, 18, 5)))
+    out_c, out_d = tmp_path / "comp", tmp_path / "dec"
+    common = ["--rank", 6, "--tol", 1e-8, "--variant", variant]
+    assert run_cli("complete", "--input", gen / "X.rkt", "--mask", mask_path,
+                   "--out-dir", out_c, *common) == 0
+    assert run_cli("decompose", "--input", gen / "X.rkt",
+                   "--out-dir", out_d, *common) == 0
+    assert (out_c / "L.rkt").read_bytes() == (out_d / "L.rkt").read_bytes()
+    report = json.loads((out_c / "report.json").read_text())
+    assert report["config"]["masked"] is False
 
 
 def test_complete_empty_mask_rejected(tmp_path):

@@ -679,8 +679,8 @@ def test_tucker_start_keeps_the_data_scaled_penalty():
         assert kept == (name != "unmasked"), name
 
 
-@pytest.mark.parametrize("variant",
-                         variants.LADMM_VARIANTS + variants.DEGREE3_SUB_VARIANTS)
+@pytest.mark.parametrize("variant", ("admm2", *variants.LADMM_VARIANTS,
+                                     *variants.DEGREE3_SUB_VARIANTS))
 def test_ladmm_start_takes_no_svd(monkeypatch, variant):
     # Counted around the start that the loop is given, which it runs first.
     real_svd, real_iterate, calls, in_start = np.linalg.svd, admm._iterate, [], []
