@@ -24,7 +24,6 @@ import numpy as np
 
 from . import admm, linalg, tensor
 from .admm import ETA_INIT, _init_tucker, _slices, _stack
-from .model import FactorModel
 
 __all__ = [
     "LadmmState", "Degree3State", "LipschitzBounds", "compute_lipschitz",
