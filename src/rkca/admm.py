@@ -23,7 +23,8 @@ X and the mask are copied once to slice-major storage
 keeps, and cores are slice-major too, so :func:`_slices` and :func:`_stack`
 are views.  A run's start allocates E, Lam and two work buffers, and every
 data-sized array an iteration builds goes into one of these four
-(:func:`_spare`).
+(:func:`_spare`).  The loop's E step and tail run slice-block by slice-block
+(:func:`_blocks`), so that the arrays each chains through stay in cache.
 """
 
 from __future__ import annotations
@@ -285,16 +286,37 @@ def _prepare(X, cfg):
     return X, cfg
 
 
-def _shrink_E(state, X, cfg, lam, recon, out=None):
-    """E step: shrink T = X - recon + Lam/mu at level lam/mu (selectively
-    under a mask).  T is built in ``out``, E's array or by default recon's,
-    and E is written over it; Lam/mu and then the clip
-    C = clip(T, -lam/mu, lam/mu) [* mask] go to ``_spare(state, recon)``,
-    where C stays for :func:`_shrunk_l1`."""
-    resid = np.subtract(X, recon, out=recon if out is None else out)
-    clip = np.divide(state.Lam, state.mu, out=_spare(state, recon))
+# The loop's E step and tail run over blocks of slices with at most this many
+# bytes per array, so that a block of every array a chain passes over stays in
+# a 2 MB L2 from one pass to the next.
+_BLOCK_BYTES = 1 << 19
+
+
+def _blocks(X):
+    """Slice ranges that cover the slices of the (m, n, N) tensor X in order,
+    each at most _BLOCK_BYTES of X (one slice at least)."""
+    m, n, N = X.shape
+    step = max(1, _BLOCK_BYTES // (m * n * X.itemsize))
+    return [slice(s, s + step) for s in range(0, N, step)]
+
+
+def _shrink_residual(X, recon, Lam, mu, tau, mask, out, clip):
+    """E = T - C over T = X - recon + Lam/mu, built in ``out``, with the clip
+    C = clip(T, -tau, tau) [* mask] left in ``clip``, which holds Lam/mu
+    first.  Elementwise: a block of slices gives the bits of the whole."""
+    resid = np.subtract(X, recon, out=out)
+    np.divide(Lam, mu, out=clip)
     resid += clip
-    return linalg._shrink(resid, lam / state.mu, cfg.mask, out=resid, clip=clip)
+    return linalg._shrink(resid, tau, mask, out=resid, clip=clip)
+
+
+def _shrink_E(state, X, cfg, lam, recon):
+    """E step on whole tensors: shrink T = X - recon + Lam/mu at level lam/mu
+    (selectively under a mask), :func:`_shrink_residual` with T and then E
+    in recon's array and the clip in ``_spare(state, recon)``, where it stays
+    for :func:`_shrunk_l1`."""
+    return _shrink_residual(X, recon, state.Lam, state.mu, lam / state.mu, cfg.mask,
+                            recon, _spare(state, recon))
 
 
 # Below this threshold tau * |E| can fall below the smallest normal float for
@@ -320,13 +342,27 @@ def _shrunk_l1(E, clip, tau, mask):
     return tensor.l1(E, mask)
 
 
-def update_E(state, X, cfg, recon=None, out=None):
-    """Shrink the residual X - L + Lam/mu at level lambda/mu, with
-    L = K x_1 A x_2 B unless ``recon`` passes the loop's L.  E is written
-    over ``out``, by default over L (see :func:`_shrink_E`)."""
-    if recon is None:
-        recon = tensor.reconstruct(state.model.a, state.K, state.model.b, out=_spare(state))
-    return _shrink_E(state, X, cfg, cfg.resolved_lambda(X.shape), recon, out)
+def _e_step(state, X, cfg, lam, recon, target):
+    """The loop's E step on L = ``recon``, block by block (:func:`_blocks`):
+    E over T in E's own array (:func:`_shrink_residual`), ||E||_1 from the
+    clip C (:func:`_shrunk_l1`), then the sweep's target L + C over C in
+    ``target``.  E = T - C, so L + C = Xt + Lam/mu.  Returns ||E||_1."""
+    tau, l1 = lam / state.mu, 0.0
+    for blk in _blocks(X):
+        x, l, lam_k, e, clip = (t[:, :, blk] for t in (X, recon, state.Lam, state.E, target))
+        mask = None if cfg.mask is None else cfg.mask[:, :, blk]
+        _shrink_residual(x, l, lam_k, state.mu, tau, mask, e, clip)
+        l1 += _shrunk_l1(e, clip, tau, mask)
+        np.add(l, clip, out=clip)
+    return l1
+
+
+def update_E(state, X, cfg):
+    """Shrink the residual X - L + Lam/mu at level lambda/mu, L = K x_1 A x_2 B,
+    on whole tensors (:func:`_shrink_E`); the loop runs the same arithmetic
+    slice-block by slice-block (:func:`_e_step`)."""
+    recon = tensor.reconstruct(state.model.a, state.K, state.model.b, out=_spare(state))
+    return _shrink_E(state, X, cfg, cfg.resolved_lambda(X.shape), recon)
 
 
 def _solve_spd_right(system, rhs, report, label, iteration):
@@ -347,21 +383,22 @@ def _solve_spd_right(system, rhs, report, label, iteration):
     return ((rhs @ q) / evals) @ q.T
 
 
-def _target(state, x_tilde, p=None):
-    """P = mu*Xt + Lam for the basis and core solves, unless ``p`` passes the
-    one its sweep built (mu and Lam are fixed until the dual update), in which
-    case ``x_tilde`` is not read."""
-    if p is None:
-        p = np.multiply(state.mu, x_tilde, out=_spare(state, x_tilde))
-        p += state.Lam
-    return p
+def _target(state, x_tilde, delta=None):
+    """Delta = Xt + Lam/mu for the basis and core solves, unless ``delta``
+    passes the loop's (mu and Lam are fixed until the dual update), in which
+    case ``x_tilde`` is not read.  The solves take mu*Delta = mu*Xt + Lam by
+    scaling their r-sized products."""
+    if delta is None:
+        delta = np.divide(state.Lam, state.mu, out=_spare(state, x_tilde))
+        delta += x_tilde
+    return delta
 
 
-def _basis_target(state, x_tilde, basis, p=None, g=None):
-    """G_i = W^T P_i for every slice, W = ``basis``, as an (N, r, n) batch,
+def _basis_target(state, x_tilde, basis, delta=None, g=None):
+    """G_i = W^T Delta_i for every slice, W = ``basis``, as an (N, r, n) batch,
     unless ``g`` passes the one its sweep formed after updating W."""
     if g is None:
-        g = basis.T @ _slices(_target(state, x_tilde, p))
+        g = basis.T @ _slices(_target(state, x_tilde, delta))
     return g
 
 
@@ -376,57 +413,60 @@ def _cross_gram(core, other, row):
 
 
 def _solve_basis(state, x_tilde, other, row, weight, report, label,
-                 anchor=None, mu_anchor=None, p=None, g=None):
+                 anchor=None, mu_anchor=None, delta=None, g=None):
     """Normal-equation solve for one basis, with the core K and ``other`` (W) fixed.
 
-    Solves Z (I + weight * sum_i K_i W^T W K_i^T) = C, C = sum_i P_i W K_i^T,
-    for the column basis (P as in :func:`_target`); ``row=True`` transposes
-    every slice, C = sum_i G_i^T K_i with G as in :func:`_basis_target`.  A
-    substitution copy passes an ``anchor``: C -> anchor + C/mu_anchor.
+    Solves Z (I + weight * sum_i K_i W^T W K_i^T) = C, C = mu * sum_i Delta_i
+    W K_i^T, for the column basis (Delta as in :func:`_target`); ``row=True``
+    transposes every slice, C = mu * sum_i G_i^T K_i with G as in
+    :func:`_basis_target`.  A substitution copy passes an ``anchor``:
+    C -> anchor + C/mu_anchor.
     """
     k_t = _slices(state.K)
     if row:
-        g = _basis_target(state, x_tilde, other, p, g)
+        g = _basis_target(state, x_tilde, other, delta, g)
         rhs = np.sum(g.transpose(0, 2, 1) @ k_t, axis=0)
     else:
-        p_t = _slices(_target(state, x_tilde, p))
-        rhs = np.sum((p_t @ other) @ k_t.transpose(0, 2, 1), axis=0)
+        d_t = _slices(_target(state, x_tilde, delta))
+        rhs = np.sum((d_t @ other) @ k_t.transpose(0, 2, 1), axis=0)
+    rhs *= state.mu
     system = np.eye(other.shape[1]) + weight * _sym(_cross_gram(state.K, other, row))
     if anchor is not None:
         rhs = anchor + rhs / mu_anchor
     return _solve_spd_right(system, rhs, report, label, state.iters)
 
 
-def update_A(state, x_tilde, cfg, report=None, p=None):
+def update_A(state, x_tilde, cfg, report=None, delta=None):
     """Exact minimiser of the A block: a normal-equation solve over r x r.
-    ``p`` passes the sweep's mu*Xt + Lam."""
-    return _solve_basis(state, x_tilde, state.model.b, False, state.mu, report, "A", p=p)
+    ``delta`` passes the loop's Xt + Lam/mu."""
+    return _solve_basis(state, x_tilde, state.model.b, False, state.mu, report, "A",
+                        delta=delta)
 
 
-def update_B(state, x_tilde, cfg, report=None, p=None, g=None):
+def update_B(state, x_tilde, cfg, report=None, delta=None, g=None):
     """Exact minimiser of the B block, using the freshly updated A; ``g``
-    passes the sweep's A^T P_i."""
+    passes the sweep's A^T Delta_i."""
     return _solve_basis(state, x_tilde, state.model.a, True, state.mu, report, "B",
-                        p=p, g=g)
+                        delta=delta, g=g)
 
 
-def _stein_core(state, x_tilde, left, right, p=None, g=None):
+def _stein_core(state, x_tilde, left, right, delta=None, g=None):
     """Solve one Stein equation per slice for the split core K, all slices in
     one :func:`linalg.stein_apply`: mu_K*K_i + mu*L^T L K_i R^T R =
-    G_i R + mu_K*R_i + Y_i, L = ``left``, R = ``right``, G_i = L^T P_i.
+    mu*G_i R + mu_K*R_i + Y_i, L = ``left``, R = ``right``, G_i = L^T Delta_i.
     """
     mu, mu_K = state.mu, state.mu_K
     gram_l, gram_r = _sym(left.T @ left), _sym(right.T @ right)
     factors = linalg.stein_factors(-(mu / mu_K) * gram_l, gram_r)
-    g = _basis_target(state, x_tilde, left, p, g)
-    h_t = (g @ right + _slices(state.Y)) / mu_K + _slices(state.model.core)
+    g = _basis_target(state, x_tilde, left, delta, g)
+    h_t = (mu * (g @ right) + _slices(state.Y)) / mu_K + _slices(state.model.core)
     return _stack(linalg.stein_apply(factors, h_t))
 
 
-def update_K(state, x_tilde, cfg, p=None, g=None):
+def update_K(state, x_tilde, cfg, delta=None, g=None):
     """Solve one Stein equation per slice for the split core K; ``g`` passes
-    the sweep's A^T P_i."""
-    return _stein_core(state, x_tilde, state.model.a, state.model.b, p, g)
+    the sweep's A^T Delta_i."""
+    return _stein_core(state, x_tilde, state.model.a, state.model.b, delta, g)
 
 
 def update_R(state, cfg):
@@ -434,14 +474,11 @@ def update_R(state, cfg):
     return linalg.soft_shrink(state.K - state.Y / state.mu_K, cfg.alpha / state.mu_K)
 
 
-def _ascend(state, resid, splits, cfg):
-    """Dual ascent on X = L + E, ``resid`` its residual, and on each of the
-    ``splits``, each by its own penalty, which then grows up to its cap.
-    Lam is built in ``resid``, an array of the caller's own.  Returns each
-    split's worst per-slice residual by its report name."""
-    resid *= state.mu
-    resid += state.Lam
-    state.Lam = resid
+def _ascend(state, splits, cfg):
+    """Grow mu up to its cap, once the caller has ascended Lam on X = L + E,
+    and ascend each of the ``splits`` by its own penalty, which then grows up
+    to its cap.  Returns each split's worst per-slice residual by its report
+    name."""
     state.mu = min(state.mu_cap, cfg.rho * state.mu)
     errs = {}
     for row in splits:
@@ -456,9 +493,14 @@ def _ascend(state, resid, splits, cfg):
 
 def update_duals(state, x_tilde, cfg):
     """Dual ascent on Xt = K x_1 A x_2 B and on R = K, then grow both capped
-    penalties: the loop's tail (:func:`_ascend`) on the admm2 table."""
-    recon = tensor.reconstruct(state.model.a, state.K, state.model.b)
-    _ascend(state, np.subtract(x_tilde, recon, out=recon), (CORE_SPLIT,), cfg)
+    penalties, on whole tensors from Xt.  The loop forms the same Lam from the
+    sweep's target instead (:func:`_tail`)."""
+    resid = tensor.reconstruct(state.model.a, state.K, state.model.b)
+    np.subtract(x_tilde, resid, out=resid)
+    resid *= state.mu
+    resid += state.Lam
+    state.Lam = resid
+    _ascend(state, (CORE_SPLIT,), cfg)
     return state
 
 
@@ -474,32 +516,86 @@ def residuals(state, X, out=None):
     return err_rec, err_core
 
 
-def _rec_ratio(state, X, diff, core):
+def _rec_ratio(state, X, num, cross, core):
     """err_rec, max_i ||X_i - E_i - A R_i B^T||^2 / ||X_i||^2, from the
-    residual D = (X - A K B^T) - E (``diff``) of a reconstruction that shares
+    per-slice ||D_i||^2 (``num``) and A^T D_i B (``cross``, an (N, r, r)
+    batch) of the residual D = X - A K B^T - E of a reconstruction that shares
     the model's bases, K = ``core``.
 
     With Delta = R - K the numerator is ||D_i||^2 - 2<A^T D_i B, Delta_i> +
-    <A^T A Delta_i B^T B, Delta_i>, clamped at 0: D is read for its norms
-    and, unless K is R itself, once more for A^T D_i; it is not written.
+    <A^T A Delta_i B^T B, Delta_i>, clamped at 0; ``cross`` is None where K
+    is R itself.
     """
-    num = _sq_norms(diff)
-    if core is not state.model.core:
+    if cross is not None:
         a, b = state.model.a, state.model.b
         delta = _slices(state.model.core - core)
-        cross = (a.T @ _slices(diff)) @ b
         quad = _sym(a.T @ a) @ delta @ _sym(b.T @ b)
         num = np.maximum(num - np.einsum("kij,kij->k", 2.0 * cross - quad, delta), 0.0)
     return _worst_ratio(num, _x_norms(state, X))
 
 
+def _tail(state, X, carriers, target, derived):
+    """The loop's tail up to the split ascents, block by block
+    (:func:`_blocks`): L = left K right^T from ``carriers`` over a spare, and
+    Lam_{k+1} = Lam + mu*(X - L - E) over ``target``, which becomes
+    state.Lam.  Returns (L, err_rec, finite): err_rec is None where copies
+    carry L, and ``finite`` is False if Lam_{k+1} may hold a non-finite value.
+
+    Where L shares the model's A and B, err_rec comes from the residual
+    D = X - L - E and r x r products (:func:`_rec_ratio`).  Without splits
+    (LADMM) D is formed directly over ``target`` and Lam + mu*D over D.
+    ``derived`` (the rows with splits) instead forms Lam_{k+1} =
+    mu*(Delta - L) from the sweep's target Delta = Xt + Lam/mu, and where
+    err_rec needs D, mu*D = Lam_{k+1} - Lam over the old Lam: 1/mu then
+    scales D's r-sized products, and a finite sum of its norms proves
+    Lam_{k+1} finite, as Lam is.  Elsewhere each block of Lam_{k+1} is
+    checked while it is in cache.
+    """
+    left, core, right = carriers
+    a, b, mu, old = state.model.a, state.model.b, state.mu, state.Lam
+    recon, N = _spare(state, target), X.shape[2]
+    shares = left is a and right is b
+    num = np.empty(N)
+    cross = None if core is state.model.core else np.empty((N, a.shape[1], b.shape[1]))
+    finite = True
+    for blk in _blocks(X):
+        l = tensor.reconstruct(left, core[:, :, blk], right, out=recon[:, :, blk])
+        new, prev = target[:, :, blk], old[:, :, blk]
+        if not derived:
+            diff = np.subtract(X[:, :, blk], l, out=new)
+            diff -= state.E[:, :, blk]
+            num[blk] = _sq_norms(diff)
+            diff *= mu
+            diff += prev
+            finite &= tensor._all_finite(new)
+            continue
+        new -= l
+        new *= mu
+        if not shares:
+            finite &= tensor._all_finite(new)
+            continue
+        diff = np.subtract(new, prev, out=prev)
+        num[blk] = _sq_norms(diff)
+        cross[blk] = (a.T @ _slices(diff)) @ b
+    state.Lam = target
+    if not shares:
+        return recon, None, finite
+    if derived:
+        finite = bool(np.isfinite(np.sum(num)))
+        num = num / mu / mu  # not mu*mu, which overflows from mu = 1e155
+        cross /= mu
+    return recon, _rec_ratio(state, X, num, cross, core), finite
+
+
 def _check_finite(state, report, named=None):
     """Abort unless every named value is finite.  The default is every state
-    array but E, which the loop checks right after the E step."""
+    array but E and Lam, which the loop's E step and tail prove finite as
+    they go (:func:`_shrunk_l1`, :func:`_tail`); only a failed proof is
+    scanned here."""
     if named is None:
         named = {"A": state.model.a, "B": state.model.b, "R": state.model.core}
         named.update((k, v) for k, v in vars(state).items()
-                     if isinstance(v, np.ndarray) and k != "E")
+                     if isinstance(v, np.ndarray) and k not in ("E", "Lam"))
     for name, value in named.items():
         if not tensor._all_finite(value):
             report.termination = "abort"
@@ -512,16 +608,16 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
     """Run the iteration loop shared by every variant; returns (model, E, report).
 
     ``start(X, cfg)`` returns the first state.  An iteration runs the E step
-    on the last L, the reconstruction from ``carriers`` (attribute paths of
-    left, core and right), with T built in E's own array, then
+    (:func:`_e_step`) on the last L, the reconstruction from ``carriers``
+    (attribute paths of left, core and right), then
     ``sweep(state, X, target, cfg, report)``: the block steps on Xt = X - E,
     each yielding its name first.  Xt is never formed: ``target`` is
-    Xt + Lam/mu = L + C, C the E step's clip, which the sweep may overwrite.
-    The tail builds L once, forms the residual D = (X - L) - E, ascends Lam
-    and each of the ``splits`` and grows every penalty (:func:`_ascend`);
-    where L shares the model's A and B, err_rec comes from D and r x r
-    products (:func:`_rec_ratio`).  The run stops once every residual is
-    within ``cfg.tol``.  ``penalty(state, cfg)`` names the low-rank objective
+    Delta = Xt + Lam/mu = L + C, C the E step's clip, which the sweep must
+    leave as it is.  The tail (:func:`_tail`) builds L once and ascends Lam,
+    over Delta, where err_rec comes from r x r products if L shares the
+    model's A and B; then every penalty grows and each of the ``splits``
+    ascends (:func:`_ascend`).  The run stops once every residual is within
+    ``cfg.tol``.  ``penalty(state, cfg)`` names the low-rank objective
     terms.  With a ``block_log`` list, ``lagrangian(state, X, cfg, lam)`` is
     taken once at every step boundary, and each step appends {"iter",
     "stage", "before", "after"}.  A kernel failure anywhere, the start
@@ -550,32 +646,26 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
             t0 = time.perf_counter()
             state.iters = it
             boundary("E")
-            clip = _spare(state, recon)  # where the E step leaves its clip
-            state.E = update_E(state, X, cfg, recon, out=state.E)
+            target = _spare(state, recon)
+            l1_sparse = _e_step(state, X, cfg, lam, recon, target)
             # A finite l1 sum proves E finite; only a non-finite one is scanned.
-            l1_sparse = _shrunk_l1(state.E, clip, lam / state.mu, cfg.mask)
             if not np.isfinite(l1_sparse):
                 _check_finite(state, report, {"E": state.E})
-            # E = T - C, so Xt + Lam/mu = L + C: the sweep's target, over C.
-            target = np.add(recon, clip, out=clip)
             for stage in sweep(state, X, target, cfg, report):
                 boundary(stage)
             boundary(None)
-            left, core, right = carriers(state)
-            recon = tensor.reconstruct(left, core, right, out=_spare(state))
-            diff = np.subtract(X, recon, out=_spare(state, recon))
-            diff -= state.E
-            if left is state.model.a and right is state.model.b:  # err_rec in r x r
-                errs = {"err_rec": _rec_ratio(state, X, diff, core)}
-                errs.update(_ascend(state, diff, splits, cfg))
-            else:  # copies carry L: err_rec needs the model's own A R B^T
-                errs = _ascend(state, diff, splits, cfg)
-                errs = {"err_rec": residuals(state, X, out=_spare(state, recon))[0], **errs}
+            recon, err_rec, lam_finite = _tail(state, X, carriers(state), target,
+                                               bool(splits))
+            if err_rec is None:  # copies carry L: err_rec needs the model's own A R B^T
+                err_rec = residuals(state, X, out=_spare(state, recon))[0]
+            errs = {"err_rec": err_rec, **_ascend(state, splits, cfg)}
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             objective = {"l1_sparse": lam * l1_sparse, **penalty(state, cfg)}
             report.append(IterationRecord(iter=it, mu=state.mu, mu_K=state.mu_K,
                                           elapsed_ms=elapsed_ms, objective=objective, **errs))
             _check_finite(state, report)
+            if not lam_finite:
+                _check_finite(state, report, {"Lam": state.Lam})
             _check_finite(state, report, errs)
             if max(errs.values()) <= cfg.tol:
                 report.termination = "tol"
@@ -591,17 +681,16 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
     return state.model, state.E, report
 
 
-def _admm2_sweep(state, X, target, cfg, report):
-    # P = mu*(Xt + Lam/mu) over the loop's target, so no step reads Xt; the
-    # B and K steps share A^T P_i.
-    p = np.multiply(target, state.mu, out=target)
+def _admm2_sweep(state, X, delta, cfg, report):
+    # Every step reads the loop's target Delta = Xt + Lam/mu, never Xt, and
+    # leaves it for the tail; the B and K steps share A^T Delta_i.
     yield "A"
-    state.model.a = update_A(state, None, cfg, report, p)
+    state.model.a = update_A(state, None, cfg, report, delta)
     yield "B"
-    g = _basis_target(state, None, state.model.a, p)
-    state.model.b = update_B(state, None, cfg, report, p, g)
+    g = _basis_target(state, None, state.model.a, delta)
+    state.model.b = update_B(state, None, cfg, report, delta, g)
     yield "K"
-    state.K = update_K(state, None, cfg, p, g)
+    state.K = update_K(state, None, cfg, delta, g)
     yield "R"
     state.model.core = update_R(state, cfg)
 

@@ -243,33 +243,29 @@ def degree3_update_B_sub(state, cfg):
                        state.basis_norms)
 
 
-def degree3_update_U(state, x_tilde, cfg, report=None, p=None):
+def degree3_update_U(state, x_tilde, cfg, report=None, delta=None):
     """Stationarity solve for the U copy of the column basis: one symmetric
     positive definite r x r system U (I + (mu/mu_U) sum_i K_i V^T V K_i^T) = RHS.
-    ``p`` passes the sweep's mu*Xt + Lam.
+    ``delta`` passes the loop's Xt + Lam/mu.
     """
     return admm._solve_basis(
         state, x_tilde, state.V, False, state.mu / state.mu_U, report, "U",
-        anchor=state.model.a + state.Y_U / state.mu_U, mu_anchor=state.mu_U, p=p,
+        anchor=state.model.a + state.Y_U / state.mu_U, mu_anchor=state.mu_U, delta=delta,
     )
 
 
-def degree3_update_V(state, x_tilde, cfg, report=None, p=None, g=None):
+def degree3_update_V(state, x_tilde, cfg, report=None, delta=None, g=None):
     """Mirror of :func:`degree3_update_U` for the row-basis copy; ``g``
-    passes the sweep's U^T P_i."""
+    passes the sweep's U^T Delta_i."""
     return admm._solve_basis(
         state, x_tilde, state.U, True, state.mu / state.mu_V, report, "V",
-        anchor=state.model.b + state.Y_V / state.mu_V, mu_anchor=state.mu_V, p=p, g=g,
+        anchor=state.model.b + state.Y_V / state.mu_V, mu_anchor=state.mu_V,
+        delta=delta, g=g,
     )
 
 
-def _degree3_update_E(state, X, cfg, lam):
-    recon = tensor.reconstruct(state.U, state.K, state.V, out=admm._spare(state))
-    return admm._shrink_E(state, X, cfg, lam, recon)
-
-
-def _degree3_update_K(state, x_tilde, cfg, p=None, g=None):
-    return admm._stein_core(state, x_tilde, state.U, state.V, p, g)
+def _degree3_update_K(state, x_tilde, cfg, delta=None, g=None):
+    return admm._stein_core(state, x_tilde, state.U, state.V, delta, g)
 
 
 def _degree3_update_R(state, cfg):
@@ -305,20 +301,19 @@ def _init_degree3(X, cfg):
     )
 
 
-def _degree3_sweep(state, X, target, cfg, report):
-    # As admm2's sweep; the V and K steps share U^T P_i.
-    p = np.multiply(target, state.mu, out=target)
+def _degree3_sweep(state, X, delta, cfg, report):
+    # As admm2's sweep; the V and K steps share U^T Delta_i.
     yield "A"
     state.model.a = degree3_update_A_sub(state, cfg)
     yield "B"
     state.model.b = degree3_update_B_sub(state, cfg)
     yield "U"
-    state.U = degree3_update_U(state, None, cfg, report, p)
+    state.U = degree3_update_U(state, None, cfg, report, delta)
     yield "V"
-    g = admm._basis_target(state, None, state.U, p)
-    state.V = degree3_update_V(state, None, cfg, report, p, g)
+    g = admm._basis_target(state, None, state.U, delta)
+    state.V = degree3_update_V(state, None, cfg, report, delta, g)
     yield "K"
-    state.K = _degree3_update_K(state, None, cfg, p, g)
+    state.K = _degree3_update_K(state, None, cfg, delta, g)
     yield "R"
     state.model.core = _degree3_update_R(state, cfg)
 

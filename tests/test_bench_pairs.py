@@ -25,9 +25,10 @@ METRICS = [
 ]
 
 
-def record(time_to_tol, digits, failed=0, nondeterminism=()):
-    solves = [{"failures": ["quality floor missed"] if i < failed else []}
-              for i in range(3)]
+def record(time_to_tol, digits, failed=0, nondeterminism=(), iterations=(51, 28, 51)):
+    solves = [{"variant": variant, "iterations": its, "termination": "tol",
+               "failures": ["quality floor missed"] if i < failed else []}
+              for i, (variant, its) in enumerate(zip(("admm2", "ladmm2", "admm2"), iterations))]
     return {
         "seed": 123, "mask_seed": None, "environment": {"numpy": "x"},
         "metrics": {"time_to_tol_rel": {"value": time_to_tol},
@@ -56,6 +57,20 @@ def test_summarise_quartiles_wins_and_ratio(bench_pairs):
     assert out["attempted"] == {"parent": 15, "change": 15}
     assert out["failed"] == {"parent": 0, "change": 1}
     assert out["nondeterminism"] == {"parent": 0, "change": 1}
+
+
+def test_summarise_records_distinct_iterations_and_terminations(bench_pairs):
+    # Per side and variant, the sorted distinct counts and stop reasons of
+    # every solve of every round, so "iterations unchanged" can be read off.
+    parent = [record(10.0, 5.0), record(11.0, 5.0)]
+    change = [record(9.0, 5.0), record(9.5, 5.0, iterations=(51, 27, 52))]
+    change[1]["rounds"][1][0]["termination"] = "max_iters"
+    out = bench_pairs.summarise({"parent": parent, "change": change}, METRICS)
+    assert out["iterations"] == {"parent": {"admm2": [51], "ladmm2": [28]},
+                                 "change": {"admm2": [51, 52], "ladmm2": [27, 28]}}
+    assert out["terminations"] == {"parent": {"admm2": ["tol"], "ladmm2": ["tol"]},
+                                   "change": {"admm2": ["max_iters", "tol"],
+                                              "ladmm2": ["tol"]}}
 
 
 def test_run_once_takes_the_record_the_run_wrote(bench_pairs, tmp_path, monkeypatch):

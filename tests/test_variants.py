@@ -3,6 +3,7 @@ against finite differences, substitution updates against plug-back oracles,
 and end-to-end behaviour of every variant."""
 
 import tracemalloc
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -332,7 +333,8 @@ def test_degree3_plugback_holds_across_sweeps():
     state = variants._init_degree3(X, cfg)
     for it in range(1, 4):
         state.iters = it
-        state.E = variants._degree3_update_E(state, X, cfg, 0.2)
+        recon = tensor.reconstruct(state.U, state.K, state.V, out=admm._spare(state))
+        state.E = admm._shrink_E(state, X, cfg, 0.2, recon)
         x_tilde = X - state.E
         state.model.a = variants.degree3_update_A_sub(state, cfg)
         state.model.b = variants.degree3_update_B_sub(state, cfg)
@@ -540,12 +542,13 @@ def test_x_slice_norms_computed_once_per_solve(monkeypatch, variant):
 
 
 def test_passed_target_matches_recomputed():
-    # A sweep builds P = mu*Xt + Lam once and passes it to each basis and
-    # core step; each step's output is bitwise the one it computes alone.
+    # The loop builds Delta = Xt + Lam/mu once and a sweep passes it to each
+    # basis and core step; each step's output is bitwise the one it computes
+    # alone.
     rng = np.random.default_rng(31)
     state = make_degree3_state(rng)
     x_tilde = rng.standard_normal(state.E.shape)
-    p = state.mu * x_tilde + state.Lam
+    delta = x_tilde + state.Lam / state.mu
     cfg = SolverConfig(rank=3, alpha=1e-3, variant="admm3_fro")
     steps = {
         "A": lambda q: admm.update_A(state, x_tilde, cfg, None, q),
@@ -556,7 +559,7 @@ def test_passed_target_matches_recomputed():
         "K (degree 3)": lambda q: variants._degree3_update_K(state, x_tilde, cfg, q),
     }
     for name, step in steps.items():
-        assert np.array_equal(step(p), step(None)), name
+        assert np.array_equal(step(delta), step(None)), name
 
 
 @pytest.mark.parametrize("variant", ["ladmm2", "ladmm3_fro"])
@@ -833,30 +836,33 @@ def _row_basis_oracle(state, p, other, weight):
 
 
 def test_passed_g_matches_recomputed_and_explicit_forms():
-    # The sweeps form G_i = W^T P_i once, after the W step, and pass it to
-    # the next basis step and the core step; each step gives the same bits
-    # with G passed or formed itself, and matches the explicit forms.
+    # The sweeps form G_i = W^T Delta_i once, after the W step, and pass it
+    # to the next basis step and the core step; each step gives the same bits
+    # with G passed or formed itself, and matches the explicit forms, which
+    # take P = mu*Delta = mu*Xt + Lam.
     rng = np.random.default_rng(46)
     state = make_degree3_state(rng, m=9, n=7, N=4)
     x_tilde = rng.standard_normal(state.E.shape)
-    p = state.mu * x_tilde + state.Lam
+    delta = x_tilde + state.Lam / state.mu
+    p = state.mu * delta
     cfg = SolverConfig(rank=3, alpha=1e-3, variant="admm3_fro")
     a, u = state.model.a, state.U
     rhs_b, sys_b = _row_basis_oracle(state, p, a, state.mu)
     rhs_v, sys_v = _row_basis_oracle(state, p, u, state.mu / state.mu_V)
     anchor_v = state.model.b + state.Y_V / state.mu_V
     steps = {
-        "B": (a, lambda g: admm.update_B(state, x_tilde, cfg, None, p, g),
+        "B": (a, lambda g: admm.update_B(state, x_tilde, cfg, None, delta, g),
               np.linalg.solve(sys_b.T, rhs_b.T).T),
-        "K": (a, lambda g: admm.update_K(state, x_tilde, cfg, p, g),
+        "K": (a, lambda g: admm.update_K(state, x_tilde, cfg, delta, g),
               _stein_oracle(state, p, a, state.model.b)),
-        "V": (u, lambda g: variants.degree3_update_V(state, x_tilde, cfg, None, p, g),
+        "V": (u, lambda g: variants.degree3_update_V(state, x_tilde, cfg, None, delta, g),
               np.linalg.solve(sys_v.T, (anchor_v + rhs_v / state.mu_V).T).T),
-        "K (degree 3)": (u, lambda g: variants._degree3_update_K(state, x_tilde, cfg, p, g),
+        "K (degree 3)": (u, lambda g: variants._degree3_update_K(state, x_tilde, cfg, delta,
+                                                                 g),
                          _stein_oracle(state, p, u, state.V)),
     }
     for name, (basis, step, explicit) in steps.items():
-        g = basis.T @ admm._slices(p)
+        g = basis.T @ admm._slices(delta)
         assert np.array_equal(step(g), step(None)), name
         assert rel_error(step(g), explicit) <= 1e-12, name
 
@@ -938,3 +944,82 @@ def test_sweep_target_is_xt_plus_lam_over_mu(monkeypatch, variant, module, name,
     assert (cfg.resolved_lambda(X.shape) / report.iterations[0].mu < admm._TAU_MIN) == (
         scale < 1)
     assert max(errors) <= 1e-13, errors
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_slice_blocks_keep_the_bits(monkeypatch, variant, masked):
+    # The E step and the tail run slice-block by slice-block.  Their passes
+    # are elementwise or per slice, so blocks of 3, 3 and 1 slices give the
+    # one-block solve's bits.
+    spec = SynthSpec(m=14, n=12, n_slices=7, rank_a=2, rank_b=2, p_clean=0.8, seed=29)
+    _, _, X = synth_generate(spec)
+    mask = np.random.default_rng(49).random(X.shape) < 0.7 if masked else None
+    alpha = 1e-2 if variant in ("admm2", "ladmm2") else 1e-4
+    cfg = SolverConfig(rank=3, alpha=alpha, tol=1e-9, max_iters=150, mask=mask,
+                       variant=variant)
+    runs = []
+    for budget, n_blocks in ((admm._BLOCK_BYTES, 1), (3 * X[:, :, 0].nbytes, 3)):
+        monkeypatch.setattr(admm, "_BLOCK_BYTES", budget)
+        assert len(admm._blocks(X)) == n_blocks
+        runs.append(variants.solve_variant(X, cfg))
+    (one, e_one, rep_one), (many, e_many, rep_many) = runs
+    for label, ref, got in zip("ABRE", (one.a, one.b, one.core, e_one),
+                               (many.a, many.b, many.core, e_many)):
+        assert np.array_equal(ref, got), label
+    assert rep_one.n_iterations == rep_many.n_iterations
+    assert np.array_equal([rec.err_rec for rec in rep_one.iterations],
+                          [rec.err_rec for rec in rep_many.iterations])
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("variant", ["admm2", "admm3_fro", "admm3_nuc"])
+def test_dual_ascent_is_derived_from_the_sweep_target(monkeypatch, variant, masked):
+    # The loop forms Lam_{k+1} = mu_k*(Delta - L_{k+1}) over the sweep's
+    # target Delta = Xt + Lam_k/mu_k: the scaled-form ascent
+    # Lam_k + mu_k*(X - L_{k+1} - E_k) without X - L - E.
+    if variant == "admm2":
+        module, name, carriers = admm, "_admm2_sweep", ("model.a", "K", "model.b")
+    else:
+        module, name, carriers = variants, "_degree3_sweep", ("U", "K", "V")
+    real, expected, errors = getattr(module, name), [], []
+
+    def sweep(state, X, target, cfg, report):
+        if expected:
+            errors.append(rel_error(state.Lam, expected.pop()))
+        lam, E, mu = state.Lam.copy(), state.E.copy(), state.mu
+        yield from real(state, X, target, cfg, report)
+        left, core, right = attrgetter(*carriers)(state)
+        expected.append(lam + mu * (X - tensor.reconstruct(left, core, right) - E))
+
+    monkeypatch.setattr(module, name, sweep)
+    X = _low_rank_instance()
+    mask = np.random.default_rng(50).random(X.shape) < 0.7 if masked else None
+    cfg = SolverConfig(rank=3, alpha=1e-4, tol=1e-30, max_iters=8, mask=mask,
+                       variant=variant)
+    _, _, report = variants.solve_variant(X, cfg)
+    assert report.n_iterations == 8 and len(errors) == 7
+    assert max(errors) <= 1e-12, errors
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_finite_dual_aborts_naming_lam(monkeypatch, variant):
+    # No whole-tensor scan of Lam is left in the loop: the tail proves it
+    # finite, by the norms of mu*D in admm2 and block by block elsewhere.  An
+    # inf planted after the sweep, in the target the split rows ascend from
+    # or in the E that LADMM subtracts, still aborts the run and names Lam.
+    ladmm = variant in variants.LADMM_VARIANTS
+    module, name = ((admm, "_admm2_sweep") if variant == "admm2" else
+                    (variants, "_ladmm_sweep") if ladmm else (variants, "_degree3_sweep"))
+    real = getattr(module, name)
+
+    def sweep(state, X, target, cfg, report):
+        yield from real(state, X, target, cfg, report)
+        (state.E if ladmm else target)[2, 1, 3] = np.inf
+
+    monkeypatch.setattr(module, name, sweep)
+    cfg = SolverConfig(rank=3, alpha=1e-4, tol=1e-30, max_iters=4, variant=variant)
+    with np.errstate(all="ignore"), pytest.raises(admm.SolverAbort) as excinfo:
+        variants.solve_variant(_low_rank_instance(), cfg)
+    assert str(excinfo.value) == "non-finite values in Lam at iteration 1"
+    assert excinfo.value.report.termination == "abort"

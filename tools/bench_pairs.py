@@ -17,8 +17,9 @@ trace0.json`` (the workload's default seed without ``--seed``), is copied to
 so an interrupted run resumes where it stopped.  The BENCH file holds, per
 workload and seed, q25/median/q75 of each end-to-end metric named in
 BENCHMARK.json for both sides, the pairs the change won, attempted and
-failed solves, nondeterminism reports, the seeds and the environment, all
-read from the records.  An existing ``--out`` file for the same two
+failed solves, each variant's distinct iteration counts and terminations,
+nondeterminism reports, the seeds and the environment, all read from the
+records.  An existing ``--out`` file for the same two
 revisions is extended, so a held-out seed's pairs join the default ones.
 """
 
@@ -58,6 +59,14 @@ def quartiles(values):
     return {"q25": q25, "median": median, "q75": q75}
 
 
+def distinct(results, key):
+    """``{variant: sorted distinct values of key}`` over solve summaries."""
+    seen = {}
+    for res in results:
+        seen.setdefault(res["variant"], set()).add(res[key])
+    return {variant: sorted(values) for variant, values in seen.items()}
+
+
 def summarise(runs, metrics):
     """Per-workload summary of ``runs[side]``, lists of records in pair order."""
     first = runs["change"][0]
@@ -69,6 +78,8 @@ def summarise(runs, metrics):
     out["attempted"] = {side: len(res) for side, res in solves.items()}
     out["failed"] = {side: sum(bool(res["failures"]) for res in results)
                      for side, results in solves.items()}
+    out["iterations"] = {side: distinct(res, "iterations") for side, res in solves.items()}
+    out["terminations"] = {side: distinct(res, "termination") for side, res in solves.items()}
     out["nondeterminism"] = {side: sum(len(r["nondeterminism"]) for r in recs)
                              for side, recs in runs.items()}
     for metric in metrics:
