@@ -342,18 +342,22 @@ def _shrunk_l1(E, clip, tau, mask):
     return tensor.l1(E, mask)
 
 
-def _e_step(state, X, cfg, lam, recon, target):
+def _e_step(state, X, cfg, lam, recon):
     """The loop's E step on L = ``recon``, block by block (:func:`_blocks`):
     E over T in E's own array (:func:`_shrink_residual`), ||E||_1 from the
-    clip C (:func:`_shrunk_l1`), then the sweep's target L + C over C in
-    ``target``.  E = T - C, so L + C = Xt + Lam/mu.  Returns ||E||_1."""
-    tau, l1 = lam / state.mu, 0.0
+    clip C (:func:`_shrunk_l1`), then the sweep's target L + C over L.
+    E = T - C, so L + C = Xt + Lam/mu.  Returns ||E||_1.
+
+    C is needed only within its block, so every block's C goes to the first
+    block of a spare, which stays in cache."""
+    tau, l1, spare = lam / state.mu, 0.0, _spare(state, recon)
     for blk in _blocks(X):
-        x, l, lam_k, e, clip = (t[:, :, blk] for t in (X, recon, state.Lam, state.E, target))
+        x, l, lam_k, e = (t[:, :, blk] for t in (X, recon, state.Lam, state.E))
+        clip = spare[:, :, :x.shape[2]]
         mask = None if cfg.mask is None else cfg.mask[:, :, blk]
         _shrink_residual(x, l, lam_k, state.mu, tau, mask, e, clip)
         l1 += _shrunk_l1(e, clip, tau, mask)
-        np.add(l, clip, out=clip)
+        np.add(l, clip, out=l)
     return l1
 
 
@@ -536,10 +540,11 @@ def _rec_ratio(state, X, num, cross, core):
 
 def _tail(state, X, carriers, target, derived):
     """The loop's tail up to the split ascents, block by block
-    (:func:`_blocks`): L = left K right^T from ``carriers`` over a spare, and
-    Lam_{k+1} = Lam + mu*(X - L - E) over ``target``, which becomes
-    state.Lam.  Returns (L, err_rec, finite): err_rec is None where copies
-    carry L, and ``finite`` is False if Lam_{k+1} may hold a non-finite value.
+    (:func:`_blocks`): L = left K right^T from ``carriers``, and Lam_{k+1} =
+    Lam + mu*(X - L - E) over ``target``, which becomes state.Lam, while L
+    goes over the old Lam.  Returns (L, err_rec, finite): err_rec is None
+    where copies carry L, and ``finite`` is False if Lam_{k+1} may hold a
+    non-finite value.
 
     Where L shares the model's A and B, err_rec comes from the residual
     D = X - L - E and r x r products (:func:`_rec_ratio`).  Without splits
@@ -549,18 +554,20 @@ def _tail(state, X, carriers, target, derived):
     err_rec needs D, mu*D = Lam_{k+1} - Lam over the old Lam: 1/mu then
     scales D's r-sized products, and a finite sum of its norms proves
     Lam_{k+1} finite, as Lam is.  Elsewhere each block of Lam_{k+1} is
-    checked while it is in cache.
+    checked while it is in cache.  Each block of L is built in the first
+    block of a spare, which stays in cache, and copied over the old Lam
+    once that block of it is used.
     """
     left, core, right = carriers
     a, b, mu, old = state.model.a, state.model.b, state.mu, state.Lam
-    recon, N = _spare(state, target), X.shape[2]
+    spare, N = _spare(state, target), X.shape[2]
     shares = left is a and right is b
     num = np.empty(N)
     cross = None if core is state.model.core else np.empty((N, a.shape[1], b.shape[1]))
     finite = True
     for blk in _blocks(X):
-        l = tensor.reconstruct(left, core[:, :, blk], right, out=recon[:, :, blk])
         new, prev = target[:, :, blk], old[:, :, blk]
+        l = tensor.reconstruct(left, core[:, :, blk], right, out=spare[:, :, :new.shape[2]])
         if not derived:
             diff = np.subtract(X[:, :, blk], l, out=new)
             diff -= state.E[:, :, blk]
@@ -568,23 +575,24 @@ def _tail(state, X, carriers, target, derived):
             diff *= mu
             diff += prev
             finite &= tensor._all_finite(new)
-            continue
-        new -= l
-        new *= mu
-        if not shares:
-            finite &= tensor._all_finite(new)
-            continue
-        diff = np.subtract(new, prev, out=prev)
-        num[blk] = _sq_norms(diff)
-        cross[blk] = (a.T @ _slices(diff)) @ b
+        else:
+            new -= l
+            new *= mu
+            if shares:
+                diff = np.subtract(new, prev, out=prev)
+                num[blk] = _sq_norms(diff)
+                cross[blk] = (a.T @ _slices(diff)) @ b
+            else:
+                finite &= tensor._all_finite(new)
+        np.copyto(prev, l)
     state.Lam = target
     if not shares:
-        return recon, None, finite
+        return old, None, finite
     if derived:
         finite = bool(np.isfinite(np.sum(num)))
         num = num / mu / mu  # not mu*mu, which overflows from mu = 1e155
         cross /= mu
-    return recon, _rec_ratio(state, X, num, cross, core), finite
+    return old, _rec_ratio(state, X, num, cross, core), finite
 
 
 def _check_finite(state, report, named=None):
@@ -646,8 +654,8 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
             t0 = time.perf_counter()
             state.iters = it
             boundary("E")
-            target = _spare(state, recon)
-            l1_sparse = _e_step(state, X, cfg, lam, recon, target)
+            l1_sparse = _e_step(state, X, cfg, lam, recon)
+            target = recon
             # A finite l1 sum proves E finite; only a non-finite one is scanned.
             if not np.isfinite(l1_sparse):
                 _check_finite(state, report, {"E": state.E})
