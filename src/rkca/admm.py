@@ -333,7 +333,7 @@ def _shrunk_l1(E, clip, tau, mask):
     or nan makes it nan (inf*0), so a finite value proves E finite, as for
     :func:`tensor.l1`, which is the fallback for a tau outside
     [_TAU_MIN, inf) or a dot that overflows.  The fallback takes a new array:
-    the loop's sweep target is built over C.
+    the loop's E step builds the sweep target from C after this call.
     """
     if _TAU_MIN <= tau < np.inf:
         value = float(np.vdot(_slices(E), _slices(clip))) / tau
@@ -541,22 +541,20 @@ def _rec_ratio(state, X, num, cross, core):
 def _tail(state, X, carriers, target, derived):
     """The loop's tail up to the split ascents, block by block
     (:func:`_blocks`): L = left K right^T from ``carriers``, and Lam_{k+1} =
-    Lam + mu*(X - L - E) over ``target``, which becomes state.Lam, while L
-    goes over the old Lam.  Returns (L, err_rec, finite): err_rec is None
-    where copies carry L, and ``finite`` is False if Lam_{k+1} may hold a
-    non-finite value.
+    Lam + mu*(X - L - E) over ``target``, which becomes state.Lam.  Each
+    block of L is built in the first block of a spare, which stays in cache,
+    and copied over the old Lam once that block of it is used.  Returns
+    (L, err_rec, finite): err_rec is None where copies carry L, and
+    ``finite`` is False if Lam_{k+1} may hold a non-finite value.
 
-    Where L shares the model's A and B, err_rec comes from the residual
-    D = X - L - E and r x r products (:func:`_rec_ratio`).  Without splits
-    (LADMM) D is formed directly over ``target`` and Lam + mu*D over D.
-    ``derived`` (the rows with splits) instead forms Lam_{k+1} =
-    mu*(Delta - L) from the sweep's target Delta = Xt + Lam/mu, and where
-    err_rec needs D, mu*D = Lam_{k+1} - Lam over the old Lam: 1/mu then
-    scales D's r-sized products, and a finite sum of its norms proves
-    Lam_{k+1} finite, as Lam is.  Elsewhere each block of Lam_{k+1} is
-    checked while it is in cache.  Each block of L is built in the first
-    block of a spare, which stays in cache, and copied over the old Lam
-    once that block of it is used.
+    ``derived`` (the rows with splits) forms Lam_{k+1} = mu*(Delta - L) from
+    the sweep's target Delta = Xt + Lam/mu; without it (LADMM) D = X - L - E
+    is formed over the target, and Lam + mu*D over D.  Where L shares the
+    model's A and B, err_rec comes from D's slice norms and A^T D_i B
+    (:func:`_rec_ratio`); ``derived`` takes them from mu*D = Lam_{k+1} - Lam,
+    over the old Lam, scaled by 1/mu, and a finite sum of the norms proves
+    Lam_{k+1} finite.  Otherwise each block of Lam_{k+1} is summed while in
+    cache.
     """
     left, core, right = carriers
     a, b, mu, old = state.model.a, state.model.b, state.mu, state.Lam
