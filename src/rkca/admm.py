@@ -24,7 +24,7 @@ keeps, and cores are slice-major too, so :func:`_slices` and :func:`_stack`
 are views.  A run's start allocates E, Lam and two work buffers, and every
 data-sized array an iteration builds goes into one of these four
 (:func:`_spare`).  The loop's E step and tail run slice-block by slice-block
-(:func:`_blocks`), so that the arrays each chains through stay in cache.
+(:func:`_blocks`), so that each chain's arrays stay in cache.
 """
 
 from __future__ import annotations
