@@ -25,6 +25,12 @@ are views.  A run's start allocates E, Lam and two work buffers, and every
 data-sized array an iteration builds goes into one of these four
 (:func:`_spare`).  The loop's E step and tail run slice-block by slice-block
 (:func:`_blocks`), so that each chain's arrays stay in cache.
+
+The dual of X = L + E is kept in scaled form (Boyd et al. 2011,
+*Distributed Optimization and Statistical Learning via ADMM*, 3.1.1):
+``SolverState.Lam`` holds U = Lambda/mu, so the E step's argument
+T = X - L + U needs no divide and the tail builds it while that block of X
+and L is in cache.  The split duals (Y, Y_U, Y_V) are unscaled.
 """
 
 from __future__ import annotations
@@ -61,10 +67,12 @@ class SolverAbort(linalg.NumericalError):
 @dataclass(kw_only=True)
 class SolverState:
     """All primal/dual variables of one run; K, Y, mu_K and mu_K_cap stay
-    None in the linearised variants, which have no split.  ``x_norms`` caches
-    ``(X, per-slice squared norms of X)``, matched by identity, and
-    ``basis_norms`` the norms of ``variants._basis_norm``; ``buffers`` lists
-    the run's own data-sized arrays (see :func:`_spare`)."""
+    None in the linearised variants, which have no split.  ``Lam`` is the
+    scaled dual U = Lambda/mu of X = L + E.  ``x_norms`` caches
+    ``(X, per-slice squared norms of X)``, matched by identity,
+    ``basis_norms`` the norms of ``variants._basis_norm`` and ``grams`` the
+    Grams of :func:`_gram`; ``buffers`` lists the run's own data-sized arrays
+    (see :func:`_spare`)."""
 
     model: FactorModel
     E: np.ndarray
@@ -78,6 +86,7 @@ class SolverState:
     iters: int = 0
     x_norms: tuple | None = None
     basis_norms: list = field(default_factory=list)
+    grams: list = field(default_factory=list)
     buffers: list = field(default_factory=list)
 
 
@@ -101,6 +110,22 @@ def _sym(mat):
     return 0.5 * (mat + mat.T)
 
 
+def _gram(basis, cache=None):
+    """W^T W for W = ``basis``, made bitwise symmetric (:func:`_sym`).
+
+    ``cache``, a state's ``grams``, keeps the last two (basis, Gram) pairs,
+    matched by identity, so each basis array is multiplied out once: bases
+    are replaced, never written in place, and no caller writes a Gram.
+    """
+    for arr, gram in cache or ():
+        if arr is basis:
+            return gram
+    gram = _sym(basis.T @ basis)
+    if cache is not None:
+        cache[:] = [(basis, gram), *cache[:1]]
+    return gram
+
+
 def _slices(t):
     # View of a (m, n, N) tensor as a (N, m, n) batch.
     return t.transpose(2, 0, 1)
@@ -113,8 +138,12 @@ def _stack(batch):
 
 def _sq_norms(t):
     """Per-slice squared Frobenius norms of a (m, n, N) tensor; a matrix is
-    one slice."""
+    one slice.  Contiguous slices, as of every slice-major tensor, take one
+    dot product each, whose bits do not depend on the other slices."""
     s = _slices(t) if t.ndim == 3 else t
+    if s.ndim == 3 and s.flags.c_contiguous:
+        flat = s.reshape(len(s), 1, -1)
+        return (flat @ flat.transpose(0, 2, 1)).reshape(len(s))
     return np.einsum("...ij,...ij->...", s, s)
 
 
@@ -126,7 +155,7 @@ def _slice_ratio(diff, den):
 
 def _worst_ratio(num, den):
     """max_i num_i / den_i, a zero den_i counting as 1; 0 for no slices."""
-    out = np.where(den > 0, num / np.where(den > 0, den, 1.0), num)
+    out = np.divide(num, den, out=np.array(num, dtype=float), where=den > 0)
     return float(np.max(out)) if out.size else 0.0
 
 
@@ -300,23 +329,22 @@ def _blocks(X):
     return [slice(s, s + step) for s in range(0, N, step)]
 
 
-def _shrink_residual(X, recon, Lam, mu, tau, mask, out, clip):
-    """E = T - C over T = X - recon + Lam/mu, built in ``out``, with the clip
-    C = clip(T, -tau, tau) [* mask] left in ``clip``, which holds Lam/mu
-    first.  Elementwise: a block of slices gives the bits of the whole."""
-    resid = np.subtract(X, recon, out=out)
-    np.divide(Lam, mu, out=clip)
-    resid += clip
-    return linalg._shrink(resid, tau, mask, out=resid, clip=clip)
+def _shrink_arg(X, recon, u, out):
+    """T = (X - recon) + U, the E step's shrinkage argument, in ``out``: the
+    one arithmetic for T, in the start, the loop's tail and :func:`_shrink_E`.
+    Elementwise: a block of slices gives the bits of the whole."""
+    t = np.subtract(X, recon, out=out)
+    t += u
+    return t
 
 
 def _shrink_E(state, X, cfg, lam, recon):
-    """E step on whole tensors: shrink T = X - recon + Lam/mu at level lam/mu
-    (selectively under a mask), :func:`_shrink_residual` with T and then E
-    in recon's array and the clip in ``_spare(state, recon)``, where it stays
-    for :func:`_shrunk_l1`."""
-    return _shrink_residual(X, recon, state.Lam, state.mu, lam / state.mu, cfg.mask,
-                            recon, _spare(state, recon))
+    """E step on whole tensors: E = T - C with T = (X - recon) + Lam
+    (:func:`_shrink_arg`) and C = clip(T, -tau, tau) [* mask] at tau =
+    lam/mu, T and then E in recon's array, C in ``_spare(state, recon)``,
+    where it stays for :func:`_shrunk_l1`."""
+    t = _shrink_arg(X, recon, state.Lam, recon)
+    return linalg._shrink(t, lam / state.mu, cfg.mask, out=t, clip=_spare(state, recon))
 
 
 # Below this threshold tau * |E| can fall below the smallest normal float for
@@ -342,29 +370,32 @@ def _shrunk_l1(E, clip, tau, mask):
     return tensor.l1(E, mask)
 
 
-def _e_step(state, X, cfg, lam, recon):
-    """The loop's E step on L = ``recon``, block by block (:func:`_blocks`):
-    E over T in E's own array (:func:`_shrink_residual`), ||E||_1 from the
-    clip C (:func:`_shrunk_l1`), then the sweep's target L + C over L.
-    E = T - C, so L + C = Xt + Lam/mu.  Returns ||E||_1.
+def _e_step(state, X, cfg, lam, recon, shrink_arg):
+    """The loop's E step on L = ``recon`` and T = (X - L) + U in
+    ``shrink_arg``, which the start or the last tail built (:func:`_shrink_arg`),
+    block by block (:func:`_blocks`): E = T - C over T, C = clip(T, -tau,
+    tau) [* mask] at tau = lambda/mu, ||E||_1 from C (:func:`_shrunk_l1`),
+    then the sweep's target L + C over L.  E = T - C, so L + C = Xt + U.
+    T's array becomes state.E.  Returns ||E||_1.
 
     C is needed only within its block, so every block's C goes to the first
-    block of a spare, which stays in cache."""
+    block of the spare, the old E's array, which stays in cache."""
+    state.E = shrink_arg
     tau, l1, spare = lam / state.mu, 0.0, _spare(state, recon)
     for blk in _blocks(X):
-        x, l, lam_k, e = (t[:, :, blk] for t in (X, recon, state.Lam, state.E))
-        clip = spare[:, :, :x.shape[2]]
+        e, l = shrink_arg[:, :, blk], recon[:, :, blk]
+        clip = spare[:, :, :e.shape[2]]
         mask = None if cfg.mask is None else cfg.mask[:, :, blk]
-        _shrink_residual(x, l, lam_k, state.mu, tau, mask, e, clip)
+        linalg._shrink(e, tau, mask, out=e, clip=clip)
         l1 += _shrunk_l1(e, clip, tau, mask)
         np.add(l, clip, out=l)
     return l1
 
 
 def update_E(state, X, cfg):
-    """Shrink the residual X - L + Lam/mu at level lambda/mu, L = K x_1 A x_2 B,
+    """Shrink the residual X - L + Lam at level lambda/mu, L = K x_1 A x_2 B,
     on whole tensors (:func:`_shrink_E`); the loop runs the same arithmetic
-    slice-block by slice-block (:func:`_e_step`)."""
+    slice-block by slice-block (:func:`_tail`, :func:`_e_step`)."""
     recon = tensor.reconstruct(state.model.a, state.K, state.model.b, out=_spare(state))
     return _shrink_E(state, X, cfg, cfg.resolved_lambda(X.shape), recon)
 
@@ -388,13 +419,12 @@ def _solve_spd_right(system, rhs, report, label, iteration):
 
 
 def _target(state, x_tilde, delta=None):
-    """Delta = Xt + Lam/mu for the basis and core solves, unless ``delta``
-    passes the loop's (mu and Lam are fixed until the dual update), in which
-    case ``x_tilde`` is not read.  The solves take mu*Delta = mu*Xt + Lam by
-    scaling their r-sized products."""
+    """Delta = Xt + Lam (Lam = U = Lambda/mu) for the basis and core solves,
+    unless ``delta`` passes the loop's (mu and Lam are fixed until the dual
+    update), in which case ``x_tilde`` is not read.  The solves take
+    mu*Delta = mu*Xt + Lambda by scaling their r-sized products."""
     if delta is None:
-        delta = np.divide(state.Lam, state.mu, out=_spare(state, x_tilde))
-        delta += x_tilde
+        delta = np.add(x_tilde, state.Lam, out=_spare(state, x_tilde))
     return delta
 
 
@@ -406,11 +436,12 @@ def _basis_target(state, x_tilde, basis, delta=None, g=None):
     return g
 
 
-def _cross_gram(core, other, row):
+def _cross_gram(core, other, row, cache=None):
     """sum_i K_i W^T W K_i^T over the slices K_i of ``core``, W = ``other``;
-    ``row=True`` transposes every slice: sum_i K_i^T W^T W K_i."""
+    ``row=True`` transposes every slice: sum_i K_i^T W^T W K_i.  ``cache``
+    as for :func:`_gram`."""
     k_t = _slices(core)
-    gram = _sym(other.T @ other)
+    gram = _gram(other, cache)
     if row:
         return np.sum(k_t.transpose(0, 2, 1) @ gram @ k_t, axis=0)
     return np.sum(k_t @ gram @ k_t.transpose(0, 2, 1), axis=0)
@@ -434,7 +465,8 @@ def _solve_basis(state, x_tilde, other, row, weight, report, label,
         d_t = _slices(_target(state, x_tilde, delta))
         rhs = np.sum((d_t @ other) @ k_t.transpose(0, 2, 1), axis=0)
     rhs *= state.mu
-    system = np.eye(other.shape[1]) + weight * _sym(_cross_gram(state.K, other, row))
+    system = weight * _sym(_cross_gram(state.K, other, row, state.grams))
+    system.flat[::system.shape[0] + 1] += 1.0
     if anchor is not None:
         rhs = anchor + rhs / mu_anchor
     return _solve_spd_right(system, rhs, report, label, state.iters)
@@ -442,7 +474,7 @@ def _solve_basis(state, x_tilde, other, row, weight, report, label,
 
 def update_A(state, x_tilde, cfg, report=None, delta=None):
     """Exact minimiser of the A block: a normal-equation solve over r x r.
-    ``delta`` passes the loop's Xt + Lam/mu."""
+    ``delta`` passes the loop's Xt + Lam."""
     return _solve_basis(state, x_tilde, state.model.b, False, state.mu, report, "A",
                         delta=delta)
 
@@ -460,7 +492,7 @@ def _stein_core(state, x_tilde, left, right, delta=None, g=None):
     mu*G_i R + mu_K*R_i + Y_i, L = ``left``, R = ``right``, G_i = L^T Delta_i.
     """
     mu, mu_K = state.mu, state.mu_K
-    gram_l, gram_r = _sym(left.T @ left), _sym(right.T @ right)
+    gram_l, gram_r = _gram(left, state.grams), _gram(right, state.grams)
     factors = linalg.stein_factors(-(mu / mu_K) * gram_l, gram_r)
     g = _basis_target(state, x_tilde, left, delta, g)
     h_t = (mu * (g @ right) + _slices(state.Y)) / mu_K + _slices(state.model.core)
@@ -478,12 +510,18 @@ def update_R(state, cfg):
     return linalg.soft_shrink(state.K - state.Y / state.mu_K, cfg.alpha / state.mu_K)
 
 
+def _grow_mu(state, cfg):
+    """Grow mu to min(mu_cap, rho*mu), which no residual decides; returns
+    c = mu/mu', the factor that rescales U = Lambda/mu to the new mu."""
+    mu = state.mu
+    state.mu = min(state.mu_cap, cfg.rho * mu)
+    return mu / state.mu
+
+
 def _ascend(state, splits, cfg):
-    """Grow mu up to its cap, once the caller has ascended Lam on X = L + E,
-    and ascend each of the ``splits`` by its own penalty, which then grows up
+    """Ascend each of the ``splits`` by its own penalty, which then grows up
     to its cap.  Returns each split's worst per-slice residual by its report
     name."""
-    state.mu = min(state.mu_cap, cfg.rho * state.mu)
     errs = {}
     for row in splits:
         primal = attrgetter(row.primal)(state)
@@ -497,20 +535,22 @@ def _ascend(state, splits, cfg):
 
 def update_duals(state, x_tilde, cfg):
     """Dual ascent on Xt = K x_1 A x_2 B and on R = K, then grow both capped
-    penalties, on whole tensors from Xt.  The loop forms the same Lam from the
-    sweep's target instead (:func:`_tail`)."""
+    penalties, on whole tensors from Xt.  In scaled form, with mu' the grown
+    mu, Lam becomes (Lam + Xt - L) * mu/mu'.  The loop forms the same U from
+    the sweep's target instead (:func:`_tail`)."""
     resid = tensor.reconstruct(state.model.a, state.K, state.model.b)
     np.subtract(x_tilde, resid, out=resid)
-    resid *= state.mu
     resid += state.Lam
+    resid *= _grow_mu(state, cfg)
     state.Lam = resid
     _ascend(state, (CORE_SPLIT,), cfg)
     return state
 
 
 def residuals(state, X, out=None):
-    """Primal-feasibility errors (err_rec, err_R), worst slice of each;
-    ``out`` is scratch for A R B^T (a spare if None)."""
+    """Primal-feasibility errors (err_rec, err_R), worst slice of each, on
+    whole tensors; ``out`` is scratch for A R B^T (a spare if None).  The
+    loop takes err_rec in its tail instead (:func:`_tail`)."""
     a, b, core = state.model.a, state.model.b, state.model.core
     resid = tensor.reconstruct(a, core, b, out=_spare(state) if out is None else out)
     np.subtract(X, resid, out=resid)
@@ -527,81 +567,96 @@ def _rec_ratio(state, X, num, cross, core):
     the model's bases, K = ``core``.
 
     With Delta = R - K the numerator is ||D_i||^2 - 2<A^T D_i B, Delta_i> +
-    <A^T A Delta_i B^T B, Delta_i>, clamped at 0; ``cross`` is None where K
-    is R itself.
+    <A^T A Delta_i B^T B, Delta_i>, clamped at 0; ``cross`` is None where D
+    is the model's own residual (K = R, or A R B^T built for err_rec).
     """
     if cross is not None:
         a, b = state.model.a, state.model.b
         delta = _slices(state.model.core - core)
-        quad = _sym(a.T @ a) @ delta @ _sym(b.T @ b)
+        quad = _gram(a, state.grams) @ delta @ _gram(b, state.grams)
         num = np.maximum(num - np.einsum("kij,kij->k", 2.0 * cross - quad, delta), 0.0)
     return _worst_ratio(num, _x_norms(state, X))
 
 
-def _tail(state, X, carriers, target, derived):
-    """The loop's tail up to the split ascents, block by block
-    (:func:`_blocks`): L = left K right^T from ``carriers``, and Lam_{k+1} =
-    Lam + mu*(X - L - E) over ``target``, which becomes state.Lam.  Each
-    block of L is built in the first block of a spare, which stays in cache,
-    and copied over the old Lam once that block of it is used.  Returns
-    (L, err_rec, finite): err_rec is None where copies carry L, and
-    ``finite`` is False if Lam_{k+1} may hold a non-finite value.
+def _tail(state, X, carriers, target, derived, cfg):
+    """The loop's tail up to the split ascents, block by block (:func:`_blocks`).
 
-    ``derived`` (the rows with splits) forms Lam_{k+1} = mu*(Delta - L) from
-    the sweep's target Delta = Xt + Lam/mu; without it (LADMM) D = X - L - E
-    is formed over the target, and Lam + mu*D over D.  Where L shares the
-    model's A and B, err_rec comes from D's slice norms and A^T D_i B
-    (:func:`_rec_ratio`); ``derived`` takes them from mu*D = Lam_{k+1} - Lam,
-    over the old Lam, scaled by 1/mu, and a finite sum of the norms proves
-    Lam_{k+1} finite.  Otherwise each block of Lam_{k+1} is summed while in
-    cache.
+    It grows mu first (:func:`_grow_mu`), c = mu/mu', then builds
+    L' = left K right^T from ``carriers`` in the spare, the new scaled dual
+    U' over ``target`` and the next E step's T' = (X - L') + U'
+    (:func:`_shrink_arg`) over the old U:
+
+    * ``derived`` (the rows with splits): P = Delta - L' from the sweep's
+      target Delta = Xt + U, then U' = c*P, the scaled-form ascent
+      (U + X - L' - E) * c without X - L' - E;
+    * otherwise (LADMM): D = (X - L') - E, then U' = (U + D) * c.
+
+    Once mu is capped, c = 1 and U' is not multiplied.  err_rec takes the
+    residual D = X - E - A R B^T's slice norms.  Where L' shares the model's
+    A and B it comes from D and A^T D_i B (:func:`_rec_ratio`): ``derived``
+    forms D = P - U over the old U, and a finite sum of D's norms proves U'
+    finite.  Otherwise (degree 3) A R B^T is built over the old U once U' is
+    formed, D = (X - A R B^T) - E there, and each block of U' is summed while
+    in cache.  Returns (L', T', err_rec, finite), ``finite`` False if U' may
+    hold a non-finite value.
     """
     left, core, right = carriers
-    a, b, mu, old = state.model.a, state.model.b, state.mu, state.Lam
-    spare, N = _spare(state, target), X.shape[2]
+    model, u, E = state.model, state.Lam, state.E
+    a, b = model.a, model.b
+    c = _grow_mu(state, cfg)
+    recon, N = _spare(state, target), X.shape[2]
     shares = left is a and right is b
     num = np.empty(N)
-    cross = None if core is state.model.core else np.empty((N, a.shape[1], b.shape[1]))
+    cross = np.empty((N, a.shape[1], b.shape[1])) if derived and shares else None
     finite = True
     for blk in _blocks(X):
-        new, prev = target[:, :, blk], old[:, :, blk]
-        l = tensor.reconstruct(left, core[:, :, blk], right, out=spare[:, :, :new.shape[2]])
+        x, e, new, old = (t[:, :, blk] for t in (X, E, target, u))
+        l = tensor.reconstruct(left, core[:, :, blk], right, out=recon[:, :, blk])
         if not derived:
-            diff = np.subtract(X[:, :, blk], l, out=new)
-            diff -= state.E[:, :, blk]
-            num[blk] = _sq_norms(diff)
-            diff *= mu
-            diff += prev
-            finite &= tensor._all_finite(new)
+            d = np.subtract(x, l, out=new)
+            d -= e
+            num[blk] = _sq_norms(d)
+            d += old
         else:
             new -= l
-            new *= mu
             if shares:
-                diff = np.subtract(new, prev, out=prev)
-                num[blk] = _sq_norms(diff)
-                cross[blk] = (a.T @ _slices(diff)) @ b
-            else:
-                finite &= tensor._all_finite(new)
-        np.copyto(prev, l)
+                d = np.subtract(new, old, out=old)
+                num[blk] = _sq_norms(d)
+                cross[blk] = (a.T @ _slices(d)) @ b
+        if c != 1.0:
+            new *= c
+        if not shares:
+            d = tensor.reconstruct(a, model.core[:, :, blk], b, out=old)
+            np.subtract(x, d, out=d)
+            d -= e
+            num[blk] = _sq_norms(d)
+        if cross is None:
+            finite &= tensor._all_finite(new)
+        _shrink_arg(x, l, new, old)
     state.Lam = target
-    if not shares:
-        return old, None, finite
-    if derived:
-        finite = bool(np.isfinite(np.sum(num)))
-        num = num / mu / mu  # not mu*mu, which overflows from mu = 1e155
-        cross /= mu
-    return old, _rec_ratio(state, X, num, cross, core), finite
+    if cross is not None:
+        finite = bool(np.isfinite(c * np.sum(num)))
+    return recon, u, _rec_ratio(state, X, num, cross, core), finite
 
 
-def _check_finite(state, report, named=None):
-    """Abort unless every named value is finite.  The default is every state
-    array but E and Lam, which the loop's E step and tail prove finite as
-    they go (:func:`_shrunk_l1`, :func:`_tail`); only a failed proof is
-    scanned here."""
-    if named is None:
-        named = {"A": state.model.a, "B": state.model.b, "R": state.model.core}
-        named.update((k, v) for k, v in vars(state).items()
-                     if isinstance(v, np.ndarray) and k not in ("E", "Lam"))
+def _state_arrays(state):
+    """Every state array by name but E and Lam, which the loop's
+    E step and tail prove finite as they go (:func:`_shrunk_l1`,
+    :func:`_tail`)."""
+    named = {"A": state.model.a, "B": state.model.b, "R": state.model.core}
+    named.update((k, v) for k, v in vars(state).items()
+                 if isinstance(v, np.ndarray) and k not in ("E", "Lam"))
+    return named
+
+
+def _check_finite(state, report, named):
+    """Abort unless every named value is finite.  One sum over all the values
+    proves them finite; only a failed proof scans them, in order, and the
+    first non-finite one names the abort."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(np.add.reduce(value, axis=None) for value in named.values())
+    if np.isfinite(total):
+        return
     for name, value in named.items():
         if not tensor._all_finite(value):
             report.termination = "abort"
@@ -615,14 +670,14 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
 
     ``start(X, cfg)`` returns the first state.  An iteration runs the E step
     (:func:`_e_step`) on the last L, the reconstruction from ``carriers``
-    (attribute paths of left, core and right), then
-    ``sweep(state, X, target, cfg, report)``: the block steps on Xt = X - E,
-    each yielding its name first.  Xt is never formed: ``target`` is
-    Delta = Xt + Lam/mu = L + C, C the E step's clip, which the sweep must
-    leave as it is.  The tail (:func:`_tail`) builds L once and ascends Lam,
-    over Delta, where err_rec comes from r x r products if L shares the
-    model's A and B; then every penalty grows and each of the ``splits``
-    ascends (:func:`_ascend`).  The run stops once every residual is within
+    (attribute paths of left, core and right), and on T = X - L + U, which
+    the last tail built, then ``sweep(state, X, target, cfg, report)``: the
+    block steps on Xt = X - E, each yielding its name first.  Xt is never
+    formed: ``target`` is Delta = Xt + U = L + C, C the E step's clip, which
+    the sweep must leave as it is.  The tail (:func:`_tail`) grows mu,
+    builds L once, ascends U over Delta and builds the next T, and takes
+    err_rec as it goes; then each of the ``splits`` ascends
+    (:func:`_ascend`).  The run stops once every residual is within
     ``cfg.tol``.  ``penalty(state, cfg)`` names the low-rank objective
     terms.  With a ``block_log`` list, ``lagrangian(state, X, cfg, lam)`` is
     taken once at every step boundary, and each step appends {"iter",
@@ -648,11 +703,12 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
         state = start(X, cfg)
         state.buffers = [state.E, state.Lam, np.empty_like(X), np.empty_like(X)]
         recon = tensor.reconstruct(*carriers(state), out=_spare(state))
+        shrink_arg = _shrink_arg(X, recon, state.Lam, _spare(state, recon))
         for it in range(1, cfg.max_iters + 1):
             t0 = time.perf_counter()
             state.iters = it
             boundary("E")
-            l1_sparse = _e_step(state, X, cfg, lam, recon)
+            l1_sparse = _e_step(state, X, cfg, lam, recon, shrink_arg)
             target = recon
             # A finite l1 sum proves E finite; only a non-finite one is scanned.
             if not np.isfinite(l1_sparse):
@@ -660,19 +716,17 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
             for stage in sweep(state, X, target, cfg, report):
                 boundary(stage)
             boundary(None)
-            recon, err_rec, lam_finite = _tail(state, X, carriers(state), target,
-                                               bool(splits))
-            if err_rec is None:  # copies carry L: err_rec needs the model's own A R B^T
-                err_rec = residuals(state, X, out=_spare(state, recon))[0]
+            recon, shrink_arg, err_rec, lam_finite = _tail(
+                state, X, carriers(state), target, bool(splits), cfg)
             errs = {"err_rec": err_rec, **_ascend(state, splits, cfg)}
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             objective = {"l1_sparse": lam * l1_sparse, **penalty(state, cfg)}
             report.append(IterationRecord(iter=it, mu=state.mu, mu_K=state.mu_K,
                                           elapsed_ms=elapsed_ms, objective=objective, **errs))
-            _check_finite(state, report)
+            named = _state_arrays(state)
             if not lam_finite:
-                _check_finite(state, report, {"Lam": state.Lam})
-            _check_finite(state, report, errs)
+                named["Lam"] = state.Lam
+            _check_finite(state, report, {**named, **errs})
             if max(errs.values()) <= cfg.tol:
                 report.termination = "tol"
                 break
@@ -688,7 +742,7 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
 
 
 def _admm2_sweep(state, X, delta, cfg, report):
-    # Every step reads the loop's target Delta = Xt + Lam/mu, never Xt, and
+    # Every step reads the loop's target Delta = Xt + Lam, never Xt, and
     # leaves it for the tail; the B and K steps share A^T Delta_i.
     yield "A"
     state.model.a = update_A(state, None, cfg, report, delta)

@@ -143,10 +143,14 @@ def stein_factors(F, G):
 
     Returns ``(f, Qf, g, Qg, denom)`` with ``denom[i, j] = 1 - f[i]*g[j]``,
     ready to solve any number of right-hand sides via :func:`stein_apply`.
+    F and G of one shape take one stacked :func:`symmetric_eig` call.
     Raises :class:`SteinSingularError` if the pencil is numerically singular.
     """
-    f, qf = symmetric_eig(F)
-    g, qg = symmetric_eig(G)
+    F, G = np.asarray(F, dtype=np.float64), np.asarray(G, dtype=np.float64)
+    if F.shape == G.shape:
+        (f, g), (qf, qg) = symmetric_eig(np.stack((F, G)))
+    else:
+        (f, qf), (g, qg) = symmetric_eig(F), symmetric_eig(G)
     prod = np.outer(f, g)
     denom = 1.0 - prod
     if np.any(np.abs(denom) < PENCIL_RTOL * (1.0 + np.abs(prod))):
@@ -185,19 +189,26 @@ def stein_solve_dense(prob):
 
 
 def symmetric_eig(x):
-    """Eigendecomposition of a symmetric matrix: X = Q diag(w) Q^T.
+    """Eigendecomposition of a symmetric matrix, X = Q diag(w) Q^T, or of
+    each matrix of a stack (..., n, n) in one call.
 
-    Eigenvalues ascend; Q has orthonormal columns.  The input must be
-    symmetric up to tiny round-off and is symmetrised before factorisation.
+    Eigenvalues ascend; Q has orthonormal columns.  Each matrix must be
+    symmetric up to tiny round-off and is symmetrised before factorisation,
+    unless the input is exactly symmetric, as every solver input is: then
+    the scan and the symmetrisation, which would return it unchanged, are
+    skipped.  A stack gives each matrix the bits of its own call.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
-    if np.max(np.abs(x - x.T), initial=0.0) > SYMMETRY_ATOL * scale:
-        raise ValueError("matrix is not symmetric")
+    x_t = np.swapaxes(x, -1, -2)
+    if not np.array_equal(x, x_t):
+        scale = np.maximum(1.0, np.max(np.abs(x), axis=(-2, -1), initial=0.0))
+        if np.any(np.max(np.abs(x - x_t), axis=(-2, -1), initial=0.0) > SYMMETRY_ATOL * scale):
+            raise ValueError("matrix is not symmetric")
+        x = 0.5 * (x + x_t)
     try:
-        w, q = np.linalg.eigh(0.5 * (x + x.T))
+        w, q = np.linalg.eigh(x)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigendecomposition failed: {exc}") from exc
     return w, q

@@ -69,13 +69,13 @@ def _bound(value):
     return max(LIPSCHITZ_MARGIN * float(value), LIPSCHITZ_FLOOR)
 
 
-def _top_eig(gram):
-    return max(float(linalg.symmetric_eig(gram)[0][-1]), 0.0)
-
-
-def lipschitz_core(a, b):
-    """Bound for the core gradient: lambda_max(A^T A) * lambda_max(B^T B)."""
-    return _bound(_top_eig(a.T @ a) * _top_eig(b.T @ b))
+def lipschitz_core(a, b, cache=None):
+    """Bound for the core gradient: lambda_max(A^T A) * lambda_max(B^T B),
+    both from one eigendecomposition of the stacked Grams; ``cache`` as for
+    ``admm._gram``."""
+    evals = linalg.symmetric_eig(np.stack([admm._gram(w, cache) for w in (a, b)]))[0]
+    top_a, top_b = (max(float(top), 0.0) for top in evals[:, -1])
+    return _bound(top_a * top_b)
 
 
 def lipschitz_a(core, b):
@@ -140,9 +140,10 @@ def _basis_step(point, other, core, weight, cfg, cache=None):
 
 
 def _delta(state, X):
-    """Delta = X - E + Lam/mu, the target of the linearised steps."""
+    """Delta = X - E + Lam (Lam = U = Lambda/mu), the target of the
+    linearised steps."""
     delta = X - state.E
-    delta += state.Lam / state.mu
+    delta += state.Lam
     return delta
 
 
@@ -166,9 +167,9 @@ def ladmm_update_R(state, X, cfg, delta=None, a_delta=None):
     Delta already computed for this sweep, ``a_delta`` the product A^T Delta_i.
     """
     a, b, core = state.model.a, state.model.b, state.model.core
-    lip = lipschitz_core(a, b)
+    lip = lipschitz_core(a, b, state.grams)
     core_t = _slices(core)
-    grad_t = (a.T @ a) @ core_t @ (b.T @ b)
+    grad_t = admm._gram(a, state.grams) @ core_t @ admm._gram(b, state.grams)
     grad_t -= _a_delta(state, X, delta, a_delta) @ b
     weight = _core_weight(a, b, cfg, state.basis_norms)
     return _stack(linalg.soft_shrink(core_t - grad_t / lip, weight / (state.mu * lip)))
@@ -179,7 +180,7 @@ def ladmm_update_A(state, X, cfg, delta=None):
     :func:`ladmm_update_R`.  The gradient sum_i (A C_i - Delta_i) C_i^T,
     C_i = R_i B^T, is formed as A sum_i C_i C_i^T - sum_i Delta_i B R_i^T."""
     a, b, core = state.model.a, state.model.b, state.model.core
-    gram = admm._cross_gram(core, b, False)
+    gram = admm._cross_gram(core, b, False, state.grams)
     lip = _bound(np.linalg.norm(gram))
     cross = (_delta_slices(state, X, delta) @ b) @ _slices(core).transpose(0, 2, 1)
     grad = a @ gram - np.sum(cross, axis=0)
@@ -190,7 +191,7 @@ def ladmm_update_B(state, X, cfg, delta=None, a_delta=None):
     """Mirror of :func:`ladmm_update_A` for the row basis, using fresh A: the
     gradient is B sum_i G_i^T G_i - sum_i Delta_i^T A R_i, G_i = A R_i."""
     a, b, core = state.model.a, state.model.b, state.model.core
-    gram = admm._cross_gram(core, a, True)
+    gram = admm._cross_gram(core, a, True, state.grams)
     lip = _bound(np.linalg.norm(gram))
     cross = _slices(core).transpose(0, 2, 1) @ _a_delta(state, X, delta, a_delta)
     grad = b @ gram - np.sum(cross, axis=0).T
@@ -209,7 +210,8 @@ def _penalty(state, cfg):
 
 
 def _lagrangian(state, X, cfg, lam):
-    """Augmented Lagrangian of a LADMM run; no block step may increase it."""
+    """Augmented Lagrangian of a LADMM run, up to the term -mu*||U||^2/2 that
+    no block step changes; no block step may increase it."""
     recon = state.model.reconstruct()
     couple = 0.5 * state.mu * float(np.sum(np.square(recon - _delta(state, X))))
     penalty = _low_rank_penalty(state.model, cfg, state.basis_norms)
@@ -217,7 +219,7 @@ def _lagrangian(state, X, cfg, lam):
 
 
 def _ladmm_sweep(state, X, delta, cfg, report):
-    # The loop's target is Delta = Xt + Lam/mu, which serves all three steps:
+    # The loop's target is Delta = Xt + Lam, which serves all three steps:
     # E, Lam and mu are fixed until the dual update.  The B step keeps A, so
     # B and R share one A^T Delta_i.
     yield "A"
@@ -246,7 +248,7 @@ def degree3_update_B_sub(state, cfg):
 def degree3_update_U(state, x_tilde, cfg, report=None, delta=None):
     """Stationarity solve for the U copy of the column basis: one symmetric
     positive definite r x r system U (I + (mu/mu_U) sum_i K_i V^T V K_i^T) = RHS.
-    ``delta`` passes the loop's Xt + Lam/mu.
+    ``delta`` passes the loop's Xt + Lam.
     """
     return admm._solve_basis(
         state, x_tilde, state.V, False, state.mu / state.mu_U, report, "U",

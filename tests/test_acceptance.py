@@ -297,21 +297,23 @@ def test_a8_ladmm_majorization(bench_instance):
     state = LadmmState(model=seed.model, E=seed.E, Lam=seed.Lam,
                        mu=seed.mu, mu_cap=seed.mu_cap)
     lam = cfg.resolved_lambda(observed.shape)
+    # state.Lam is the scaled dual Lambda/mu.
     for _ in range(2):
         state.E = linalg.soft_shrink(
-            observed - state.model.reconstruct() + state.Lam / state.mu,
+            observed - state.model.reconstruct() + state.Lam,
             lam / state.mu,
         )
         state.model.a = variants.ladmm_update_A(state, observed, cfg)
         state.model.b = variants.ladmm_update_B(state, observed, cfg)
         state.model.core = variants.ladmm_update_R(state, observed, cfg)
-        state.Lam = state.Lam + state.mu * (
+        lam_new = state.mu * state.Lam + state.mu * (
             observed - state.model.reconstruct() - state.E
         )
         state.mu = min(state.mu_cap, cfg.rho * state.mu)
+        state.Lam = lam_new / state.mu
 
     rng = np.random.default_rng(88)
-    delta = observed - state.E + state.Lam / state.mu
+    delta = observed - state.E + state.Lam
     a, b, core = state.model.a, state.model.b, state.model.core
     worst_fd = 0.0
 

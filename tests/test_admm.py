@@ -13,6 +13,7 @@ from conftest import rel_error
 
 
 def make_state(rng, m=6, n=5, N=3, r=3, mu=0.7, mu_K=1.3):
+    # Lam is the scaled dual U = Lambda/mu: the oracles take Lambda = mu*Lam.
     model = FactorModel(
         a=rng.standard_normal((m, r)),
         b=rng.standard_normal((n, r)),
@@ -143,7 +144,7 @@ def test_update_E_masked_passthrough():
     raw = (
         X
         - tensor.reconstruct(state.model.a, state.K, state.model.b)
-        + state.Lam / state.mu
+        + state.Lam  # Lambda/mu
     )
     out = admm.update_E(state, X, cfg)
     assert np.array_equal(out[~mask], raw[~mask])
@@ -178,7 +179,7 @@ def lagrangian_a_terms(a, state, x_tilde):
     total = 0.5 * np.sum(a**2)
     for i in range(x_tilde.shape[2]):
         resid = x_tilde[:, :, i] - a @ state.K[:, :, i] @ state.model.b.T
-        total += np.sum(state.Lam[:, :, i] * resid)
+        total += np.sum(state.mu * state.Lam[:, :, i] * resid)
         total += 0.5 * state.mu * np.sum(resid**2)
     return total
 
@@ -187,7 +188,7 @@ def grad_a(a, state, x_tilde):
     g = a.copy()
     for i in range(x_tilde.shape[2]):
         resid = x_tilde[:, :, i] - a @ state.K[:, :, i] @ state.model.b.T
-        g -= (state.Lam[:, :, i] + state.mu * resid) @ state.model.b @ state.K[:, :, i].T
+        g -= (state.mu * state.Lam[:, :, i] + state.mu * resid) @ state.model.b @ state.K[:, :, i].T
     return g
 
 
@@ -226,7 +227,7 @@ def test_update_B_stationarity():
     g = b_new.copy()
     for i in range(x_tilde.shape[2]):
         resid = x_tilde[:, :, i] - state.model.a @ state.K[:, :, i] @ b_new.T
-        g -= (state.Lam[:, :, i] + state.mu * resid).T @ state.model.a @ state.K[:, :, i]
+        g -= (state.mu * state.Lam[:, :, i] + state.mu * resid).T @ state.model.a @ state.K[:, :, i]
     assert np.linalg.norm(g) <= 1e-8 * (1.0 + np.linalg.norm(b_new))
 
 
@@ -253,7 +254,7 @@ def test_update_K_trivial_cases():
     )
     x_tilde = rng.standard_normal((r, r, 2))
     out = admm.update_K(state, x_tilde, SolverConfig(rank=r))
-    expected = (state.Lam + x_tilde + model.core + state.Y) / 2.0
+    expected = (state.mu * state.Lam + x_tilde + model.core + state.Y) / 2.0
     assert_allclose(out, expected, atol=1e-10)
 
 
@@ -263,7 +264,7 @@ def k_plugback_residual(state, x_tilde, K):
     worst = 0.0
     for i in range(x_tilde.shape[2]):
         rhs = (
-            a.T @ (state.Lam[:, :, i] + state.mu * x_tilde[:, :, i]) @ b
+            a.T @ (state.mu * state.Lam[:, :, i] + state.mu * x_tilde[:, :, i]) @ b
             + state.mu_K * state.model.core[:, :, i]
             + state.Y[:, :, i]
         )
@@ -308,11 +309,11 @@ def test_update_duals_reevaluation():
     state = make_state(rng)
     cfg = SolverConfig(rank=3, rho=1.4)
     x_tilde = rng.standard_normal(state.E.shape)
-    lam_old, y_old = state.Lam.copy(), state.Y.copy()
+    lam_old, y_old = state.mu * state.Lam, state.Y.copy()
     mu_old, mu_k_old = state.mu, state.mu_K
     recon = tensor.reconstruct(state.model.a, state.K, state.model.b)
     admm.update_duals(state, x_tilde, cfg)
-    assert_allclose(state.Lam, lam_old + mu_old * (x_tilde - recon), atol=1e-12)
+    assert_allclose(state.mu * state.Lam, lam_old + mu_old * (x_tilde - recon), atol=1e-12)
     assert_allclose(state.Y, y_old + mu_k_old * (state.model.core - state.K), atol=1e-12)
     assert state.mu == pytest.approx(1.4 * mu_old)
     assert state.mu_K == pytest.approx(1.4 * mu_k_old)
@@ -324,10 +325,10 @@ def test_update_duals_feasible_and_capped():
     cfg = SolverConfig(rank=3)
     state.model.core = state.K.copy()
     x_tilde = tensor.reconstruct(state.model.a, state.K, state.model.b)
-    lam_old, y_old = state.Lam.copy(), state.Y.copy()
+    lam_old, y_old = state.mu * state.Lam, state.Y.copy()
     state.mu_cap = state.mu  # already at cap
     admm.update_duals(state, x_tilde, cfg)
-    assert_allclose(state.Lam, lam_old, atol=1e-12)
+    assert_allclose(state.mu * state.Lam, lam_old, atol=1e-12)
     assert_allclose(state.Y, y_old, atol=1e-12)
     assert state.mu == state.mu_cap
 

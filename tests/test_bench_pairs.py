@@ -25,14 +25,17 @@ METRICS = [
 ]
 
 
-def record(time_to_tol, digits, failed=0, nondeterminism=(), iterations=(51, 28, 51)):
-    solves = [{"variant": variant, "iterations": its, "termination": "tol",
+def record(time_to_tol, digits, failed=0, nondeterminism=(), iterations=(51, 28, 51),
+           seconds=(2.0, 1.0, 2.0), reference=1.0):
+    solves = [{"variant": variant, "iterations": its, "termination": "tol", "seconds": sec,
                "failures": ["quality floor missed"] if i < failed else []}
-              for i, (variant, its) in enumerate(zip(("admm2", "ladmm2", "admm2"), iterations))]
+              for i, (variant, its, sec) in enumerate(zip(("admm2", "ladmm2", "admm2"),
+                                                          iterations, seconds))]
     return {
         "seed": 123, "mask_seed": None, "environment": {"numpy": "x"},
         "metrics": {"time_to_tol_rel": {"value": time_to_tol},
                     "accuracy_digits": {"value": digits}},
+        "extra": {"reference_s": {"median": reference, "n": 9}},
         "rounds": [solves[:2], solves[2:]],
         "nondeterminism": list(nondeterminism),
     }
@@ -71,6 +74,25 @@ def test_summarise_records_distinct_iterations_and_terminations(bench_pairs):
     assert out["terminations"] == {"parent": {"admm2": ["tol"], "ladmm2": ["tol"]},
                                    "change": {"admm2": ["max_iters", "tol"],
                                               "ladmm2": ["tol"]}}
+
+
+def test_summarise_breaks_time_down_by_variant(bench_pairs):
+    # Each run's median solve seconds of a variant over the run's reference
+    # median, then quartiles per side, pairs won and the ratio of medians.
+    parent = [record(10.0, 5.0, seconds=(4.0, 1.0, 2.0), reference=r) for r in (1.0, 2.0, 1.0)]
+    change = [record(9.0, 5.0, seconds=(3.0, 1.0, 3.0), reference=1.0),
+              record(9.0, 5.0, seconds=(2.0, 2.0, 2.0), reference=2.0),
+              record(9.0, 5.0, seconds=(1.0, 2.0, 9.0), reference=1.0)]
+    out = bench_pairs.summarise({"parent": parent, "change": change}, METRICS)
+    admm2, ladmm2 = out["variant_time_rel"]["admm2"], out["variant_time_rel"]["ladmm2"]
+    # admm2: parent 3, 1.5, 3; change 3, 1, 5 (medians of two solves each).
+    assert admm2["parent"] == {"q25": 2.25, "median": 3.0, "q75": 3.0}
+    assert admm2["change"] == {"q25": 2.0, "median": 3.0, "q75": 4.0}
+    assert admm2["change_wins"] == 1 and admm2["median_ratio"] == 1.0
+    # ladmm2: parent 1, 0.5, 1; change 1, 1, 2.
+    assert ladmm2["parent"]["median"] == 1.0 and ladmm2["change"]["median"] == 1.0
+    assert ladmm2["change_wins"] == 0 and ladmm2["median_ratio"] == 1.0
+    assert sorted(out["variant_time_rel"]) == ["admm2", "ladmm2"]
 
 
 def test_run_once_takes_the_record_the_run_wrote(bench_pairs, tmp_path, monkeypatch):

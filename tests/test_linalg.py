@@ -236,6 +236,33 @@ def test_symmetric_eig_reconstruction():
     assert np.linalg.norm(q.T @ q - np.eye(10)) <= 1e-10
 
 
+def test_symmetric_eig_stack_and_exact_symmetry_keep_the_bits():
+    # A stack takes one eigh call and gives each matrix its single-call bits;
+    # an exactly symmetric input skips the symmetrisation, which would return
+    # it unchanged, and an asymmetric one still raises.
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((3, 6, 6))
+    near = x + x.transpose(0, 2, 1)
+    near[:, 0, 1] += 1e-14  # symmetric only to round-off
+    exact = 0.5 * (near + near.transpose(0, 2, 1))
+    for stack in (near, exact):
+        w, q = linalg.symmetric_eig(stack)
+        for i, mat in enumerate(stack):
+            w_i, q_i = linalg.symmetric_eig(mat)
+            assert np.array_equal(w[i], w_i) and np.array_equal(q[i], q_i)
+    for mat in exact:
+        want = np.linalg.eigh(0.5 * (mat + mat.T))
+        got = linalg.symmetric_eig(mat)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    asym = exact.copy()
+    asym[1, 2, 4] += 1e-3
+    for bad in (asym, asym[1]):
+        with pytest.raises(ValueError):
+            linalg.symmetric_eig(bad)
+    with pytest.raises(ValueError):
+        linalg.symmetric_eig(np.zeros((2, 3, 4)))
+
+
 def test_svd_contract():
     u, s, v = linalg.svd(np.diag([2.0, 1.0]))
     assert_allclose(s, [2.0, 1.0])

@@ -18,6 +18,7 @@ from conftest import rel_error
 
 
 def make_ladmm_state(rng, m=6, n=5, N=3, r=3, mu=0.8):
+    # Lam is the scaled dual U = Lambda/mu: the oracles take Lambda = mu*Lam.
     model = FactorModel(
         a=rng.standard_normal((m, r)),
         b=rng.standard_normal((n, r)),
@@ -93,7 +94,7 @@ def test_ladmm_update_R_gradient_zero_case():
     model = FactorModel(a=np.eye(r), b=np.eye(r), core=core)
     state = LadmmState(model=model, E=np.zeros((r, r, N)),
                        Lam=np.zeros((r, r, N)), mu=2.0, mu_cap=1e7)
-    X = core.copy()  # Delta = X - E + Lam/mu = R
+    X = core.copy()  # Delta = X - E + Lam = R
     cfg = SolverConfig(rank=r, alpha=0.5, variant="ladmm2")
     out = variants.ladmm_update_R(state, X, cfg)
     lip = 1.01
@@ -109,7 +110,7 @@ def test_ladmm_update_R_pure_gradient_step():
     out = variants.ladmm_update_R(state, X, cfg)
     a, b, core = state.model.a, state.model.b, state.model.core
     lip = variants.lipschitz_core(a, b)
-    delta = X - state.E + state.Lam / state.mu
+    delta = X - state.E + state.Lam  # Lambda/mu
     grad = tensor.mode_product(
         tensor.mode_product(state.model.reconstruct() - delta, a.T, 1), b.T, 2
     )
@@ -124,7 +125,7 @@ def test_ladmm_update_R_finite_difference_gradient():
     rng = np.random.default_rng(3)
     state = make_ladmm_state(rng)
     X = rng.standard_normal(state.E.shape)
-    delta = X - state.E + state.Lam / state.mu
+    delta = X - state.E + state.Lam  # Lambda/mu
     a, b, core = state.model.a, state.model.b, state.model.core
     grad = tensor.mode_product(
         tensor.mode_product(tensor.reconstruct(a, core, b) - delta, a.T, 1), b.T, 2
@@ -154,7 +155,7 @@ def test_ladmm_update_A_trivial_cases():
     delta = np.stack(
         [a @ core[:, :, i] @ b.T for i in range(core.shape[2])], axis=2
     )
-    X = delta + state.E - state.Lam / state.mu
+    X = delta + state.E - state.Lam
     out = variants.ladmm_update_A(state, X, cfg)
     lip = variants.lipschitz_a(core, b)
     scale = 0.7 * np.linalg.norm(b) * tensor.l1(core) / (state.mu * lip)
@@ -165,7 +166,7 @@ def test_ladmm_update_A_finite_difference_gradient():
     rng = np.random.default_rng(5)
     state = make_ladmm_state(rng)
     X = rng.standard_normal(state.E.shape)
-    delta = X - state.E + state.Lam / state.mu
+    delta = X - state.E + state.Lam  # Lambda/mu
     a, b, core = state.model.a, state.model.b, state.model.core
     c = [core[:, :, i] @ b.T for i in range(core.shape[2])]
     grad = sum((a @ c[i] - delta[:, :, i]) @ c[i].T for i in range(len(c)))
@@ -185,7 +186,7 @@ def test_ladmm_update_B_finite_difference_gradient():
     rng = np.random.default_rng(6)
     state = make_ladmm_state(rng)
     X = rng.standard_normal(state.E.shape)
-    delta = X - state.E + state.Lam / state.mu
+    delta = X - state.E + state.Lam  # Lambda/mu
     a, b, core = state.model.a, state.model.b, state.model.core
     g = [a @ core[:, :, i] for i in range(core.shape[2])]
     grad = sum(
@@ -308,7 +309,7 @@ def test_degree3_update_U_plugback():
     for i in range(x_tilde.shape[2]):
         k, v = state.K[:, :, i], state.V
         resid = x_tilde[:, :, i] - u @ k @ v.T
-        g -= (state.Lam[:, :, i] + state.mu * resid) @ v @ k.T
+        g -= (state.mu * state.Lam[:, :, i] + state.mu * resid) @ v @ k.T
     assert np.linalg.norm(g) <= 1e-9 * (1.0 + np.linalg.norm(u))
 
 
@@ -322,7 +323,7 @@ def test_degree3_update_V_plugback():
     for i in range(x_tilde.shape[2]):
         k, u = state.K[:, :, i], state.U
         resid = x_tilde[:, :, i] - u @ k @ v.T
-        g -= (state.Lam[:, :, i] + state.mu * resid).T @ u @ k
+        g -= (state.mu * state.Lam[:, :, i] + state.mu * resid).T @ u @ k
     assert np.linalg.norm(g) <= 1e-9 * (1.0 + np.linalg.norm(v))
 
 
@@ -342,15 +343,15 @@ def test_degree3_plugback_holds_across_sweeps():
         g = state.mu_U * (u - state.model.a) - state.Y_U
         for i in range(3):
             resid = x_tilde[:, :, i] - u @ state.K[:, :, i] @ state.V.T
-            g -= (state.Lam[:, :, i] + state.mu * resid) @ state.V @ state.K[:, :, i].T
+            g -= ((state.mu * state.Lam[:, :, i] + state.mu * resid)
+                  @ state.V @ state.K[:, :, i].T)
         assert np.linalg.norm(g) <= 1e-9 * (1.0 + np.linalg.norm(u))
         state.U = u
         state.V = variants.degree3_update_V(state, x_tilde, cfg)
         state.K = variants._degree3_update_K(state, x_tilde, cfg)
         state.model.core = variants._degree3_update_R(state, cfg)
-        state.Lam = state.Lam + state.mu * (
-            x_tilde - tensor.reconstruct(state.U, state.K, state.V)
-        )
+        # Lambda += mu*(Xt - L) at a fixed mu: U += Xt - L.
+        state.Lam = state.Lam + (x_tilde - tensor.reconstruct(state.U, state.K, state.V))
         state.Y = state.Y + state.mu_K * (state.model.core - state.K)
         state.Y_U = state.Y_U + state.mu_U * (state.model.a - state.U)
         state.Y_V = state.Y_V + state.mu_V * (state.model.b - state.V)
@@ -503,6 +504,18 @@ def test_no_moveaxis_per_iteration(monkeypatch, variant):
     assert _calls_per_iteration(monkeypatch, np, "moveaxis", variant) == 0
 
 
+EIGH_BUDGET = {"admm2": 3, "admm3_fro": 3, "admm3_nuc": 3,
+               "ladmm2": 1, "ladmm3_fro": 1, "ladmm3_nuc": 1}
+
+
+@pytest.mark.parametrize("variant", sorted(EIGH_BUDGET))
+def test_eigensolver_calls_per_iteration(monkeypatch, variant):
+    # One eigh per basis solve and one for the Stein pair; LADMM's two
+    # Grams for the core bound share one.  Stacked pairs count once.
+    per_iter = _calls_per_iteration(monkeypatch, np.linalg, "eigh", variant)
+    assert per_iter <= EIGH_BUDGET[variant]
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_returned_core_is_slice_major(variant):
     # A view of a C-contiguous (N, r, r) batch, like the data tensors.
@@ -542,13 +555,13 @@ def test_x_slice_norms_computed_once_per_solve(monkeypatch, variant):
 
 
 def test_passed_target_matches_recomputed():
-    # The loop builds Delta = Xt + Lam/mu once and a sweep passes it to each
-    # basis and core step; each step's output is bitwise the one it computes
-    # alone.
+    # The loop builds Delta = Xt + Lam (Lambda/mu) once and a sweep passes it
+    # to each basis and core step; each step's output is bitwise the one it
+    # computes alone.
     rng = np.random.default_rng(31)
     state = make_degree3_state(rng)
     x_tilde = rng.standard_normal(state.E.shape)
-    delta = x_tilde + state.Lam / state.mu
+    delta = x_tilde + state.Lam
     cfg = SolverConfig(rank=3, alpha=1e-3, variant="admm3_fro")
     steps = {
         "A": lambda q: admm.update_A(state, x_tilde, cfg, None, q),
@@ -572,7 +585,7 @@ def test_ladmm_gram_form_steps_match_explicit_gradients(variant):
     X = rng.standard_normal(state.E.shape)
     cfg = SolverConfig(rank=3, alpha=0.3, variant=variant)
     a, b, core, mu = state.model.a, state.model.b, state.model.core, state.mu
-    delta = X - state.E + state.Lam / mu
+    delta = X - state.E + state.Lam  # Lambda/mu
     slices = range(core.shape[2])
     c = [core[:, :, i] @ b.T for i in slices]
     g = [a @ core[:, :, i] for i in slices]
@@ -839,11 +852,11 @@ def test_passed_g_matches_recomputed_and_explicit_forms():
     # The sweeps form G_i = W^T Delta_i once, after the W step, and pass it
     # to the next basis step and the core step; each step gives the same bits
     # with G passed or formed itself, and matches the explicit forms, which
-    # take P = mu*Delta = mu*Xt + Lam.
+    # take P = mu*Delta = mu*Xt + Lambda, Lambda = mu*Lam.
     rng = np.random.default_rng(46)
     state = make_degree3_state(rng, m=9, n=7, N=4)
     x_tilde = rng.standard_normal(state.E.shape)
-    delta = x_tilde + state.Lam / state.mu
+    delta = x_tilde + state.Lam
     p = state.mu * delta
     cfg = SolverConfig(rank=3, alpha=1e-3, variant="admm3_fro")
     a, u = state.model.a, state.U
@@ -925,13 +938,13 @@ def test_no_data_sized_l1_per_iteration(monkeypatch, variant):
     ("admm2", admm, "_admm2_sweep"), ("ladmm2", variants, "_ladmm_sweep"),
     ("admm3_fro", variants, "_degree3_sweep")])
 def test_sweep_target_is_xt_plus_lam_over_mu(monkeypatch, variant, module, name, scale):
-    # The loop hands every sweep L + C, C the E step's clip, for Xt + Lam/mu
-    # (E = T - C).  At a threshold lambda/mu below admm._TAU_MIN, ||E||_1 is
+    # The loop hands every sweep L + C, C the E step's clip, for Xt + Lam,
+    # Lam = Lambda/mu (E = T - C).  At a threshold lambda/mu below admm._TAU_MIN, ||E||_1 is
     # taken by tensor.l1, which must leave C as it is.
     real, errors = getattr(module, name), []
 
     def sweep(state, X, target, cfg, report):
-        want = X - state.E + state.Lam / state.mu
+        want = X - state.E + state.Lam
         errors.append(rel_error(target, want))
         yield from real(state, X, target, cfg, report)
 
@@ -950,8 +963,10 @@ def test_sweep_target_is_xt_plus_lam_over_mu(monkeypatch, variant, module, name,
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_slice_blocks_keep_the_bits(monkeypatch, variant, masked):
     # The E step and the tail run slice-block by slice-block.  Their passes
-    # are elementwise or per slice, so blocks of 3, 3 and 1 slices give the
-    # one-block solve's bits.
+    # are elementwise or per slice, so blocks of 3, 3 and 1 slices, of 2, 2,
+    # 2 and 1, or of one slice each give the one-block solve's bits, the
+    # scaled dual and the next shrinkage argument that the tail builds
+    # included.
     spec = SynthSpec(m=14, n=12, n_slices=7, rank_a=2, rank_b=2, p_clean=0.8, seed=29)
     _, _, X = synth_generate(spec)
     mask = np.random.default_rng(49).random(X.shape) < 0.7 if masked else None
@@ -959,25 +974,27 @@ def test_slice_blocks_keep_the_bits(monkeypatch, variant, masked):
     cfg = SolverConfig(rank=3, alpha=alpha, tol=1e-9, max_iters=150, mask=mask,
                        variant=variant)
     runs = []
-    for budget, n_blocks in ((admm._BLOCK_BYTES, 1), (3 * X[:, :, 0].nbytes, 3)):
+    for slices, n_blocks in ((None, 1), (3, 3), (2, 4), (1, 7)):
+        budget = admm._BLOCK_BYTES if slices is None else slices * X[:, :, 0].nbytes
         monkeypatch.setattr(admm, "_BLOCK_BYTES", budget)
         assert len(admm._blocks(X)) == n_blocks
         runs.append(variants.solve_variant(X, cfg))
-    (one, e_one, rep_one), (many, e_many, rep_many) = runs
-    for label, ref, got in zip("ABRE", (one.a, one.b, one.core, e_one),
-                               (many.a, many.b, many.core, e_many)):
-        assert np.array_equal(ref, got), label
-    assert rep_one.n_iterations == rep_many.n_iterations
-    assert np.array_equal([rec.err_rec for rec in rep_one.iterations],
-                          [rec.err_rec for rec in rep_many.iterations])
+    one, e_one, rep_one = runs[0]
+    for many, e_many, rep_many in runs[1:]:
+        for label, ref, got in zip("ABRE", (one.a, one.b, one.core, e_one),
+                                   (many.a, many.b, many.core, e_many)):
+            assert np.array_equal(ref, got), label
+        assert rep_one.n_iterations == rep_many.n_iterations
+        assert np.array_equal([rec.err_rec for rec in rep_one.iterations],
+                              [rec.err_rec for rec in rep_many.iterations])
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
 @pytest.mark.parametrize("variant", ["admm2", "admm3_fro", "admm3_nuc"])
 def test_dual_ascent_is_derived_from_the_sweep_target(monkeypatch, variant, masked):
-    # The loop forms Lam_{k+1} = mu_k*(Delta - L_{k+1}) over the sweep's
-    # target Delta = Xt + Lam_k/mu_k: the scaled-form ascent
-    # Lam_k + mu_k*(X - L_{k+1} - E_k) without X - L - E.
+    # The loop forms U_{k+1} = (mu_k/mu_{k+1})*(Delta - L_{k+1}) over the
+    # sweep's target Delta = Xt + U_k: with Lambda = mu*Lam, the ascent
+    # Lambda_k + mu_k*(X - L_{k+1} - E_k) without X - L - E.
     if variant == "admm2":
         module, name, carriers = admm, "_admm2_sweep", ("model.a", "K", "model.b")
     else:
@@ -986,8 +1003,8 @@ def test_dual_ascent_is_derived_from_the_sweep_target(monkeypatch, variant, mask
 
     def sweep(state, X, target, cfg, report):
         if expected:
-            errors.append(rel_error(state.Lam, expected.pop()))
-        lam, E, mu = state.Lam.copy(), state.E.copy(), state.mu
+            errors.append(rel_error(state.mu * state.Lam, expected.pop()))
+        lam, E, mu = state.mu * state.Lam, state.E.copy(), state.mu
         yield from real(state, X, target, cfg, report)
         left, core, right = attrgetter(*carriers)(state)
         expected.append(lam + mu * (X - tensor.reconstruct(left, core, right) - E))

@@ -18,8 +18,10 @@ so an interrupted run resumes where it stopped.  The BENCH file holds, per
 workload and seed, q25/median/q75 of each end-to-end metric named in
 BENCHMARK.json for both sides, the pairs the change won, attempted and
 failed solves, each variant's distinct iteration counts and terminations,
-nondeterminism reports, the seeds and the environment, all read from the
-records.  An existing ``--out`` file for the same two
+each variant's solve time relative to the run's reference kernel
+(``variant_time_rel``: the ``time_to_tol_rel`` normalisation applied to one
+variant), nondeterminism reports, the seeds and the environment, all read
+from the records.  An existing ``--out`` file for the same two
 revisions is extended, so a held-out seed's pairs join the default ones.
 """
 
@@ -67,6 +69,27 @@ def distinct(results, key):
     return {variant: sorted(values) for variant, values in seen.items()}
 
 
+def compare(values, lower):
+    """Quartiles of ``values[side]`` (one value per pair, in pair order), the
+    pairs the change won (``lower``: lower is better) and the ratio of the
+    medians."""
+    wins = sum((c < p) if lower else (c > p)
+               for p, c in zip(values["parent"], values["change"]))
+    parent, change = quartiles(values["parent"]), quartiles(values["change"])
+    return {"parent": parent, "change": change, "change_wins": wins,
+            "median_ratio": change["median"] / parent["median"]}
+
+
+def variant_times(record):
+    """``{variant: median solve seconds / the run's reference median}``."""
+    seconds = {}
+    for rnd in record["rounds"]:
+        for res in rnd:
+            seconds.setdefault(res["variant"], []).append(res["seconds"])
+    reference = record["extra"]["reference_s"]["median"]
+    return {variant: statistics.median(s) / reference for variant, s in seconds.items()}
+
+
 def summarise(runs, metrics):
     """Per-workload summary of ``runs[side]``, lists of records in pair order."""
     first = runs["change"][0]
@@ -83,17 +106,19 @@ def summarise(runs, metrics):
     out["nondeterminism"] = {side: sum(len(r["nondeterminism"]) for r in recs)
                              for side, recs in runs.items()}
     for metric in metrics:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in recs]
                   for side, recs in runs.items()}
-        wins = sum((c < p) if lower else (c > p)
-                   for p, c in zip(values["parent"], values["change"]))
-        parent, change = quartiles(values["parent"]), quartiles(values["change"])
         out["metrics"][name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-            "parent": parent, "change": change, "change_wins": wins,
-            "median_ratio": change["median"] / parent["median"],
+            **compare(values, metric["better"] == "lower"),
         }
+    times = {side: [variant_times(r) for r in recs] for side, recs in runs.items()}
+    out["variant_time_rel"] = {
+        variant: compare({side: [t[variant] for t in per_run] for side, per_run in times.items()},
+                         lower=True)
+        for variant in sorted(times["change"][0])
+    }
     return out
 
 
