@@ -6,19 +6,16 @@ ADMM and linearised-ADMM solvers, three regularizer families and
 missing-value completion.
 """
 
-from .admm import SolverAbort, initialize, residuals, solve
+from .admm import SolverAbort, solve
 from .data import Metrics, SynthSpec, add_salt_pepper, make_mask, metrics, roc_auc, synth_generate
 from .fileio import read_pgm, read_ppm, read_rkt, write_pgm, write_ppm, write_rkt
 from .linalg import (
     NumericalError,
-    SteinProblem,
     SteinSingularError,
     frobenius_prox,
     schatten_prox,
     selective_shrink,
     soft_shrink,
-    stein_solve,
-    stein_solve_dense,
     svd,
     symmetric_eig,
 )
@@ -34,28 +31,24 @@ from .tensor import (
     unfold,
     vectorize,
 )
-from .variants import LipschitzBounds, compute_lipschitz, solve_variant
+from .variants import solve_variant
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FactorModel",
-    "LipschitzBounds",
     "Metrics",
     "NumericalError",
     "RunReport",
     "SolverAbort",
     "SolverConfig",
-    "SteinProblem",
     "SteinSingularError",
     "SynthSpec",
     "add_salt_pepper",
-    "compute_lipschitz",
     "default_lambda",
     "fold",
     "frobenius",
     "frobenius_prox",
-    "initialize",
     "inner",
     "kronecker",
     "l1",
@@ -66,15 +59,12 @@ __all__ = [
     "read_ppm",
     "read_rkt",
     "reconstruct",
-    "residuals",
     "roc_auc",
     "schatten_prox",
     "selective_shrink",
     "soft_shrink",
     "solve",
     "solve_variant",
-    "stein_solve",
-    "stein_solve_dense",
     "svd",
     "symmetric_eig",
     "synth_generate",

@@ -46,8 +46,8 @@ from . import linalg, tensor
 from .model import FactorModel, IterationRecord, RunReport
 
 __all__ = [
-    "ETA_INIT", "SolverAbort", "SolverState", "initialize", "update_E", "update_A",
-    "update_B", "update_K", "update_R", "update_duals", "residuals", "solve",
+    "ETA_INIT", "SolverAbort", "SolverState", "initialize", "update_A", "update_B",
+    "update_K", "update_R", "solve",
 ]
 
 # Scaling coefficient for the initial penalty parameters.
@@ -331,20 +331,11 @@ def _blocks(X):
 
 def _shrink_arg(X, recon, u, out):
     """T = (X - recon) + U, the E step's shrinkage argument, in ``out``: the
-    one arithmetic for T, in the start, the loop's tail and :func:`_shrink_E`.
-    Elementwise: a block of slices gives the bits of the whole."""
+    one arithmetic for T, in the start and the loop's tail.  Elementwise: a
+    block of slices gives the bits of the whole."""
     t = np.subtract(X, recon, out=out)
     t += u
     return t
-
-
-def _shrink_E(state, X, cfg, lam, recon):
-    """E step on whole tensors: E = T - C with T = (X - recon) + Lam
-    (:func:`_shrink_arg`) and C = clip(T, -tau, tau) [* mask] at tau =
-    lam/mu, T and then E in recon's array, C in ``_spare(state, recon)``,
-    where it stays for :func:`_shrunk_l1`."""
-    t = _shrink_arg(X, recon, state.Lam, recon)
-    return linalg._shrink(t, lam / state.mu, cfg.mask, out=t, clip=_spare(state, recon))
 
 
 # Below this threshold tau * |E| can fall below the smallest normal float for
@@ -392,14 +383,6 @@ def _e_step(state, X, cfg, lam, recon, shrink_arg):
     return l1
 
 
-def update_E(state, X, cfg):
-    """Shrink the residual X - L + Lam at level lambda/mu, L = K x_1 A x_2 B,
-    on whole tensors (:func:`_shrink_E`); the loop runs the same arithmetic
-    slice-block by slice-block (:func:`_tail`, :func:`_e_step`)."""
-    recon = tensor.reconstruct(state.model.a, state.K, state.model.b, out=_spare(state))
-    return _shrink_E(state, X, cfg, cfg.resolved_lambda(X.shape), recon)
-
-
 def _solve_spd_right(system, rhs, report, label, iteration):
     """Solve Z @ system = rhs for Z by one eigendecomposition of the system.
 
@@ -418,24 +401,6 @@ def _solve_spd_right(system, rhs, report, label, iteration):
     return ((rhs @ q) / evals) @ q.T
 
 
-def _target(state, x_tilde, delta=None):
-    """Delta = Xt + Lam (Lam = U = Lambda/mu) for the basis and core solves,
-    unless ``delta`` passes the loop's (mu and Lam are fixed until the dual
-    update), in which case ``x_tilde`` is not read.  The solves take
-    mu*Delta = mu*Xt + Lambda by scaling their r-sized products."""
-    if delta is None:
-        delta = np.add(x_tilde, state.Lam, out=_spare(state, x_tilde))
-    return delta
-
-
-def _basis_target(state, x_tilde, basis, delta=None, g=None):
-    """G_i = W^T Delta_i for every slice, W = ``basis``, as an (N, r, n) batch,
-    unless ``g`` passes the one its sweep formed after updating W."""
-    if g is None:
-        g = basis.T @ _slices(_target(state, x_tilde, delta))
-    return g
-
-
 def _cross_gram(core, other, row, cache=None):
     """sum_i K_i W^T W K_i^T over the slices K_i of ``core``, W = ``other``;
     ``row=True`` transposes every slice: sum_i K_i^T W^T W K_i.  ``cache``
@@ -447,23 +412,23 @@ def _cross_gram(core, other, row, cache=None):
     return np.sum(k_t @ gram @ k_t.transpose(0, 2, 1), axis=0)
 
 
-def _solve_basis(state, x_tilde, other, row, weight, report, label,
-                 anchor=None, mu_anchor=None, delta=None, g=None):
+def _solve_basis(state, target, other, row, weight, report, label,
+                 anchor=None, mu_anchor=None):
     """Normal-equation solve for one basis, with the core K and ``other`` (W) fixed.
 
     Solves Z (I + weight * sum_i K_i W^T W K_i^T) = C, C = mu * sum_i Delta_i
-    W K_i^T, for the column basis (Delta as in :func:`_target`); ``row=True``
-    transposes every slice, C = mu * sum_i G_i^T K_i with G as in
-    :func:`_basis_target`.  A substitution copy passes an ``anchor``:
+    W K_i^T, for the column basis, ``target`` the loop's Delta = Xt + Lam
+    (Lam = U = Lambda/mu; mu and Lam are fixed until the dual update), so
+    mu*Delta = mu*Xt + Lambda.  ``row=True`` transposes every slice,
+    C = mu * sum_i G_i^T K_i, ``target`` the sweep's G_i = W^T Delta_i as an
+    (N, r, n) batch.  A substitution copy passes an ``anchor``:
     C -> anchor + C/mu_anchor.
     """
     k_t = _slices(state.K)
     if row:
-        g = _basis_target(state, x_tilde, other, delta, g)
-        rhs = np.sum(g.transpose(0, 2, 1) @ k_t, axis=0)
+        rhs = np.sum(target.transpose(0, 2, 1) @ k_t, axis=0)
     else:
-        d_t = _slices(_target(state, x_tilde, delta))
-        rhs = np.sum((d_t @ other) @ k_t.transpose(0, 2, 1), axis=0)
+        rhs = np.sum((_slices(target) @ other) @ k_t.transpose(0, 2, 1), axis=0)
     rhs *= state.mu
     system = weight * _sym(_cross_gram(state.K, other, row, state.grams))
     system.flat[::system.shape[0] + 1] += 1.0
@@ -472,42 +437,41 @@ def _solve_basis(state, x_tilde, other, row, weight, report, label,
     return _solve_spd_right(system, rhs, report, label, state.iters)
 
 
-def update_A(state, x_tilde, cfg, report=None, delta=None):
-    """Exact minimiser of the A block: a normal-equation solve over r x r.
-    ``delta`` passes the loop's Xt + Lam."""
-    return _solve_basis(state, x_tilde, state.model.b, False, state.mu, report, "A",
-                        delta=delta)
+def update_A(state, delta, report=None):
+    """Exact minimiser of the A block: a normal-equation solve over r x r on
+    the loop's Delta = Xt + Lam."""
+    return _solve_basis(state, delta, state.model.b, False, state.mu, report, "A")
 
 
-def update_B(state, x_tilde, cfg, report=None, delta=None, g=None):
-    """Exact minimiser of the B block, using the freshly updated A; ``g``
-    passes the sweep's A^T Delta_i."""
-    return _solve_basis(state, x_tilde, state.model.a, True, state.mu, report, "B",
-                        delta=delta, g=g)
+def update_B(state, g, report=None):
+    """Exact minimiser of the B block, using the freshly updated A, on the
+    sweep's G_i = A^T Delta_i."""
+    return _solve_basis(state, g, state.model.a, True, state.mu, report, "B")
 
 
-def _stein_core(state, x_tilde, left, right, delta=None, g=None):
+def _stein_core(state, g, left, right):
     """Solve one Stein equation per slice for the split core K, all slices in
     one :func:`linalg.stein_apply`: mu_K*K_i + mu*L^T L K_i R^T R =
-    mu*G_i R + mu_K*R_i + Y_i, L = ``left``, R = ``right``, G_i = L^T Delta_i.
+    mu*G_i R + mu_K*R_i + Y_i, L = ``left``, R = ``right``, ``g`` the sweep's
+    G_i = L^T Delta_i.
     """
     mu, mu_K = state.mu, state.mu_K
     gram_l, gram_r = _gram(left, state.grams), _gram(right, state.grams)
     factors = linalg.stein_factors(-(mu / mu_K) * gram_l, gram_r)
-    g = _basis_target(state, x_tilde, left, delta, g)
     h_t = (mu * (g @ right) + _slices(state.Y)) / mu_K + _slices(state.model.core)
     return _stack(linalg.stein_apply(factors, h_t))
 
 
-def update_K(state, x_tilde, cfg, delta=None, g=None):
-    """Solve one Stein equation per slice for the split core K; ``g`` passes
-    the sweep's A^T Delta_i."""
-    return _stein_core(state, x_tilde, state.model.a, state.model.b, delta, g)
+def update_K(state, g):
+    """Solve one Stein equation per slice for the split core K on the sweep's
+    G_i = A^T Delta_i."""
+    return _stein_core(state, g, state.model.a, state.model.b)
 
 
-def update_R(state, cfg):
-    """Shrink K - Y/mu_K at level alpha/mu_K."""
-    return linalg.soft_shrink(state.K - state.Y / state.mu_K, cfg.alpha / state.mu_K)
+def update_R(state, weight):
+    """Shrink K - Y/mu_K at level weight/mu_K, ``weight`` that of ||R||_1:
+    alpha in admm2, the degree-3 variants' alpha*|A|*|B|."""
+    return linalg.soft_shrink(state.K - state.Y / state.mu_K, weight / state.mu_K)
 
 
 def _grow_mu(state, cfg):
@@ -531,33 +495,6 @@ def _ascend(state, splits, cfg):
         setattr(state, row.penalty, min(getattr(state, row.penalty + "_cap"), cfg.rho * mu))
         errs[row.err] = _slice_ratio(diff, _sq_norms(primal))
     return errs
-
-
-def update_duals(state, x_tilde, cfg):
-    """Dual ascent on Xt = K x_1 A x_2 B and on R = K, then grow both capped
-    penalties, on whole tensors from Xt.  In scaled form, with mu' the grown
-    mu, Lam becomes (Lam + Xt - L) * mu/mu'.  The loop forms the same U from
-    the sweep's target instead (:func:`_tail`)."""
-    resid = tensor.reconstruct(state.model.a, state.K, state.model.b)
-    np.subtract(x_tilde, resid, out=resid)
-    resid += state.Lam
-    resid *= _grow_mu(state, cfg)
-    state.Lam = resid
-    _ascend(state, (CORE_SPLIT,), cfg)
-    return state
-
-
-def residuals(state, X, out=None):
-    """Primal-feasibility errors (err_rec, err_R), worst slice of each, on
-    whole tensors; ``out`` is scratch for A R B^T (a spare if None).  The
-    loop takes err_rec in its tail instead (:func:`_tail`)."""
-    a, b, core = state.model.a, state.model.b, state.model.core
-    resid = tensor.reconstruct(a, core, b, out=_spare(state) if out is None else out)
-    np.subtract(X, resid, out=resid)
-    resid -= state.E
-    err_rec = _slice_ratio(resid, _x_norms(state, X))
-    err_core = _slice_ratio(core - state.K, _sq_norms(core))
-    return err_rec, err_core
 
 
 def _rec_ratio(state, X, num, cross, core):
@@ -745,14 +682,14 @@ def _admm2_sweep(state, X, delta, cfg, report):
     # Every step reads the loop's target Delta = Xt + Lam, never Xt, and
     # leaves it for the tail; the B and K steps share A^T Delta_i.
     yield "A"
-    state.model.a = update_A(state, None, cfg, report, delta)
+    state.model.a = update_A(state, delta, report)
     yield "B"
-    g = _basis_target(state, None, state.model.a, delta)
-    state.model.b = update_B(state, None, cfg, report, delta, g)
+    g = state.model.a.T @ _slices(delta)
+    state.model.b = update_B(state, g, report)
     yield "K"
-    state.K = update_K(state, None, cfg, delta, g)
+    state.K = update_K(state, g)
     yield "R"
-    state.model.core = update_R(state, cfg)
+    state.model.core = update_R(state, cfg.alpha)
 
 
 def _admm2_penalty(state, cfg):

@@ -44,6 +44,16 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _positive_range(text):
+    """The --range flag's type: a positive finite number, else a usage error."""
+    try:
+        if 0.0 < float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+
+
 def _add_solver_flags(parser):
     """Add the solver flags; returns their argparse actions."""
     return [
@@ -135,10 +145,6 @@ def cmd_decompose(args):
     X = fileio.read_rkt(args.input)
     if args.mask is not None:
         cfg.mask = fileio.read_rkt(args.mask) != 0
-        if cfg.mask.shape != X.shape:
-            raise ValueError(
-                f"mask dims {cfg.mask.shape} do not match data dims {X.shape}"
-            )
     cfg.validate_for(X.shape)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -206,14 +212,9 @@ def _hidden_norms(completed, truth, hidden):
 def cmd_complete(args):
     cfg = _solver_config(args)
     X = fileio.read_rkt(args.input)
-    mask = fileio.read_rkt(args.mask) != 0
-    if mask.shape != X.shape:
-        raise ValueError(f"mask dims {mask.shape} do not match data dims {X.shape}")
-    if not mask.any():
-        raise ValueError("empty observation mask: nothing to complete from")
-    observed = np.where(mask, X, 0.0)
-    cfg.mask = mask
+    mask = cfg.mask = fileio.read_rkt(args.mask) != 0
     cfg.validate_for(X.shape)
+    observed = np.where(mask, X, 0.0)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     completed = _run_solver(observed, cfg, out)
@@ -346,7 +347,7 @@ def build_parser():
     p_com.add_argument("--input", required=True)
     p_com.add_argument("--mask", required=True)
     p_com.add_argument("--truth", default=None)
-    p_com.add_argument("--range", type=float, default=1.0)
+    p_com.add_argument("--range", type=_positive_range, default=1.0)
     p_com.add_argument("--out-dir", required=True)
     p_com.add_argument("--config", default=None)
     _add_solver_flags(p_com)
@@ -357,7 +358,7 @@ def build_parser():
     p_eval.add_argument("--truth", required=True)
     p_eval.add_argument("--sparse-estimate", dest="sparse_estimate", default=None)
     p_eval.add_argument("--sparse-truth", dest="sparse_truth", default=None)
-    p_eval.add_argument("--range", type=float, default=1.0)
+    p_eval.add_argument("--range", type=_positive_range, default=1.0)
     p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_eval)
 

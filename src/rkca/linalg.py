@@ -1,14 +1,12 @@
 """Proximal operators and structured linear solvers shared by the solvers.
 
 The Stein solver exploits that both coefficient matrices are symmetric in
-every call the solvers make: diagonalise both, divide elementwise, rotate
-back.  The dense vectorised solve over the r^2 unknowns is a test oracle
-only; no solver calls it.
+every call the solvers make: :func:`stein_factors` diagonalises both once,
+and :func:`stein_apply` divides elementwise and rotates back, for any number
+of right-hand sides.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +17,8 @@ __all__ = [
     "selective_shrink",
     "frobenius_prox",
     "schatten_prox",
-    "SteinProblem",
     "stein_factors",
     "stein_apply",
-    "stein_solve",
-    "stein_solve_dense",
     "symmetric_eig",
     "svd",
 ]
@@ -112,34 +107,9 @@ def schatten_prox(x, tau, p):
     return (u * s) @ vt
 
 
-@dataclass(frozen=True)
-class SteinProblem:
-    """Data for the Stein equation K - F @ K @ G = H with symmetric F, G."""
-
-    F: np.ndarray
-    G: np.ndarray
-    H: np.ndarray
-
-    def __post_init__(self):
-        F = np.asarray(self.F, dtype=np.float64)
-        G = np.asarray(self.G, dtype=np.float64)
-        H = np.asarray(self.H, dtype=np.float64)
-        for name, mat in (("F", F), ("G", G)):
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"{name} must be square, got shape {mat.shape}")
-            if np.max(np.abs(mat - mat.T), initial=0.0) > SYMMETRY_ATOL:
-                raise ValueError(f"{name} is not symmetric to {SYMMETRY_ATOL}")
-        if H.shape != (F.shape[0], G.shape[0]):
-            raise ValueError(
-                f"H shape {H.shape} inconsistent with F {F.shape}, G {G.shape}"
-            )
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "H", H)
-
-
 def stein_factors(F, G):
-    """Eigendecompose the two symmetric coefficient matrices once.
+    """Eigendecompose the symmetric coefficient matrices of the Stein
+    equation K - F K G = H once.
 
     Returns ``(f, Qf, g, Qg, denom)`` with ``denom[i, j] = 1 - f[i]*g[j]``,
     ready to solve any number of right-hand sides via :func:`stein_apply`.
@@ -161,31 +131,11 @@ def stein_factors(F, G):
 
 
 def stein_apply(factors, H):
-    """Solve K - F K G = H given precomputed :func:`stein_factors`."""
+    """Solve K - F K G = H, or each equation of a stack of H, given
+    precomputed :func:`stein_factors`: O(r^3), exact up to round-off."""
     _, qf, _, qg, denom = factors
     h_rot = qf.T @ np.asarray(H) @ qg
     return qf @ (h_rot / denom) @ qg.T
-
-
-def stein_solve(prob):
-    """Solve the Stein equation K - F K G = H of a :class:`SteinProblem`.
-
-    Diagonalises F and G (both symmetric), divides elementwise and rotates
-    back: the O(r^3) solve the solvers run, exact up to round-off.
-    """
-    return stein_apply(stein_factors(prob.F, prob.G), prob.H)
-
-
-def stein_solve_dense(prob):
-    """Dense oracle: solve (I - G (x) F) vec(K) = vec(H) over r^2 unknowns."""
-    F, G, H = prob.F, prob.G, prob.H
-    rf, rg = F.shape[0], G.shape[0]
-    system = np.eye(rf * rg) - np.kron(G, F)
-    try:
-        vec_k = np.linalg.solve(system, H.reshape(-1, order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise SteinSingularError(f"dense Stein solve failed: {exc}") from exc
-    return vec_k.reshape((rf, rg), order="F")
 
 
 def symmetric_eig(x):

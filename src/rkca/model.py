@@ -135,14 +135,17 @@ class SolverConfig:
             )
 
     def validate_for(self, dims):
-        """Check rank and mask shape against concrete data dims; the mask is
-        not copied."""
+        """Check rank and mask against concrete data dims: the mask must have
+        the data's shape and flag at least one entry.  It is not copied."""
         m, n, _ = dims
         if self.rank > min(m, n):
             raise ValueError(f"rank {self.rank} exceeds min(m, n) = {min(m, n)}")
-        if self.mask is not None and np.shape(self.mask) != tuple(dims):
-            raise ValueError(
-                f"mask shape {np.shape(self.mask)} does not match data dims {dims}")
+        if self.mask is not None:
+            if np.shape(self.mask) != tuple(dims):
+                raise ValueError(
+                    f"mask shape {np.shape(self.mask)} does not match data dims {dims}")
+            if not np.any(self.mask):
+                raise ValueError("empty observation mask: no entry is observed")
 
     def resolved_lambda(self, dims):
         return self.lam if self.lam is not None else float(default_lambda(dims))

@@ -26,9 +26,9 @@ from . import admm, linalg, tensor
 from .admm import ETA_INIT, _init_tucker, _slices, _stack
 
 __all__ = [
-    "LadmmState", "Degree3State", "LipschitzBounds", "compute_lipschitz",
-    "ladmm_update_R", "ladmm_update_A", "ladmm_update_B", "degree3_update_A_sub",
-    "degree3_update_B_sub", "degree3_update_U", "degree3_update_V", "solve_variant",
+    "LadmmState", "Degree3State", "ladmm_update_R", "ladmm_update_A", "ladmm_update_B",
+    "degree3_update_A_sub", "degree3_update_B_sub", "degree3_update_U", "degree3_update_V",
+    "solve_variant",
 ]
 
 LIPSCHITZ_MARGIN = 1.01
@@ -56,15 +56,6 @@ class Degree3State(admm.SolverState):
     mu_V_cap: float
 
 
-@dataclass(frozen=True)
-class LipschitzBounds:
-    """Gradient Lipschitz bounds for the three linearised blocks."""
-
-    L_R: float
-    L_A: float
-    L_B: float
-
-
 def _bound(value):
     return max(LIPSCHITZ_MARGIN * float(value), LIPSCHITZ_FLOOR)
 
@@ -76,25 +67,6 @@ def lipschitz_core(a, b, cache=None):
     evals = linalg.symmetric_eig(np.stack([admm._gram(w, cache) for w in (a, b)]))[0]
     top_a, top_b = (max(float(top), 0.0) for top in evals[:, -1])
     return _bound(top_a * top_b)
-
-
-def lipschitz_a(core, b):
-    """Bound for the A gradient: ||sum_i C_i C_i^T||_F with C_i = R_i B^T."""
-    return _bound(np.linalg.norm(admm._cross_gram(core, b, False)))
-
-
-def lipschitz_b(a, core):
-    """Bound for the B gradient: ||sum_i G_i^T G_i||_F with G_i = A R_i."""
-    return _bound(np.linalg.norm(admm._cross_gram(core, a, True)))
-
-
-def compute_lipschitz(model):
-    """All three block bounds at the model's current factors."""
-    return LipschitzBounds(
-        L_R=lipschitz_core(model.a, model.b),
-        L_A=lipschitz_a(model.core, model.b),
-        L_B=lipschitz_b(model.a, model.core),
-    )
 
 
 def _basis_norm(mat, variant, cache=None):
@@ -139,61 +111,45 @@ def _basis_step(point, other, core, weight, cfg, cache=None):
     return _basis_prox(point, scale, cfg.variant)
 
 
-def _delta(state, X):
-    """Delta = X - E + Lam (Lam = U = Lambda/mu), the target of the
-    linearised steps."""
-    delta = X - state.E
-    delta += state.Lam
-    return delta
-
-
-def _delta_slices(state, X, delta):
-    return _slices(_delta(state, X) if delta is None else delta)
-
-
-def _a_delta(state, X, delta, a_delta):
-    """A^T Delta_i for every slice, unless ``a_delta`` passes the sweep's."""
-    if a_delta is None:
-        a_delta = state.model.a.T @ _delta_slices(state, X, delta)
-    return a_delta
-
-
-def ladmm_update_R(state, X, cfg, delta=None, a_delta=None):
+def ladmm_update_R(state, a_delta, cfg):
     """One proximal-gradient step on the core.
 
     Gradient of the coupling term is (R x_1 A x_2 B - Delta) x_1 A^T x_2 B^T,
-    formed per slice as A^T A R_i B^T B - A^T Delta_i B; the shrinkage level
-    is the variant's core weight divided by mu * L_R.  ``delta`` passes a
-    Delta already computed for this sweep, ``a_delta`` the product A^T Delta_i.
+    formed per slice as A^T A R_i B^T B - A^T Delta_i B, with ``a_delta`` the
+    sweep's A^T Delta_i; the step is 1/L_R (:func:`lipschitz_core`) and the
+    shrinkage level the variant's core weight divided by mu * L_R.
     """
     a, b, core = state.model.a, state.model.b, state.model.core
     lip = lipschitz_core(a, b, state.grams)
     core_t = _slices(core)
     grad_t = admm._gram(a, state.grams) @ core_t @ admm._gram(b, state.grams)
-    grad_t -= _a_delta(state, X, delta, a_delta) @ b
+    grad_t -= a_delta @ b
     weight = _core_weight(a, b, cfg, state.basis_norms)
     return _stack(linalg.soft_shrink(core_t - grad_t / lip, weight / (state.mu * lip)))
 
 
-def ladmm_update_A(state, X, cfg, delta=None):
-    """One majorise-minimise step on the column basis; ``delta`` as in
-    :func:`ladmm_update_R`.  The gradient sum_i (A C_i - Delta_i) C_i^T,
-    C_i = R_i B^T, is formed as A sum_i C_i C_i^T - sum_i Delta_i B R_i^T."""
+def ladmm_update_A(state, delta, cfg):
+    """One majorise-minimise step on the column basis, on the loop's
+    Delta = Xt + Lam.  The gradient sum_i (A C_i - Delta_i) C_i^T,
+    C_i = R_i B^T, is formed as A sum_i C_i C_i^T - sum_i Delta_i B R_i^T; its
+    Lipschitz bound is ||sum_i C_i C_i^T||_F."""
     a, b, core = state.model.a, state.model.b, state.model.core
     gram = admm._cross_gram(core, b, False, state.grams)
     lip = _bound(np.linalg.norm(gram))
-    cross = (_delta_slices(state, X, delta) @ b) @ _slices(core).transpose(0, 2, 1)
+    cross = (_slices(delta) @ b) @ _slices(core).transpose(0, 2, 1)
     grad = a @ gram - np.sum(cross, axis=0)
     return _basis_step(a - grad / lip, b, core, state.mu * lip, cfg, state.basis_norms)
 
 
-def ladmm_update_B(state, X, cfg, delta=None, a_delta=None):
-    """Mirror of :func:`ladmm_update_A` for the row basis, using fresh A: the
-    gradient is B sum_i G_i^T G_i - sum_i Delta_i^T A R_i, G_i = A R_i."""
+def ladmm_update_B(state, a_delta, cfg):
+    """Mirror of :func:`ladmm_update_A` for the row basis, using fresh A and
+    the sweep's A^T Delta_i (``a_delta``): the gradient is
+    B sum_i G_i^T G_i - sum_i Delta_i^T A R_i, G_i = A R_i, with the bound
+    ||sum_i G_i^T G_i||_F."""
     a, b, core = state.model.a, state.model.b, state.model.core
     gram = admm._cross_gram(core, a, True, state.grams)
     lip = _bound(np.linalg.norm(gram))
-    cross = _slices(core).transpose(0, 2, 1) @ _a_delta(state, X, delta, a_delta)
+    cross = _slices(core).transpose(0, 2, 1) @ a_delta
     grad = b @ gram - np.sum(cross, axis=0).T
     return _basis_step(b - grad / lip, a, core, state.mu * lip, cfg, state.basis_norms)
 
@@ -211,9 +167,10 @@ def _penalty(state, cfg):
 
 def _lagrangian(state, X, cfg, lam):
     """Augmented Lagrangian of a LADMM run, up to the term -mu*||U||^2/2 that
-    no block step changes; no block step may increase it."""
+    no block step changes; no block step may increase it.  The coupling term
+    is taken on whole tensors, from Delta = X - E + U."""
     recon = state.model.reconstruct()
-    couple = 0.5 * state.mu * float(np.sum(np.square(recon - _delta(state, X))))
+    couple = 0.5 * state.mu * float(np.sum(np.square(recon - (X - state.E + state.Lam))))
     penalty = _low_rank_penalty(state.model, cfg, state.basis_norms)
     return lam * tensor.l1(state.E, cfg.mask) + penalty + couple
 
@@ -223,12 +180,12 @@ def _ladmm_sweep(state, X, delta, cfg, report):
     # E, Lam and mu are fixed until the dual update.  The B step keeps A, so
     # B and R share one A^T Delta_i.
     yield "A"
-    state.model.a = ladmm_update_A(state, X, cfg, delta)
+    state.model.a = ladmm_update_A(state, delta, cfg)
     yield "B"
     a_delta = state.model.a.T @ _slices(delta)
-    state.model.b = ladmm_update_B(state, X, cfg, a_delta=a_delta)
+    state.model.b = ladmm_update_B(state, a_delta, cfg)
     yield "R"
-    state.model.core = ladmm_update_R(state, X, cfg, a_delta=a_delta)
+    state.model.core = ladmm_update_R(state, a_delta, cfg)
 
 
 def degree3_update_A_sub(state, cfg):
@@ -245,34 +202,24 @@ def degree3_update_B_sub(state, cfg):
                        state.basis_norms)
 
 
-def degree3_update_U(state, x_tilde, cfg, report=None, delta=None):
-    """Stationarity solve for the U copy of the column basis: one symmetric
-    positive definite r x r system U (I + (mu/mu_U) sum_i K_i V^T V K_i^T) = RHS.
-    ``delta`` passes the loop's Xt + Lam.
+def degree3_update_U(state, delta, report=None):
+    """Stationarity solve for the U copy of the column basis on the loop's
+    Delta = Xt + Lam: one symmetric positive definite r x r system
+    U (I + (mu/mu_U) sum_i K_i V^T V K_i^T) = RHS.
     """
     return admm._solve_basis(
-        state, x_tilde, state.V, False, state.mu / state.mu_U, report, "U",
-        anchor=state.model.a + state.Y_U / state.mu_U, mu_anchor=state.mu_U, delta=delta,
+        state, delta, state.V, False, state.mu / state.mu_U, report, "U",
+        anchor=state.model.a + state.Y_U / state.mu_U, mu_anchor=state.mu_U,
     )
 
 
-def degree3_update_V(state, x_tilde, cfg, report=None, delta=None, g=None):
-    """Mirror of :func:`degree3_update_U` for the row-basis copy; ``g``
-    passes the sweep's U^T Delta_i."""
+def degree3_update_V(state, g, report=None):
+    """Mirror of :func:`degree3_update_U` for the row-basis copy, on the
+    sweep's G_i = U^T Delta_i."""
     return admm._solve_basis(
-        state, x_tilde, state.U, True, state.mu / state.mu_V, report, "V",
+        state, g, state.U, True, state.mu / state.mu_V, report, "V",
         anchor=state.model.b + state.Y_V / state.mu_V, mu_anchor=state.mu_V,
-        delta=delta, g=g,
     )
-
-
-def _degree3_update_K(state, x_tilde, cfg, delta=None, g=None):
-    return admm._stein_core(state, x_tilde, state.U, state.V, delta, g)
-
-
-def _degree3_update_R(state, cfg):
-    weight = _core_weight(state.model.a, state.model.b, cfg, state.basis_norms)
-    return linalg.soft_shrink(state.K - state.Y / state.mu_K, weight / state.mu_K)
 
 
 def _init_degree3(X, cfg):
@@ -310,14 +257,15 @@ def _degree3_sweep(state, X, delta, cfg, report):
     yield "B"
     state.model.b = degree3_update_B_sub(state, cfg)
     yield "U"
-    state.U = degree3_update_U(state, None, cfg, report, delta)
+    state.U = degree3_update_U(state, delta, report)
     yield "V"
-    g = admm._basis_target(state, None, state.U, delta)
-    state.V = degree3_update_V(state, None, cfg, report, delta, g)
+    g = state.U.T @ _slices(delta)
+    state.V = degree3_update_V(state, g, report)
     yield "K"
-    state.K = _degree3_update_K(state, None, cfg, delta, g)
+    state.K = admm._stein_core(state, g, state.U, state.V)
     yield "R"
-    state.model.core = _degree3_update_R(state, cfg)
+    weight = _core_weight(state.model.a, state.model.b, cfg, state.basis_norms)
+    state.model.core = admm.update_R(state, weight)
 
 
 def solve_variant(X, cfg, block_log=None):

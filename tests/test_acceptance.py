@@ -20,6 +20,7 @@ from rkca.model import SolverConfig, default_lambda
 from rkca.variants import LadmmState
 
 from conftest import BENCH_SPEC
+from reference import stein_dense
 
 LAMBDA_SWEEP = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -146,17 +147,13 @@ def test_a5_stein_oracle_equivalence():
         c = float(rng.uniform(0.1, 10.0))
         gram_a = a.T @ a
         gram_b = b.T @ b
-        prob = linalg.SteinProblem(
-            F=-c * 0.5 * (gram_a + gram_a.T),
-            G=0.5 * (gram_b + gram_b.T),
-            H=rng.standard_normal((r, r)),
-        )
-        fast = linalg.stein_solve(prob)
-        dense = linalg.stein_solve_dense(prob)
+        F = -c * 0.5 * (gram_a + gram_a.T)
+        G = 0.5 * (gram_b + gram_b.T)
+        H = rng.standard_normal((r, r))
+        fast = linalg.stein_apply(linalg.stein_factors(F, G), H)
+        dense = stein_dense(F, G, H)
         dev = np.linalg.norm(fast - dense) / max(1.0, np.linalg.norm(dense))
-        resid = np.linalg.norm(fast - prob.F @ fast @ prob.G - prob.H) / max(
-            1.0, np.linalg.norm(prob.H)
-        )
+        resid = np.linalg.norm(fast - F @ fast @ G - H) / max(1.0, np.linalg.norm(H))
         worst_dev = max(worst_dev, dev)
         worst_resid = max(worst_resid, resid)
     criterion(
@@ -303,9 +300,11 @@ def test_a8_ladmm_majorization(bench_instance):
             observed - state.model.reconstruct() + state.Lam,
             lam / state.mu,
         )
-        state.model.a = variants.ladmm_update_A(state, observed, cfg)
-        state.model.b = variants.ladmm_update_B(state, observed, cfg)
-        state.model.core = variants.ladmm_update_R(state, observed, cfg)
+        delta = observed - state.E + state.Lam
+        state.model.a = variants.ladmm_update_A(state, delta, cfg)
+        a_delta = state.model.a.T @ admm._slices(delta)
+        state.model.b = variants.ladmm_update_B(state, a_delta, cfg)
+        state.model.core = variants.ladmm_update_R(state, a_delta, cfg)
         lam_new = state.mu * state.Lam + state.mu * (
             observed - state.model.reconstruct() - state.E
         )

@@ -1,5 +1,6 @@
 """Degree-2 ADMM solver tests: block updates against closed forms and
-plug-back oracles, initialisation, residuals and the full loop."""
+plug-back oracles, initialisation, the loop's E step, dual ascent and
+residuals, and the full loop."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rkca.data import SynthSpec, synth_generate
 from rkca.model import FactorModel, SolverConfig
 
 from conftest import rel_error
+from reference import dual_ascent, shrink_E
 
 
 def make_state(rng, m=6, n=5, N=3, r=3, mu=0.7, mu_K=1.3):
@@ -113,13 +115,43 @@ def test_balanced_start_keeps_c_one_without_a_minimiser():
     assert zero.mu == zero.mu_K == admm.ETA_INIT
 
 
+def loop_e_step(state, X, cfg, lam=None):
+    # The loop's E step (admm._e_step) on L = A K B^T and T = (X - L) + Lam,
+    # built as the start builds it: returns E and ||E||_1 as the loop takes
+    # it, from E and its clip.
+    state.buffers = [state.E, state.Lam, np.empty_like(X), np.empty_like(X)]
+    recon = tensor.reconstruct(state.model.a, state.K, state.model.b, out=admm._spare(state))
+    arg = admm._shrink_arg(X, recon, state.Lam, admm._spare(state, recon))
+    lam = cfg.resolved_lambda(X.shape) if lam is None else lam
+    l1 = admm._e_step(state, X, cfg, lam, recon, arg)
+    return state.E, l1
+
+
+def loop_tail(state, X, cfg, carriers, derived):
+    # The loop's tail (admm._tail) on the target Delta = Xt + Lam that the E
+    # step hands the sweep, then the core split's ascent (admm._ascend):
+    # returns err_rec and err_R as the loop reports them.
+    target = X - state.E + state.Lam
+    state.buffers = [state.E, state.Lam, target, np.empty_like(X)]
+    _, _, err_rec, finite = admm._tail(state, X, carriers, target, derived, cfg)
+    assert finite
+    return err_rec, admm._ascend(state, (admm.CORE_SPLIT,), cfg)["err_R"]
+
+
+def loop_residuals(state, X):
+    # err_rec from the residual (X - A R B^T) - E, which the tail builds for
+    # carriers (A, R, B), and err_R = worst ||R_i - K_i||^2 / ||R_i||^2.
+    carriers = (state.model.a, state.model.core, state.model.b)
+    return loop_tail(state, X, SolverConfig(rank=3), carriers, False)
+
+
 def test_update_E_zero_residual_and_scalar():
     rng = np.random.default_rng(1)
     state = make_state(rng)
     cfg = SolverConfig(rank=3, lam=0.5)
     X = tensor.reconstruct(state.model.a, state.K, state.model.b)
     state.Lam = np.zeros_like(X)
-    assert_allclose(admm.update_E(state, X, cfg), np.zeros_like(X))
+    assert_allclose(loop_e_step(state, X, cfg)[0], np.zeros_like(X))
 
     scalar = admm.SolverState(
         model=FactorModel(a=np.ones((1, 1)), b=np.ones((1, 1)),
@@ -131,7 +163,7 @@ def test_update_E_zero_residual_and_scalar():
         mu=1.0, mu_K=1.0, mu_cap=1e7, mu_K_cap=1e7,
     )
     X1 = np.full((1, 1, 1), 1.0)
-    out = admm.update_E(scalar, X1, SolverConfig(rank=1, lam=0.3))
+    out, _ = loop_e_step(scalar, X1, SolverConfig(rank=1, lam=0.3))
     assert out[0, 0, 0] == pytest.approx(0.7)
 
 
@@ -146,18 +178,17 @@ def test_update_E_masked_passthrough():
         - tensor.reconstruct(state.model.a, state.K, state.model.b)
         + state.Lam  # Lambda/mu
     )
-    out = admm.update_E(state, X, cfg)
+    out, _ = loop_e_step(state, X, cfg)
     assert np.array_equal(out[~mask], raw[~mask])
 
 
 def test_update_A_zero_and_closed_form():
     rng = np.random.default_rng(3)
     state = make_state(rng)
-    cfg = SolverConfig(rank=3)
     state.K = np.zeros_like(state.K)
     state.Lam = np.zeros_like(state.Lam)
     x_tilde = np.zeros_like(state.E)
-    assert_allclose(admm.update_A(state, x_tilde, cfg), np.zeros_like(state.model.a))
+    assert_allclose(admm.update_A(state, x_tilde + state.Lam), np.zeros_like(state.model.a))
 
     # N=1, B=I, K=I, Lam=0, square: A = mu/(1+mu) * Xt.
     r = 3
@@ -171,8 +202,13 @@ def test_update_A_zero_and_closed_form():
         mu=2.0, mu_K=1.0, mu_cap=1e7, mu_K_cap=1e7,
     )
     x_tilde = rng.standard_normal((r, r, 1))
-    out = admm.update_A(state, x_tilde, SolverConfig(rank=r))
+    out = admm.update_A(state, x_tilde + state.Lam)
     assert_allclose(out, (2.0 / 3.0) * x_tilde[:, :, 0], atol=1e-12)
+
+
+def sweep_g(state, x_tilde):
+    # The sweep's G_i = A^T Delta_i, Delta = Xt + Lam, for the B and K steps.
+    return state.model.a.T @ admm._slices(x_tilde + state.Lam)
 
 
 def lagrangian_a_terms(a, state, x_tilde):
@@ -195,7 +231,6 @@ def grad_a(a, state, x_tilde):
 def test_update_A_stationarity_oracle():
     rng = np.random.default_rng(4)
     state = make_state(rng)
-    cfg = SolverConfig(rank=3)
     x_tilde = rng.standard_normal(state.E.shape)
 
     # Validate the gradient formula by finite differences at a random point.
@@ -212,7 +247,7 @@ def test_update_A_stationarity_oracle():
         assert fd == pytest.approx(np.sum(g * d), rel=1e-5)
 
     # The update must zero that gradient.
-    a_new = admm.update_A(state, x_tilde, cfg)
+    a_new = admm.update_A(state, x_tilde + state.Lam)
     assert np.linalg.norm(grad_a(a_new, state, x_tilde)) <= 1e-8 * (
         1.0 + np.linalg.norm(a_new)
     )
@@ -221,9 +256,8 @@ def test_update_A_stationarity_oracle():
 def test_update_B_stationarity():
     rng = np.random.default_rng(5)
     state = make_state(rng)
-    cfg = SolverConfig(rank=3)
     x_tilde = rng.standard_normal(state.E.shape)
-    b_new = admm.update_B(state, x_tilde, cfg)
+    b_new = admm.update_B(state, sweep_g(state, x_tilde))
     g = b_new.copy()
     for i in range(x_tilde.shape[2]):
         resid = x_tilde[:, :, i] - state.model.a @ state.K[:, :, i] @ b_new.T
@@ -234,10 +268,9 @@ def test_update_B_stationarity():
 def test_update_K_trivial_cases():
     rng = np.random.default_rng(6)
     state = make_state(rng)
-    cfg = SolverConfig(rank=3)
     x_tilde = rng.standard_normal(state.E.shape)
     state.model.a = np.zeros_like(state.model.a)
-    out = admm.update_K(state, x_tilde, cfg)
+    out = admm.update_K(state, sweep_g(state, x_tilde))
     assert_allclose(out, state.model.core + state.Y / state.mu_K, atol=1e-10)
 
     r = 3
@@ -253,7 +286,7 @@ def test_update_K_trivial_cases():
         mu=1.0, mu_K=1.0, mu_cap=1e7, mu_K_cap=1e7,
     )
     x_tilde = rng.standard_normal((r, r, 2))
-    out = admm.update_K(state, x_tilde, SolverConfig(rank=r))
+    out = admm.update_K(state, sweep_g(state, x_tilde))
     expected = (state.mu * state.Lam + x_tilde + model.core + state.Y) / 2.0
     assert_allclose(out, expected, atol=1e-10)
 
@@ -276,9 +309,8 @@ def k_plugback_residual(state, x_tilde, K):
 def test_update_K_plugback():
     rng = np.random.default_rng(7)
     state = make_state(rng, r=4)
-    cfg = SolverConfig(rank=4)
     x_tilde = rng.standard_normal(state.E.shape)
-    K = admm.update_K(state, x_tilde, cfg)
+    K = admm.update_K(state, sweep_g(state, x_tilde))
     assert k_plugback_residual(state, x_tilde, K) <= 1e-8
 
 
@@ -287,17 +319,17 @@ def test_update_R_cases():
     state = make_state(rng)
     state.Y = np.zeros_like(state.Y)
     cfg = SolverConfig(rank=3, alpha=1e-12)
-    out = admm.update_R(state, cfg)
+    out = admm.update_R(state, cfg.alpha)
     assert_allclose(out, state.K, atol=1e-10)
 
     state.K = 1e-3 * rng.standard_normal(state.K.shape)
     state.Y = np.zeros_like(state.Y)
     cfg = SolverConfig(rank=3, alpha=1.0)
-    assert not admm.update_R(state, cfg).any()
+    assert not admm.update_R(state, cfg.alpha).any()
 
     state = make_state(rng)
     cfg = SolverConfig(rank=3, alpha=0.3)
-    out = admm.update_R(state, cfg)
+    out = admm.update_R(state, cfg.alpha)
     arg = state.K - state.Y / state.mu_K
     thr = 0.3 / state.mu_K
     expected = np.sign(arg) * np.maximum(np.abs(arg) - thr, 0.0)
@@ -308,11 +340,12 @@ def test_update_duals_reevaluation():
     rng = np.random.default_rng(9)
     state = make_state(rng)
     cfg = SolverConfig(rank=3, rho=1.4)
-    x_tilde = rng.standard_normal(state.E.shape)
+    X = rng.standard_normal(state.E.shape)
+    x_tilde = X - state.E
     lam_old, y_old = state.mu * state.Lam, state.Y.copy()
     mu_old, mu_k_old = state.mu, state.mu_K
     recon = tensor.reconstruct(state.model.a, state.K, state.model.b)
-    admm.update_duals(state, x_tilde, cfg)
+    loop_tail(state, X, cfg, (state.model.a, state.K, state.model.b), True)
     assert_allclose(state.mu * state.Lam, lam_old + mu_old * (x_tilde - recon), atol=1e-12)
     assert_allclose(state.Y, y_old + mu_k_old * (state.model.core - state.K), atol=1e-12)
     assert state.mu == pytest.approx(1.4 * mu_old)
@@ -324,10 +357,10 @@ def test_update_duals_feasible_and_capped():
     state = make_state(rng)
     cfg = SolverConfig(rank=3)
     state.model.core = state.K.copy()
-    x_tilde = tensor.reconstruct(state.model.a, state.K, state.model.b)
+    X = tensor.reconstruct(state.model.a, state.K, state.model.b) + state.E
     lam_old, y_old = state.mu * state.Lam, state.Y.copy()
     state.mu_cap = state.mu  # already at cap
-    admm.update_duals(state, x_tilde, cfg)
+    loop_tail(state, X, cfg, (state.model.a, state.K, state.model.b), True)
     assert_allclose(state.mu * state.Lam, lam_old, atol=1e-12)
     assert_allclose(state.Y, y_old, atol=1e-12)
     assert state.mu == state.mu_cap
@@ -337,12 +370,12 @@ def test_residuals_formula():
     rng = np.random.default_rng(11)
     state = make_state(rng)
     X = state.model.reconstruct() + state.E
-    err_rec, err_core = admm.residuals(state, X)
+    err_rec, err_core = loop_residuals(state, X)
     assert err_rec <= 1e-24
 
     X = rng.standard_normal(state.E.shape)
-    err_rec, err_core = admm.residuals(state, X)
     recon = state.model.reconstruct()
+    err_rec, err_core = loop_residuals(state, X)
     expect_rec = max(
         np.sum((X[:, :, i] - recon[:, :, i] - state.E[:, :, i]) ** 2)
         / np.sum(X[:, :, i] ** 2)
@@ -370,7 +403,7 @@ def test_residuals_sparse_absorbs_everything():
         Y=np.zeros((2, 2, 3)),
         mu=1.0, mu_K=1.0, mu_cap=1e7, mu_K_cap=1e7,
     )
-    err_rec, err_core = admm.residuals(state, X)
+    err_rec, err_core = loop_residuals(state, X)
     assert err_rec == 0.0 and err_core == 0.0
 
 
@@ -378,8 +411,8 @@ def test_residuals_zero_denominator():
     rng = np.random.default_rng(12)
     state = make_state(rng)
     X = np.zeros(state.E.shape)
-    err_rec, _ = admm.residuals(state, X)
     recon = state.model.reconstruct()
+    err_rec, _ = loop_residuals(state, X)
     assert np.isfinite(err_rec)
     expect = max(
         np.sum((recon[:, :, i] + state.E[:, :, i]) ** 2) for i in range(X.shape[2])
@@ -437,15 +470,18 @@ def test_plugback_holds_across_sweeps():
     state = admm.initialize(X, cfg)
     for it in range(1, 6):
         state.iters = it
-        state.E = admm.update_E(state, X, cfg)
+        recon = tensor.reconstruct(state.model.a, state.K, state.model.b)
+        state.E = shrink_E(X, recon, state.Lam, 0.2 / state.mu)
         x_tilde = X - state.E
-        state.model.a = admm.update_A(state, x_tilde, cfg)
-        state.model.b = admm.update_B(state, x_tilde, cfg)
-        K = admm.update_K(state, x_tilde, cfg)
+        state.model.a = admm.update_A(state, x_tilde + state.Lam)
+        g = sweep_g(state, x_tilde)
+        state.model.b = admm.update_B(state, g)
+        K = admm.update_K(state, g)
         assert k_plugback_residual(state, x_tilde, K) <= 1e-8
         state.K = K
-        state.model.core = admm.update_R(state, cfg)
-        admm.update_duals(state, x_tilde, cfg)
+        state.model.core = admm.update_R(state, cfg.alpha)
+        dual_ascent(state, x_tilde, cfg, (state.model.a, state.K, state.model.b),
+                    (admm.CORE_SPLIT,))
 
 
 def test_solve_abort_on_nonfinite():
@@ -469,26 +505,22 @@ def test_solve_rejects_bad_inputs():
 
 
 def _e_step_l1(X, lam, mask=None, scale=1.0):
-    # The loop's E step on a crafted X, the state's A and Lam times ``scale``:
-    # E written over the reconstruction, its clip left in the spare, and
-    # ||E||_1 from the two.
+    # The loop's E step on a crafted X, the state's A and Lam times ``scale``,
+    # all slice-major as in a solve: E and ||E||_1 from E and its clip.
     state = make_state(np.random.default_rng(60))
     state.model.a, state.Lam = scale * state.model.a, scale * state.Lam
     X = tensor.slice_major(X)
     state.E, state.Lam = tensor.slice_major(state.E), tensor.slice_major(state.Lam)
-    state.buffers = [state.E, state.Lam, np.empty_like(X), np.empty_like(X)]
     cfg = SolverConfig(rank=3, mask=None if mask is None else tensor.slice_major(mask))
-    recon = tensor.reconstruct(state.model.a, state.K, state.model.b, out=admm._spare(state))
-    clip = admm._spare(state, recon)
     with np.errstate(all="ignore"):
-        E = admm._shrink_E(state, X, cfg, lam, recon)
-        return E, admm._shrunk_l1(E, clip, lam / state.mu, cfg.mask), cfg.mask
+        E, l1 = loop_e_step(state, X, cfg, lam)
+    return E, l1, cfg.mask
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_e_step_l1_is_the_l1_of_e(masked):
     # <E, C>/tau equals tensor.l1 of the E step's output, to round-off, and E
-    # is bitwise the shrinkage of the residual.
+    # is bitwise the whole-tensor shrinkage of the residual.
     rng = np.random.default_rng(61)
     X = 3.0 * rng.standard_normal((6, 5, 3))
     mask = rng.random(X.shape) < 0.6 if masked else None
@@ -496,7 +528,8 @@ def test_e_step_l1_is_the_l1_of_e(masked):
     want = tensor.l1(E, mask)
     assert 0 < want and abs(value - want) <= 1e-12 * want
     state = make_state(np.random.default_rng(60))
-    assert np.array_equal(E, admm.update_E(state, X, SolverConfig(rank=3, lam=0.9, mask=mask)))
+    recon = tensor.reconstruct(state.model.a, state.K, state.model.b)
+    assert np.array_equal(E, shrink_E(X, recon, state.Lam, 0.9 / state.mu, mask))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -403,6 +403,38 @@ def test_complete_empty_mask_rejected(tmp_path):
                    "--out-dir", tmp_path / "o") == 3
 
 
+def test_decompose_empty_mask_rejected(tmp_path):
+    # A mask that observes nothing leaves nothing to fit: a data error, as
+    # for complete, before any solve.
+    gen = tmp_path / "gen"
+    run_cli(*synth_args(gen, m=8, n=7, N=4))
+    fileio.write_rkt(tmp_path / "mask.rkt", np.zeros((8, 7, 4)))
+    out = tmp_path / "o"
+    assert run_cli("decompose", "--input", gen / "X.rkt", "--mask", tmp_path / "mask.rkt",
+                   "--rank", 2, "--out-dir", out) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["eval", "complete"])
+def test_range_must_be_positive_finite(tmp_path, capsys, command, value):
+    # --range is the data range of the PSNR: anything but a positive finite
+    # number is a usage error at parse time, before any solve or output.
+    gen = tmp_path / "gen"
+    run_cli(*synth_args(gen, m=8, n=7, N=4))
+    fileio.write_rkt(tmp_path / "mask.rkt", np.ones((8, 7, 4)))
+    out = tmp_path / "out"
+    args = {"eval": ["--estimate", gen / "X.rkt", "--out", out],
+            "complete": ["--input", gen / "X.rkt", "--mask", tmp_path / "mask.rkt",
+                         "--rank", 2, "--out-dir", out]}[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *args, "--truth", gen / "L_true.rkt", f"--range={value}")
+    assert exc.value.code == 2
+    assert "--range: must be a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_complete_improves_psnr(tmp_path):
     gen = tmp_path / "gen"
     run_cli(*synth_args(gen, **{"p-clean": 1.0, "m": 30, "n": 30, "N": 8}))

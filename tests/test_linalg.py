@@ -17,6 +17,8 @@ from numpy.testing import assert_allclose
 
 from rkca import linalg
 
+from reference import stein_dense
+
 
 def prox_probe(prox_out, x, penalty, rng, n_probes=1000):
     """Return True if no random perturbation beats the prox objective."""
@@ -165,30 +167,34 @@ def test_schatten_prox_local_optimality():
 
 
 def random_stein_problem(rng, r):
-    """SPD-derived coefficients mirroring the solver's usage."""
+    """SPD-derived coefficients (F, G, H) mirroring the solver's usage."""
     a = rng.standard_normal((r + 2, r))
     b = rng.standard_normal((r + 3, r))
     c = float(rng.uniform(0.1, 10.0))
     F = -c * 0.5 * (a.T @ a + (a.T @ a).T)
     G = 0.5 * (b.T @ b + (b.T @ b).T)
     H = rng.standard_normal((r, r))
-    return linalg.SteinProblem(F=F, G=G, H=H)
+    return F, G, H
+
+
+def stein_solve(F, G, H):
+    return linalg.stein_apply(linalg.stein_factors(F, G), H)
 
 
 def test_stein_trivial_cases():
     rng = np.random.default_rng(10)
     H = rng.standard_normal((4, 4))
-    K = linalg.stein_solve(linalg.SteinProblem(F=np.zeros((4, 4)), G=np.eye(4), H=H))
+    K = stein_solve(np.zeros((4, 4)), np.eye(4), H)
     assert_allclose(K, H, atol=1e-12)
-    K = linalg.stein_solve(linalg.SteinProblem(F=-np.eye(4), G=np.eye(4), H=H))
+    K = stein_solve(-np.eye(4), np.eye(4), H)
     assert_allclose(K, H / 2, atol=1e-12)
 
 
 def test_stein_matches_dense_oracle():
     rng = np.random.default_rng(11)
     prob = random_stein_problem(rng, 6)
-    fast = linalg.stein_solve(prob)
-    dense = linalg.stein_solve_dense(prob)
+    fast = stein_solve(*prob)
+    dense = stein_dense(*prob)
     assert np.linalg.norm(fast - dense) <= 1e-8 * max(1.0, np.linalg.norm(dense))
 
 
@@ -196,24 +202,25 @@ def test_stein_residual_bound_many_sizes():
     rng = np.random.default_rng(12)
     for _ in range(30):
         r = int(rng.integers(2, 17))
-        prob = random_stein_problem(rng, r)
-        K = linalg.stein_solve(prob)
-        resid = np.linalg.norm(K - prob.F @ K @ prob.G - prob.H)
-        assert resid <= 1e-9 * max(1.0, np.linalg.norm(prob.H))
+        F, G, H = random_stein_problem(rng, r)
+        K = stein_solve(F, G, H)
+        resid = np.linalg.norm(K - F @ K @ G - H)
+        assert resid <= 1e-9 * max(1.0, np.linalg.norm(H))
 
 
 def test_stein_singular_pencil_raises():
     H = np.ones((2, 2))
     with pytest.raises(linalg.SteinSingularError):
-        linalg.stein_solve(linalg.SteinProblem(F=np.eye(2), G=np.eye(2), H=H))
+        stein_solve(np.eye(2), np.eye(2), H)
 
 
 def test_stein_problem_validation():
+    # A non-symmetric coefficient, and an H whose shape does not match F and
+    # G, are refused.
     with pytest.raises(ValueError):
-        linalg.SteinProblem(F=np.array([[0.0, 1.0], [0.0, 0.0]]), G=np.eye(2),
-                            H=np.zeros((2, 2)))
+        stein_solve(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        linalg.SteinProblem(F=np.eye(2), G=np.eye(3), H=np.zeros((3, 3)))
+        stein_solve(0.5 * np.eye(2), 0.5 * np.eye(3), np.zeros((3, 3)))
 
 
 def test_symmetric_eig_basic():

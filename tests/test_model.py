@@ -132,8 +132,7 @@ def test_update_A_warns_on_ill_conditioning():
         mu=1.0, mu_K=1.0, mu_cap=1e7, mu_K_cap=1e7,
     )
     report = RunReport(variant="admm2", config={})
-    out = admm.update_A(state, rng.standard_normal((m, n, N)),
-                        SolverConfig(rank=r), report)
+    out = admm.update_A(state, rng.standard_normal((m, n, N)), report)
     assert out.shape == (m, r)
     assert np.all(np.isfinite(out))
     assert any(w.startswith("A-update") for w in report.warnings)
@@ -153,8 +152,7 @@ def test_update_A_warns_on_ill_conditioning():
         mu_cap=1e7, mu_K_cap=1e7, mu_U_cap=1e7, mu_V_cap=1e7,
     )
     report = RunReport(variant="admm3_fro", config={})
-    out = variants.degree3_update_U(d3, rng.standard_normal((m, n, N)),
-                                    SolverConfig(rank=r, variant="admm3_fro"), report)
+    out = variants.degree3_update_U(d3, rng.standard_normal((m, n, N)), report)
     assert out.shape == (m, r)
     assert np.all(np.isfinite(out))
     assert any(w.startswith("U-update") for w in report.warnings)
@@ -172,3 +170,7 @@ def test_validate_for_checks_the_mask_without_copying_it():
     assert peak <= mask.nbytes / 8, peak / mask.nbytes
     with pytest.raises(ValueError, match="mask shape"):
         cfg.validate_for((100, 100, 49))
+    # A mask must observe at least one entry; a solve refuses one that does not.
+    empty = SolverConfig(rank=2, mask=np.zeros((6, 5, 3), dtype=bool))
+    with pytest.raises(ValueError, match="empty observation mask"):
+        variants.solve_variant(np.ones((6, 5, 3)), empty)
