@@ -20,17 +20,7 @@ from .linalg import (
     symmetric_eig,
 )
 from .model import FactorModel, RunReport, SolverConfig, default_lambda
-from .tensor import (
-    fold,
-    frobenius,
-    inner,
-    kronecker,
-    l1,
-    mode_product,
-    reconstruct,
-    unfold,
-    vectorize,
-)
+from .tensor import l1, reconstruct
 from .variants import solve_variant
 
 __version__ = "0.1.0"
@@ -46,15 +36,10 @@ __all__ = [
     "SynthSpec",
     "add_salt_pepper",
     "default_lambda",
-    "fold",
-    "frobenius",
     "frobenius_prox",
-    "inner",
-    "kronecker",
     "l1",
     "make_mask",
     "metrics",
-    "mode_product",
     "read_pgm",
     "read_ppm",
     "read_rkt",
@@ -68,8 +53,6 @@ __all__ = [
     "svd",
     "symmetric_eig",
     "synth_generate",
-    "unfold",
-    "vectorize",
     "write_pgm",
     "write_ppm",
     "write_rkt",

@@ -31,10 +31,21 @@ The dual of X = L + E is kept in scaled form (Boyd et al. 2011,
 ``SolverState.Lam`` holds U = Lambda/mu, so the E step's argument
 T = X - L + U needs no divide and the tail builds it while that block of X
 and L is in cache.  The split duals (Y, Y_U, Y_V) are unscaled.
+
+Every iteration proves every state array finite by a value that an inf or
+nan in it would make non-finite, one the loop computes anyway where it can:
+E by ||E||_1 (:func:`_shrunk_l1`), U by the tail's sums (:func:`_tail`), a
+split's primal and copy (R and K; degree 3's A, U, B, V) by its residual
+(:func:`_split_ratio`), A, B and R by the objective's terms (alpha*||R||_1,
+||A||_F^2 + ||B||_F^2 from the Grams' traces, or |A| and |B|: a nuclear norm
+bounds every entry), and only the split duals by a sum of their own
+(:func:`_proven`).  A failed proof scans the arrays in a fixed order; the
+first non-finite one names the abort (:func:`_check_finite`).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -110,20 +121,29 @@ def _sym(mat):
     return 0.5 * (mat + mat.T)
 
 
+def _remember(cache, arr, value):
+    """Put (arr, value) first in ``cache``, the last two such pairs, matched
+    by identity (arrays are replaced, never written); None keeps nothing."""
+    if cache is not None:
+        cache[:] = [(arr, value), *cache[:1]]
+    return value
+
+
 def _gram(basis, cache=None):
     """W^T W for W = ``basis``, made bitwise symmetric (:func:`_sym`).
 
-    ``cache``, a state's ``grams``, keeps the last two (basis, Gram) pairs,
-    matched by identity, so each basis array is multiplied out once: bases
-    are replaced, never written in place, and no caller writes a Gram.
+    ``cache``, a state's ``grams`` (:func:`_remember`), lets each basis array
+    be multiplied out once; no caller writes a Gram.
     """
     for arr, gram in cache or ():
         if arr is basis:
             return gram
-    gram = _sym(basis.T @ basis)
-    if cache is not None:
-        cache[:] = [(basis, gram), *cache[:1]]
-    return gram
+    return _remember(cache, basis, _sym(basis.T @ basis))
+
+
+def _frobenius_penalty(model, cache=None):
+    """(||A||_F^2 + ||B||_F^2)/2 from the traces of the Grams (:func:`_gram`)."""
+    return 0.5 * (_gram(model.a, cache).trace() + _gram(model.b, cache).trace())
 
 
 def _slices(t):
@@ -156,7 +176,7 @@ def _slice_ratio(diff, den):
 def _worst_ratio(num, den):
     """max_i num_i / den_i, a zero den_i counting as 1; 0 for no slices."""
     out = np.divide(num, den, out=np.array(num, dtype=float), where=den > 0)
-    return float(np.max(out)) if out.size else 0.0
+    return float(out.max()) if out.size else 0.0
 
 
 def _spare(state, *busy):
@@ -470,30 +490,43 @@ def update_K(state, g):
 
 def update_R(state, weight):
     """Shrink K - Y/mu_K at level weight/mu_K, ``weight`` that of ||R||_1:
-    alpha in admm2, the degree-3 variants' alpha*|A|*|B|."""
-    return linalg.soft_shrink(state.K - state.Y / state.mu_K, weight / state.mu_K)
+    alpha in admm2, the degree-3 variants' alpha*|A|*|B|.  In Python floats
+    the level overflows to inf (R = 0) without a warning; mu_K = 0 gives inf."""
+    mu_K = state.mu_K
+    tau = float(weight) / float(mu_K) if mu_K else np.inf
+    return linalg.soft_shrink(state.K - state.Y / mu_K, tau)
 
 
 def _grow_mu(state, cfg):
     """Grow mu to min(mu_cap, rho*mu), which no residual decides; returns
-    c = mu/mu', the factor that rescales U = Lambda/mu to the new mu."""
+    c = mu/mu', the factor that rescales U = Lambda/mu to the new mu.  In
+    Python floats rho*mu overflows to inf, so to the cap, without a warning."""
     mu = state.mu
-    state.mu = min(state.mu_cap, cfg.rho * mu)
+    state.mu = min(state.mu_cap, cfg.rho * float(mu))
     return mu / state.mu
+
+
+def _split_ratio(diff, primal):
+    """A split's residual, :func:`_slice_ratio` over the core's slices or, for
+    a basis, one slice, two dots.  An inf in primal gives inf/inf."""
+    if diff.ndim == 3:
+        return _slice_ratio(diff, _sq_norms(primal))
+    num, den = float(np.vdot(diff, diff)), float(np.vdot(primal, primal))
+    return num / den if den > 0 else num
 
 
 def _ascend(state, splits, cfg):
     """Ascend each of the ``splits`` by its own penalty, which then grows up
-    to its cap.  Returns each split's worst per-slice residual by its report
-    name."""
+    to its cap as mu does (:func:`_grow_mu`).  Returns each split's residual
+    (:func:`_split_ratio`) by its report name."""
     errs = {}
     for row in splits:
         primal = attrgetter(row.primal)(state)
         diff = primal - getattr(state, row.copy)
         mu = getattr(state, row.penalty)
         setattr(state, row.dual, getattr(state, row.dual) + mu * diff)
-        setattr(state, row.penalty, min(getattr(state, row.penalty + "_cap"), cfg.rho * mu))
-        errs[row.err] = _slice_ratio(diff, _sq_norms(primal))
+        setattr(state, row.penalty, min(getattr(state, row.penalty + "_cap"), cfg.rho * float(mu)))
+        errs[row.err] = _split_ratio(diff, primal)
     return errs
 
 
@@ -577,23 +610,24 @@ def _tail(state, X, carriers, target, derived, cfg):
 
 
 def _state_arrays(state):
-    """Every state array by name but E and Lam, which the loop's
-    E step and tail prove finite as they go (:func:`_shrunk_l1`,
-    :func:`_tail`)."""
-    named = {"A": state.model.a, "B": state.model.b, "R": state.model.core}
-    named.update((k, v) for k, v in vars(state).items()
-                 if isinstance(v, np.ndarray) and k not in ("E", "Lam"))
-    return named
+    """(name, attribute path) of every state array but E and Lam, in scan order."""
+    own = [(k, k) for k, v in vars(state).items()
+           if isinstance(v, np.ndarray) and k not in ("E", "Lam")]
+    return [("A", "model.a"), ("B", "model.b"), ("R", "model.core"), *own]
+
+
+def _proven(state, summed, values):
+    """Whether one sum proves the scalars ``values`` and the arrays that the
+    getters ``summed`` return finite; an overflow is a false alarm."""
+    total = sum(map(float, values))
+    if summed:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += float(sum(np.add.reduce(get(state), None) for get in summed))
+    return math.isfinite(total)
 
 
 def _check_finite(state, report, named):
-    """Abort unless every named value is finite.  One sum over all the values
-    proves them finite; only a failed proof scans them, in order, and the
-    first non-finite one names the abort."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(np.add.reduce(value, axis=None) for value in named.values())
-    if np.isfinite(total):
-        return
+    """Abort at the first non-finite named value, scanned in order."""
     for name, value in named.items():
         if not tensor._all_finite(value):
             report.termination = "abort"
@@ -616,7 +650,8 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
     err_rec as it goes; then each of the ``splits`` ascends
     (:func:`_ascend`).  The run stops once every residual is within
     ``cfg.tol``.  ``penalty(state, cfg)`` names the low-rank objective
-    terms.  With a ``block_log`` list, ``lagrangian(state, X, cfg, lam)`` is
+    terms, finite only if A, B and R are.  With a ``block_log`` list,
+    ``lagrangian(state, X, cfg, lam)`` is
     taken once at every step boundary, and each step appends {"iter",
     "stage", "before", "after"}.  A kernel failure anywhere, the start
     included, aborts the run like non-finite values do.
@@ -639,6 +674,11 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
     try:
         state = start(X, cfg)
         state.buffers = [state.E, state.Lam, np.empty_like(X), np.empty_like(X)]
+        # What neither a split's residual nor the objective proves is summed.
+        arrays = _state_arrays(state)
+        proven = {"model.a", "model.b", "model.core",
+                  *(path for row in splits for path in (row.primal, row.copy))}
+        summed = [attrgetter(path) for _, path in arrays if path not in proven]
         recon = tensor.reconstruct(*carriers(state), out=_spare(state))
         shrink_arg = _shrink_arg(X, recon, state.Lam, _spare(state, recon))
         for it in range(1, cfg.max_iters + 1):
@@ -660,10 +700,12 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
             objective = {"l1_sparse": lam * l1_sparse, **penalty(state, cfg)}
             report.append(IterationRecord(iter=it, mu=state.mu, mu_K=state.mu_K,
                                           elapsed_ms=elapsed_ms, objective=objective, **errs))
-            named = _state_arrays(state)
-            if not lam_finite:
-                named["Lam"] = state.Lam
-            _check_finite(state, report, {**named, **errs})
+            if not (lam_finite and _proven(state, summed, (*errs.values(),
+                                                            *objective.values()))):
+                named = {name: attrgetter(path)(state) for name, path in arrays}
+                if not lam_finite:
+                    named["Lam"] = state.Lam
+                _check_finite(state, report, {**named, **errs})
             if max(errs.values()) <= cfg.tol:
                 report.termination = "tol"
                 break
@@ -693,9 +735,8 @@ def _admm2_sweep(state, X, delta, cfg, report):
 
 
 def _admm2_penalty(state, cfg):
-    a, b = state.model.a, state.model.b
-    basis = 0.5 * (tensor.frobenius(a) ** 2 + tensor.frobenius(b) ** 2)
-    return {"l1_core": cfg.alpha * tensor.l1(state.model.core), "basis": basis}
+    return {"l1_core": cfg.alpha * tensor.l1(state.model.core),
+            "basis": _frobenius_penalty(state.model, state.grams)}
 
 
 def solve(X, cfg):

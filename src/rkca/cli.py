@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, fileio
+from . import data, fileio, tensor
 from .admm import SolverAbort
 from .linalg import NumericalError
 from .model import VARIANTS, SolverConfig
@@ -61,7 +61,7 @@ def _add_solver_flags(parser):
             "--variant", choices=sorted(VARIANT_FLAGS), default="admm2",
             help="solver variant (default admm2)",
         ),
-        parser.add_argument("--rank", type=int, required=True, help="rank upper bound r"),
+        parser.add_argument("--rank", type=int, help="rank upper bound r (required)"),
         parser.add_argument("--alpha", type=float, default=1e-2),
         parser.add_argument(
             "--lambda", dest="lam", type=float, default=None,
@@ -74,7 +74,10 @@ def _add_solver_flags(parser):
 
 
 def _solver_config(args):
-    """The solver flags as a SolverConfig (no mask yet); bad values are usage errors."""
+    """The solver flags as a SolverConfig (no mask yet); bad values and a
+    missing rank are usage errors."""
+    if args.rank is None:
+        raise UsageError("--rank is required, on the command line or in the --config file")
     try:
         return SolverConfig(
             rank=args.rank,
@@ -140,9 +143,14 @@ def _run_solver(X, cfg, out):
     return low_rank
 
 
+def _read_input(path):
+    """A tensor file, slice-major so that the solve takes no second copy."""
+    return tensor.slice_major(fileio.read_rkt(path))
+
+
 def cmd_decompose(args):
     cfg = _solver_config(args)
-    X = fileio.read_rkt(args.input)
+    X = _read_input(args.input)
     if args.mask is not None:
         cfg.mask = fileio.read_rkt(args.mask) != 0
     cfg.validate_for(X.shape)
@@ -211,10 +219,11 @@ def _hidden_norms(completed, truth, hidden):
 
 def cmd_complete(args):
     cfg = _solver_config(args)
-    X = fileio.read_rkt(args.input)
-    mask = cfg.mask = fileio.read_rkt(args.mask) != 0
-    cfg.validate_for(X.shape)
-    observed = np.where(mask, X, 0.0)
+    observed = _read_input(args.input)
+    mask = cfg.mask = tensor.slice_major(fileio.read_rkt(args.mask) != 0)
+    cfg.validate_for(observed.shape)
+    # Zero-filled in place: the solve holds this one copy of the input.
+    np.copyto(observed, 0.0, where=~mask)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     completed = _run_solver(observed, cfg, out)
@@ -222,7 +231,7 @@ def cmd_complete(args):
         return EXIT_NUMERIC
     if args.truth is not None:
         truth = fileio.read_rkt(args.truth)
-        if truth.shape != X.shape:
+        if truth.shape != observed.shape:
             raise ValueError("truth dims do not match data dims")
         diff, ref = _hidden_norms(completed, truth, ~mask)
         _write_json(

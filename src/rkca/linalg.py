@@ -17,6 +17,7 @@ __all__ = [
     "selective_shrink",
     "frobenius_prox",
     "schatten_prox",
+    "nuclear_prox",
     "stein_factors",
     "stein_apply",
     "symmetric_eig",
@@ -93,18 +94,24 @@ def frobenius_prox(x, tau):
 def schatten_prox(x, tau, p):
     """Proximal operator of tau * (Schatten-p norm), p in {1, 2}.
 
-    p = 1 soft-shrinks the singular values (singular value thresholding);
+    p = 1 soft-shrinks the singular values (:func:`nuclear_prox`);
     p = 2 coincides with :func:`frobenius_prox`.
     """
-    if tau < 0:
-        raise ValueError(f"threshold must be nonnegative, got {tau}")
     if p == 2:
         return frobenius_prox(x, tau)
     if p != 1:
         raise ValueError(f"only p in {{1, 2}} is supported, got {p}")
+    return nuclear_prox(x, tau)[0]
+
+
+def nuclear_prox(x, tau):
+    """Singular value thresholding U max(S - tau, 0) V^T, the prox of
+    tau*||.||_*, and its nuclear norm: the sum of the shrunk values."""
+    if tau < 0:
+        raise ValueError(f"threshold must be nonnegative, got {tau}")
     u, s, vt = _svd_raw(np.asarray(x))
     s = np.maximum(s - tau, 0.0)
-    return (u * s) @ vt
+    return (u * s) @ vt, float(np.sum(s))
 
 
 def stein_factors(F, G):
@@ -152,7 +159,7 @@ def symmetric_eig(x):
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
     x_t = np.swapaxes(x, -1, -2)
-    if not np.array_equal(x, x_t):
+    if not (x == x_t).all():
         scale = np.maximum(1.0, np.max(np.abs(x), axis=(-2, -1), initial=0.0))
         if np.any(np.max(np.abs(x - x_t), axis=(-2, -1), initial=0.0) > SYMMETRY_ATOL * scale):
             raise ValueError("matrix is not symmetric")

@@ -2,9 +2,9 @@
 
 A 3-way tensor is represented as a ``numpy.ndarray`` of shape ``(m, n, N)``
 and dtype float64.  The canonical linear order is column-major: entry
-``(i, j, k)`` sits at flat position ``i + m*j + m*n*k``.  All unfoldings,
-vectorisations and the binary file format follow that ordering, so modes are
-numbered 1..3 and the first index always varies fastest.
+``(i, j, k)`` sits at flat position ``i + m*j + m*n*k``; the binary file
+format follows that ordering, so modes are numbered 1..3 and the first index
+always varies fastest.
 
 That order says how entries are numbered, not how memory is laid out.  The
 solvers hold every data-sized tensor and every core slice-major
@@ -13,8 +13,6 @@ as ``(m, n, N)``, so each frontal slice is one contiguous block for the
 batched per-slice products.  :func:`reconstruct` returns that layout too.
 Shapes and values do not depend on layout, and every function here accepts
 any strides.
-
-Unfoldings are explicit copies, never views.
 """
 
 from __future__ import annotations
@@ -22,15 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "unfold",
-    "fold",
-    "vectorize",
-    "mode_product",
-    "kronecker",
     "reconstruct",
-    "frobenius",
     "l1",
-    "inner",
     "as_tensor3",
     "slice_major",
 ]
@@ -65,70 +56,6 @@ def slice_major(t):
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(t, 2, 0)), 0, 2)
 
 
-def unfold(t, mode):
-    """Mode-n unfolding of a 3-way tensor.
-
-    Returns the matrix of shape ``(I_mode, prod of other dims)`` whose columns
-    are the mode-``mode`` fibers, ordered with the earlier remaining index
-    varying fastest (column-major fiber ordering).
-    """
-    t = np.asarray(t)
-    if t.ndim != 3:
-        raise ValueError(f"expected 3-way tensor, got shape {t.shape}")
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    ax = mode - 1
-    return np.reshape(
-        np.moveaxis(t, ax, 0), (t.shape[ax], -1), order="F"
-    ).copy(order="F")
-
-
-def fold(mat, mode, dims):
-    """Inverse of :func:`unfold`: rebuild the tensor of shape ``dims``."""
-    mat = np.asarray(mat)
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    m, n, N = dims
-    ax = mode - 1
-    rest = [d for i, d in enumerate(dims) if i != ax]
-    if mat.ndim != 2 or mat.shape[0] != dims[ax] or mat.shape[1] != rest[0] * rest[1]:
-        raise ValueError(
-            f"matrix shape {mat.shape} inconsistent with dims {dims} and mode {mode}"
-        )
-    stacked = np.reshape(mat, (dims[ax], rest[0], rest[1]), order="F")
-    return np.ascontiguousarray(np.moveaxis(stacked, 0, ax))
-
-
-def vectorize(t):
-    """Column-major flattening: index (i, j, k) maps to i + m*j + m*n*k."""
-    return np.asarray(t).reshape(-1, order="F")
-
-
-def mode_product(t, u, mode):
-    """Mode-n product: every mode-``mode`` fiber of ``t`` is multiplied by ``u``.
-
-    ``u`` must have as many columns as ``t`` has entries along ``mode``; the
-    result replaces that dimension by ``u.shape[0]``.
-    """
-    t = np.asarray(t)
-    u = np.asarray(u)
-    if mode not in (1, 2):
-        raise ValueError(f"mode must be 1 or 2, got {mode}")
-    if u.ndim != 2 or u.shape[1] != t.shape[mode - 1]:
-        raise ValueError(
-            f"matrix shape {u.shape} does not match tensor dim {t.shape[mode - 1]} "
-            f"along mode {mode}"
-        )
-    new_dims = list(t.shape)
-    new_dims[mode - 1] = u.shape[0]
-    return fold(u @ unfold(t, mode), mode, tuple(new_dims))
-
-
-def kronecker(a, b):
-    """Kronecker product a (x) b, block layout a[i,j] * b."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def reconstruct(a, core, b, out=None):
     """Assemble the low-rank tensor with frontal slices ``a @ core_k @ b.T``.
 
@@ -153,11 +80,6 @@ def reconstruct(a, core, b, out=None):
     return out
 
 
-def frobenius(x):
-    """Frobenius norm of a matrix or tensor."""
-    return float(np.linalg.norm(np.asarray(x).ravel()))
-
-
 def l1(x, mask=None, out=None):
     """Entrywise l1 norm of a matrix or tensor; with a boolean or 0/1 ``mask``
     of x's shape, of the flagged entries only.
@@ -172,12 +94,3 @@ def l1(x, mask=None, out=None):
         with np.errstate(invalid="ignore"):  # the nan from inf * 0 is wanted
             out *= mask
     return float(np.sum(out))
-
-
-def inner(a, b):
-    """Euclidean inner product of two same-shaped arrays."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.vdot(a, b))

@@ -72,9 +72,8 @@ def lipschitz_core(a, b, cache=None):
 def _basis_norm(mat, variant, cache=None):
     """|mat|: the nuclear norm for ``*_nuc`` variants, else the Frobenius norm.
 
-    ``cache``, a state's ``basis_norms``, keeps the last two (array, norm)
-    pairs, so each basis array is measured once: bases are replaced, never
-    written in place.
+    ``cache``, a state's ``basis_norms`` (``admm._remember``), lets each basis
+    array be measured once; a nuclear basis step records its output's norm.
     """
     for arr, value in cache or ():
         if arr is mat:
@@ -83,15 +82,7 @@ def _basis_norm(mat, variant, cache=None):
         value = float(np.sum(np.linalg.svd(mat, compute_uv=False)))
     else:
         value = float(np.linalg.norm(mat))
-    if cache is not None:
-        cache[:] = [(mat, value), *cache[:1]]
-    return value
-
-
-def _basis_prox(mat, tau, variant):
-    if variant.endswith("_nuc"):
-        return linalg.schatten_prox(mat, tau, 1)
-    return linalg.frobenius_prox(mat, tau)
+    return admm._remember(cache, mat, value)
 
 
 def _core_weight(a, b, cfg, cache=None):
@@ -103,12 +94,17 @@ def _core_weight(a, b, cfg, cache=None):
 
 
 def _basis_step(point, other, core, weight, cfg, cache=None):
-    """Prox of the variant's basis penalty at ``point``, scaled by 1/weight."""
+    """Prox of the variant's basis penalty at ``point``, scaled by 1/weight;
+    a nuclear prox puts its output's norm in ``cache`` (:func:`_basis_norm`)."""
     if cfg.variant == "ladmm2":
         # Smooth ||A||_F^2/2 penalty: closed-form shrink toward the origin.
         return point * (weight / (weight + 1.0))
     scale = cfg.alpha * _basis_norm(other, cfg.variant, cache) * tensor.l1(core) / weight
-    return _basis_prox(point, scale, cfg.variant)
+    if cfg.variant.endswith("_nuc"):
+        mat, norm = linalg.nuclear_prox(point, scale)
+        admm._remember(cache, mat, norm)
+        return mat
+    return linalg.frobenius_prox(point, scale)
 
 
 def ladmm_update_R(state, a_delta, cfg):
@@ -154,15 +150,16 @@ def ladmm_update_B(state, a_delta, cfg):
     return _basis_step(b - grad / lip, a, core, state.mu * lip, cfg, state.basis_norms)
 
 
-def _low_rank_penalty(model, cfg, cache=None):
-    penalty = _core_weight(model.a, model.b, cfg, cache) * tensor.l1(model.core)
+def _low_rank_penalty(model, cfg, norms=None, grams=None):
+    penalty = _core_weight(model.a, model.b, cfg, norms) * tensor.l1(model.core)
     if cfg.variant in ("ladmm2", "admm2"):
-        penalty += 0.5 * (tensor.frobenius(model.a) ** 2 + tensor.frobenius(model.b) ** 2)
+        penalty += admm._frobenius_penalty(model, grams)
     return penalty
 
 
 def _penalty(state, cfg):
-    return {"low_rank_penalty": _low_rank_penalty(state.model, cfg, state.basis_norms)}
+    return {"low_rank_penalty": _low_rank_penalty(state.model, cfg, state.basis_norms,
+                                                  state.grams)}
 
 
 def _lagrangian(state, X, cfg, lam):
@@ -171,7 +168,7 @@ def _lagrangian(state, X, cfg, lam):
     is taken on whole tensors, from Delta = X - E + U."""
     recon = state.model.reconstruct()
     couple = 0.5 * state.mu * float(np.sum(np.square(recon - (X - state.E + state.Lam))))
-    penalty = _low_rank_penalty(state.model, cfg, state.basis_norms)
+    penalty = _low_rank_penalty(state.model, cfg, state.basis_norms, state.grams)
     return lam * tensor.l1(state.E, cfg.mask) + penalty + couple
 
 

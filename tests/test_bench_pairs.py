@@ -137,3 +137,53 @@ def test_bad_pairs_fail_before_any_run(bench_pairs, tmp_path, monkeypatch, capsy
     assert excinfo.value.code == 2
     assert "--pairs" in capsys.readouterr().err
     assert not out.exists() and not records.exists()
+
+
+PARENT_TIMES = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+
+
+def time_verdict(bench_pairs, change_times, digits=5.0):
+    parent = [record(t, 5.0) for t in PARENT_TIMES]
+    change = [record(t, digits) for t in change_times]
+    out = bench_pairs.summarise({"parent": parent, "change": change}, METRICS)["metrics"]
+    return out["time_to_tol_rel"], out["accuracy_digits"]
+
+
+def test_claim_needs_nine_of_ten_wins_beyond_the_parent_spread(bench_pairs):
+    # The parent's quartiles are 9.925 / 10.0 / 10.1: a spread of 0.175.
+    # Exactly 9 wins and a tie, the medians 1.0 apart: met.
+    time, _ = time_verdict(bench_pairs, [9.0] * 9 + [10.1])
+    assert time["change_wins"] == 9 and time["pairs"] == 10 and time["claim_met"]
+    # 9 wins and a loss: met.
+    assert time_verdict(bench_pairs, [9.0] * 9 + [11.0])[0]["claim_met"]
+    # 8 wins and two ties: a tie counts for neither side, so not met.
+    time, _ = time_verdict(bench_pairs, [9.0] * 8 + PARENT_TIMES[8:])
+    assert time["change_wins"] == 8 and not time["claim_met"]
+    # 10 wins, but the gain (0.01) is inside the parent's spread: not met.
+    time, _ = time_verdict(bench_pairs, [t - 0.01 for t in PARENT_TIMES])
+    assert time["change_wins"] == 10 and not time["claim_met"]
+    # Equal runs: no wins, no claim, within bound.
+    time, digits = time_verdict(bench_pairs, PARENT_TIMES)
+    assert time["change_wins"] == 0 and not time["claim_met"] and time["within_bound"]
+    assert digits["change_wins"] == 0 and not digits["claim_met"] and digits["within_bound"]
+
+
+def test_bound_is_a_share_of_the_parent_median(bench_pairs):
+    # time_to_tol_rel may rise by 25 % of 10.0, accuracy_digits fall by 10 % of 5.0.
+    assert time_verdict(bench_pairs, [12.4] * 10)[0]["within_bound"]
+    assert not time_verdict(bench_pairs, [12.6] * 10)[0]["within_bound"]
+    assert time_verdict(bench_pairs, PARENT_TIMES, digits=4.6)[1]["within_bound"]
+    assert not time_verdict(bench_pairs, PARENT_TIMES, digits=4.4)[1]["within_bound"]
+    # Higher is better: more digits in every pair, far beyond a zero spread.
+    assert time_verdict(bench_pairs, PARENT_TIMES, digits=6.0)[1]["claim_met"]
+
+
+def test_verdict_line_names_met_claims_and_broken_bounds(bench_pairs):
+    time, digits = time_verdict(bench_pairs, [9.0] * 10, digits=4.0)
+    line = bench_pairs.verdict("accept-50", {"time_to_tol_rel": time,
+                                             "accuracy_digits": digits})
+    assert line == "accept-50: claim met: time_to_tol_rel; out of bound: accuracy_digits"
+    time, digits = time_verdict(bench_pairs, PARENT_TIMES)
+    line = bench_pairs.verdict("large-100", {"time_to_tol_rel": time,
+                                             "accuracy_digits": digits})
+    assert line == "large-100: claim met: none; out of bound: none"

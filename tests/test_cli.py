@@ -1,13 +1,15 @@
 """End-to-end CLI tests driving main() in-process."""
 
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from rkca import cli, data, fileio, linalg
+from rkca import admm, cli, data, fileio, linalg, tensor, variants
 from rkca.admm import SolverAbort
-from rkca.model import FactorModel, RunReport
+from rkca.model import FactorModel, RunReport, SolverConfig
 
 
 def run_cli(*args):
@@ -238,6 +240,118 @@ def test_decompose_config_file(tmp_path):
     assert report["config"]["rank"] == 2
     assert report["config"]["alpha"] == 0.5
     assert report["config"]["max_iters"] == 7
+
+
+def test_config_file_alone_can_set_rank(tmp_path):
+    # README: the file takes the same keys as the flags, rank included.
+    x_path = tmp_path / "X.rkt"
+    fileio.write_rkt(x_path, np.ones((8, 7, 3)))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"rank": 3, "max-iters": 2}))
+    out = tmp_path / "dec"
+    assert run_cli("decompose", "--input", x_path, "--config", config,
+                   "--out-dir", out) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["rank"] == 3
+
+
+@pytest.mark.parametrize("command", ["decompose", "complete", "denoise"])
+def test_missing_rank_is_a_usage_error(tmp_path, capsys, command):
+    # Neither a --rank flag nor a config file's rank: exit 2 with one line,
+    # before any file is read or written.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"alpha": 0.5}))
+    out = tmp_path / "out"
+    inputs = {"decompose": ["--input", tmp_path / "X.rkt"],
+              "complete": ["--input", tmp_path / "X.rkt", "--mask", tmp_path / "m.rkt"],
+              "denoise": ["--images", tmp_path / "imgs"]}[command]
+    capsys.readouterr()
+    for extra in ([], ["--config", config]):
+        assert run_cli(command, *inputs, *extra, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --rank is required") and err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--rho", "--alpha"])
+def test_extreme_flags_run_without_warnings(tmp_path, flag):
+    # rho = 1e308 overflows rho*mu and alpha = 1e308 the R step's threshold
+    # alpha/mu_K.  Both must take their limits without a RuntimeWarning:
+    # every penalty held at its cap from the first growth on, or R = 0.
+    gen = tmp_path / "gen"
+    assert run_cli(*synth_args(gen, m=12, n=10, N=4)) == 0
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("decompose", "--input", gen / "X.rkt", "--rank", 3, flag, "1e308",
+                       "--out-dir", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["termination"] == "tol"
+    if flag == "--rho":
+        for key in ("mu", "mu_K"):
+            held = {rec[key] for rec in report["iterations"]}
+            assert len(held) == 1, key
+    else:
+        assert not fileio.read_rkt(out / "R.rkt").any()
+
+
+@pytest.mark.parametrize("command", ["decompose", "complete"])
+def test_cli_solve_holds_one_copy_of_the_input(tmp_path, command):
+    # Beyond what the solve itself allocates (timed on a slice-major input
+    # built beforehand), the command holds one copy of X and the mask: the
+    # file's column-major array and a zero-filled copy are not kept.
+    low_rank, sparse, X = data.synth_generate(data.SynthSpec(60, 50, 40, 3, 3, 0.8, 5))
+    mask = data.make_mask(X.shape, 0.6, 7)
+    fileio.write_rkt(tmp_path / "X.rkt", X)
+    fileio.write_rkt(tmp_path / "mask.rkt", mask.astype(float))
+    masked = command == "complete"
+    argv = [command, "--input", tmp_path / "X.rkt", "--rank", 4, "--max-iters", 2,
+            "--out-dir", tmp_path / "out", *(["--mask", tmp_path / "mask.rkt"] * masked)]
+    solve_input = tensor.slice_major(np.where(mask, X, 0.0) if masked else X)
+    cfg = SolverConfig(rank=4, max_iters=2, mask=tensor.slice_major(mask) if masked else None)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    solve_peak = peak(lambda: variants.solve_variant(solve_input, cfg))
+    assert peak(lambda: run_cli(*argv)) - solve_peak <= 1.5 * X.nbytes
+
+
+@pytest.mark.parametrize("variant, module, step, name", [
+    ("admm2", admm, "_ascend", "Y"),
+    ("admm3-fro", admm, "_ascend", "Y"),
+    ("admm3-fro", admm, "_ascend", "Y_U"),
+    ("admm3-nuc", admm, "_ascend", "Y_V"),
+    ("admm2", admm, "update_R", "R"),
+    ("ladmm3-fro", variants, "ladmm_update_R", "R"),
+])
+def test_non_finite_mid_run_names_the_array(tmp_path, monkeypatch, capsys, variant, module,
+                                             step, name):
+    # A nan in a dual after its ascent, or in a block step's output, at
+    # iteration 3: the run aborts there (exit 4) and names that array.
+    gen = tmp_path / "gen"
+    assert run_cli(*synth_args(gen)) == 0
+    real = getattr(module, step)
+
+    def poisoned(state, *args):
+        result = real(state, *args)
+        if state.iters == 3:
+            target = getattr(state, name) if step == "_ascend" else result
+            target.flat[0] = np.nan
+        return result
+
+    monkeypatch.setattr(module, step, poisoned)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("decompose", "--input", gen / "X.rkt", "--rank", 3, "--tol", 1e-12,
+                   "--variant", variant, "--out-dir", out) == 4
+    assert f"non-finite values in {name} at iteration 3" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["termination"] == "abort" and len(report["iterations"]) == 3
 
 
 @pytest.mark.parametrize("flags, config", [

@@ -14,6 +14,7 @@ from rkca.data import SynthSpec, synth_generate, support_f1
 from rkca.model import VARIANTS, FactorModel, SolverConfig
 from rkca.variants import Degree3State, LadmmState
 
+import reference
 from conftest import rel_error
 from reference import shrink_E
 
@@ -127,8 +128,8 @@ def test_ladmm_update_R_pure_gradient_step():
     out = variants.ladmm_update_R(state, a_delta(state, delta), cfg)
     a, b, core = state.model.a, state.model.b, state.model.core
     lip = variants.lipschitz_core(a, b)
-    grad = tensor.mode_product(
-        tensor.mode_product(state.model.reconstruct() - delta, a.T, 1), b.T, 2
+    grad = reference.mode_product(
+        reference.mode_product(state.model.reconstruct() - delta, a.T, 1), b.T, 2
     )
     assert_allclose(out, core - grad / lip, atol=1e-10)
 
@@ -143,8 +144,8 @@ def test_ladmm_update_R_finite_difference_gradient():
     X = rng.standard_normal(state.E.shape)
     delta = X - state.E + state.Lam  # Lambda/mu
     a, b, core = state.model.a, state.model.b, state.model.core
-    grad = tensor.mode_product(
-        tensor.mode_product(tensor.reconstruct(a, core, b) - delta, a.T, 1), b.T, 2
+    grad = reference.mode_product(
+        reference.mode_product(tensor.reconstruct(a, core, b) - delta, a.T, 1), b.T, 2
     )
     h = 1e-6
     for _ in range(5):
@@ -239,11 +240,11 @@ def test_lipschitz_bounds_are_valid():
         assert np.linalg.norm(gb1 - gb2) <= L_B * np.linalg.norm(b1 - b2) + 1e-9
 
         r1, r2 = rng.standard_normal((2,) + core.shape)
-        gr1 = tensor.mode_product(
-            tensor.mode_product(tensor.reconstruct(a, r1, b), a.T, 1), b.T, 2
+        gr1 = reference.mode_product(
+            reference.mode_product(tensor.reconstruct(a, r1, b), a.T, 1), b.T, 2
         )
-        gr2 = tensor.mode_product(
-            tensor.mode_product(tensor.reconstruct(a, r2, b), a.T, 1), b.T, 2
+        gr2 = reference.mode_product(
+            reference.mode_product(tensor.reconstruct(a, r2, b), a.T, 1), b.T, 2
         )
         assert (
             np.linalg.norm(gr1 - gr2)
@@ -607,11 +608,33 @@ def test_ladmm_gram_form_steps_match_explicit_gradients(variant):
 
 @pytest.mark.parametrize("variant", ["ladmm3_nuc", "admm3_nuc"])
 def test_basis_norms_computed_once_per_factor(monkeypatch, variant):
-    # Only the fresh A and the fresh B are measured each iteration; for the
-    # nuclear norm each measurement is one singular-value-only SVD.
+    # The nuclear prox that builds the fresh A and the fresh B records their
+    # norms, so no iteration takes a singular-value-only SVD: only the
+    # start's B is measured that way.
     per_iter = _calls_per_iteration(monkeypatch, np.linalg, "svd", variant,
                                     counted=lambda kw: kw.get("compute_uv") is False)
-    assert per_iter == 2
+    assert per_iter == 0
+
+
+@pytest.mark.parametrize("variant", ["ladmm3_nuc", "admm3_nuc"])
+def test_nuclear_prox_records_the_norm_of_its_output(monkeypatch, variant):
+    # The norm a nuclear basis step records for the basis cache, the sum of
+    # the shrunk singular values, is the nuclear norm of the basis it returns.
+    real, seen = linalg.nuclear_prox, []
+
+    def recording(x, tau):
+        seen.append(real(x, tau))
+        return seen[-1]
+
+    monkeypatch.setattr(linalg, "nuclear_prox", recording)
+    spec = SynthSpec(m=14, n=12, n_slices=5, rank_a=2, rank_b=2, p_clean=0.8, seed=29)
+    _, _, X = synth_generate(spec)
+    cfg = SolverConfig(rank=3, alpha=1e-4, tol=1e-30, max_iters=6, variant=variant)
+    variants.solve_variant(X, cfg)
+    assert len(seen) == 2 * 6
+    for mat, norm in seen:
+        want = np.sum(np.linalg.svd(mat, compute_uv=False))
+        assert 0 < want and abs(norm - want) <= 1e-12 * want
 
 
 def _tucker_start(X, rank):
@@ -627,7 +650,7 @@ def test_tucker_start_is_the_truncated_hosvd():
     X = 3.0 * rng.standard_normal((9, 7, 5))
     X, cfg, state = _tucker_start(X, rank=3)
     for basis, mode in ((state.model.a, 1), (state.model.b, 2)):
-        u = np.linalg.svd(tensor.unfold(X, mode), full_matrices=False)[0][:, :3]
+        u = np.linalg.svd(reference.unfold(X, mode), full_matrices=False)[0][:, :3]
         assert np.linalg.norm(basis - u @ (u.T @ basis), 2) <= 1e-10
         assert_allclose(basis.T @ basis, np.eye(3), atol=1e-12)
     a, b = state.model.a, state.model.b

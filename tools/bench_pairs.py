@@ -23,6 +23,13 @@ each variant's solve time relative to the run's reference kernel
 variant), nondeterminism reports, the seeds and the environment, all read
 from the records.  An existing ``--out`` file for the same two
 revisions is extended, so a held-out seed's pairs join the default ones.
+
+Each end-to-end metric also gets a verdict.  ``claim_met``: the change won
+at least 9 of every 10 pairs (a tie counts for neither side) and its median
+beats the parent's by more than the parent's q25-q75 spread.
+``within_bound``: the change's median is no worse than the parent's by more
+than the metric's bound, a share of the parent's median.  One verdict line
+per workload is printed.
 """
 
 import argparse
@@ -77,7 +84,31 @@ def compare(values, lower):
                for p, c in zip(values["parent"], values["change"]))
     parent, change = quartiles(values["parent"]), quartiles(values["change"])
     return {"parent": parent, "change": change, "change_wins": wins,
-            "median_ratio": change["median"] / parent["median"]}
+            "pairs": len(values["change"]), "median_ratio": change["median"] / parent["median"]}
+
+
+def claim_met(result, lower):
+    """Whether ``compare``'s ``result`` shows a gain: at least 9 of 10 pairs
+    won, and the medians apart by more than the parent's q25-q75 spread."""
+    parent, change = result["parent"], result["change"]
+    gain = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
+    return (10 * result["change_wins"] >= 9 * result["pairs"]
+            and gain > parent["q75"] - parent["q25"])
+
+
+def within_bound(result, lower, bound):
+    """Whether the change's median is worse than the parent's by at most
+    ``bound`` times the parent's median."""
+    parent, change = result["parent"]["median"], result["change"]["median"]
+    return change <= parent * (1 + bound) if lower else change >= parent * (1 - bound)
+
+
+def verdict(workload, metrics):
+    """One line: the metrics whose claim is met, and those out of bound."""
+    met = [name for name, res in metrics.items() if res["claim_met"]]
+    out = [name for name, res in metrics.items() if not res["within_bound"]]
+    return (f"{workload}: claim met: {', '.join(met) or 'none'}; "
+            f"out of bound: {', '.join(out) or 'none'}")
 
 
 def variant_times(record):
@@ -109,9 +140,12 @@ def summarise(runs, metrics):
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in recs]
                   for side, recs in runs.items()}
+        lower = metric["better"] == "lower"
+        result = compare(values, lower)
         out["metrics"][name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-            **compare(values, metric["better"] == "lower"),
+            **result, "claim_met": claim_met(result, lower),
+            "within_bound": within_bound(result, lower, metric["bound"]),
         }
     times = {side: [variant_times(r) for r in recs] for side, recs in runs.items()}
     out["variant_time_rel"] = {
@@ -179,6 +213,7 @@ def main(argv=None):
         summary = summarise(runs, benchmark["end_to_end"])
         summary["command"] = " ".join(command(workload, args.seed))
         bench["workloads"][workload + tag] = summary
+        print(verdict(workload + tag, summary["metrics"]), flush=True)
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
 
 
