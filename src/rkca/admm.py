@@ -376,7 +376,7 @@ def _shrunk_l1(E, clip, tau, mask):
     """
     if _TAU_MIN <= tau < np.inf:
         value = float(np.vdot(_slices(E), _slices(clip))) / tau
-        if np.isfinite(value):
+        if math.isfinite(value):
             return value
     return tensor.l1(E, mask)
 
@@ -413,7 +413,7 @@ def _solve_spd_right(system, rhs, report, label, iteration):
     evals = np.maximum(evals, 1.0)
     if report is not None:
         cond = evals[-1] / evals[0]
-        if not np.isfinite(cond) or cond > COND_WARN_THRESHOLD:
+        if not math.isfinite(cond) or cond > COND_WARN_THRESHOLD:
             message = (f"{label}-update system ill-conditioned (cond={cond:.3e})"
                        f" at iteration {iteration}")
             if not any(w.startswith(f"{label}-update") for w in report.warnings):
@@ -605,7 +605,7 @@ def _tail(state, X, carriers, target, derived, cfg):
         _shrink_arg(x, l, new, old)
     state.Lam = target
     if cross is not None:
-        finite = bool(np.isfinite(c * np.sum(num)))
+        finite = math.isfinite(c * float(num.sum()))
     return recon, u, _rec_ratio(state, X, num, cross, core), finite
 
 
@@ -617,13 +617,11 @@ def _state_arrays(state):
 
 
 def _proven(state, summed, values):
-    """Whether one sum proves the scalars ``values`` and the arrays that the
-    getters ``summed`` return finite; an overflow is a false alarm."""
-    total = sum(map(float, values))
-    if summed:
-        with np.errstate(over="ignore", invalid="ignore"):
-            total += float(sum(np.add.reduce(get(state), None) for get in summed))
-    return math.isfinite(total)
+    """Whether one Python-float sum of the scalars ``values`` and the squared
+    norms of the arrays that the getters ``summed`` return is finite, which
+    proves them all finite; an overflow, which warns nowhere, is a false alarm."""
+    arrays = (get(state).ravel("K") for get in summed)
+    return math.isfinite(sum(map(float, values)) + sum(float(np.vdot(a, a)) for a in arrays))
 
 
 def _check_finite(state, report, named):
@@ -688,7 +686,7 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
             l1_sparse = _e_step(state, X, cfg, lam, recon, shrink_arg)
             target = recon
             # A finite l1 sum proves E finite; only a non-finite one is scanned.
-            if not np.isfinite(l1_sparse):
+            if not math.isfinite(l1_sparse):
                 _check_finite(state, report, {"E": state.E})
             for stage in sweep(state, X, target, cfg, report):
                 boundary(stage)

@@ -93,4 +93,4 @@ def l1(x, mask=None, out=None):
     if mask is not None:
         with np.errstate(invalid="ignore"):  # the nan from inf * 0 is wanted
             out *= mask
-    return float(np.sum(out))
+    return float(out.sum())
