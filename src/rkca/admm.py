@@ -508,7 +508,8 @@ def _grow_mu(state, cfg):
 
 def _split_ratio(diff, primal):
     """A split's residual, :func:`_slice_ratio` over the core's slices or, for
-    a basis, one slice, two dots.  An inf in primal gives inf/inf."""
+    a basis, one slice, two dots.  Finite only if diff and primal are: an inf
+    in primal makes it inf/inf."""
     if diff.ndim == 3:
         return _slice_ratio(diff, _sq_norms(primal))
     num, den = float(np.vdot(diff, diff)), float(np.vdot(primal, primal))
