@@ -13,8 +13,6 @@ from .linalg import (
     NumericalError,
     SteinSingularError,
     frobenius_prox,
-    schatten_prox,
-    selective_shrink,
     soft_shrink,
     svd,
     symmetric_eig,
@@ -45,8 +43,6 @@ __all__ = [
     "read_rkt",
     "reconstruct",
     "roc_auc",
-    "schatten_prox",
-    "selective_shrink",
     "soft_shrink",
     "solve",
     "solve_variant",

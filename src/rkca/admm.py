@@ -22,9 +22,10 @@ X and the mask are copied once to slice-major storage
 (:func:`tensor.slice_major`), which every data-sized tensor derived from them
 keeps, and cores are slice-major too, so :func:`_slices` and :func:`_stack`
 are views.  A run's start allocates E, Lam and two work buffers, and every
-data-sized array an iteration builds goes into one of these four
-(:func:`_spare`).  The loop's E step and tail run slice-block by slice-block
-(:func:`_blocks`), so that each chain's arrays stay in cache.
+data-sized array an iteration builds goes into one of these four: each E step
+frees the old E's array, which the next tail fills.  The loop's E step and
+tail run slice-block by slice-block (:func:`_blocks`) on views taken once per
+run, so that each chain's arrays stay in cache.
 
 The dual of X = L + E is kept in scaled form (Boyd et al. 2011,
 *Distributed Optimization and Statistical Learning via ADMM*, 3.1.1):
@@ -82,8 +83,7 @@ class SolverState:
     scaled dual U = Lambda/mu of X = L + E.  ``x_norms`` caches
     ``(X, per-slice squared norms of X)``, matched by identity,
     ``basis_norms`` the norms of ``variants._basis_norm`` and ``grams`` the
-    Grams of :func:`_gram`; ``buffers`` lists the run's own data-sized arrays
-    (see :func:`_spare`)."""
+    Grams of :func:`_gram`."""
 
     model: FactorModel
     E: np.ndarray
@@ -98,7 +98,6 @@ class SolverState:
     x_norms: tuple | None = None
     basis_norms: list = field(default_factory=list)
     grams: list = field(default_factory=list)
-    buffers: list = field(default_factory=list)
 
 
 class Split(NamedTuple):
@@ -117,8 +116,10 @@ CORE_SPLIT = Split("err_R", "model.core", "K", "Y", "mu_K")
 
 
 def _sym(mat):
-    # Bitwise-symmetric version of a numerically symmetric product.
-    return 0.5 * (mat + mat.T)
+    # Bitwise-symmetric version of a numerically symmetric product: 0.5*(M + M^T).
+    sym = mat + mat.T
+    sym *= 0.5
+    return sym
 
 
 def _remember(cache, arr, value):
@@ -174,24 +175,10 @@ def _slice_ratio(diff, den):
 
 
 def _worst_ratio(num, den):
-    """max_i num_i / den_i, a zero den_i counting as 1; 0 for no slices."""
-    out = np.divide(num, den, out=np.array(num, dtype=float), where=den > 0)
-    return float(out.max()) if out.size else 0.0
-
-
-def _spare(state, *busy):
-    """A data-sized scratch array: one of ``state.buffers`` bound to none of
-    E, Lam and ``busy``, else a new slice-major one.
-
-    A step overwrites only these buffers, and arrays it allocated itself;
-    never X, the mask or an array its caller passed.
-    """
-    taken = (state.E, state.Lam, *busy)
-    for buf in state.buffers:
-        if not any(buf is t for t in taken):
-            return buf
-    m, n, N = state.E.shape
-    return np.empty((N, m, n)).transpose(1, 2, 0)
+    """max_i num_i / den_i, a zero den_i counting as 1; 0 for no slices.
+    ``num``, a float array of the caller's own, takes the ratios."""
+    np.divide(num, den, out=num, where=den > 0)
+    return float(np.maximum.reduce(num)) if num.size else 0.0
 
 
 def _x_norms(state, X):
@@ -209,7 +196,7 @@ def _data_penalty(X):
     return ETA_INIT * X.shape[2] / norm_sum if norm_sum > 0 else ETA_INIT
 
 
-def _init_tucker(X, cfg):
+def _init_tucker(X, cfg, data_mu=None):
     """Tucker-2 start (truncated HOSVD): the LADMM and ``admm3_*`` start, and
     the fit that admm2's unmasked start balances (:func:`_init_balanced`).
 
@@ -217,7 +204,8 @@ def _init_tucker(X, cfg):
     formed slice by slice from X / max|X|, which leaves the eigenvectors as
     they are and keeps the Grams finite; R_i = A^T X_i B and E = Lam = 0.
 
-    mu starts at :func:`_data_penalty`, the scale for a start from zero.
+    mu starts at ``data_mu``, by default :func:`_data_penalty`, the scale for
+    a start from zero.
     This start already fits the data, so without a mask mu is raised to
     lambda / max|X - A R B^T| where that is larger, up to mu_cap_factor times
     the data-scaled value: the first E step's threshold lambda/mu then equals
@@ -241,12 +229,17 @@ def _init_tucker(X, cfg):
         # Eigenvalues ascend: the last r eigenvectors, largest first.
         a, b = (linalg.symmetric_eig(gram)[1][:, ::-1][:, :r].copy()
                 for gram in (gram_a, gram_b))
-    mu = _data_penalty(X)
+    mu = _data_penalty(X) if data_mu is None else data_mu
     core_t = a.T @ _slices(X) @ b
     if cfg.mask is None and 0 < mu < np.inf:
-        # Slice by slice, so the residual takes no data-sized buffer.
-        worst = max(float(np.max(np.abs(x_i - (a @ r_i) @ b.T)))
-                    for x_i, r_i in zip(_slices(X), core_t))
+        # Slice block by slice block (:func:`_blocks`), so the residual
+        # takes no data-sized buffer.
+        worst = 0.0
+        for blk in _blocks(X):
+            resid = (a @ core_t[blk]) @ b.T
+            np.abs(np.subtract(_slices(X[:, :, blk]), resid, out=resid), out=resid)
+            worst = max(worst, float(np.maximum.reduce(resid, axis=None)))
+        del resid
         raised = cfg.resolved_lambda(X.shape) / worst if worst > 0 else np.inf
         if raised < np.inf:
             mu = max(mu, min(raised, cfg.mu_cap_factor * mu))
@@ -349,6 +342,14 @@ def _blocks(X):
     return [slice(s, s + step) for s in range(0, N, step)]
 
 
+def _block_views(X, arrays):
+    """The slice blocks of X (:func:`_blocks`) and, by identity, each of
+    ``arrays``' views of them, taken once per run; None has Nones."""
+    blocks = _blocks(X)
+    return blocks, {id(t): [t if t is None else t[:, :, blk] for blk in blocks]
+                    for t in arrays}
+
+
 def _shrink_arg(X, recon, u, out):
     """T = (X - recon) + U, the E step's shrinkage argument, in ``out``: the
     one arithmetic for T, in the start and the loop's tail.  Elementwise: a
@@ -381,26 +382,26 @@ def _shrunk_l1(E, clip, tau, mask):
     return tensor.l1(E, mask)
 
 
-def _e_step(state, X, cfg, lam, recon, shrink_arg):
+def _e_step(state, views, cfg, lam, recon, shrink_arg):
     """The loop's E step on L = ``recon`` and T = (X - L) + U in
     ``shrink_arg``, which the start or the last tail built (:func:`_shrink_arg`),
-    block by block (:func:`_blocks`): E = T - C over T, C = clip(T, -tau,
-    tau) [* mask] at tau = lambda/mu, ||E||_1 from C (:func:`_shrunk_l1`),
-    then the sweep's target L + C over L.  E = T - C, so L + C = Xt + U.
-    T's array becomes state.E.  Returns ||E||_1.
+    block by block on the ``views`` of :func:`_block_views`: E = T - C over
+    T, C = clip(T, -tau, tau) [* mask] at tau = lambda/mu, ||E||_1 from C
+    (:func:`_shrunk_l1`), then the sweep's target L + C over L.  E = T - C,
+    so L + C = Xt + U.  T's array becomes state.E.  Returns ||E||_1 and the
+    spare, the old E's array, which the tail fills next.
 
     C is needed only within its block, so every block's C goes to the first
-    block of the spare, the old E's array, which stays in cache."""
-    state.E = shrink_arg
-    tau, l1, spare = lam / state.mu, 0.0, _spare(state, recon)
-    for blk in _blocks(X):
-        e, l = shrink_arg[:, :, blk], recon[:, :, blk]
-        clip = spare[:, :, :e.shape[2]]
-        mask = None if cfg.mask is None else cfg.mask[:, :, blk]
+    block of the spare, which stays in cache."""
+    spare, state.E = state.E, shrink_arg
+    tau, l1 = lam / state.mu, 0.0
+    views, first = views[1], views[1][id(spare)][0]
+    for e, l, mask in zip(views[id(shrink_arg)], views[id(recon)], views[id(cfg.mask)]):
+        clip = first[:, :, :e.shape[2]]
         linalg._shrink(e, tau, mask, out=e, clip=clip)
         l1 += _shrunk_l1(e, clip, tau, mask)
         np.add(l, clip, out=l)
-    return l1
+    return l1, spare
 
 
 def _solve_spd_right(system, rhs, report, label, iteration):
@@ -410,15 +411,17 @@ def _solve_spd_right(system, rhs, report, label, iteration):
     is exact and keeps round-off from making them nonpositive.
     """
     evals, q = linalg.symmetric_eig(system)
-    evals = np.maximum(evals, 1.0)
+    np.maximum(evals, 1.0, out=evals)
     if report is not None:
-        cond = evals[-1] / evals[0]
+        cond = float(evals[-1]) / float(evals[0])
         if not math.isfinite(cond) or cond > COND_WARN_THRESHOLD:
             message = (f"{label}-update system ill-conditioned (cond={cond:.3e})"
                        f" at iteration {iteration}")
             if not any(w.startswith(f"{label}-update") for w in report.warnings):
                 report.warn(message)
-    return ((rhs @ q) / evals) @ q.T
+    rhs = rhs @ q
+    rhs /= evals
+    return rhs @ q.T
 
 
 def _cross_gram(core, other, row, cache=None):
@@ -428,8 +431,8 @@ def _cross_gram(core, other, row, cache=None):
     k_t = _slices(core)
     gram = _gram(other, cache)
     if row:
-        return np.sum(k_t.transpose(0, 2, 1) @ gram @ k_t, axis=0)
-    return np.sum(k_t @ gram @ k_t.transpose(0, 2, 1), axis=0)
+        return np.add.reduce(k_t.transpose(0, 2, 1) @ gram @ k_t, axis=0)
+    return np.add.reduce(k_t @ gram @ k_t.transpose(0, 2, 1), axis=0)
 
 
 def _solve_basis(state, target, other, row, weight, report, label,
@@ -446,14 +449,16 @@ def _solve_basis(state, target, other, row, weight, report, label,
     """
     k_t = _slices(state.K)
     if row:
-        rhs = np.sum(target.transpose(0, 2, 1) @ k_t, axis=0)
+        rhs = np.add.reduce(target.transpose(0, 2, 1) @ k_t, axis=0)
     else:
-        rhs = np.sum((_slices(target) @ other) @ k_t.transpose(0, 2, 1), axis=0)
+        rhs = np.add.reduce((_slices(target) @ other) @ k_t.transpose(0, 2, 1), axis=0)
     rhs *= state.mu
-    system = weight * _sym(_cross_gram(state.K, other, row, state.grams))
-    system.flat[::system.shape[0] + 1] += 1.0
+    system = _sym(_cross_gram(state.K, other, row, state.grams))
+    system *= weight
+    system.reshape(-1)[::system.shape[0] + 1] += 1.0
     if anchor is not None:
-        rhs = anchor + rhs / mu_anchor
+        rhs /= mu_anchor
+        rhs += anchor
     return _solve_spd_right(system, rhs, report, label, state.iters)
 
 
@@ -478,7 +483,11 @@ def _stein_core(state, g, left, right):
     mu, mu_K = state.mu, state.mu_K
     gram_l, gram_r = _gram(left, state.grams), _gram(right, state.grams)
     factors = linalg.stein_factors(-(mu / mu_K) * gram_l, gram_r)
-    h_t = (mu * (g @ right) + _slices(state.Y)) / mu_K + _slices(state.model.core)
+    h_t = g @ right
+    h_t *= mu
+    h_t += _slices(state.Y)
+    h_t /= mu_K
+    h_t += _slices(state.model.core)
     return _stack(linalg.stein_apply(factors, h_t))
 
 
@@ -494,7 +503,8 @@ def update_R(state, weight):
     the level overflows to inf (R = 0) without a warning; mu_K = 0 gives inf."""
     mu_K = state.mu_K
     tau = float(weight) / float(mu_K) if mu_K else np.inf
-    return linalg.soft_shrink(state.K - state.Y / mu_K, tau)
+    arg = state.Y / mu_K
+    return linalg.soft_shrink(np.subtract(state.K, arg, out=arg), tau)
 
 
 def _grow_mu(state, cfg):
@@ -525,7 +535,8 @@ def _ascend(state, splits, cfg):
         primal = attrgetter(row.primal)(state)
         diff = primal - getattr(state, row.copy)
         mu = getattr(state, row.penalty)
-        setattr(state, row.dual, getattr(state, row.dual) + mu * diff)
+        dual = getattr(state, row.dual)
+        dual += mu * diff
         setattr(state, row.penalty, min(getattr(state, row.penalty + "_cap"), cfg.rho * float(mu)))
         errs[row.err] = _split_ratio(diff, primal)
     return errs
@@ -542,18 +553,20 @@ def _rec_ratio(state, X, num, cross, core):
     is the model's own residual (K = R, or A R B^T built for err_rec).
     """
     if cross is not None:
-        a, b = state.model.a, state.model.b
         delta = _slices(state.model.core - core)
-        quad = _gram(a, state.grams) @ delta @ _gram(b, state.grams)
-        num = np.maximum(num - np.einsum("kij,kij->k", 2.0 * cross - quad, delta), 0.0)
+        cross *= 2.0
+        cross -= _gram(state.model.a, state.grams) @ delta @ _gram(state.model.b, state.grams)
+        num -= np.einsum("kij,kij->k", cross, delta)
+        np.maximum(num, 0.0, out=num)
     return _worst_ratio(num, _x_norms(state, X))
 
 
-def _tail(state, X, carriers, target, derived, cfg):
-    """The loop's tail up to the split ascents, block by block (:func:`_blocks`).
+def _tail(state, X, views, carriers, target, spare, derived, cfg):
+    """The loop's tail up to the split ascents, block by block on the
+    ``views`` of :func:`_block_views`.
 
     It grows mu first (:func:`_grow_mu`), c = mu/mu', then builds
-    L' = left K right^T from ``carriers`` in the spare, the new scaled dual
+    L' = left K right^T from ``carriers`` in ``spare``, the new scaled dual
     U' over ``target`` and the next E step's T' = (X - L') + U'
     (:func:`_shrink_arg`) over the old U:
 
@@ -567,22 +580,22 @@ def _tail(state, X, carriers, target, derived, cfg):
     A and B it comes from D and A^T D_i B (:func:`_rec_ratio`): ``derived``
     forms D = P - U over the old U, and a finite sum of D's norms proves U'
     finite.  Otherwise (degree 3) A R B^T is built over the old U once U' is
-    formed, D = (X - A R B^T) - E there, and each block of U' is summed while
-    in cache.  Returns (L', T', err_rec, finite), ``finite`` False if U' may
-    hold a non-finite value.
+    formed, D = (X - A R B^T) - E there, and the squared norm of each block
+    of U', one dot taken while in cache, proves it.  Returns (L', T',
+    err_rec, finite), ``finite`` False if U' may hold a non-finite value.
     """
     left, core, right = carriers
-    model, u, E = state.model, state.Lam, state.E
+    model, u, N = state.model, state.Lam, X.shape[2]
     a, b = model.a, model.b
     c = _grow_mu(state, cfg)
-    recon, N = _spare(state, target), X.shape[2]
     shares = left is a and right is b
     num = np.empty(N)
     cross = np.empty((N, a.shape[1], b.shape[1])) if derived and shares else None
-    finite = True
-    for blk in _blocks(X):
-        x, e, new, old = (t[:, :, blk] for t in (X, E, target, u))
-        l = tensor.reconstruct(left, core[:, :, blk], right, out=recon[:, :, blk])
+    a_t, proof = a.T, 0.0
+    blocks, views = views
+    for blk, x, e, new, old, out in zip(blocks, *(views[id(t)] for t in (X, state.E, target,
+                                                                          u, spare))):
+        l = tensor.reconstruct(left, core[:, :, blk], right, out=out)
         if not derived:
             d = np.subtract(x, l, out=new)
             d -= e
@@ -593,7 +606,7 @@ def _tail(state, X, carriers, target, derived, cfg):
             if shares:
                 d = np.subtract(new, old, out=old)
                 num[blk] = _sq_norms(d)
-                cross[blk] = (a.T @ _slices(d)) @ b
+                cross[blk] = (a_t @ _slices(d)) @ b
         if c != 1.0:
             new *= c
         if not shares:
@@ -602,12 +615,12 @@ def _tail(state, X, carriers, target, derived, cfg):
             d -= e
             num[blk] = _sq_norms(d)
         if cross is None:
-            finite &= tensor._all_finite(new)
+            flat = _slices(new)
+            proof += float(np.vdot(flat, flat))
         _shrink_arg(x, l, new, old)
     state.Lam = target
-    if cross is not None:
-        finite = math.isfinite(c * float(num.sum()))
-    return recon, u, _rec_ratio(state, X, num, cross, core), finite
+    finite = math.isfinite(proof if cross is None else c * float(num.sum()))
+    return spare, u, _rec_ratio(state, X, num, cross, core), finite
 
 
 def _state_arrays(state):
@@ -621,8 +634,11 @@ def _proven(state, summed, values):
     """Whether one Python-float sum of the scalars ``values`` and the squared
     norms of the arrays that the getters ``summed`` return is finite, which
     proves them all finite; an overflow, which warns nowhere, is a false alarm."""
-    arrays = (get(state).ravel("K") for get in summed)
-    return math.isfinite(sum(map(float, values)) + sum(float(np.vdot(a, a)) for a in arrays))
+    total = sum(values)
+    for get in summed:
+        arr = get(state).ravel("K")
+        total += float(np.vdot(arr, arr))
+    return math.isfinite(total)
 
 
 def _check_finite(state, report, named):
@@ -672,19 +688,21 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
 
     try:
         state = start(X, cfg)
-        state.buffers = [state.E, state.Lam, np.empty_like(X), np.empty_like(X)]
+        recon, shrink_arg = np.empty_like(X), np.empty_like(X)
+        views = _block_views(X, (X, cfg.mask, state.E, state.Lam, recon, shrink_arg))
         # What neither a split's residual nor the objective proves is summed.
         arrays = _state_arrays(state)
         proven = {"model.a", "model.b", "model.core",
                   *(path for row in splits for path in (row.primal, row.copy))}
         summed = [attrgetter(path) for _, path in arrays if path not in proven]
-        recon = tensor.reconstruct(*carriers(state), out=_spare(state))
-        shrink_arg = _shrink_arg(X, recon, state.Lam, _spare(state, recon))
+        tensor.reconstruct(*carriers(state), out=recon)
+        _shrink_arg(X, recon, state.Lam, shrink_arg)
+        derived = bool(splits)
         for it in range(1, cfg.max_iters + 1):
             t0 = time.perf_counter()
             state.iters = it
             boundary("E")
-            l1_sparse = _e_step(state, X, cfg, lam, recon, shrink_arg)
+            l1_sparse, spare = _e_step(state, views, cfg, lam, recon, shrink_arg)
             target = recon
             # A finite l1 sum proves E finite; only a non-finite one is scanned.
             if not math.isfinite(l1_sparse):
@@ -693,7 +711,7 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
                 boundary(stage)
             boundary(None)
             recon, shrink_arg, err_rec, lam_finite = _tail(
-                state, X, carriers(state), target, bool(splits), cfg)
+                state, X, views, carriers(state), target, spare, derived, cfg)
             errs = {"err_rec": err_rec, **_ascend(state, splits, cfg)}
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             objective = {"l1_sparse": lam * l1_sparse, **penalty(state, cfg)}

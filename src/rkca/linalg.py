@@ -8,15 +8,15 @@ of right-hand sides.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
     "NumericalError",
     "SteinSingularError",
     "soft_shrink",
-    "selective_shrink",
     "frobenius_prox",
-    "schatten_prox",
     "nuclear_prox",
     "stein_factors",
     "stein_apply",
@@ -49,7 +49,7 @@ def _shrink(x, tau, mask=None, out=None, clip=None):
     x = np.asarray(x)
     if clip is None:
         clip = out if out is not None else np.empty_like(x, dtype=np.result_type(x, 0.0))
-    np.clip(x, -tau, tau, out=clip)
+    x.clip(-tau, tau, out=clip)
     if mask is not None:
         clip *= mask
     return np.subtract(x, clip, out=clip if out is None else out)
@@ -65,43 +65,15 @@ def soft_shrink(x, tau, out=None):
     return _shrink(x, tau, out=out)
 
 
-def selective_shrink(x, tau, mask, out=None):
-    """Soft-shrink the entries flagged by ``mask``; pass the rest through.
-
-    Computed branch-free as x - clip(x, -tau, tau) * mask in one new array of
-    x's layout, or in ``out`` as for :func:`soft_shrink`: a random mask makes
-    a per-entry select mispredict.  Equal to
-    ``np.where(mask, soft_shrink(x, tau), x)`` except for the sign of zeros.
-    """
-    x = np.asarray(x)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match {x.shape}")
-    return _shrink(x, tau, mask, out)
-
-
 def frobenius_prox(x, tau):
     """Block soft threshold: max(1 - tau/||x||_F, 0) * x."""
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     x = np.asarray(x)
-    nrm = np.linalg.norm(x.ravel())
+    nrm = math.sqrt(np.vdot(x, x))
     if nrm <= tau:
         return np.zeros_like(x)
     return (1.0 - tau / nrm) * x
-
-
-def schatten_prox(x, tau, p):
-    """Proximal operator of tau * (Schatten-p norm), p in {1, 2}.
-
-    p = 1 soft-shrinks the singular values (:func:`nuclear_prox`);
-    p = 2 coincides with :func:`frobenius_prox`.
-    """
-    if p == 2:
-        return frobenius_prox(x, tau)
-    if p != 1:
-        raise ValueError(f"only p in {{1, 2}} is supported, got {p}")
-    return nuclear_prox(x, tau)[0]
 
 
 def nuclear_prox(x, tau):
@@ -111,7 +83,7 @@ def nuclear_prox(x, tau):
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     u, s, vt = _svd_raw(np.asarray(x))
     s = np.maximum(s - tau, 0.0)
-    return (u * s) @ vt, float(np.sum(s))
+    return (u * s) @ vt, float(np.add.reduce(s))
 
 
 def stein_factors(F, G):
@@ -125,12 +97,15 @@ def stein_factors(F, G):
     """
     F, G = np.asarray(F, dtype=np.float64), np.asarray(G, dtype=np.float64)
     if F.shape == G.shape:
-        (f, g), (qf, qg) = symmetric_eig(np.stack((F, G)))
+        (f, g), (qf, qg) = symmetric_eig(np.array((F, G)))
     else:
         (f, qf), (g, qg) = symmetric_eig(F), symmetric_eig(G)
-    prod = np.outer(f, g)
+    prod = f[:, None] * g
     denom = 1.0 - prod
-    if np.any(np.abs(denom) < PENCIL_RTOL * (1.0 + np.abs(prod))):
+    gap = np.abs(prod, out=prod)
+    gap += 1.0
+    gap *= PENCIL_RTOL
+    if np.logical_or.reduce(np.abs(denom) < gap, axis=None):
         raise SteinSingularError(
             "singular Stein pencil: an eigenvalue pair satisfies f*g ~ 1"
         )
@@ -142,7 +117,8 @@ def stein_apply(factors, H):
     precomputed :func:`stein_factors`: O(r^3), exact up to round-off."""
     _, qf, _, qg, denom = factors
     h_rot = qf.T @ np.asarray(H) @ qg
-    return qf @ (h_rot / denom) @ qg.T
+    h_rot /= denom
+    return qf @ h_rot @ qg.T
 
 
 def symmetric_eig(x):
@@ -158,7 +134,7 @@ def symmetric_eig(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    x_t = np.swapaxes(x, -1, -2)
+    x_t = x.swapaxes(-1, -2)
     if not (x == x_t).all():
         scale = np.maximum(1.0, np.max(np.abs(x), axis=(-2, -1), initial=0.0))
         if np.any(np.max(np.abs(x - x_t), axis=(-2, -1), initial=0.0) > SYMMETRY_ATOL * scale):

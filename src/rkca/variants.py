@@ -18,6 +18,7 @@ augmented Lagrangian.  :func:`solve_variant` runs a variant in the loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from . import admm, linalg, tensor
 from .admm import ETA_INIT, _init_tucker, _slices, _stack
 
 __all__ = [
-    "LadmmState", "Degree3State", "ladmm_update_R", "ladmm_update_A", "ladmm_update_B",
+    "Degree3State", "ladmm_update_R", "ladmm_update_A", "ladmm_update_B",
     "degree3_update_A_sub", "degree3_update_B_sub", "degree3_update_U", "degree3_update_V",
     "solve_variant",
 ]
@@ -36,10 +37,6 @@ LIPSCHITZ_FLOOR = 1e-12
 
 LADMM_VARIANTS = ("ladmm2", "ladmm3_fro", "ladmm3_nuc")
 DEGREE3_SUB_VARIANTS = ("admm3_fro", "admm3_nuc")
-
-
-# A linearised-ADMM run has no split: its K, Y and mu_K stay None.
-LadmmState = admm.SolverState
 
 
 @dataclass(kw_only=True)
@@ -64,7 +61,7 @@ def lipschitz_core(a, b, cache=None):
     """Bound for the core gradient: lambda_max(A^T A) * lambda_max(B^T B),
     both from one eigendecomposition of the stacked Grams; ``cache`` as for
     ``admm._gram``."""
-    evals = linalg.symmetric_eig(np.stack([admm._gram(w, cache) for w in (a, b)]))[0]
+    evals = linalg.symmetric_eig(np.array((admm._gram(a, cache), admm._gram(b, cache))))[0]
     top_a, top_b = (max(float(top), 0.0) for top in evals[:, -1])
     return _bound(top_a * top_b)
 
@@ -79,10 +76,15 @@ def _basis_norm(mat, variant, cache=None):
         if arr is mat:
             return value
     if variant.endswith("_nuc"):
-        value = float(np.sum(np.linalg.svd(mat, compute_uv=False)))
+        value = float(np.add.reduce(np.linalg.svd(mat, compute_uv=False)))
     else:
-        value = float(np.linalg.norm(mat))
+        value = _norm(mat)
     return admm._remember(cache, mat, value)
+
+
+def _norm(mat):
+    # The Frobenius norm, as np.linalg.norm takes it: one dot, then sqrt.
+    return math.sqrt(np.vdot(mat, mat))
 
 
 def _core_weight(a, b, cfg, cache=None):
@@ -98,7 +100,8 @@ def _basis_step(point, other, core, weight, cfg, cache=None):
     a nuclear prox puts its output's norm in ``cache`` (:func:`_basis_norm`)."""
     if cfg.variant == "ladmm2":
         # Smooth ||A||_F^2/2 penalty: closed-form shrink toward the origin.
-        return point * (weight / (weight + 1.0))
+        point *= weight / (weight + 1.0)
+        return point
     scale = cfg.alpha * _basis_norm(other, cfg.variant, cache) * tensor.l1(core) / weight
     if cfg.variant.endswith("_nuc"):
         mat, norm = linalg.nuclear_prox(point, scale)
@@ -120,8 +123,10 @@ def ladmm_update_R(state, a_delta, cfg):
     core_t = _slices(core)
     grad_t = admm._gram(a, state.grams) @ core_t @ admm._gram(b, state.grams)
     grad_t -= a_delta @ b
+    grad_t /= lip
     weight = _core_weight(a, b, cfg, state.basis_norms)
-    return _stack(linalg.soft_shrink(core_t - grad_t / lip, weight / (state.mu * lip)))
+    return _stack(linalg.soft_shrink(np.subtract(core_t, grad_t, out=grad_t),
+                                     weight / (state.mu * lip)))
 
 
 def ladmm_update_A(state, delta, cfg):
@@ -131,10 +136,12 @@ def ladmm_update_A(state, delta, cfg):
     Lipschitz bound is ||sum_i C_i C_i^T||_F."""
     a, b, core = state.model.a, state.model.b, state.model.core
     gram = admm._cross_gram(core, b, False, state.grams)
-    lip = _bound(np.linalg.norm(gram))
-    cross = (_slices(delta) @ b) @ _slices(core).transpose(0, 2, 1)
-    grad = a @ gram - np.sum(cross, axis=0)
-    return _basis_step(a - grad / lip, b, core, state.mu * lip, cfg, state.basis_norms)
+    lip = _bound(_norm(gram))
+    grad = a @ gram
+    grad -= np.add.reduce((_slices(delta) @ b) @ _slices(core).transpose(0, 2, 1), axis=0)
+    grad /= lip
+    return _basis_step(np.subtract(a, grad, out=grad), b, core, state.mu * lip, cfg,
+                       state.basis_norms)
 
 
 def ladmm_update_B(state, a_delta, cfg):
@@ -144,10 +151,12 @@ def ladmm_update_B(state, a_delta, cfg):
     ||sum_i G_i^T G_i||_F."""
     a, b, core = state.model.a, state.model.b, state.model.core
     gram = admm._cross_gram(core, a, True, state.grams)
-    lip = _bound(np.linalg.norm(gram))
-    cross = _slices(core).transpose(0, 2, 1) @ a_delta
-    grad = b @ gram - np.sum(cross, axis=0).T
-    return _basis_step(b - grad / lip, a, core, state.mu * lip, cfg, state.basis_norms)
+    lip = _bound(_norm(gram))
+    grad = b @ gram
+    grad -= np.add.reduce(_slices(core).transpose(0, 2, 1) @ a_delta, axis=0).T
+    grad /= lip
+    return _basis_step(np.subtract(b, grad, out=grad), a, core, state.mu * lip, cfg,
+                       state.basis_norms)
 
 
 def _low_rank_penalty(model, cfg, norms=None, grams=None):
@@ -227,9 +236,9 @@ def _init_degree3(X, cfg):
     times sqrt(f), where f = mu0 / :func:`admm._data_penalty` is the raise the
     start gave mu.  Scaled by f itself, the splits took more iterations.
     """
-    seed = _init_tucker(X, cfg)
-    a, b, core = seed.model.a, seed.model.b, seed.model.core
     data_mu = admm._data_penalty(X)
+    seed = _init_tucker(X, cfg, data_mu)
+    a, b, core = seed.model.a, seed.model.b, seed.model.core
     # Equal when mu was kept: f = 1, also where both are 0 (overflowed norms).
     root_f = 1.0 if seed.mu == data_mu else float(np.sqrt(seed.mu / data_mu))
     N = X.shape[2]

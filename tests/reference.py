@@ -1,17 +1,165 @@
-"""Whole-tensor and dense references for the solvers' kernels, and the
-3-way tensor algebra the tests check them with.
+"""Whole-tensor and dense references for the solvers' kernels, plain forms
+of their r x r kernels, the test-only algebra, and the 3-way tensor algebra
+the tests check them with.
 
 The solvers run the E step and the dual ascent slice-block by slice-block
 inside their loop, and solve Stein equations by diagonalising both
 coefficients; these are the plain forms the tests compare them with.  The
+r x r kernels (``solve_basis``, ``cross_gram``, ``stein_factors`` and
+``stein_apply``, ``rec_ratio``, ``ascend`` and the Tucker start's Grams and
+residual) are kept here in their direct form, one numpy expression per
+formula; the solvers' in-place forms must give the same bits.  The
 unfoldings, vectorisation, mode products and Kronecker products follow the
 column-major order of ``rkca.tensor``: entry (i, j, k) sits at flat position
 i + m*j + m*n*k, and unfoldings are explicit copies, never views.
 """
 
+from operator import attrgetter
+
 import numpy as np
 
 from rkca import admm, linalg, tensor
+
+# A linearised-ADMM run has no split: its K, Y and mu_K stay None.
+LadmmState = admm.SolverState
+
+
+def selective_shrink(x, tau, mask, out=None):
+    """Soft-shrink the entries flagged by ``mask``; pass the rest through.
+
+    Computed branch-free as x - clip(x, -tau, tau) * mask in one new array of
+    x's layout, or in ``out`` as for ``linalg.soft_shrink``.  Equal to
+    ``np.where(mask, soft_shrink(x, tau), x)`` except for the sign of zeros.
+    """
+    x = np.asarray(x)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != x.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match {x.shape}")
+    return linalg._shrink(x, tau, mask, out)
+
+
+def schatten_prox(x, tau, p):
+    """Proximal operator of tau * (Schatten-p norm), p in {1, 2}: p = 1 is
+    ``linalg.nuclear_prox``, p = 2 ``linalg.frobenius_prox``."""
+    if p == 2:
+        return linalg.frobenius_prox(x, tau)
+    if p != 1:
+        raise ValueError(f"only p in {{1, 2}} is supported, got {p}")
+    return linalg.nuclear_prox(x, tau)[0]
+
+
+def sym(mat):
+    return 0.5 * (mat + mat.T)
+
+
+def cross_gram(core, other, row):
+    """sum_i K_i W^T W K_i^T, or with ``row`` sum_i K_i^T W^T W K_i."""
+    k_t = admm._slices(core)
+    gram = sym(other.T @ other)
+    if row:
+        return np.sum(k_t.transpose(0, 2, 1) @ gram @ k_t, axis=0)
+    return np.sum(k_t @ gram @ k_t.transpose(0, 2, 1), axis=0)
+
+
+def solve_basis(state, target, other, row, weight, anchor=None, mu_anchor=None):
+    """The basis normal-equation solve of ``admm._solve_basis``."""
+    k_t = admm._slices(state.K)
+    if row:
+        rhs = np.sum(target.transpose(0, 2, 1) @ k_t, axis=0)
+    else:
+        rhs = np.sum((admm._slices(target) @ other) @ k_t.transpose(0, 2, 1), axis=0)
+    rhs *= state.mu
+    system = weight * sym(cross_gram(state.K, other, row))
+    system.flat[::system.shape[0] + 1] += 1.0
+    if anchor is not None:
+        rhs = anchor + rhs / mu_anchor
+    evals, q = linalg.symmetric_eig(system)
+    evals = np.maximum(evals, 1.0)
+    return ((rhs @ q) / evals) @ q.T
+
+
+def stein_factors(F, G):
+    """``linalg.stein_factors``; None for a singular pencil."""
+    if F.shape == G.shape:
+        (f, g), (qf, qg) = linalg.symmetric_eig(np.stack((F, G)))
+    else:
+        (f, qf), (g, qg) = linalg.symmetric_eig(F), linalg.symmetric_eig(G)
+    prod = np.outer(f, g)
+    denom = 1.0 - prod
+    if np.any(np.abs(denom) < linalg.PENCIL_RTOL * (1.0 + np.abs(prod))):
+        return None
+    return f, qf, g, qg, denom
+
+
+def stein_apply(factors, H):
+    _, qf, _, qg, denom = factors
+    h_rot = qf.T @ np.asarray(H) @ qg
+    return qf @ (h_rot / denom) @ qg.T
+
+
+def stein_core(state, g, left, right):
+    """The split core update of ``admm._stein_core``."""
+    mu, mu_K = state.mu, state.mu_K
+    factors = stein_factors(-(mu / mu_K) * sym(left.T @ left), sym(right.T @ right))
+    h_t = (mu * (g @ right) + admm._slices(state.Y)) / mu_K + admm._slices(state.model.core)
+    return admm._stack(stein_apply(factors, h_t))
+
+
+def worst_ratio(num, den):
+    out = np.divide(num, den, out=np.array(num, dtype=float), where=den > 0)
+    return float(out.max()) if out.size else 0.0
+
+
+def rec_ratio(state, x_norms, num, cross, core):
+    """err_rec of ``admm._rec_ratio`` from the norms of X, ``x_norms``."""
+    if cross is not None:
+        a, b = state.model.a, state.model.b
+        delta = admm._slices(state.model.core - core)
+        quad = sym(a.T @ a) @ delta @ sym(b.T @ b)
+        num = np.maximum(num - np.einsum("kij,kij->k", 2.0 * cross - quad, delta), 0.0)
+    return worst_ratio(num, x_norms)
+
+
+def ascend(state, splits, cfg):
+    """The split ascents of ``admm._ascend``."""
+    errs = {}
+    for row in splits:
+        primal = attrgetter(row.primal)(state)
+        diff = primal - getattr(state, row.copy)
+        mu = getattr(state, row.penalty)
+        setattr(state, row.dual, getattr(state, row.dual) + mu * diff)
+        setattr(state, row.penalty, min(getattr(state, row.penalty + "_cap"), cfg.rho * float(mu)))
+        if diff.ndim == 3:
+            errs[row.err] = worst_ratio(admm._sq_norms(diff), admm._sq_norms(primal))
+        else:
+            num, den = float(np.vdot(diff, diff)), float(np.vdot(primal, primal))
+            errs[row.err] = num / den if den > 0 else num
+    return errs
+
+
+def tucker_start(X, cfg):
+    """A, B, the core slices and mu of ``admm._init_tucker``, its Grams and
+    its residual max taken slice by slice."""
+    (m, n, N), r = X.shape, cfg.rank
+    a, b = np.zeros((m, r)), np.zeros((n, r))
+    scale = max(float(X.max()), -float(X.min()))
+    if scale > 0:
+        gram_a, gram_b = np.zeros((m, m)), np.zeros((n, n))
+        for x_i in admm._slices(X):
+            x_i = x_i / scale
+            gram_a += x_i @ x_i.T
+            gram_b += x_i.T @ x_i
+        a, b = (linalg.symmetric_eig(gram)[1][:, ::-1][:, :r].copy()
+                for gram in (gram_a, gram_b))
+    mu = admm._data_penalty(X)
+    core_t = a.T @ admm._slices(X) @ b
+    if cfg.mask is None and 0 < mu < np.inf:
+        worst = max(float(np.max(np.abs(x_i - (a @ r_i) @ b.T)))
+                    for x_i, r_i in zip(admm._slices(X), core_t))
+        raised = cfg.resolved_lambda(X.shape) / worst if worst > 0 else np.inf
+        if raised < np.inf:
+            mu = max(mu, min(raised, cfg.mu_cap_factor * mu))
+    return a, b, core_t, mu
 
 
 def stein_dense(F, G, H):
@@ -28,7 +176,7 @@ def shrink_E(X, recon, u, tau, mask=None):
     t = (X - recon) + u
     if mask is None:
         return linalg.soft_shrink(t, tau)
-    return linalg.selective_shrink(t, tau, mask)
+    return selective_shrink(t, tau, mask)
 
 
 def dual_ascent(state, x_tilde, cfg, carriers, splits=()):

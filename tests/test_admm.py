@@ -119,11 +119,12 @@ def loop_e_step(state, X, cfg, lam=None):
     # The loop's E step (admm._e_step) on L = A K B^T and T = (X - L) + Lam,
     # built as the start builds it: returns E and ||E||_1 as the loop takes
     # it, from E and its clip.
-    state.buffers = [state.E, state.Lam, np.empty_like(X), np.empty_like(X)]
-    recon = tensor.reconstruct(state.model.a, state.K, state.model.b, out=admm._spare(state))
-    arg = admm._shrink_arg(X, recon, state.Lam, admm._spare(state, recon))
+    recon, arg = np.empty_like(X), np.empty_like(X)
+    views = admm._block_views(X, (X, cfg.mask, state.E, state.Lam, recon, arg))
+    tensor.reconstruct(state.model.a, state.K, state.model.b, out=recon)
+    admm._shrink_arg(X, recon, state.Lam, arg)
     lam = cfg.resolved_lambda(X.shape) if lam is None else lam
-    l1 = admm._e_step(state, X, cfg, lam, recon, arg)
+    l1, _ = admm._e_step(state, views, cfg, lam, recon, arg)
     return state.E, l1
 
 
@@ -131,9 +132,9 @@ def loop_tail(state, X, cfg, carriers, derived):
     # The loop's tail (admm._tail) on the target Delta = Xt + Lam that the E
     # step hands the sweep, then the core split's ascent (admm._ascend):
     # returns err_rec and err_R as the loop reports them.
-    target = X - state.E + state.Lam
-    state.buffers = [state.E, state.Lam, target, np.empty_like(X)]
-    _, _, err_rec, finite = admm._tail(state, X, carriers, target, derived, cfg)
+    target, spare = X - state.E + state.Lam, np.empty_like(X)
+    views = admm._block_views(X, (X, state.E, state.Lam, target, spare))
+    _, _, err_rec, finite = admm._tail(state, X, views, carriers, target, spare, derived, cfg)
     assert finite
     return err_rec, admm._ascend(state, (admm.CORE_SPLIT,), cfg)["err_R"]
 

