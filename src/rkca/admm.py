@@ -22,10 +22,9 @@ X and the mask are copied once to slice-major storage
 (:func:`tensor.slice_major`), which every data-sized tensor derived from them
 keeps, and cores are slice-major too, so :func:`_slices` and :func:`_stack`
 are views.  A run's start allocates E, Lam and two work buffers, and every
-data-sized array an iteration builds goes into one of these four: each E step
-frees the old E's array, which the next tail fills.  The loop's E step and
-tail run slice-block by slice-block (:func:`_blocks`) on views taken once per
-run, so that each chain's arrays stay in cache.
+data-sized array an iteration builds goes into one of these four: the E step
+frees the old E's, the tail fills it.  The E step and tail run slice-block by
+slice-block on views taken once per run (:func:`_block_views`).
 
 The dual of X = L + E is kept in scaled form (Boyd et al. 2011,
 *Distributed Optimization and Statistical Learning via ADMM*, 3.1.1):
@@ -49,7 +48,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 from typing import NamedTuple
 
 import numpy as np
@@ -80,10 +79,9 @@ class SolverAbort(linalg.NumericalError):
 class SolverState:
     """All primal/dual variables of one run; K, Y, mu_K and mu_K_cap stay
     None in the linearised variants, which have no split.  ``Lam`` is the
-    scaled dual U = Lambda/mu of X = L + E.  ``x_norms`` caches
-    ``(X, per-slice squared norms of X)``, matched by identity,
-    ``basis_norms`` the norms of ``variants._basis_norm`` and ``grams`` the
-    Grams of :func:`_gram`."""
+    scaled dual U = Lambda/mu of X = L + E.  ``x_norms`` caches X's norms
+    (:func:`_x_norms`), ``basis_norms`` the norms of ``variants._basis_norm``
+    and ``grams`` the Grams of :func:`_gram`, matched by identity."""
 
     model: FactorModel
     E: np.ndarray
@@ -116,10 +114,8 @@ CORE_SPLIT = Split("err_R", "model.core", "K", "Y", "mu_K")
 
 
 def _sym(mat):
-    # Bitwise-symmetric version of a numerically symmetric product: 0.5*(M + M^T).
-    sym = mat + mat.T
-    sym *= 0.5
-    return sym
+    # Bitwise-symmetric version of a numerically symmetric product.
+    return 0.5 * (mat + mat.T)
 
 
 def _remember(cache, arr, value):
@@ -147,14 +143,10 @@ def _frobenius_penalty(model, cache=None):
     return 0.5 * (_gram(model.a, cache).trace() + _gram(model.b, cache).trace())
 
 
-def _slices(t):
-    # View of a (m, n, N) tensor as a (N, m, n) batch.
-    return t.transpose(2, 0, 1)
-
-
-def _stack(batch):
-    # View of a (N, r, r) batch of core slices as a (r, r, N) core.
-    return batch.transpose(1, 2, 0)
+# View of a (m, n, N) tensor as a (N, m, n) batch, and of a (N, r, r) batch
+# of core slices as a (r, r, N) core; C-level callables, no Python frame.
+_slices = methodcaller("transpose", 2, 0, 1)
+_stack = methodcaller("transpose", 1, 2, 0)
 
 
 def _sq_norms(t):
@@ -171,20 +163,19 @@ def _sq_norms(t):
 def _slice_ratio(diff, den):
     """Worst per-slice ratio ||diff_i||^2 / den_i, with ``den`` the reference's
     :func:`_sq_norms`; a zero den_i counts as 1."""
-    return _worst_ratio(_sq_norms(diff), den)
+    return _worst_ratio(_sq_norms(diff), np.where(den > 0, den, 1.0))
 
 
 def _worst_ratio(num, den):
-    """max_i num_i / den_i, a zero den_i counting as 1; 0 for no slices.
-    ``num``, a float array of the caller's own, takes the ratios."""
-    np.divide(num, den, out=num, where=den > 0)
+    """max_i num_i / den_i, ``den`` nonzero, in ``num``; 0 for no slices."""
+    num /= den
     return float(np.maximum.reduce(num)) if num.size else 0.0
 
 
 def _x_norms(state, X):
-    """:func:`_sq_norms` of X, computed once per X (matched by identity)."""
+    """:func:`_sq_norms` of X, a zero counting as 1, once per X (by identity)."""
     if state.x_norms is None or state.x_norms[0] is not X:
-        state.x_norms = (X, _sq_norms(X))
+        state.x_norms = (X, np.where((norms := _sq_norms(X)) > 0, norms, 1.0))
     return state.x_norms[1]
 
 
@@ -204,8 +195,7 @@ def _init_tucker(X, cfg, data_mu=None):
     formed slice by slice from X / max|X|, which leaves the eigenvectors as
     they are and keeps the Grams finite; R_i = A^T X_i B and E = Lam = 0.
 
-    mu starts at ``data_mu``, by default :func:`_data_penalty`, the scale for
-    a start from zero.
+    mu starts at ``data_mu`` or :func:`_data_penalty`, the zero-start scale.
     This start already fits the data, so without a mask mu is raised to
     lambda / max|X - A R B^T| where that is larger, up to mu_cap_factor times
     the data-scaled value: the first E step's threshold lambda/mu then equals
@@ -232,14 +222,9 @@ def _init_tucker(X, cfg, data_mu=None):
     mu = _data_penalty(X) if data_mu is None else data_mu
     core_t = a.T @ _slices(X) @ b
     if cfg.mask is None and 0 < mu < np.inf:
-        # Slice block by slice block (:func:`_blocks`), so the residual
-        # takes no data-sized buffer.
-        worst = 0.0
-        for blk in _blocks(X):
-            resid = (a @ core_t[blk]) @ b.T
-            np.abs(np.subtract(_slices(X[:, :, blk]), resid, out=resid), out=resid)
-            worst = max(worst, float(np.maximum.reduce(resid, axis=None)))
-        del resid
+        # Block by block (:func:`_blocks`): the residual takes no data-sized buffer.
+        worst = max(float(np.maximum.reduce(np.abs(_slices(X[:, :, blk]) - (
+            a @ core_t[blk]) @ b.T), axis=None)) for blk in _blocks(X))
         raised = cfg.resolved_lambda(X.shape) / worst if worst > 0 else np.inf
         if raised < np.inf:
             mu = max(mu, min(raised, cfg.mu_cap_factor * mu))
@@ -385,11 +370,10 @@ def _shrunk_l1(E, clip, tau, mask):
 def _e_step(state, views, cfg, lam, recon, shrink_arg):
     """The loop's E step on L = ``recon`` and T = (X - L) + U in
     ``shrink_arg``, which the start or the last tail built (:func:`_shrink_arg`),
-    block by block on the ``views`` of :func:`_block_views`: E = T - C over
-    T, C = clip(T, -tau, tau) [* mask] at tau = lambda/mu, ||E||_1 from C
-    (:func:`_shrunk_l1`), then the sweep's target L + C over L.  E = T - C,
-    so L + C = Xt + U.  T's array becomes state.E.  Returns ||E||_1 and the
-    spare, the old E's array, which the tail fills next.
+    block by block on :func:`_block_views`: E = T - C over T, C = clip(T,
+    -tau, tau) [* mask] at tau = lambda/mu, ||E||_1 from C (:func:`_shrunk_l1`),
+    then the sweep's target L + C over L.  E = T - C, so L + C = Xt + U.  T's
+    array becomes state.E.  Returns ||E||_1 and the old E's array, the spare.
 
     C is needed only within its block, so every block's C goes to the first
     block of the spare, which stays in cache."""
@@ -419,9 +403,7 @@ def _solve_spd_right(system, rhs, report, label, iteration):
                        f" at iteration {iteration}")
             if not any(w.startswith(f"{label}-update") for w in report.warnings):
                 report.warn(message)
-    rhs = rhs @ q
-    rhs /= evals
-    return rhs @ q.T
+    return ((rhs @ q) / evals) @ q.T
 
 
 def _cross_gram(core, other, row, cache=None):
@@ -453,12 +435,10 @@ def _solve_basis(state, target, other, row, weight, report, label,
     else:
         rhs = np.add.reduce((_slices(target) @ other) @ k_t.transpose(0, 2, 1), axis=0)
     rhs *= state.mu
-    system = _sym(_cross_gram(state.K, other, row, state.grams))
-    system *= weight
+    system = weight * _sym(_cross_gram(state.K, other, row, state.grams))
     system.reshape(-1)[::system.shape[0] + 1] += 1.0
     if anchor is not None:
-        rhs /= mu_anchor
-        rhs += anchor
+        rhs = anchor + rhs / mu_anchor
     return _solve_spd_right(system, rhs, report, label, state.iters)
 
 
@@ -483,11 +463,7 @@ def _stein_core(state, g, left, right):
     mu, mu_K = state.mu, state.mu_K
     gram_l, gram_r = _gram(left, state.grams), _gram(right, state.grams)
     factors = linalg.stein_factors(-(mu / mu_K) * gram_l, gram_r)
-    h_t = g @ right
-    h_t *= mu
-    h_t += _slices(state.Y)
-    h_t /= mu_K
-    h_t += _slices(state.model.core)
+    h_t = (mu * (g @ right) + _slices(state.Y)) / mu_K + _slices(state.model.core)
     return _stack(linalg.stein_apply(factors, h_t))
 
 
@@ -503,8 +479,7 @@ def update_R(state, weight):
     the level overflows to inf (R = 0) without a warning; mu_K = 0 gives inf."""
     mu_K = state.mu_K
     tau = float(weight) / float(mu_K) if mu_K else np.inf
-    arg = state.Y / mu_K
-    return linalg.soft_shrink(np.subtract(state.K, arg, out=arg), tau)
+    return linalg.soft_shrink(state.K - state.Y / mu_K, tau)
 
 
 def _grow_mu(state, cfg):
@@ -535,8 +510,7 @@ def _ascend(state, splits, cfg):
         primal = attrgetter(row.primal)(state)
         diff = primal - getattr(state, row.copy)
         mu = getattr(state, row.penalty)
-        dual = getattr(state, row.dual)
-        dual += mu * diff
+        setattr(state, row.dual, getattr(state, row.dual) + mu * diff)
         setattr(state, row.penalty, min(getattr(state, row.penalty + "_cap"), cfg.rho * float(mu)))
         errs[row.err] = _split_ratio(diff, primal)
     return errs
@@ -634,11 +608,8 @@ def _proven(state, summed, values):
     """Whether one Python-float sum of the scalars ``values`` and the squared
     norms of the arrays that the getters ``summed`` return is finite, which
     proves them all finite; an overflow, which warns nowhere, is a false alarm."""
-    total = sum(values)
-    for get in summed:
-        arr = get(state).ravel("K")
-        total += float(np.vdot(arr, arr))
-    return math.isfinite(total)
+    arrays = (get(state).ravel("K") for get in summed)
+    return math.isfinite(sum(values) + sum(float(np.vdot(a, a)) for a in arrays))
 
 
 def _check_finite(state, report, named):

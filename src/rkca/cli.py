@@ -182,6 +182,10 @@ def _load_image_stack(directory):
 def cmd_denoise(args):
     cfg = _solver_config(args)
     X, paths, kind = _load_image_stack(args.images)
+    # References are checked before the solve, which writes the factors.
+    clean = None if args.clean is None else _load_image_stack(args.clean)[0]
+    if clean is not None and clean.shape != X.shape:
+        raise ValueError("clean reference dims do not match input images")
     noisy = X
     if args.noise_level > 0:
         noisy, _ = data.add_salt_pepper(X, args.noise_level, 0.0, 1.0, args.seed)
@@ -198,10 +202,7 @@ def cmd_denoise(args):
         for i, path in enumerate(paths):
             fileio.write_pgm(out / path.name, denoised[:, :, i])
     summary = {"images": [p.name for p in paths], "noise_level": args.noise_level}
-    if args.clean is not None:
-        clean, _, _ = _load_image_stack(args.clean)
-        if clean.shape != X.shape:
-            raise ValueError("clean reference dims do not match input images")
+    if clean is not None:
         summary["psnr_noisy"] = data.psnr(noisy, clean, 1.0)
         summary["psnr_denoised"] = data.psnr(denoised, clean, 1.0)
     _write_json(out / "metrics.json", summary)
@@ -222,6 +223,8 @@ def cmd_complete(args):
     observed = _read_input(args.input)
     mask = cfg.mask = tensor.slice_major(fileio.read_rkt(args.mask) != 0)
     cfg.validate_for(observed.shape)
+    if args.truth is not None and fileio.read_rkt_dims(args.truth) != observed.shape:
+        raise ValueError("truth dims do not match data dims")
     # Zero-filled in place: the solve holds this one copy of the input.
     np.copyto(observed, 0.0, where=~mask)
     out = Path(args.out_dir)
@@ -231,8 +234,6 @@ def cmd_complete(args):
         return EXIT_NUMERIC
     if args.truth is not None:
         truth = fileio.read_rkt(args.truth)
-        if truth.shape != observed.shape:
-            raise ValueError("truth dims do not match data dims")
         diff, ref = _hidden_norms(completed, truth, ~mask)
         _write_json(
             out / "metrics.json",

@@ -12,6 +12,7 @@ format.  Pixel values are scaled to [0, 1] on read, and writing at maxval
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 __all__ = [
     "RKT_MAGIC",
     "read_rkt",
+    "read_rkt_dims",
     "write_rkt",
     "read_pgm",
     "read_ppm",
@@ -40,25 +42,36 @@ def write_rkt(path, t):
         fh.write(t.reshape(-1, order="F").astype("<f8").tobytes())
 
 
-def read_rkt(path):
-    """Load an RKT1 tensor, rejecting bad magic, bad dims or truncation."""
+_HEADER_BYTES = len(RKT_MAGIC) + 24
+
+
+def read_rkt_dims(path):
+    """The dims of an RKT1 tensor, from its header and the file's size alone,
+    rejecting bad magic, a zero dim, truncation or trailing bytes."""
     with open(path, "rb") as fh:
-        payload = fh.read()
-    if len(payload) < len(RKT_MAGIC) + 24:
+        header, size = fh.read(_HEADER_BYTES), os.fstat(fh.fileno()).st_size
+    if len(header) < _HEADER_BYTES:
         raise ValueError(f"{path}: truncated RKT1 header")
-    if payload[: len(RKT_MAGIC)] != RKT_MAGIC:
+    if header[: len(RKT_MAGIC)] != RKT_MAGIC:
         raise ValueError(f"{path}: bad RKT1 magic")
-    m, n, N = struct.unpack_from("<3Q", payload, len(RKT_MAGIC))
+    m, n, N = struct.unpack_from("<3Q", header, len(RKT_MAGIC))
     if min(m, n, N) == 0:
         raise ValueError(f"{path}: zero dimension in header ({m}, {n}, {N})")
-    count = m * n * N
-    offset = len(RKT_MAGIC) + 24
-    expected = offset + 8 * count
-    if len(payload) < expected:
+    expected = _HEADER_BYTES + 8 * m * n * N
+    if size < expected:
         raise ValueError(f"{path}: truncated RKT1 payload")
-    if len(payload) > expected:
+    if size > expected:
         raise ValueError(f"{path}: trailing bytes after RKT1 payload")
-    flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+    return m, n, N
+
+
+def read_rkt(path):
+    """Load an RKT1 tensor, checked as :func:`read_rkt_dims` checks it and
+    for non-finite values."""
+    m, n, N = read_rkt_dims(path)
+    with open(path, "rb") as fh:
+        payload = fh.read()
+    flat = np.frombuffer(payload, dtype="<f8", count=m * n * N, offset=_HEADER_BYTES)
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"{path}: non-finite values in tensor")
     return flat.astype(np.float64).reshape((m, n, N), order="F")

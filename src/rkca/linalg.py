@@ -102,10 +102,7 @@ def stein_factors(F, G):
         (f, qf), (g, qg) = symmetric_eig(F), symmetric_eig(G)
     prod = f[:, None] * g
     denom = 1.0 - prod
-    gap = np.abs(prod, out=prod)
-    gap += 1.0
-    gap *= PENCIL_RTOL
-    if np.logical_or.reduce(np.abs(denom) < gap, axis=None):
+    if np.logical_or.reduce(np.abs(denom) < PENCIL_RTOL * (1.0 + np.abs(prod)), axis=None):
         raise SteinSingularError(
             "singular Stein pencil: an eigenvalue pair satisfies f*g ~ 1"
         )

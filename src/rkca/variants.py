@@ -78,13 +78,8 @@ def _basis_norm(mat, variant, cache=None):
     if variant.endswith("_nuc"):
         value = float(np.add.reduce(np.linalg.svd(mat, compute_uv=False)))
     else:
-        value = _norm(mat)
+        value = math.sqrt(np.vdot(mat, mat))  # np.linalg.norm's bits, without its wrapper
     return admm._remember(cache, mat, value)
-
-
-def _norm(mat):
-    # The Frobenius norm, as np.linalg.norm takes it: one dot, then sqrt.
-    return math.sqrt(np.vdot(mat, mat))
 
 
 def _core_weight(a, b, cfg, cache=None):
@@ -100,8 +95,7 @@ def _basis_step(point, other, core, weight, cfg, cache=None):
     a nuclear prox puts its output's norm in ``cache`` (:func:`_basis_norm`)."""
     if cfg.variant == "ladmm2":
         # Smooth ||A||_F^2/2 penalty: closed-form shrink toward the origin.
-        point *= weight / (weight + 1.0)
-        return point
+        return point * (weight / (weight + 1.0))
     scale = cfg.alpha * _basis_norm(other, cfg.variant, cache) * tensor.l1(core) / weight
     if cfg.variant.endswith("_nuc"):
         mat, norm = linalg.nuclear_prox(point, scale)
@@ -123,10 +117,8 @@ def ladmm_update_R(state, a_delta, cfg):
     core_t = _slices(core)
     grad_t = admm._gram(a, state.grams) @ core_t @ admm._gram(b, state.grams)
     grad_t -= a_delta @ b
-    grad_t /= lip
     weight = _core_weight(a, b, cfg, state.basis_norms)
-    return _stack(linalg.soft_shrink(np.subtract(core_t, grad_t, out=grad_t),
-                                     weight / (state.mu * lip)))
+    return _stack(linalg.soft_shrink(core_t - grad_t / lip, weight / (state.mu * lip)))
 
 
 def ladmm_update_A(state, delta, cfg):
@@ -136,12 +128,9 @@ def ladmm_update_A(state, delta, cfg):
     Lipschitz bound is ||sum_i C_i C_i^T||_F."""
     a, b, core = state.model.a, state.model.b, state.model.core
     gram = admm._cross_gram(core, b, False, state.grams)
-    lip = _bound(_norm(gram))
-    grad = a @ gram
-    grad -= np.add.reduce((_slices(delta) @ b) @ _slices(core).transpose(0, 2, 1), axis=0)
-    grad /= lip
-    return _basis_step(np.subtract(a, grad, out=grad), b, core, state.mu * lip, cfg,
-                       state.basis_norms)
+    lip = _bound(math.sqrt(np.vdot(gram, gram)))
+    grad = a @ gram - np.add.reduce((_slices(delta) @ b) @ _slices(core).transpose(0, 2, 1), 0)
+    return _basis_step(a - grad / lip, b, core, state.mu * lip, cfg, state.basis_norms)
 
 
 def ladmm_update_B(state, a_delta, cfg):
@@ -151,12 +140,9 @@ def ladmm_update_B(state, a_delta, cfg):
     ||sum_i G_i^T G_i||_F."""
     a, b, core = state.model.a, state.model.b, state.model.core
     gram = admm._cross_gram(core, a, True, state.grams)
-    lip = _bound(_norm(gram))
-    grad = b @ gram
-    grad -= np.add.reduce(_slices(core).transpose(0, 2, 1) @ a_delta, axis=0).T
-    grad /= lip
-    return _basis_step(np.subtract(b, grad, out=grad), a, core, state.mu * lip, cfg,
-                       state.basis_norms)
+    lip = _bound(math.sqrt(np.vdot(gram, gram)))
+    grad = b @ gram - np.add.reduce(_slices(core).transpose(0, 2, 1) @ a_delta, 0).T
+    return _basis_step(b - grad / lip, a, core, state.mu * lip, cfg, state.basis_norms)
 
 
 def _low_rank_penalty(model, cfg, norms=None, grams=None):

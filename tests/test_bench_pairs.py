@@ -95,6 +95,28 @@ def test_summarise_breaks_time_down_by_variant(bench_pairs):
     assert sorted(out["variant_time_rel"]) == ["admm2", "ladmm2"]
 
 
+def test_summarise_breaks_time_per_iteration_down_by_variant(bench_pairs):
+    # Each run's median of a variant's solve seconds over its iterations,
+    # over the run's reference median: iteration counts fall out, and a
+    # solve that took no iteration is left out.
+    parent = [record(10.0, 5.0, seconds=(4.0, 1.0, 2.0), iterations=(40, 20, 10),
+                     reference=r) for r in (1.0, 2.0, 1.0)]
+    change = [record(9.0, 5.0, seconds=(3.0, 1.0, 3.0), iterations=(30, 10, 0))
+              for _ in range(3)]
+    out = bench_pairs.summarise({"parent": parent, "change": change}, METRICS)
+    admm2, ladmm2 = out["variant_iter_rel"]["admm2"], out["variant_iter_rel"]["ladmm2"]
+    # admm2: parent median(0.1, 0.2) over 1, 2, 1; change 0.1 alone.
+    assert admm2["parent"] == pytest.approx({"q25": 0.1125, "median": 0.15, "q75": 0.15})
+    assert admm2["change"] == {"q25": 0.1, "median": 0.1, "q75": 0.1}
+    # The change wins where the parent reads 0.15, not where it reads 0.075.
+    assert admm2["change_wins"] == 2 and admm2["median_ratio"] == pytest.approx(2 / 3)
+    # ladmm2: parent 0.05, 0.025, 0.05; change 0.1.
+    assert ladmm2["parent"]["median"] == 0.05 and ladmm2["change"]["median"] == 0.1
+    assert ladmm2["change_wins"] == 0
+    # Solve times are unchanged by the per-iteration breakdown.
+    assert out["variant_time_rel"]["admm2"]["change"]["median"] == 3.0
+
+
 def test_run_once_takes_the_record_the_run_wrote(bench_pairs, tmp_path, monkeypatch):
     # Two seeds' records sit side by side; the run's own is the one copied.
     checkout, out_dir = tmp_path / "checkout", tmp_path / "checkout" / ".perfbench_out"

@@ -691,3 +691,33 @@ def test_complete_metrics_match_the_indexed_forms(tmp_path):
     assert abs(result["rel_error_unobserved"] - want) <= 1e-12 * want
     assert result["psnr_completed"] == data.psnr(completed, truth, 1.0)
     assert result["psnr_zero_filled"] == data.psnr(observed, truth, 1.0)
+
+
+@pytest.mark.parametrize("truth", ["missing", "mismatched", "truncated"])
+def test_complete_checks_the_truth_before_the_solve(tmp_path, truth):
+    # A missing truth file, or one whose header or size disagrees with the
+    # data, is a data error found before the solve: exit 3, and no factor
+    # file or report is written.
+    gen = tmp_path / "gen"
+    run_cli(*synth_args(gen))
+    fileio.write_rkt(tmp_path / "mask.rkt", data.make_mask((20, 18, 5), 0.7, seed=4) * 1.0)
+    path = tmp_path / "truth.rkt"
+    if truth == "mismatched":
+        fileio.write_rkt(path, np.ones((20, 18, 4)))
+    elif truth == "truncated":
+        path.write_bytes((gen / "L_true.rkt").read_bytes()[:-8])
+    out = tmp_path / "out"
+    assert run_cli("complete", "--input", gen / "X.rkt", "--mask", tmp_path / "mask.rkt",
+                   "--truth", path, "--rank", 3, "--max-iters", 3, "--out-dir", out) == 3
+    assert not out.exists()
+
+
+def test_denoise_checks_the_clean_stack_before_the_solve(tmp_path):
+    # A clean reference of other dims is a data error found before the
+    # solve: exit 3, and no factor file or report is written.
+    write_grayscale_stack(tmp_path / "imgs", low_rank_images(m=12, n=10, n_img=3))
+    write_grayscale_stack(tmp_path / "clean", low_rank_images(m=12, n=10, n_img=2))
+    out = tmp_path / "out"
+    assert run_cli("denoise", "--images", tmp_path / "imgs", "--clean", tmp_path / "clean",
+                   "--rank", 3, "--max-iters", 3, "--out-dir", out) == 3
+    assert not out.exists()

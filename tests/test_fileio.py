@@ -73,6 +73,12 @@ def test_rkt_rejections(tmp_path):
     with pytest.raises(ValueError, match="trailing"):
         fileio.read_rkt(trailing)
 
+    for bad, match in ((bad_magic, "magic"), (truncated, "truncated"), (zero_dim, "zero"),
+                       (trailing, "trailing")):
+        with pytest.raises(ValueError, match=match):
+            fileio.read_rkt_dims(bad)
+    assert fileio.read_rkt_dims(path) == (2, 2, 2)
+
     nonfinite = tmp_path / "nan.rkt"
     nonfinite.write_bytes(
         b"RKTENS1\x00" + struct.pack("<3Q", 1, 1, 1) + struct.pack("<d", np.nan)

@@ -20,8 +20,9 @@ BENCHMARK.json for both sides, the pairs the change won, attempted and
 failed solves, each variant's distinct iteration counts and terminations,
 each variant's solve time relative to the run's reference kernel
 (``variant_time_rel``: the ``time_to_tol_rel`` normalisation applied to one
-variant), nondeterminism reports, the seeds and the environment, all read
-from the records.  An existing ``--out`` file for the same two
+variant) and its time per iteration likewise (``variant_iter_rel``: the
+median of solve seconds over iterations), nondeterminism reports, the seeds
+and the environment, all read from the records.  An existing ``--out`` file for the same two
 revisions is extended, so a held-out seed's pairs join the default ones.
 
 Each end-to-end metric also gets a verdict.  ``claim_met``: the change won
@@ -111,12 +112,24 @@ def verdict(workload, metrics):
             f"out of bound: {', '.join(out) or 'none'}")
 
 
-def variant_times(record):
-    """``{variant: median solve seconds / the run's reference median}``."""
+def solve_seconds(res):
+    return res["seconds"]
+
+
+def iteration_seconds(res):
+    """Seconds per iteration of one solve; None for a solve that took none."""
+    return res["seconds"] / res["iterations"] if res["iterations"] else None
+
+
+def variant_times(record, per_solve=solve_seconds):
+    """``{variant: median of per_solve(solve) / the run's reference median}``,
+    over the solves where ``per_solve`` gives a value."""
     seconds = {}
     for rnd in record["rounds"]:
         for res in rnd:
-            seconds.setdefault(res["variant"], []).append(res["seconds"])
+            value = per_solve(res)
+            if value is not None:
+                seconds.setdefault(res["variant"], []).append(value)
     reference = record["extra"]["reference_s"]["median"]
     return {variant: statistics.median(s) / reference for variant, s in seconds.items()}
 
@@ -147,12 +160,14 @@ def summarise(runs, metrics):
             **result, "claim_met": claim_met(result, lower),
             "within_bound": within_bound(result, lower, metric["bound"]),
         }
-    times = {side: [variant_times(r) for r in recs] for side, recs in runs.items()}
-    out["variant_time_rel"] = {
-        variant: compare({side: [t[variant] for t in per_run] for side, per_run in times.items()},
-                         lower=True)
-        for variant in sorted(times["change"][0])
-    }
+    for name, per_solve in (("variant_time_rel", solve_seconds),
+                            ("variant_iter_rel", iteration_seconds)):
+        times = {side: [variant_times(r, per_solve) for r in recs] for side, recs in runs.items()}
+        out[name] = {
+            variant: compare({side: [t[variant] for t in per_run]
+                              for side, per_run in times.items()}, lower=True)
+            for variant in sorted(times["change"][0])
+        }
     return out
 
 
