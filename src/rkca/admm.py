@@ -167,7 +167,8 @@ def _slice_ratio(diff, den):
 
 
 def _worst_ratio(num, den):
-    """max_i num_i / den_i, ``den`` nonzero, in ``num``; 0 for no slices."""
+    """max_i num_i / den_i over a nonzero ``den``, taken in ``num``, the
+    caller's own array; 0 for no slices."""
     num /= den
     return float(np.maximum.reduce(num)) if num.size else 0.0
 
@@ -223,8 +224,9 @@ def _init_tucker(X, cfg, data_mu=None):
     core_t = a.T @ _slices(X) @ b
     if cfg.mask is None and 0 < mu < np.inf:
         # Block by block (:func:`_blocks`): the residual takes no data-sized buffer.
-        worst = max(float(np.maximum.reduce(np.abs(_slices(X[:, :, blk]) - (
-            a @ core_t[blk]) @ b.T), axis=None)) for blk in _blocks(X))
+        worst = max(float(np.maximum.reduce(
+            np.abs(_slices(X[:, :, blk]) - (a @ core_t[blk]) @ b.T), axis=None))
+            for blk in _blocks(X))
         raised = cfg.resolved_lambda(X.shape) / worst if worst > 0 else np.inf
         if raised < np.inf:
             mu = max(mu, min(raised, cfg.mu_cap_factor * mu))
@@ -378,8 +380,8 @@ def _e_step(state, views, cfg, lam, recon, shrink_arg):
     C is needed only within its block, so every block's C goes to the first
     block of the spare, which stays in cache."""
     spare, state.E = state.E, shrink_arg
-    tau, l1 = lam / state.mu, 0.0
-    views, first = views[1], views[1][id(spare)][0]
+    views = views[1]
+    tau, l1, first = lam / state.mu, 0.0, views[id(spare)][0]
     for e, l, mask in zip(views[id(shrink_arg)], views[id(recon)], views[id(cfg.mask)]):
         clip = first[:, :, :e.shape[2]]
         linalg._shrink(e, tau, mask, out=e, clip=clip)
@@ -479,7 +481,7 @@ def update_R(state, weight):
     the level overflows to inf (R = 0) without a warning; mu_K = 0 gives inf."""
     mu_K = state.mu_K
     tau = float(weight) / float(mu_K) if mu_K else np.inf
-    return linalg.soft_shrink(state.K - state.Y / mu_K, tau)
+    return _stack(linalg.soft_shrink(_slices(state.K) - _slices(state.Y) / mu_K, tau))
 
 
 def _grow_mu(state, cfg):
@@ -527,7 +529,7 @@ def _rec_ratio(state, X, num, cross, core):
     is the model's own residual (K = R, or A R B^T built for err_rec).
     """
     if cross is not None:
-        delta = _slices(state.model.core - core)
+        delta = _slices(state.model.core) - _slices(core)
         cross *= 2.0
         cross -= _gram(state.model.a, state.grams) @ delta @ _gram(state.model.b, state.grams)
         num -= np.einsum("kij,kij->k", cross, delta)
@@ -565,10 +567,9 @@ def _tail(state, X, views, carriers, target, spare, derived, cfg):
     shares = left is a and right is b
     num = np.empty(N)
     cross = np.empty((N, a.shape[1], b.shape[1])) if derived and shares else None
-    a_t, proof = a.T, 0.0
-    blocks, views = views
-    for blk, x, e, new, old, out in zip(blocks, *(views[id(t)] for t in (X, state.E, target,
-                                                                          u, spare))):
+    a_t, proof, (blocks, views) = a.T, 0.0, views
+    arrays = (views[id(t)] for t in (X, state.E, target, u, spare))
+    for blk, x, e, new, old, out in zip(blocks, *arrays):
         l = tensor.reconstruct(left, core[:, :, blk], right, out=out)
         if not derived:
             d = np.subtract(x, l, out=new)
@@ -723,7 +724,7 @@ def _admm2_sweep(state, X, delta, cfg, report):
 
 
 def _admm2_penalty(state, cfg):
-    return {"l1_core": cfg.alpha * tensor.l1(state.model.core),
+    return {"l1_core": cfg.alpha * tensor.l1(_slices(state.model.core)),
             "basis": _frobenius_penalty(state.model, state.grams)}
 
 

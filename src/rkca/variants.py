@@ -96,7 +96,7 @@ def _basis_step(point, other, core, weight, cfg, cache=None):
     if cfg.variant == "ladmm2":
         # Smooth ||A||_F^2/2 penalty: closed-form shrink toward the origin.
         return point * (weight / (weight + 1.0))
-    scale = cfg.alpha * _basis_norm(other, cfg.variant, cache) * tensor.l1(core) / weight
+    scale = cfg.alpha * _basis_norm(other, cfg.variant, cache) * tensor.l1(_slices(core)) / weight
     if cfg.variant.endswith("_nuc"):
         mat, norm = linalg.nuclear_prox(point, scale)
         admm._remember(cache, mat, norm)
@@ -146,7 +146,7 @@ def ladmm_update_B(state, a_delta, cfg):
 
 
 def _low_rank_penalty(model, cfg, norms=None, grams=None):
-    penalty = _core_weight(model.a, model.b, cfg, norms) * tensor.l1(model.core)
+    penalty = _core_weight(model.a, model.b, cfg, norms) * tensor.l1(_slices(model.core))
     if cfg.variant in ("ladmm2", "admm2"):
         penalty += admm._frobenius_penalty(model, grams)
     return penalty
