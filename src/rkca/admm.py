@@ -2,7 +2,8 @@
 
 Every variant is one augmented-Lagrangian scheme: shrinkage of the
 outliers E, a sweep of block steps on the separable factors ``A R_i B^T``,
-then dual ascent under capped, geometrically growing penalties.
+then dual ascent under capped penalties that grow geometrically, faster
+once E's support size holds (:func:`_growth`).
 :func:`_iterate` is the loop all of them run, from a table: the start, the
 sweep, the factors whose reconstruction L carries X = L + E, and one
 :class:`Split` row per split constraint.  It runs on one copy of each shared
@@ -369,25 +370,30 @@ def _shrunk_l1(E, clip, tau, mask):
     return tensor.l1(E, mask)
 
 
-def _e_step(state, views, cfg, lam, recon, shrink_arg):
+def _e_step(state, views, cfg, lam, recon, shrink_arg, support):
     """The loop's E step on L = ``recon`` and T = (X - L) + U in
     ``shrink_arg``, which the start or the last tail built (:func:`_shrink_arg`),
     block by block on :func:`_block_views`: E = T - C over T, C = clip(T,
-    -tau, tau) [* mask] at tau = lambda/mu, ||E||_1 from C (:func:`_shrunk_l1`),
-    then the sweep's target L + C over L.  E = T - C, so L + C = Xt + U.  T's
-    array becomes state.E.  Returns ||E||_1 and the old E's array, the spare.
+    -tau, tau) [* mask] at tau = lambda/mu, ||E||_1 from C (:func:`_shrunk_l1`)
+    and nnz(E), then the sweep's target L + C over L.  E = T - C, so
+    L + C = Xt + U.  T's array becomes state.E.  Returns ||E||_1, nnz(E) and
+    the old E's array, the spare.
 
     C is needed only within its block, so every block's C goes to the first
-    block of the spare, which stays in cache."""
+    block of the spare, which stays in cache; nnz(E) is counted on the
+    block's contiguous (s, m, n) view through ``support``, a one-block bool
+    scratch: counting its bools is several times faster than counting the
+    floats."""
     spare, state.E = state.E, shrink_arg
     views = views[1]
-    tau, l1, first = lam / state.mu, 0.0, views[id(spare)][0]
+    tau, l1, nnz, first = lam / state.mu, 0.0, 0, views[id(spare)][0]
     for e, l, mask in zip(views[id(shrink_arg)], views[id(recon)], views[id(cfg.mask)]):
         clip = first[:, :, :e.shape[2]]
         linalg._shrink(e, tau, mask, out=e, clip=clip)
         l1 += _shrunk_l1(e, clip, tau, mask)
+        nnz += np.count_nonzero(np.not_equal(_slices(e), 0.0, out=support[:e.shape[2]]))
         np.add(l, clip, out=l)
-    return l1, spare
+    return l1, int(nnz), spare
 
 
 def _solve_spd_right(system, rhs, report, label, iteration):
@@ -484,12 +490,23 @@ def update_R(state, weight):
     return _stack(linalg.soft_shrink(_slices(state.K) - _slices(state.Y) / mu_K, tau))
 
 
-def _grow_mu(state, cfg):
-    """Grow mu to min(mu_cap, rho*mu), which no residual decides; returns
+def _growth(cfg, nnz, last_nnz):
+    """The factor every penalty grows by in an iteration: rho while nnz(E),
+    E's support size, still changes, and rho*rho where it repeats the last
+    iteration's ``last_nnz`` (None before the first).  Growing faster only
+    once the support holds keeps it from freezing before it settles, in the
+    spirit of LADMAP (Lin, Liu & Su 2011), which grows mu once the iterates
+    stop moving.  rho*rho, not rho**2: a Python float product overflows to
+    inf, a power raises."""
+    return cfg.rho * cfg.rho if nnz == last_nnz else cfg.rho
+
+
+def _grow_mu(state, rho):
+    """Grow mu to min(mu_cap, rho*mu), ``rho`` from :func:`_growth`; returns
     c = mu/mu', the factor that rescales U = Lambda/mu to the new mu.  In
     Python floats rho*mu overflows to inf, so to the cap, without a warning."""
     mu = state.mu
-    state.mu = min(state.mu_cap, cfg.rho * float(mu))
+    state.mu = min(state.mu_cap, rho * float(mu))
     return mu / state.mu
 
 
@@ -503,33 +520,40 @@ def _split_ratio(diff, primal):
     return num / den if den > 0 else num
 
 
-def _ascend(state, splits, cfg):
-    """Ascend each of the ``splits`` by its own penalty, which then grows up
-    to its cap as mu does (:func:`_grow_mu`).  Returns each split's residual
+def _split_diff(state, row):
+    """A split's residual primal - copy; a core's is formed on the slices'
+    contiguous (N, r, r) views and returned as a (r, r, N) view."""
+    primal, copy = attrgetter(row.primal)(state), getattr(state, row.copy)
+    if primal.ndim == 3:
+        return _stack(np.subtract(_slices(primal), _slices(copy)))
+    return primal - copy
+
+
+def _ascend(state, splits, diffs, rho):
+    """Ascend each of the ``splits`` by its own penalty on its residual in
+    ``diffs`` (:func:`_split_diff`); the penalty then grows by ``rho`` up to
+    its cap, as mu does (:func:`_grow_mu`).  Returns each split's residual
     (:func:`_split_ratio`) by its report name."""
     errs = {}
-    for row in splits:
-        primal = attrgetter(row.primal)(state)
-        diff = primal - getattr(state, row.copy)
+    for row, diff in zip(splits, diffs):
         mu = getattr(state, row.penalty)
         setattr(state, row.dual, getattr(state, row.dual) + mu * diff)
-        setattr(state, row.penalty, min(getattr(state, row.penalty + "_cap"), cfg.rho * float(mu)))
-        errs[row.err] = _split_ratio(diff, primal)
+        setattr(state, row.penalty, min(getattr(state, row.penalty + "_cap"), rho * float(mu)))
+        errs[row.err] = _split_ratio(diff, attrgetter(row.primal)(state))
     return errs
 
 
-def _rec_ratio(state, X, num, cross, core):
+def _rec_ratio(state, X, num, cross, delta):
     """err_rec, max_i ||X_i - E_i - A R_i B^T||^2 / ||X_i||^2, from the
     per-slice ||D_i||^2 (``num``) and A^T D_i B (``cross``, an (N, r, r)
     batch) of the residual D = X - A K B^T - E of a reconstruction that shares
-    the model's bases, K = ``core``.
+    the model's bases, with ``delta`` the (N, r, r) batch Delta = R - K.
 
-    With Delta = R - K the numerator is ||D_i||^2 - 2<A^T D_i B, Delta_i> +
+    The numerator is ||D_i||^2 - 2<A^T D_i B, Delta_i> +
     <A^T A Delta_i B^T B, Delta_i>, clamped at 0; ``cross`` is None where D
     is the model's own residual (K = R, or A R B^T built for err_rec).
     """
     if cross is not None:
-        delta = _slices(state.model.core) - _slices(core)
         cross *= 2.0
         cross -= _gram(state.model.a, state.grams) @ delta @ _gram(state.model.b, state.grams)
         num -= np.einsum("kij,kij->k", cross, delta)
@@ -537,34 +561,35 @@ def _rec_ratio(state, X, num, cross, core):
     return _worst_ratio(num, _x_norms(state, X))
 
 
-def _tail(state, X, views, carriers, target, spare, derived, cfg):
+def _tail(state, X, views, carriers, target, spare, diffs, rho):
     """The loop's tail up to the split ascents, block by block on the
     ``views`` of :func:`_block_views`.
 
-    It grows mu first (:func:`_grow_mu`), c = mu/mu', then builds
+    It grows mu by ``rho`` first (:func:`_grow_mu`), c = mu/mu', then builds
     L' = left K right^T from ``carriers`` in ``spare``, the new scaled dual
     U' over ``target`` and the next E step's T' = (X - L') + U'
     (:func:`_shrink_arg`) over the old U:
 
-    * ``derived`` (the rows with splits): P = Delta - L' from the sweep's
-      target Delta = Xt + U, then U' = c*P, the scaled-form ascent
-      (U + X - L' - E) * c without X - L' - E;
+    * with splits, whose residuals ``diffs`` holds (:func:`_split_diff`):
+      P = Delta - L' from the sweep's target Delta = Xt + U, then U' = c*P,
+      the scaled-form ascent (U + X - L' - E) * c without X - L' - E;
     * otherwise (LADMM): D = (X - L') - E, then U' = (U + D) * c.
 
     Once mu is capped, c = 1 and U' is not multiplied.  err_rec takes the
     residual D = X - E - A R B^T's slice norms.  Where L' shares the model's
-    A and B it comes from D and A^T D_i B (:func:`_rec_ratio`): ``derived``
-    forms D = P - U over the old U, and a finite sum of D's norms proves U'
-    finite.  Otherwise (degree 3) A R B^T is built over the old U once U' is
-    formed, D = (X - A R B^T) - E there, and the squared norm of each block
-    of U', one dot taken while in cache, proves it.  Returns (L', T',
+    A and B (admm2) it comes from D, A^T D_i B and the first split's R - K
+    (:func:`_rec_ratio`): D = P - U is formed over the old U, and a finite
+    sum of D's norms proves U' finite.  Otherwise (degree 3) A R B^T is
+    built over the old U once U' is formed, D = (X - A R B^T) - E there, and
+    the squared norm of each block of U', one dot taken while in cache,
+    proves it.  Returns (L', T',
     err_rec, finite), ``finite`` False if U' may hold a non-finite value.
     """
     left, core, right = carriers
     model, u, N = state.model, state.Lam, X.shape[2]
     a, b = model.a, model.b
-    c = _grow_mu(state, cfg)
-    shares = left is a and right is b
+    c = _grow_mu(state, rho)
+    derived, shares = bool(diffs), left is a and right is b
     num = np.empty(N)
     cross = np.empty((N, a.shape[1], b.shape[1])) if derived and shares else None
     a_t, proof, (blocks, views) = a.T, 0.0, views
@@ -595,7 +620,8 @@ def _tail(state, X, views, carriers, target, spare, derived, cfg):
         _shrink_arg(x, l, new, old)
     state.Lam = target
     finite = math.isfinite(proof if cross is None else c * float(num.sum()))
-    return spare, u, _rec_ratio(state, X, num, cross, core), finite
+    delta = None if cross is None else _slices(diffs[0])
+    return spare, u, _rec_ratio(state, X, num, cross, delta), finite
 
 
 def _state_arrays(state):
@@ -629,18 +655,21 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
     ``start(X, cfg)`` returns the first state.  An iteration runs the E step
     (:func:`_e_step`) on the last L, the reconstruction from ``carriers``
     (attribute paths of left, core and right), and on T = X - L + U, which
-    the last tail built, then ``sweep(state, X, target, cfg, report)``: the
-    block steps on Xt = X - E, each yielding its name first.  Xt is never
-    formed: ``target`` is Delta = Xt + U = L + C, C the E step's clip, which
-    the sweep must leave as it is.  The tail (:func:`_tail`) grows mu,
+    the last tail built; it also counts nnz(E).  Then
+    ``sweep(state, X, target, cfg, report)`` runs the block steps on
+    Xt = X - E, each yielding its name first.  Xt is never formed:
+    ``target`` is Delta = Xt + U = L + C, C the E step's clip, which the
+    sweep must leave as it is.  Each split's residual is formed once after
+    the sweep (:func:`_split_diff`).  The tail (:func:`_tail`) grows mu,
     builds L once, ascends U over Delta and builds the next T, and takes
     err_rec as it goes; then each of the ``splits`` ascends
-    (:func:`_ascend`).  The run stops once every residual is within
-    ``cfg.tol``.  ``penalty(state, cfg)`` names the low-rank objective
-    terms, finite only if A, B and R are.  With a ``block_log`` list,
-    ``lagrangian(state, X, cfg, lam)`` is
-    taken once at every step boundary, and each step appends {"iter",
-    "stage", "before", "after"}.  A kernel failure anywhere, the start
+    (:func:`_ascend`).  mu and every split penalty grow by one factor,
+    :func:`_growth` of this and the last iteration's nnz(E).  The run stops
+    once every residual is within ``cfg.tol``.  ``penalty(state, cfg)``
+    names the low-rank objective terms, finite only if A, B and R are.  With
+    a ``block_log`` list, ``lagrangian(state, X, cfg, lam)`` is taken once
+    at every step boundary, and each step appends {"iter", "stage",
+    "before", "after"}.  A kernel failure anywhere, the start
     included, aborts the run like non-finite values do.
     """
     lam = cfg.resolved_lambda(X.shape)
@@ -669,12 +698,15 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
         summed = [attrgetter(path) for _, path in arrays if path not in proven]
         tensor.reconstruct(*carriers(state), out=recon)
         _shrink_arg(X, recon, state.Lam, shrink_arg)
-        derived = bool(splits)
+        support = np.empty(_slices(views[1][id(X)][0]).shape, dtype=bool)
+        last_nnz = None
         for it in range(1, cfg.max_iters + 1):
             t0 = time.perf_counter()
             state.iters = it
             boundary("E")
-            l1_sparse, spare = _e_step(state, views, cfg, lam, recon, shrink_arg)
+            l1_sparse, nnz_E, spare = _e_step(state, views, cfg, lam, recon, shrink_arg,
+                                              support)
+            rho, last_nnz = _growth(cfg, nnz_E, last_nnz), nnz_E
             target = recon
             # A finite l1 sum proves E finite; only a non-finite one is scanned.
             if not math.isfinite(l1_sparse):
@@ -682,12 +714,13 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
             for stage in sweep(state, X, target, cfg, report):
                 boundary(stage)
             boundary(None)
+            diffs = [_split_diff(state, row) for row in splits]
             recon, shrink_arg, err_rec, lam_finite = _tail(
-                state, X, views, carriers(state), target, spare, derived, cfg)
-            errs = {"err_rec": err_rec, **_ascend(state, splits, cfg)}
+                state, X, views, carriers(state), target, spare, diffs, rho)
+            errs = {"err_rec": err_rec, **_ascend(state, splits, diffs, rho)}
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             objective = {"l1_sparse": lam * l1_sparse, **penalty(state, cfg)}
-            report.append(IterationRecord(iter=it, mu=state.mu, mu_K=state.mu_K,
+            report.append(IterationRecord(iter=it, mu=state.mu, mu_K=state.mu_K, nnz_E=nnz_E,
                                           elapsed_ms=elapsed_ms, objective=objective, **errs))
             if not (lam_finite and _proven(state, summed, (*errs.values(),
                                                             *objective.values()))):

@@ -211,10 +211,12 @@ def cmd_denoise(args):
 
 def _hidden_norms(completed, truth, hidden):
     """||completed - truth|| and ||truth|| over the ``hidden`` entries, in one
-    scratch array that is zero elsewhere."""
-    scratch = np.subtract(completed, truth, out=np.zeros(truth.shape), where=hidden)
+    scratch array that a product with the mask zeroes elsewhere; both
+    arrays are finite, so no nan*0 enters the norms."""
+    scratch = np.subtract(completed, truth, out=np.empty(truth.shape))
+    scratch *= hidden
     diff = float(np.linalg.norm(scratch))
-    np.copyto(scratch, truth, where=hidden)
+    np.multiply(truth, hidden, out=scratch)
     return diff, float(np.linalg.norm(scratch))
 
 
@@ -223,7 +225,8 @@ def cmd_complete(args):
     observed = _read_input(args.input)
     mask = cfg.mask = tensor.slice_major(fileio.read_rkt(args.mask) != 0)
     cfg.validate_for(observed.shape)
-    if args.truth is not None and fileio.read_rkt_dims(args.truth) != observed.shape:
+    # The truth is scanned before the solve, which writes the factors.
+    if args.truth is not None and fileio.scan_rkt(args.truth) != observed.shape:
         raise ValueError("truth dims do not match data dims")
     # Zero-filled in place: the solve holds this one copy of the input.
     np.copyto(observed, 0.0, where=~mask)

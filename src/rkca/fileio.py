@@ -21,6 +21,7 @@ __all__ = [
     "RKT_MAGIC",
     "read_rkt",
     "read_rkt_dims",
+    "scan_rkt",
     "write_rkt",
     "read_pgm",
     "read_ppm",
@@ -63,6 +64,24 @@ def read_rkt_dims(path):
     if size > expected:
         raise ValueError(f"{path}: trailing bytes after RKT1 payload")
     return m, n, N
+
+
+# scan_rkt reads the payload in chunks of this many bytes.
+_SCAN_BYTES = 1 << 20
+
+
+def scan_rkt(path):
+    """The dims of an RKT1 tensor, checked as :func:`read_rkt` checks it, its
+    values read for finiteness in chunks of _SCAN_BYTES: no data-sized array
+    is held."""
+    dims = read_rkt_dims(path)
+    chunk = np.empty(_SCAN_BYTES // 8, dtype="<f8")
+    with open(path, "rb") as fh:
+        fh.seek(_HEADER_BYTES)
+        while got := fh.readinto(chunk):
+            if not np.isfinite(chunk[:got // 8]).all():
+                raise ValueError(f"{path}: non-finite values in tensor")
+    return dims
 
 
 def read_rkt(path):

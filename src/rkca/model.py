@@ -93,7 +93,8 @@ class SolverConfig:
 
     ``lam=None`` resolves to the 1/sqrt(N*max(m,n)) heuristic at solve time.
     ``rho`` and ``mu_cap_factor`` control the penalty schedule
-    mu <- min(mu_cap, rho*mu) with mu_cap = mu_cap_factor * initial mu.
+    mu <- min(mu_cap, rho*mu), rho*rho*mu in an iteration whose nnz(E)
+    repeats the last one's, with mu_cap = mu_cap_factor * initial mu.
     ``rank`` and ``max_iters`` must be integers and the other numbers finite
     reals; booleans are refused.
     """
@@ -175,6 +176,7 @@ class IterationRecord:
     err_A: float | None = None
     err_B: float | None = None
     mu_K: float | None = None
+    nnz_E: int | None = None
     objective: dict | None = None
 
     def to_dict(self):
@@ -184,7 +186,7 @@ class IterationRecord:
             "mu": self.mu,
             "elapsed_ms": self.elapsed_ms,
         }
-        for key in ("err_R", "err_A", "err_B", "mu_K", "objective"):
+        for key in ("err_R", "err_A", "err_B", "mu_K", "nnz_E", "objective"):
             val = getattr(self, key)
             if val is not None:
                 out[key] = val

@@ -184,9 +184,17 @@ def dual_ascent(state, x_tilde, cfg, carriers, splits=()):
     reconstruction from ``carriers``, in scaled form U = Lambda/mu with the
     grown mu; then each of the ``splits`` ascends as in the loop."""
     recon = tensor.reconstruct(*carriers)
-    c = admm._grow_mu(state, cfg)
+    c = admm._grow_mu(state, cfg.rho)
     state.Lam = (state.Lam + (x_tilde - recon)) * c
-    admm._ascend(state, splits, cfg)
+    ascend(state, splits, cfg)
+
+
+def hidden_norms(completed, truth, hidden):
+    """``cli._hidden_norms`` written through ``where=`` into a zeroed array."""
+    scratch = np.subtract(completed, truth, out=np.zeros(truth.shape), where=hidden)
+    diff = float(np.linalg.norm(scratch))
+    np.copyto(scratch, truth, where=hidden)
+    return diff, float(np.linalg.norm(scratch))
 
 
 def unfold(t, mode):

@@ -121,7 +121,7 @@ def test_a4_completion():
     observed = np.where(mask, observed_full, 0.0)
     cfg = SolverConfig(rank=10, alpha=1e-2, lam=1e4, tol=1e-10,
                        max_iters=2000, mask=mask)
-    model, _, _ = admm.solve(observed, cfg)
+    model, _, report = admm.solve(observed, cfg)
     completed = model.reconstruct()
     hidden = ~mask
     rel_hidden = np.linalg.norm((completed - low_rank)[hidden]) / np.linalg.norm(
@@ -129,10 +129,14 @@ def test_a4_completion():
     )
     span = float(low_rank.max() - low_rank.min())
     gain = psnr(completed, low_rank, span) - psnr(observed, low_rank, span)
+    # The penalties grow by rho*rho once E's support size holds, so the run
+    # reaches tol within 55 iterations.
     criterion(
         "A4 completion 30% missing",
-        rel_hidden <= 0.1 and gain >= 10.0,
-        f"rel_error_unobserved={rel_hidden:.2e} psnr_gain={gain:.1f}dB",
+        rel_hidden <= 0.1 and gain >= 10.0 and report.termination == "tol"
+        and report.n_iterations <= 55,
+        f"rel_error_unobserved={rel_hidden:.2e} psnr_gain={gain:.1f}dB "
+        f"{report.termination} after {report.n_iterations} iterations",
     )
 
 
@@ -447,7 +451,7 @@ def test_a11_ladmm_recovery():
 def test_a11_ladmm_no_idle_iterations():
     # From the Tucker-2 start the LADMM penalty starts where the first E step
     # shrinks nothing but the largest residual, so E is 0 at most at iteration
-    # 1 and every variant meets A1's floors at tol 1e-10 within 40 iterations,
+    # 1 and every variant meets A1's floors at tol 1e-10 within 20 iterations,
     # at both of A11's seeds.
     rows = []
     for seed in (BENCH_SPEC.seed, 2):
@@ -463,7 +467,7 @@ def test_a11_ladmm_no_idle_iterations():
                          result.rel_error_L, result.support_f1))
     criterion(
         "A11 LADMM iteration budget",
-        all(term == "tol" and iters <= 40 and set(idle) <= {1} and rel_l <= 1e-4
+        all(term == "tol" and iters <= 20 and set(idle) <= {1} and rel_l <= 1e-4
             and f1 >= 0.999 for _, _, term, iters, idle, rel_l, f1 in rows),
         " ".join(f"{v}@{s}:{t},iters={n},idle={i},rel_L={r:.1e},F1={f:.4f}"
                  for v, s, t, n, i, r, f in rows),
@@ -472,7 +476,7 @@ def test_a11_ladmm_no_idle_iterations():
 
 def test_a12_degree3_recovery_and_iteration_budget():
     # From the Tucker-2 start the admm3-* variants meet A1's floors at
-    # tol 1e-10 within 40 iterations at both of A11's seeds, and at the
+    # tol 1e-10 within 20 iterations at both of A11's seeds, and at the
     # default tol none of them reports "tol" before E has any support.
     rows = []
     for seed in (BENCH_SPEC.seed, 2):
@@ -490,7 +494,7 @@ def test_a12_degree3_recovery_and_iteration_budget():
                          result.rel_error_L, result.support_f1, empty_tol))
     criterion(
         "A12 degree-3 recovery and iteration budget",
-        all(term == "tol" and iters <= 40 and rel_l <= 1e-4 and f1 >= 0.999
+        all(term == "tol" and iters <= 20 and rel_l <= 1e-4 and f1 >= 0.999
             and not empty for _, _, term, iters, rel_l, f1, empty in rows),
         " ".join(f"{v}@{s}:{t},iters={n},rel_L={r:.1e},F1={f:.4f},empty_tol={e}"
                  for v, s, t, n, r, f, e in rows),

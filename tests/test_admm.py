@@ -118,13 +118,15 @@ def test_balanced_start_keeps_c_one_without_a_minimiser():
 def loop_e_step(state, X, cfg, lam=None):
     # The loop's E step (admm._e_step) on L = A K B^T and T = (X - L) + Lam,
     # built as the start builds it: returns E and ||E||_1 as the loop takes
-    # it, from E and its clip.
+    # it, from E and its clip.  Its block-wise nnz(E) is E's support size.
     recon, arg = np.empty_like(X), np.empty_like(X)
     views = admm._block_views(X, (X, cfg.mask, state.E, state.Lam, recon, arg))
     tensor.reconstruct(state.model.a, state.K, state.model.b, out=recon)
     admm._shrink_arg(X, recon, state.Lam, arg)
     lam = cfg.resolved_lambda(X.shape) if lam is None else lam
-    l1, _ = admm._e_step(state, views, cfg, lam, recon, arg)
+    support = np.empty(admm._slices(views[1][id(X)][0]).shape, dtype=bool)
+    l1, nnz, _ = admm._e_step(state, views, cfg, lam, recon, arg, support)
+    assert nnz == np.count_nonzero(state.E)
     return state.E, l1
 
 
@@ -134,9 +136,11 @@ def loop_tail(state, X, cfg, carriers, derived):
     # returns err_rec and err_R as the loop reports them.
     target, spare = X - state.E + state.Lam, np.empty_like(X)
     views = admm._block_views(X, (X, state.E, state.Lam, target, spare))
-    _, _, err_rec, finite = admm._tail(state, X, views, carriers, target, spare, derived, cfg)
+    diffs = [admm._split_diff(state, admm.CORE_SPLIT)]
+    _, _, err_rec, finite = admm._tail(state, X, views, carriers, target, spare,
+                                       diffs if derived else [], cfg.rho)
     assert finite
-    return err_rec, admm._ascend(state, (admm.CORE_SPLIT,), cfg)["err_R"]
+    return err_rec, admm._ascend(state, (admm.CORE_SPLIT,), diffs, cfg.rho)["err_R"]
 
 
 def loop_residuals(state, X):

@@ -26,7 +26,7 @@ METRICS = [
 
 
 def record(time_to_tol, digits, failed=0, nondeterminism=(), iterations=(51, 28, 51),
-           seconds=(2.0, 1.0, 2.0), reference=1.0):
+           seconds=(2.0, 1.0, 2.0), reference=1.0, round_s=3.0):
     solves = [{"variant": variant, "iterations": its, "termination": "tol", "seconds": sec,
                "failures": ["quality floor missed"] if i < failed else []}
               for i, (variant, its, sec) in enumerate(zip(("admm2", "ladmm2", "admm2"),
@@ -35,7 +35,8 @@ def record(time_to_tol, digits, failed=0, nondeterminism=(), iterations=(51, 28,
         "seed": 123, "mask_seed": None, "environment": {"numpy": "x"},
         "metrics": {"time_to_tol_rel": {"value": time_to_tol},
                     "accuracy_digits": {"value": digits}},
-        "extra": {"reference_s": {"median": reference, "n": 9}},
+        "extra": {"reference_s": {"median": reference, "n": 9},
+                  "round_s": {"median": round_s, "n": 2}},
         "rounds": [solves[:2], solves[2:]],
         "nondeterminism": list(nondeterminism),
     }
@@ -115,6 +116,24 @@ def test_summarise_breaks_time_per_iteration_down_by_variant(bench_pairs):
     assert ladmm2["change_wins"] == 0
     # Solve times are unchanged by the per-iteration breakdown.
     assert out["variant_time_rel"]["admm2"]["change"]["median"] == 3.0
+
+
+def test_summarise_splits_the_ratio_into_round_and_reference_seconds(bench_pairs):
+    # Each run's median round seconds and reference seconds, the metric's
+    # numerator and denominator, summarised per side like a metric.
+    parent = [record(3.0, 5.0, round_s=s, reference=r) for s, r in ((3.0, 1.0), (4.0, 1.0),
+                                                                     (6.0, 2.0))]
+    change = [record(2.0, 5.0, round_s=s, reference=r) for s, r in ((2.0, 1.0), (4.0, 2.0),
+                                                                     (2.5, 0.5))]
+    out = bench_pairs.summarise({"parent": parent, "change": change}, METRICS)
+    rounds, reference = out["round_s"], out["reference_s"]
+    assert rounds["parent"]["median"] == 4.0 and rounds["change"]["median"] == 2.5
+    # Lower wins: pairs 1 and 3; pair 2 ties.
+    assert rounds["change_wins"] == 2 and rounds["median_ratio"] == 2.5 / 4.0
+    assert reference["parent"] == {"q25": 1.0, "median": 1.0, "q75": 1.5}
+    assert reference["change"] == {"q25": 0.75, "median": 1.0, "q75": 1.5}
+    # Pair 3 only; pair 1 ties.
+    assert reference["change_wins"] == 1 and reference["median_ratio"] == 1.0
 
 
 def test_run_once_takes_the_record_the_run_wrote(bench_pairs, tmp_path, monkeypatch):

@@ -11,6 +11,8 @@ from rkca import admm, cli, data, fileio, linalg, tensor, variants
 from rkca.admm import SolverAbort
 from rkca.model import FactorModel, RunReport, SolverConfig
 
+import reference
+
 
 def run_cli(*args):
     return cli.main([str(a) for a in args])
@@ -693,11 +695,46 @@ def test_complete_metrics_match_the_indexed_forms(tmp_path):
     assert result["psnr_zero_filled"] == data.psnr(observed, truth, 1.0)
 
 
-@pytest.mark.parametrize("truth", ["missing", "mismatched", "truncated"])
+@pytest.mark.parametrize("command", ["decompose", "complete"])
+def test_report_records_the_support_size_of_E(tmp_path, command):
+    # Every record in report.json carries nnz(E) as an integer; the last is
+    # the support size of the E that the command writes.
+    gen = tmp_path / "gen"
+    run_cli(*synth_args(gen))
+    fileio.write_rkt(tmp_path / "mask.rkt", data.make_mask((20, 18, 5), 0.7, seed=4) * 1.0)
+    mask = ["--mask", tmp_path / "mask.rkt"] if command == "complete" else []
+    out = tmp_path / "out"
+    assert run_cli(command, "--input", gen / "X.rkt", *mask, "--rank", 3,
+                   "--out-dir", out) == 0
+    records = json.loads((out / "report.json").read_text())["iterations"]
+    assert all(type(rec["nnz_E"]) is int for rec in records)
+    assert records[-1]["nnz_E"] == np.count_nonzero(fileio.read_rkt(out / "E.rkt"))
+
+
+def test_hidden_norms_keep_the_bits_of_the_where_form():
+    # The mask-multiplied norms equal the where= form's bit for bit over the
+    # layouts a completion mixes: a column-major truth, slice-major
+    # reconstruction and mask, and C-order arrays.
+    rng = np.random.default_rng(12)
+    shape = (9, 7, 5)
+    for seed in range(3):
+        completed, truth = rng.standard_normal(shape), rng.standard_normal(shape)
+        hidden = data.make_mask(shape, 0.4, seed)
+        layouts = [(tensor.slice_major(completed), np.asfortranarray(truth),
+                    tensor.slice_major(hidden)),
+                   (completed, truth, hidden),
+                   (np.asfortranarray(completed), tensor.slice_major(truth), hidden)]
+        for args in layouts:
+            assert cli._hidden_norms(*args) == reference.hidden_norms(*args)
+    none = np.zeros(shape, dtype=bool)
+    assert cli._hidden_norms(completed, truth, none) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("truth", ["missing", "mismatched", "truncated", "nan", "inf"])
 def test_complete_checks_the_truth_before_the_solve(tmp_path, truth):
-    # A missing truth file, or one whose header or size disagrees with the
-    # data, is a data error found before the solve: exit 3, and no factor
-    # file or report is written.
+    # A missing truth file, one whose header or size disagrees with the data,
+    # or one that holds a non-finite value, is a data error found before the
+    # solve: exit 3, and no factor file or report is written.
     gen = tmp_path / "gen"
     run_cli(*synth_args(gen))
     fileio.write_rkt(tmp_path / "mask.rkt", data.make_mask((20, 18, 5), 0.7, seed=4) * 1.0)
@@ -706,6 +743,10 @@ def test_complete_checks_the_truth_before_the_solve(tmp_path, truth):
         fileio.write_rkt(path, np.ones((20, 18, 4)))
     elif truth == "truncated":
         path.write_bytes((gen / "L_true.rkt").read_bytes()[:-8])
+    elif truth in ("nan", "inf"):
+        bad = fileio.read_rkt(gen / "L_true.rkt")
+        bad[3, 4, 2] = float(truth)
+        fileio.write_rkt(path, bad)
     out = tmp_path / "out"
     assert run_cli("complete", "--input", gen / "X.rkt", "--mask", tmp_path / "mask.rkt",
                    "--truth", path, "--rank", 3, "--max-iters", 3, "--out-dir", out) == 3

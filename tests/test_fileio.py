@@ -87,6 +87,25 @@ def test_rkt_rejections(tmp_path):
         fileio.read_rkt(nonfinite)
 
 
+@pytest.mark.parametrize("where", [0, 15, 16, 17, 59])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_scan_rkt_finds_a_non_finite_value_in_any_chunk(tmp_path, monkeypatch, where, value):
+    # Chunks of 16 values over 60: the first, a chunk's last and first, and
+    # the short last chunk.  A finite file gives its dims, as read_rkt_dims.
+    monkeypatch.setattr(fileio, "_SCAN_BYTES", 16 * 8)
+    t = np.random.default_rng(where).standard_normal((3, 4, 5))
+    path = tmp_path / "t.rkt"
+    fileio.write_rkt(path, t)
+    assert fileio.scan_rkt(path) == fileio.read_rkt_dims(path) == (3, 4, 5)
+    t[np.unravel_index(where, t.shape, order="F")] = value
+    fileio.write_rkt(path, t)
+    with pytest.raises(ValueError, match="non-finite"):
+        fileio.scan_rkt(path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="truncated"):
+        fileio.scan_rkt(path)
+
+
 def test_pgm_handcrafted_bytes(tmp_path):
     raw = b"P5\n# demo comment\n2 2\n255\n" + bytes([0, 255, 128, 64])
     path = tmp_path / "img.pgm"

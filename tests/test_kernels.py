@@ -101,9 +101,10 @@ def test_rec_ratio_keeps_the_bits(r, case):
     if case == "zero-slices":
         num[::2] = 0.0
     norms = admm._sq_norms(X)
+    delta = admm._slices(admm._split_diff(state, admm.CORE_SPLIT))
     for passed in (cross, None):
         got = admm._rec_ratio(state, X, num.copy(), None if passed is None else passed.copy(),
-                              state.K)
+                              delta)
         assert got == reference.rec_ratio(state, norms, num, passed, state.K)
 
 
@@ -117,7 +118,8 @@ def test_ascents_keep_the_bits(r, case):
     if case == "zero-basis":
         state.V[:] = 0.0
     twin = copy.deepcopy(state)
-    assert admm._ascend(state, splits, cfg) == reference.ascend(twin, splits, cfg)
+    diffs = [admm._split_diff(state, row) for row in splits]
+    assert admm._ascend(state, splits, diffs, cfg.rho) == reference.ascend(twin, splits, cfg)
     for name in ("Y", "Y_U", "Y_V", "mu_K", "mu_U", "mu_V"):
         assert np.array_equal(getattr(state, name), getattr(twin, name)), name
 

@@ -10,12 +10,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rkca import admm, linalg, tensor, variants
-from rkca.data import SynthSpec, synth_generate, support_f1
+from rkca.data import SynthSpec, make_mask, synth_generate, support_f1
 from rkca.model import VARIANTS, FactorModel, SolverConfig
 from rkca.variants import Degree3State
 
 import reference
-from conftest import rel_error
+from conftest import BENCH_SPEC, rel_error
 from reference import LadmmState, schatten_prox, shrink_E
 
 
@@ -1037,3 +1037,51 @@ def test_non_finite_dual_aborts_naming_lam(monkeypatch, variant):
         variants.solve_variant(_low_rank_instance(), cfg)
     assert str(excinfo.value) == "non-finite values in Lam at iteration 1"
     assert excinfo.value.report.termination == "abort"
+
+
+@pytest.mark.parametrize("variant, masked", [("admm2", True), ("ladmm2", False),
+                                             ("admm3_fro", False)])
+def test_penalties_grow_by_rho_squared_once_the_support_size_holds(monkeypatch, variant,
+                                                                   masked):
+    # mu and every split penalty grow by rho in an iteration whose nnz(E)
+    # differs from the last iteration's, the first included, and by rho*rho
+    # where it repeats.  mu, mu_K and nnz(E) are read from the records, and
+    # mu_U and mu_V after each ascent.  Each run takes both factors after its
+    # first iteration, but for the completion: at lambda = 1e4 its E holds
+    # the hidden entries alone, so nnz(E) repeats in every later iteration.
+    if masked:  # A4's completion instance
+        spec = SynthSpec(m=50, n=50, n_slices=20, rank_a=5, rank_b=5, p_clean=1.0, seed=4242)
+        _, _, X = synth_generate(spec)
+        mask = make_mask(X.shape, 0.7, seed=11)
+        X = np.where(mask, X, 0.0)
+        cfg = SolverConfig(rank=10, lam=1e4, tol=1e-10, mask=mask)
+    else:
+        X = synth_generate(BENCH_SPEC)[2]
+        alpha = 1e-2 if variant == "ladmm2" else 1e-5
+        cfg = SolverConfig(rank=10, alpha=alpha, tol=1e-10, variant=variant)
+    real, penalties = admm._ascend, []
+
+    def ascend(state, splits, *args):
+        errs = real(state, splits, *args)
+        penalties.append({row.penalty: getattr(state, row.penalty) for row in splits})
+        return errs
+
+    monkeypatch.setattr(admm, "_ascend", ascend)
+    _, _, report = variants.solve_variant(X, cfg)
+    records = report.iterations
+    assert report.termination == "tol" and all(rec.nnz_E is not None for rec in records)
+    start = {"admm2": admm.initialize, "ladmm2": admm._init_tucker,
+             "admm3_fro": variants._init_degree3}[variant](*admm._prepare(X, cfg))
+    assert records[0].mu == cfg.rho * start.mu
+    rho = cfg.rho
+    repeats = [cur.nnz_E == prev.nnz_E for prev, cur in zip(records, records[1:])]
+    assert any(repeats) and all(repeats) == masked
+    for k, repeat in enumerate(repeats, start=1):
+        factor = rho * rho if repeat else rho
+        assert records[k].mu == factor * records[k - 1].mu, k
+        for name, value in penalties[k].items():
+            assert value == factor * penalties[k - 1][name], (k, name)
+    assert sorted(penalties[0]) == {"admm2": ["mu_K"], "ladmm2": [],
+                                    "admm3_fro": ["mu_K", "mu_U", "mu_V"]}[variant]
+    if variant != "ladmm2":
+        assert [rec.mu_K for rec in records] == [p["mu_K"] for p in penalties]

@@ -21,8 +21,11 @@ failed solves, each variant's distinct iteration counts and terminations,
 each variant's solve time relative to the run's reference kernel
 (``variant_time_rel``: the ``time_to_tol_rel`` normalisation applied to one
 variant) and its time per iteration likewise (``variant_iter_rel``: the
-median of solve seconds over iterations), nondeterminism reports, the seeds
-and the environment, all read from the records.  An existing ``--out`` file for the same two
+median of solve seconds over iterations), each side's per-run medians of
+the round seconds and of the reference kernel's seconds (``round_s`` and
+``reference_s``, the numerator and denominator of ``time_to_tol_rel``),
+nondeterminism reports, the seeds and the environment, all read from the
+records.  An existing ``--out`` file for the same two
 revisions is extended, so a held-out seed's pairs join the default ones.
 
 Each end-to-end metric also gets a verdict.  ``claim_met``: the change won
@@ -160,6 +163,9 @@ def summarise(runs, metrics):
             **result, "claim_met": claim_met(result, lower),
             "within_bound": within_bound(result, lower, metric["bound"]),
         }
+    for name in ("round_s", "reference_s"):
+        out[name] = compare({side: [r["extra"][name]["median"] for r in recs]
+                             for side, recs in runs.items()}, lower=True)
     for name, per_solve in (("variant_time_rel", solve_seconds),
                             ("variant_iter_rel", iteration_seconds)):
         times = {side: [variant_times(r, per_solve) for r in recs] for side, recs in runs.items()}
