@@ -14,7 +14,6 @@ from .linalg import (
     SteinSingularError,
     frobenius_prox,
     soft_shrink,
-    svd,
     symmetric_eig,
 )
 from .model import FactorModel, RunReport, SolverConfig, default_lambda
@@ -46,7 +45,6 @@ __all__ = [
     "soft_shrink",
     "solve",
     "solve_variant",
-    "svd",
     "symmetric_eig",
     "synth_generate",
     "write_pgm",

@@ -6,7 +6,8 @@ then dual ascent under capped penalties that grow geometrically, faster
 once E's support size holds (:func:`_growth`).
 :func:`_iterate` is the loop all of them run, from a table: the start, the
 sweep, the factors whose reconstruction L carries X = L + E, and one
-:class:`Split` row per split constraint.  It runs on one copy of each shared
+:class:`Split` row per split constraint, whose copy, dual and penalty every
+start opens (:func:`_open_splits`).  It runs on one copy of each shared
 kernel: residual shrinkage (selective under an observation mask, for robust
 completion), per-slice ratios, the batched Stein core update and the basis
 normal-equation solve, both resting on :func:`linalg.symmetric_eig`.  Here
@@ -181,12 +182,30 @@ def _x_norms(state, X):
     return state.x_norms[1]
 
 
-def _data_penalty(X):
+def _data_penalty(X, N=None):
     """eta*N / sum_i ||X_i|| over the N slices of X, the inexact-ALM penalty
-    for a start from zero (Lin, Chen & Ma 2010); eta for all-zero input, and
-    0 once the slice norms overflow."""
-    norm_sum = sum(np.linalg.norm(x_i) for x_i in _slices(X))
-    return ETA_INIT * X.shape[2] / norm_sum if norm_sum > 0 else ETA_INIT
+    for a start from zero (Lin, Chen & Ma 2010), or over one matrix X with the
+    data's ``N``; eta for all-zero input, and 0 once the norms overflow."""
+    norm_sum = sum(np.linalg.norm(x_i) for x_i in (_slices(X) if X.ndim == 3 else (X,)))
+    return ETA_INIT * (N or X.shape[2]) / norm_sum if norm_sum > 0 else ETA_INIT
+
+
+def _open_splits(state, cfg, splits, data_mu=None, p=0):
+    """Open a start's ``splits``: each copy a copy of its primal, each dual
+    zero, each penalty f**p * :func:`_data_penalty` of its primal and its cap
+    mu_cap_factor times that.  f = mu/``data_mu`` is the raise the Tucker
+    start gave mu (:func:`_init_tucker`), 1 where mu was kept (also both 0:
+    overflowed norms) or without ``data_mu``; p is the variant's (README).
+    f**(1/2) is sqrt(f), which pow does not always round correctly."""
+    f = 1.0 if data_mu is None or state.mu == data_mu else state.mu / data_mu
+    scale = math.sqrt(f) if p == 0.5 else f ** p
+    for row in splits:
+        primal = attrgetter(row.primal)(state)
+        setattr(state, row.copy, primal.copy(order="K"))
+        setattr(state, row.dual, np.zeros_like(primal))
+        setattr(state, row.penalty, scale * _data_penalty(primal, state.E.shape[2]))
+        setattr(state, row.penalty + "_cap", cfg.mu_cap_factor * getattr(state, row.penalty))
+    return state
 
 
 def _init_tucker(X, cfg, data_mu=None):
@@ -243,11 +262,12 @@ def _init_balanced(X, cfg):
     alpha*||R||_1 on that orbit: c^4 = 2*alpha*||R||_1 / (||A||_F^2 + ||B||_F^2),
     and c = 1 where that is no positive finite number (zero input, alpha = 0).
 
-    mu and mu_cap are the Tucker start's; K = R and Y = 0, and mu_K is
-    :func:`_data_penalty` of the balanced core, without the raise the start
-    gave mu.
+    mu and mu_cap are the Tucker start's; the core split R = K opens
+    (:func:`_open_splits`) at p = 0: mu_K is :func:`_data_penalty` of the
+    balanced core, without the raise the start gave mu.
     """
-    state = _init_tucker(X, cfg)
+    data_mu = _data_penalty(X)
+    state = _init_tucker(X, cfg, data_mu)
     a, b, core = state.model.a, state.model.b, state.model.core
     basis_sq = float(np.vdot(a, a) + np.vdot(b, b))
     c = (2.0 * cfg.alpha * tensor.l1(core) / basis_sq) ** 0.25 if basis_sq > 0 else 1.0
@@ -256,10 +276,7 @@ def _init_balanced(X, cfg):
     a *= c
     b *= c
     core /= c * c
-    state.K, state.Y = core.copy(order="K"), np.zeros_like(core)
-    state.mu_K = _data_penalty(core)
-    state.mu_K_cap = cfg.mu_cap_factor * state.mu_K
-    return state
+    return _open_splits(state, cfg, (CORE_SPLIT,), data_mu, p=0)
 
 
 def initialize(X, cfg):
@@ -268,38 +285,26 @@ def initialize(X, cfg):
     Each slice contributes its top-r singular triplet: the core slice is the
     truncated singular-value block, the bases average the per-slice singular
     vectors.  Zero slices contribute nothing.  The data penalty is
-    :func:`_data_penalty`, and mu_K is eta*N over the sum of the core slices'
-    norms, falling back to eta for all-zero input.
+    :func:`_data_penalty`, and the core split R = K opens from zero
+    (:func:`_open_splits`): mu_K is :func:`_data_penalty` of the core, eta
+    for all-zero input.
     """
-    m, n, N = X.shape
-    r = cfg.rank
-    a = np.zeros((m, r))
-    b = np.zeros((n, r))
-    core = _stack(np.zeros((N, r, r)))
-    core_norm_sum = 0.0
+    (m, n, N), r = X.shape, cfg.rank
+    a, b, core = np.zeros((m, r)), np.zeros((n, r)), _stack(np.zeros((N, r, r)))
     for i in range(N):
         slice_i = X[:, :, i]
         if np.linalg.norm(slice_i) == 0.0:
             continue
-        try:
-            u, s, vt = np.linalg.svd(slice_i, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise linalg.NumericalError(
-                f"initialisation SVD failed on slice {i}: {exc}"
-            ) from exc
+        u, s, vt = linalg._svd_raw(slice_i)
         core[:, :, i] = np.diag(s[:r])
-        core_norm_sum += float(np.linalg.norm(s[:r]))
         a += u[:, :r]
         b += vt[:r, :].T
     a /= N
     b /= N
     mu = _data_penalty(X)
-    mu_K = ETA_INIT * N / core_norm_sum if core_norm_sum > 0 else ETA_INIT
-    return SolverState(
-        model=FactorModel(a, b, core), E=np.zeros_like(X), K=core.copy(order="K"),
-        Lam=np.zeros_like(X), Y=np.zeros_like(core), mu=mu, mu_K=mu_K,
-        mu_cap=cfg.mu_cap_factor * mu, mu_K_cap=cfg.mu_cap_factor * mu_K,
-    )
+    state = SolverState(model=FactorModel(a, b, core), E=np.zeros_like(X),
+                        Lam=np.zeros_like(X), mu=mu, mu_cap=cfg.mu_cap_factor * mu)
+    return _open_splits(state, cfg, (CORE_SPLIT,))
 
 
 def _prepare(X, cfg):

@@ -21,7 +21,6 @@ __all__ = [
     "stein_factors",
     "stein_apply",
     "symmetric_eig",
-    "svd",
 ]
 
 SYMMETRY_ATOL = 1e-12
@@ -150,11 +149,3 @@ def _svd_raw(x):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
 
-
-def svd(x):
-    """Thin SVD returning (U, s, V) with X = U diag(s) V^T, s descending."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {x.shape}")
-    u, s, vt = _svd_raw(x)
-    return u, s, vt.T

@@ -180,17 +180,7 @@ class IterationRecord:
     objective: dict | None = None
 
     def to_dict(self):
-        out = {
-            "iter": self.iter,
-            "err_rec": self.err_rec,
-            "mu": self.mu,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        for key in ("err_R", "err_A", "err_B", "mu_K", "nnz_E", "objective"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 @dataclass

@@ -9,7 +9,8 @@ and tables:
   Frobenius or nuclear norm, linearised proximal-gradient steps;
 * ``admm3_fro``/``admm3_nuc``   -- same degree-3 objectives solved by
   substitution: auxiliary copies U, V of the bases carry the data constraint
-  so the basis updates become plain proximal maps.
+  so the basis updates become plain proximal maps.  Their three splits are
+  the rows :data:`DEGREE3_SPLITS`, which the start opens at p = 1/2.
 
 Linearised block steps use directly computed Lipschitz bounds with a small
 safety margin, so each is a majorise-minimise step that never increases the
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import admm, linalg, tensor
-from .admm import ETA_INIT, _init_tucker, _slices, _stack
+from .admm import _init_tucker, _slices, _stack
 
 __all__ = [
     "Degree3State", "ladmm_update_R", "ladmm_update_A", "ladmm_update_B",
@@ -37,20 +38,24 @@ LIPSCHITZ_FLOOR = 1e-12
 
 LADMM_VARIANTS = ("ladmm2", "ladmm3_fro", "ladmm3_nuc")
 DEGREE3_SUB_VARIANTS = ("admm3_fro", "admm3_nuc")
+# Their splits: R = K, and the substitution copies A = U and B = V.
+DEGREE3_SPLITS = (admm.CORE_SPLIT, admm.Split("err_A", "model.a", "U", "Y_U", "mu_U"),
+                  admm.Split("err_B", "model.b", "V", "Y_V", "mu_V"))
 
 
 @dataclass(kw_only=True)
 class Degree3State(admm.SolverState):
-    """Substitution-method state: basis copies U, V carry the data constraint."""
+    """Substitution-method state: basis copies U, V carry the data constraint;
+    None until ``admm._open_splits`` opens the :data:`DEGREE3_SPLITS`."""
 
-    U: np.ndarray
-    V: np.ndarray
-    Y_U: np.ndarray
-    Y_V: np.ndarray
-    mu_U: float
-    mu_V: float
-    mu_U_cap: float
-    mu_V_cap: float
+    U: np.ndarray | None = None
+    V: np.ndarray | None = None
+    Y_U: np.ndarray | None = None
+    Y_V: np.ndarray | None = None
+    mu_U: float | None = None
+    mu_V: float | None = None
+    mu_U_cap: float | None = None
+    mu_V_cap: float | None = None
 
 
 def _bound(value):
@@ -215,31 +220,13 @@ def degree3_update_V(state, g, report=None):
 
 
 def _init_degree3(X, cfg):
-    """The Tucker-2 start (:func:`_init_tucker`) with the substitution copies
-    U = A, V = B and K = R, and Y = Y_U = Y_V = 0.
-
-    mu_K, mu_U and mu_V are eta*N over sum_i ||R_i||, ||A|| and ||B||, each
-    times sqrt(f), where f = mu0 / :func:`admm._data_penalty` is the raise the
-    start gave mu.  Scaled by f itself, the splits took more iterations.
-    """
+    """The Tucker-2 start (:func:`_init_tucker`) with the :data:`DEGREE3_SPLITS`
+    opened at p = 1/2 (``admm._open_splits``): K = R, U = A, V = B, zero duals
+    and each penalty sqrt(f) times the data-scaled one, f the raise the start
+    gave mu.  Scaled by f itself, the splits took more iterations."""
     data_mu = admm._data_penalty(X)
     seed = _init_tucker(X, cfg, data_mu)
-    a, b, core = seed.model.a, seed.model.b, seed.model.core
-    # Equal when mu was kept: f = 1, also where both are 0 (overflowed norms).
-    root_f = 1.0 if seed.mu == data_mu else float(np.sqrt(seed.mu / data_mu))
-    N = X.shape[2]
-    norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    seed.K, seed.Y = core.copy(order="K"), np.zeros_like(core)
-    seed.mu_K = root_f * admm._data_penalty(core)
-    seed.mu_K_cap = cfg.mu_cap_factor * seed.mu_K
-    mu_U = root_f * (ETA_INIT * N / norm_a if norm_a > 0 else ETA_INIT)
-    mu_V = root_f * (ETA_INIT * N / norm_b if norm_b > 0 else ETA_INIT)
-    return Degree3State(
-        **vars(seed),
-        U=a.copy(), V=b.copy(), Y_U=np.zeros_like(a), Y_V=np.zeros_like(b),
-        mu_U=mu_U, mu_V=mu_V,
-        mu_U_cap=cfg.mu_cap_factor * mu_U, mu_V_cap=cfg.mu_cap_factor * mu_V,
-    )
+    return admm._open_splits(Degree3State(**vars(seed)), cfg, DEGREE3_SPLITS, data_mu, p=0.5)
 
 
 def _degree3_sweep(state, X, delta, cfg, report):
@@ -274,8 +261,6 @@ def solve_variant(X, cfg, block_log=None):
                              ("model.a", "model.core", "model.b"),
                              lagrangian=_lagrangian, block_log=block_log)
     if cfg.variant in DEGREE3_SUB_VARIANTS:
-        splits = (admm.CORE_SPLIT, admm.Split("err_A", "model.a", "U", "Y_U", "mu_U"),
-                  admm.Split("err_B", "model.b", "V", "Y_V", "mu_V"))
         return admm._iterate(X, cfg, _init_degree3, _degree3_sweep, _penalty,
-                             ("U", "K", "V"), splits)
+                             ("U", "K", "V"), DEGREE3_SPLITS)
     raise ValueError(f"unknown variant {cfg.variant!r}")

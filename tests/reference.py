@@ -8,7 +8,10 @@ coefficients; these are the plain forms the tests compare them with.  The
 r x r kernels (``solve_basis``, ``cross_gram``, ``stein_factors`` and
 ``stein_apply``, ``rec_ratio``, ``ascend`` and the Tucker start's Grams and
 residual) are kept here in their direct form, one numpy expression per
-formula; the solvers' in-place forms must give the same bits.  The
+formula; the solvers' in-place forms must give the same bits.  So are the
+split set-ups each start once wrote by hand (``initialize_splits``,
+``balanced_splits``, ``degree3_splits``), which ``admm._open_splits``
+replaces, and ``svd``, a thin SVD that only the tests use.  The
 unfoldings, vectorisation, mode products and Kronecker products follow the
 column-major order of ``rkca.tensor``: entry (i, j, k) sits at flat position
 i + m*j + m*n*k, and unfoldings are explicit copies, never views.
@@ -160,6 +163,55 @@ def tucker_start(X, cfg):
         if raised < np.inf:
             mu = max(mu, min(raised, cfg.mu_cap_factor * mu))
     return a, b, core_t, mu
+
+
+def initialize_splits(state, data_mu):
+    """The core split as ``admm.initialize`` opened it by hand: K = R, Y = 0
+    and mu_K = eta*N over the sum of the norms of each slice's top-r
+    singular values, the diagonals of the core slices.  A start from zero
+    has no raise: ``data_mu`` is unused, as in :func:`balanced_splits`."""
+    core = state.model.core
+    N = core.shape[2]
+    norm_sum = 0.0
+    for i in range(N):
+        norm_sum += float(np.linalg.norm(np.diagonal(core[:, :, i]).copy()))
+    mu_K = admm.ETA_INIT * N / norm_sum if norm_sum > 0 else admm.ETA_INIT
+    return {"K": core.copy(order="K"), "Y": np.zeros_like(core), "mu_K": mu_K}
+
+
+def balanced_splits(state, data_mu):
+    """The core split as ``admm._init_balanced`` opened it by hand: K = R,
+    Y = 0 and mu_K = eta*N / sum_i ||R_i|| of the balanced core, without
+    the raise mu / ``data_mu``."""
+    core = state.model.core
+    norm_sum = sum(np.linalg.norm(r_i) for r_i in admm._slices(core))
+    mu_K = admm.ETA_INIT * core.shape[2] / norm_sum if norm_sum > 0 else admm.ETA_INIT
+    return {"K": core.copy(order="K"), "Y": np.zeros_like(core), "mu_K": mu_K}
+
+
+def degree3_splits(state, data_mu):
+    """The three splits as ``variants._init_degree3`` opened them by hand:
+    copies K = R, U = A, V = B, zero duals, and eta*N over sum_i ||R_i||,
+    ||A|| and ||B||, each times sqrt(f), f = mu / ``data_mu``."""
+    a, b, core = state.model.a, state.model.b, state.model.core
+    root_f = 1.0 if state.mu == data_mu else float(np.sqrt(state.mu / data_mu))
+    N = core.shape[2]
+    norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    eta = admm.ETA_INIT
+    return {"K": core.copy(order="K"), "Y": np.zeros_like(core),
+            "U": a.copy(), "V": b.copy(), "Y_U": np.zeros_like(a), "Y_V": np.zeros_like(b),
+            "mu_K": root_f * balanced_splits(state, data_mu)["mu_K"],
+            "mu_U": root_f * (eta * N / norm_a if norm_a > 0 else eta),
+            "mu_V": root_f * (eta * N / norm_b if norm_b > 0 else eta)}
+
+
+def svd(x):
+    """Thin SVD returning (U, s, V) with X = U diag(s) V^T, s descending."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {x.shape}")
+    u, s, vt = linalg._svd_raw(x)
+    return u, s, vt.T
 
 
 def stein_dense(F, G, H):

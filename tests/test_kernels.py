@@ -1,13 +1,15 @@
-"""The solvers' r x r kernels give the bits of their direct forms in
-``reference``: random inputs at r in {1, 10, 15}, with zero slices, a zero
-basis and a single slice."""
+"""The solvers' r x r kernels, and the starts' opened splits, give the bits
+of their direct forms in ``reference``: random inputs at r in {1, 10, 15},
+with zero slices, a zero basis and a single slice."""
 
 import copy
+import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from rkca import admm, linalg, tensor
+from rkca import admm, linalg, tensor, variants
 from rkca.model import FactorModel, SolverConfig
 from rkca.variants import Degree3State
 
@@ -142,3 +144,46 @@ def test_tucker_start_keeps_the_bits(r, case, masked, monkeypatch):
     assert np.array_equal(admm._slices(state.model.core), core_t)
     assert state.mu == mu and state.mu_cap == cfg.mu_cap_factor * mu
     assert admm._init_tucker(X, cfg, admm._data_penalty(X)).mu == mu
+
+
+@pytest.mark.parametrize("case", [*CASES, "zero-input"])
+@pytest.mark.parametrize("r", [1, 10, 15])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_opened_splits_keep_the_bits(r, case, masked):
+    # Each start opens its splits as the hand-written set-ups did; the masked
+    # start's mu_K now sums the norms of diag(s_i[:r]), not of s_i[:r].
+    _, X = make_state(r, case)
+    if case == "zero-input":
+        X[:] = 0.0
+    mask = tensor.slice_major(np.random.default_rng(r).random(X.shape) < 0.6) if masked else None
+    cfg = SolverConfig(rank=r, lam=0.3, mask=mask)
+    data_mu = admm._data_penalty(X)
+    for start, setup, splits in (
+            (admm.initialize, reference.initialize_splits, (admm.CORE_SPLIT,)),
+            (admm._init_balanced, reference.balanced_splits, (admm.CORE_SPLIT,)),
+            (variants._init_degree3, reference.degree3_splits, variants.DEGREE3_SPLITS)):
+        state = start(X, cfg)
+        want = setup(state, data_mu)
+        for row in splits:
+            for name in (row.copy, row.dual):
+                got, ref = getattr(state, name), want[name]
+                assert np.array_equal(got, ref) and got.strides == ref.strides, name
+            assert not np.shares_memory(getattr(state, row.copy), attrgetter(row.primal)(state))
+            got = getattr(state, row.penalty)
+            if start is admm.initialize:
+                assert abs(got - want[row.penalty]) <= 4 * np.spacing(want[row.penalty])
+            else:
+                assert got == want[row.penalty], (start.__name__, row.penalty)
+            assert getattr(state, row.penalty + "_cap") == cfg.mu_cap_factor * got
+
+
+def test_degree3_splits_scale_by_the_correctly_rounded_root():
+    # glibc's pow(f, 0.5) rounds this f's root one ulp below sqrt(f), which
+    # the degree-3 start takes.
+    f = 255.12039825715397
+    state, X = make_state(10, "random")
+    state.mu = f
+    admm._open_splits(state, SolverConfig(rank=10), variants.DEGREE3_SPLITS, 1.0, p=0.5)
+    for row in variants.DEGREE3_SPLITS:
+        want = math.sqrt(f) * admm._data_penalty(attrgetter(row.primal)(state), X.shape[2])
+        assert getattr(state, row.penalty) == want, row.penalty

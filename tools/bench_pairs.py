@@ -20,8 +20,10 @@ BENCHMARK.json for both sides, the pairs the change won, attempted and
 failed solves, each variant's distinct iteration counts and terminations,
 each variant's solve time relative to the run's reference kernel
 (``variant_time_rel``: the ``time_to_tol_rel`` normalisation applied to one
-variant) and its time per iteration likewise (``variant_iter_rel``: the
-median of solve seconds over iterations), each side's per-run medians of
+variant) and its solve seconds per iteration likewise
+(``variant_iter_rel``: the median of solve seconds over iterations; the
+seconds include the start, so a change that only cuts iterations reads as
+slower iterations), each side's per-run medians of
 the round seconds and of the reference kernel's seconds (``round_s`` and
 ``reference_s``, the numerator and denominator of ``time_to_tol_rel``),
 nondeterminism reports, the seeds and the environment, all read from the
