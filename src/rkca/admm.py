@@ -279,30 +279,57 @@ def _init_balanced(X, cfg):
     return _open_splits(state, cfg, (CORE_SPLIT,), data_mu, p=0)
 
 
-def initialize(X, cfg):
-    """Spectral initialisation from per-slice SVDs: admm2's masked start.
+# The randomized range finder of :func:`_top_triplets`: generator seed,
+# oversampling and power iterations.
+FINDER_SEED = 20110101
+FINDER_OVERSAMPLING = 10
+FINDER_POWER_ITERS = 1
 
-    Each slice contributes its top-r singular triplet: the core slice is the
-    truncated singular-value block, the bases average the per-slice singular
-    vectors.  Zero slices contribute nothing.  The data penalty is
-    :func:`_data_penalty`, and the core split R = K opens from zero
+
+def _top_triplets(xs, r):
+    """Top-r singular triplets (u, s, v) of each slice of a (L, m, n) stack of
+    nonzero slices, from one randomized range finder (Halko, Martinsson &
+    Tropp 2011, Algs. 4.3/4.4) on xs / max|xs|: Q spans X_i Omega, with Omega
+    an n x w Gaussian, w = min(r + FINDER_OVERSAMPLING, m, n), after
+    FINDER_POWER_ITERS power iterations; then one batched SVD of Q^T X_i.
+    Each triplet is flipped so that the largest-|.| entry of its u, the first
+    on ties, is positive."""
+    _, m, n = xs.shape
+    scale = max(float(xs.max()), -float(xs.min()))
+    x = xs / scale
+    omega = np.random.default_rng(FINDER_SEED).standard_normal(
+        (n, min(r + FINDER_OVERSAMPLING, m, n)))
+    q = np.linalg.qr(x @ omega)[0]
+    for _ in range(FINDER_POWER_ITERS):
+        z = np.linalg.qr(x.transpose(0, 2, 1) @ q)[0]
+        q = np.linalg.qr(x @ z)[0]
+    u, s, vt = linalg._svd_raw(q.transpose(0, 2, 1) @ x)
+    u, v = q @ u[:, :, :r], vt[:, :r].transpose(0, 2, 1)
+    top = np.take_along_axis(u, np.abs(u).argmax(axis=1)[:, None], axis=1)
+    flip = np.where(top < 0, -1.0, 1.0)
+    return u * flip, s[:, :r] * scale, v * flip
+
+
+def initialize(X, cfg):
+    """Spectral initialisation from per-slice top-r SVDs: admm2's masked start.
+
+    Each slice contributes its top-r singular triplets (:func:`_top_triplets`):
+    the core slice is the diagonal of the singular values, the bases average
+    the singular vectors.  Zero slices contribute nothing.  The data penalty
+    is :func:`_data_penalty`, and the core split R = K opens from zero
     (:func:`_open_splits`): mu_K is :func:`_data_penalty` of the core, eta
     for all-zero input.
     """
     (m, n, N), r = X.shape, cfg.rank
-    a, b, core = np.zeros((m, r)), np.zeros((n, r)), _stack(np.zeros((N, r, r)))
-    for i in range(N):
-        slice_i = X[:, :, i]
-        if np.linalg.norm(slice_i) == 0.0:
-            continue
-        u, s, vt = linalg._svd_raw(slice_i)
-        core[:, :, i] = np.diag(s[:r])
-        a += u[:, :r]
-        b += vt[:r, :].T
-    a /= N
-    b /= N
+    a, b, core_t = np.zeros((m, r)), np.zeros((n, r)), np.zeros((N, r, r))
+    xs = _slices(X)
+    live = xs.any(axis=(1, 2))
+    if live.any():
+        u, s, v = _top_triplets(xs if live.all() else xs[live], r)
+        a, b = (np.add.reduce(t, axis=0) / N for t in (u, v))
+        core_t[np.flatnonzero(live)[:, None], np.arange(r), np.arange(r)] = s
     mu = _data_penalty(X)
-    state = SolverState(model=FactorModel(a, b, core), E=np.zeros_like(X),
+    state = SolverState(model=FactorModel(a, b, _stack(core_t)), E=np.zeros_like(X),
                         Lam=np.zeros_like(X), mu=mu, mu_cap=cfg.mu_cap_factor * mu)
     return _open_splits(state, cfg, (CORE_SPLIT,))
 

@@ -2,6 +2,9 @@
 plug-back oracles, initialisation, the loop's E step, dual ascent and
 residuals, and the full loop."""
 
+import warnings
+from operator import attrgetter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -53,6 +56,13 @@ def test_initialize_diagonal_slice():
     assert_allclose(np.abs(state.model.b), np.eye(4)[:, :2], atol=1e-12)
 
 
+def canonical_signs(u):
+    """+-1 per column of u (or of each matrix of a stack) that makes the
+    column's largest-|.| entry, the first on ties, positive."""
+    top = np.take_along_axis(u, np.abs(u).argmax(axis=-2)[..., None, :], axis=-2)
+    return np.where(top < 0, -1.0, 1.0)
+
+
 def test_initialize_matches_per_slice_svd():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((8, 6, 4))
@@ -62,13 +72,94 @@ def test_initialize_matches_per_slice_svd():
     norm_sum = 0.0
     for i in range(4):
         u, s, vt = np.linalg.svd(X[:, :, i], full_matrices=False)
-        a_sum += u[:, :3]
+        a_sum += u[:, :3] * canonical_signs(u[:, :3])
         norm_sum += np.linalg.norm(X[:, :, i])
         assert_allclose(state.model.core[:, :, i], np.diag(s[:3]), atol=1e-12)
     assert_allclose(state.model.a, a_sum / 4, atol=1e-12)
     assert state.mu == pytest.approx(admm.ETA_INIT * 4 / norm_sum)
     assert np.array_equal(state.K, state.model.core)
     assert not state.E.any() and not state.Lam.any() and not state.Y.any()
+
+
+def low_rank_slices(seed=5, m=40, n=30, N=6, r=3, zero=2):
+    """(m, n, N) tensor of exact rank-r slices, slice ``zero`` all zeros, and
+    orthonormal bases of each slice's column and row spaces."""
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.standard_normal((N, m, r)))[0]
+    right = np.linalg.qr(rng.standard_normal((N, n, r)))[0]
+    xs = left @ (rng.uniform(1.0, 9.0, (N, r, 1)) * right.transpose(0, 2, 1))
+    xs[zero] = 0.0
+    return np.ascontiguousarray(xs.transpose(1, 2, 0)), left, right
+
+
+def test_initialize_finds_each_slice_subspace_past_the_sketch_width():
+    # w = r + 10 = 13 < min(m, n) = 30: the finder sees only a sketch of each
+    # slice, which spans its exact rank-3 column space.
+    X, left, right = low_rank_slices()
+    state = admm.initialize(X, SolverConfig(rank=3))
+    live = [0, 1, 3, 4, 5]
+    u, s, v = admm._top_triplets(admm._slices(X)[live], 3)
+    for k, i in enumerate(live):
+        # sin of the largest principal angle between found and true spaces.
+        for found, true in ((u[k], left[i]), (v[k], right[i])):
+            assert np.linalg.norm(found - true @ (true.T @ found), 2) <= 1e-10
+        exact = np.linalg.svd(X[:, :, i], compute_uv=False)[:3]
+        assert_allclose(np.diag(state.model.core[:, :, i]), exact, rtol=0, atol=1e-10)
+        assert_allclose(u[k] * s[k] @ v[k].T, X[:, :, i], rtol=0, atol=1e-10)
+    assert not state.model.core[:, :, 2].any()
+    assert_allclose(state.model.a, u.sum(axis=0) / 6, rtol=0, atol=1e-15)
+    assert_allclose(state.model.b, v.sum(axis=0) / 6, rtol=0, atol=1e-15)
+
+
+def test_initialize_repeats_bitwise():
+    X = low_rank_slices()[0] + np.random.default_rng(8).standard_normal((40, 30, 6))
+    cfg = SolverConfig(rank=3)
+    first, second = admm.initialize(X, cfg), admm.initialize(X, cfg)
+    for name in ("model.a", "model.b", "model.core", "K", "mu", "mu_K"):
+        get = attrgetter(name)
+        assert np.array_equal(get(first), get(second)), name
+
+
+def test_initialize_takes_one_svd_call(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    X = np.random.default_rng(9).standard_normal((20, 15, 12))
+    admm.initialize(X, SolverConfig(rank=4))
+    assert calls == [(12, 14, 15)]
+
+
+def test_start_triplets_have_canonical_signs():
+    X = low_rank_slices()[0] + np.random.default_rng(10).standard_normal((40, 30, 6))
+    for xs, r in ((admm._slices(X), 3), (admm._slices(X)[:, :8, :6], 6)):
+        u, s, v = admm._top_triplets(xs, r)
+        assert (canonical_signs(u) == 1.0).all()
+        # v is flipped with u: u_i^T X_i v_i is still diag(s_i), s_i >= 0.
+        assert_allclose(u.transpose(0, 2, 1) @ xs @ v, s[:, :, None] * np.eye(r),
+                        rtol=0, atol=1e-12)
+        assert (s >= 0).all()
+
+
+@pytest.mark.parametrize("big", [1e160, 1e300, 1e307])
+def test_masked_start_on_huge_input_has_finite_bases(big):
+    # The slice norms overflow; the finder runs on X / max|X|, so the only
+    # warnings are the data penalties' overflowing norms, and at 1e307 the
+    # sketch X_i Omega does not overflow.
+    X = np.random.default_rng(3).standard_normal((12, 10, 4)) * big
+    X[:, :, 1] = 0.0
+    mask = np.ones(X.shape, dtype=bool)
+    mask[::3, ::2] = False
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state = admm.initialize(X, SolverConfig(rank=3, mask=mask))
+    assert np.isfinite(state.model.a).all() and np.isfinite(state.model.b).all()
+    assert np.isfinite(state.model.core).all()
+    assert {str(w.message) for w in caught} <= {"overflow encountered in dot"}
 
 
 def _penalty(a, b, core, alpha):
