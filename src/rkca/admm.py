@@ -327,7 +327,7 @@ def initialize(X, cfg):
     if live.any():
         u, s, v = _top_triplets(xs if live.all() else xs[live], r)
         a, b = (np.add.reduce(t, axis=0) / N for t in (u, v))
-        core_t[np.flatnonzero(live)[:, None], np.arange(r), np.arange(r)] = s
+        core_t[live] = s[:, :, None] * np.eye(r)
     mu = _data_penalty(X)
     state = SolverState(model=FactorModel(a, b, _stack(core_t)), E=np.zeros_like(X),
                         Lam=np.zeros_like(X), mu=mu, mu_cap=cfg.mu_cap_factor * mu)
