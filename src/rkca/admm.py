@@ -392,8 +392,7 @@ def _shrunk_l1(E, clip, tau, mask):
     So ||E||_1 = <E, C>/tau: one dot, no data-sized write.  An unflagged inf
     or nan makes it nan (inf*0), so a finite value proves E finite, as for
     :func:`tensor.l1`, which is the fallback for a tau outside
-    [_TAU_MIN, inf) or a dot that overflows.  The fallback takes a new array:
-    the loop's E step builds the sweep target from C after this call.
+    [_TAU_MIN, inf) or a dot that overflows.
     """
     if _TAU_MIN <= tau < np.inf:
         value = float(np.vdot(_slices(E), _slices(clip))) / tau
@@ -680,8 +679,7 @@ def _check_finite(state, report, named):
             raise SolverAbort(msg, report)
 
 
-def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None,
-             block_log=None):
+def _iterate(X, cfg, start, sweep, penalty, carriers, splits=()):
     """Run the iteration loop shared by every variant; returns (model, E, report).
 
     ``start(X, cfg)`` returns the first state.  An iteration runs the E step
@@ -689,7 +687,8 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
     (attribute paths of left, core and right), and on T = X - L + U, which
     the last tail built; it also counts nnz(E).  Then
     ``sweep(state, X, target, cfg, report)`` runs the block steps on
-    Xt = X - E, each yielding its name first.  Xt is never formed:
+    Xt = X - E, each yielding its name first, so that a wrapper of the sweep
+    sees every block boundary.  Xt is never formed:
     ``target`` is Delta = Xt + U = L + C, C the E step's clip, which the
     sweep must leave as it is.  Each split's residual is formed once after
     the sweep (:func:`_split_diff`).  The tail (:func:`_tail`) grows mu,
@@ -698,27 +697,14 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
     (:func:`_ascend`).  mu and every split penalty grow by one factor,
     :func:`_growth` of this and the last iteration's nnz(E).  The run stops
     once every residual is within ``cfg.tol``.  ``penalty(state, cfg)``
-    names the low-rank objective terms, finite only if A, B and R are.  With
-    a ``block_log`` list, ``lagrangian(state, X, cfg, lam)`` is taken once
-    at every step boundary, and each step appends {"iter", "stage",
-    "before", "after"}.  A kernel failure anywhere, the start
-    included, aborts the run like non-finite values do.
+    names the low-rank objective terms, finite only if A, B and R are.  A
+    kernel failure anywhere, the start included, aborts the run like
+    non-finite values do.
     """
     lam = cfg.resolved_lambda(X.shape)
     report = RunReport(variant=cfg.variant, config=cfg.resolved(X.shape))
     carriers = attrgetter(*carriers)
-    state, opened = None, []
-
-    def boundary(stage):
-        # One Lagrangian value closes the open block_log entry, if any, and
-        # opens one for ``stage`` (None after the sweep).
-        if block_log is not None:
-            value = lagrangian(state, X, cfg, lam)
-            for name, before in opened:
-                block_log.append({"iter": state.iters, "stage": name,
-                                  "before": before, "after": value})
-            opened[:] = [(stage, value)] if stage else []
-
+    state = None
     try:
         state = start(X, cfg)
         recon, shrink_arg = np.empty_like(X), np.empty_like(X)
@@ -735,7 +721,6 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
         for it in range(1, cfg.max_iters + 1):
             t0 = time.perf_counter()
             state.iters = it
-            boundary("E")
             l1_sparse, nnz_E, spare = _e_step(state, views, cfg, lam, recon, shrink_arg,
                                               support)
             rho, last_nnz = _growth(cfg, nnz_E, last_nnz), nnz_E
@@ -743,9 +728,8 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=(), lagrangian=None
             # A finite l1 sum proves E finite; only a non-finite one is scanned.
             if not math.isfinite(l1_sparse):
                 _check_finite(state, report, {"E": state.E})
-            for stage in sweep(state, X, target, cfg, report):
-                boundary(stage)
-            boundary(None)
+            for _ in sweep(state, X, target, cfg, report):
+                pass
             diffs = [_split_diff(state, row) for row in splits]
             recon, shrink_arg, err_rec, lam_finite = _tail(
                 state, X, views, carriers(state), target, spare, diffs, rho)

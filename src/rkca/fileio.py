@@ -31,16 +31,25 @@ __all__ = [
 
 RKT_MAGIC = b"RKTENS1\x00"
 
+# write_rkt writes, and scan_rkt reads, the payload in chunks of about this
+# many bytes.
+_SCAN_BYTES = 1 << 20
+
 
 def write_rkt(path, t):
-    """Serialise a 3-way tensor to the RKT1 format."""
-    t = np.asarray(t, dtype=np.float64)
+    """Serialise a 3-way tensor to the RKT1 format, a block of whole slices
+    (about _SCAN_BYTES, one slice at least) at a time: each block takes one
+    column-major float64 copy, none where it is one already."""
+    t = np.asarray(t)
     if t.ndim != 3:
         raise ValueError(f"expected a 3-way tensor, got shape {t.shape}")
+    m, n, N = t.shape
+    step = max(1, _SCAN_BYTES // max(1, 8 * m * n))
     with open(path, "wb") as fh:
         fh.write(RKT_MAGIC)
-        fh.write(struct.pack("<3Q", *t.shape))
-        fh.write(t.reshape(-1, order="F").astype("<f8").tobytes())
+        fh.write(struct.pack("<3Q", m, n, N))
+        for k in range(0, N, step):
+            fh.write(np.asarray(t[:, :, k:k + step], dtype="<f8", order="F").ravel(order="F"))
 
 
 _HEADER_BYTES = len(RKT_MAGIC) + 24
@@ -64,10 +73,6 @@ def read_rkt_dims(path):
     if size > expected:
         raise ValueError(f"{path}: trailing bytes after RKT1 payload")
     return m, n, N
-
-
-# scan_rkt reads the payload in chunks of this many bytes.
-_SCAN_BYTES = 1 << 20
 
 
 def scan_rkt(path):

@@ -54,14 +54,10 @@ def _shrink(x, tau, mask=None, out=None, clip=None):
     return np.subtract(x, clip, out=clip if out is None else out)
 
 
-def soft_shrink(x, tau, out=None):
-    """Elementwise soft thresholding sign(x) * max(|x| - tau, 0).
-
-    Computed as x - clip(x, -tau, tau) in one new array of x's layout, or in
-    ``out``, a float array of x's shape other than x; the two forms agree bit
-    for bit except for the sign of zeros.
-    """
-    return _shrink(x, tau, out=out)
+def soft_shrink(x, tau):
+    """Elementwise soft thresholding sign(x) * max(|x| - tau, 0), computed as
+    x - clip(x, -tau, tau) in one new array of x's layout."""
+    return _shrink(x, tau)
 
 
 def frobenius_prox(x, tau):

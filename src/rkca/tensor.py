@@ -80,16 +80,15 @@ def reconstruct(a, core, b, out=None):
     return out
 
 
-def l1(x, mask=None, out=None):
+def l1(x, mask=None):
     """Entrywise l1 norm of a matrix or tensor; with a boolean or 0/1 ``mask``
     of x's shape, of the flagged entries only.
 
     The masked sum is sum(|x| * mask), without a per-entry select, so an
     unflagged inf or nan still makes it non-finite (inf * 0 is nan): a finite
-    result proves every entry of x finite.  ``out``, an array of x's shape
-    and layout, is scratch for |x| in place of a new array.
+    result proves every entry of x finite.
     """
-    out = np.abs(x, out=out)
+    out = np.abs(x)
     if mask is not None:
         with np.errstate(invalid="ignore"):  # the nan from inf * 0 is wanted
             out *= mask

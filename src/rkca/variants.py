@@ -162,16 +162,6 @@ def _penalty(state, cfg):
                                                   state.grams)}
 
 
-def _lagrangian(state, X, cfg, lam):
-    """Augmented Lagrangian of a LADMM run, up to the term -mu*||U||^2/2 that
-    no block step changes; no block step may increase it.  The coupling term
-    is taken on whole tensors, from Delta = X - E + U."""
-    recon = state.model.reconstruct()
-    couple = 0.5 * state.mu * float(np.sum(np.square(recon - (X - state.E + state.Lam))))
-    penalty = _low_rank_penalty(state.model, cfg, state.basis_norms, state.grams)
-    return lam * tensor.l1(state.E, cfg.mask) + penalty + couple
-
-
 def _ladmm_sweep(state, X, delta, cfg, report):
     # The loop's target is Delta = Xt + Lam, which serves all three steps:
     # E, Lam and mu are fixed until the dual update.  The B step keeps A, so
@@ -247,19 +237,14 @@ def _degree3_sweep(state, X, delta, cfg, report):
     state.model.core = admm.update_R(state, weight)
 
 
-def solve_variant(X, cfg, block_log=None):
-    """Dispatch on ``cfg.variant``; returns (model, E, report).
-
-    ``block_log``, when a list, receives one entry per LADMM block step with
-    the augmented Lagrangian before and after; the other variants ignore it.
-    """
+def solve_variant(X, cfg):
+    """Dispatch on ``cfg.variant``; returns (model, E, report)."""
     if cfg.variant == "admm2":
         return admm.solve(X, cfg)
     X, cfg = admm._prepare(X, cfg)
     if cfg.variant in LADMM_VARIANTS:
         return admm._iterate(X, cfg, _init_tucker, _ladmm_sweep, _penalty,
-                             ("model.a", "model.core", "model.b"),
-                             lagrangian=_lagrangian, block_log=block_log)
+                             ("model.a", "model.core", "model.b"))
     if cfg.variant in DEGREE3_SUB_VARIANTS:
         return admm._iterate(X, cfg, _init_degree3, _degree3_sweep, _penalty,
                              ("U", "K", "V"), DEGREE3_SPLITS)

@@ -11,17 +11,20 @@ residual) are kept here in their direct form, one numpy expression per
 formula; the solvers' in-place forms must give the same bits.  So are the
 split set-ups each start once wrote by hand (``initialize_splits``,
 ``balanced_splits``, ``degree3_splits``), which ``admm._open_splits``
-replaces, and ``svd``, a thin SVD that only the tests use.  The
+replaces, and ``svd``, a thin SVD that only the tests use.  The LADMM
+block steps' augmented Lagrangian (``lagrangian``) is here too, with
+``log_blocks``, which logs it around every block step of a solve.  The
 unfoldings, vectorisation, mode products and Kronecker products follow the
 column-major order of ``rkca.tensor``: entry (i, j, k) sits at flat position
 i + m*j + m*n*k, and unfoldings are explicit copies, never views.
 """
 
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
 
-from rkca import admm, linalg, tensor
+from rkca import admm, linalg, tensor, variants
 
 # A linearised-ADMM run has no split: its K, Y and mu_K stay None.
 LadmmState = admm.SolverState
@@ -31,7 +34,7 @@ def selective_shrink(x, tau, mask, out=None):
     """Soft-shrink the entries flagged by ``mask``; pass the rest through.
 
     Computed branch-free as x - clip(x, -tau, tau) * mask in one new array of
-    x's layout, or in ``out`` as for ``linalg.soft_shrink``.  Equal to
+    x's layout, or in ``out``, a float array of x's shape other than x.  Equal to
     ``np.where(mask, soft_shrink(x, tau), x)`` except for the sign of zeros.
     """
     x = np.asarray(x)
@@ -239,6 +242,49 @@ def dual_ascent(state, x_tilde, cfg, carriers, splits=()):
     c = admm._grow_mu(state, cfg.rho)
     state.Lam = (state.Lam + (x_tilde - recon)) * c
     ascend(state, splits, cfg)
+
+
+def lagrangian(state, X, cfg, E=None):
+    """Augmented Lagrangian of a LADMM run at ``E`` (default: the state's),
+    up to the term -mu*||U||^2/2 that no block step changes; no block step
+    may increase it.  The coupling term is taken on whole tensors, from
+    Delta = X - E + U."""
+    E = state.E if E is None else E
+    recon = state.model.reconstruct()
+    couple = 0.5 * state.mu * float(np.sum(np.square(recon - (X - E + state.Lam))))
+    penalty = variants._low_rank_penalty(state.model, cfg, state.basis_norms, state.grams)
+    return cfg.resolved_lambda(X.shape) * tensor.l1(E, cfg.mask) + penalty + couple
+
+
+def log_blocks(monkeypatch):
+    """A list to which every later LADMM solve appends one entry per block
+    step, {"iter", "stage", "before", "after"}, with the :func:`lagrangian`
+    before and after the step.
+
+    ``monkeypatch`` wraps ``admm._e_step``, which then keeps a copy of the E
+    it overwrites, and ``variants._ladmm_sweep``, whose yielded stage names
+    mark the block boundaries.  Of what the Lagrangian reads, the E step
+    changes only E, so the E entry opens at the copy and closes at the
+    sweep's first yield."""
+    log, old_e = [], [None]
+    e_step, sweep = admm._e_step, variants._ladmm_sweep
+
+    def logged_e_step(state, *args):
+        old_e[0] = state.E.copy(order="K")
+        return e_step(state, *args)
+
+    def logged_sweep(state, X, delta, cfg, report):
+        stage, before = "E", lagrangian(state, X, cfg, old_e[0])
+        for name in chain(sweep(state, X, delta, cfg, report), [None]):
+            after = lagrangian(state, X, cfg)
+            log.append({"iter": state.iters, "stage": stage, "before": before, "after": after})
+            if name is not None:
+                stage, before = name, after
+                yield name
+
+    monkeypatch.setattr(admm, "_e_step", logged_e_step)
+    monkeypatch.setattr(variants, "_ladmm_sweep", logged_sweep)
+    return log
 
 
 def hidden_norms(completed, truth, hidden):

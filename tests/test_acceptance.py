@@ -283,18 +283,18 @@ def test_a7_prox_suite():
     )
 
 
-def test_a8_ladmm_majorization(bench_instance):
+def test_a8_ladmm_majorization(bench_instance, monkeypatch):
     _, _, observed = bench_instance
     lam0 = default_lambda(observed.shape)
     cfg = SolverConfig(rank=10, alpha=1e-2, lam=2 * lam0, tol=1e-12,
                        max_iters=2000, variant="ladmm2")
-    log = []
-    variants.solve_variant(observed, cfg, block_log=log)
+    log = reference.log_blocks(monkeypatch)
+    variants.solve_variant(observed, cfg)
     worst_increase = max(entry["after"] - entry["before"] for entry in log)
 
     # Finite-difference checks of the smooth coupling gradients at an early
-    # iterate of the same run.
-    seed = admm.initialize(observed, cfg)
+    # iterate of the same run, from the Tucker-2 start that ladmm2 runs from.
+    seed = admm._init_tucker(observed, cfg)
     state = LadmmState(model=seed.model, E=seed.E, Lam=seed.Lam,
                        mu=seed.mu, mu_cap=seed.mu_cap)
     lam = cfg.resolved_lambda(observed.shape)

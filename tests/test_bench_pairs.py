@@ -183,10 +183,14 @@ def test_bad_pairs_fail_before_any_run(bench_pairs, tmp_path, monkeypatch, capsy
 PARENT_TIMES = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
 
 
-def time_verdict(bench_pairs, change_times, digits=5.0):
+def summary_of(bench_pairs, change_times, digits=5.0):
     parent = [record(t, 5.0) for t in PARENT_TIMES]
     change = [record(t, digits) for t in change_times]
-    out = bench_pairs.summarise({"parent": parent, "change": change}, METRICS)["metrics"]
+    return bench_pairs.summarise({"parent": parent, "change": change}, METRICS)
+
+
+def time_verdict(bench_pairs, change_times, digits=5.0):
+    out = summary_of(bench_pairs, change_times, digits)["metrics"]
     return out["time_to_tol_rel"], out["accuracy_digits"]
 
 
@@ -220,11 +224,21 @@ def test_bound_is_a_share_of_the_parent_median(bench_pairs):
 
 
 def test_verdict_line_names_met_claims_and_broken_bounds(bench_pairs):
-    time, digits = time_verdict(bench_pairs, [9.0] * 10, digits=4.0)
-    line = bench_pairs.verdict("accept-50", {"time_to_tol_rel": time,
-                                             "accuracy_digits": digits})
-    assert line == "accept-50: claim met: time_to_tol_rel; out of bound: accuracy_digits"
-    time, digits = time_verdict(bench_pairs, PARENT_TIMES)
-    line = bench_pairs.verdict("large-100", {"time_to_tol_rel": time,
-                                             "accuracy_digits": digits})
-    assert line == "large-100: claim met: none; out of bound: none"
+    line = bench_pairs.verdict("accept-50", summary_of(bench_pairs, [9.0] * 10, digits=4.0))
+    assert line == ("accept-50: claim met: time_to_tol_rel; out of bound: accuracy_digits; "
+                    "change/parent medians: round_s 1.000, reference_s 1.000")
+    line = bench_pairs.verdict("large-100", summary_of(bench_pairs, PARENT_TIMES))
+    assert line == ("large-100: claim met: none; out of bound: none; "
+                    "change/parent medians: round_s 1.000, reference_s 1.000")
+
+
+def test_verdict_line_ends_in_the_round_and_reference_ratios(bench_pairs):
+    # The ratio of time_to_tol_rel's medians splits into its numerator's and
+    # its denominator's: here the reference pass, not the rounds, moved.
+    parent = [record(3.0, 5.0, round_s=3.0, reference=1.0) for _ in range(3)]
+    change = [record(3.3, 5.0, round_s=3.0, reference=0.9) for _ in range(3)]
+    out = bench_pairs.summarise({"parent": parent, "change": change}, METRICS)
+    assert bench_pairs.verdict("complete-cli", out) == (
+        "complete-cli: claim met: none; out of bound: none; "
+        "change/parent medians: round_s 1.000, reference_s 0.900")
+

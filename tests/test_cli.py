@@ -141,7 +141,7 @@ def test_decompose_numeric_abort_exit_code(tmp_path, monkeypatch):
     fileio.write_rkt(x_path, np.ones((4, 4, 2)))
     out = tmp_path / "out"
 
-    def boom(X, cfg, block_log=None):
+    def boom(X, cfg):
         raise SolverAbort(
             "non-finite values in E at iteration 1",
             RunReport(variant="admm2", config={}, termination="abort"),

@@ -1,12 +1,13 @@
 """File format tests: RKT1 golden bytes and netpbm image round trips."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rkca import fileio
+from rkca import fileio, tensor
 
 
 def test_rkt_roundtrip_bitwise(tmp_path):
@@ -44,6 +45,35 @@ def test_rkt_column_major_order(tmp_path):
     payload = path.read_bytes()[8 + 24 :]
     values = struct.unpack("<8d", payload)
     assert values == tuple(range(8))
+
+
+RKT_INPUTS = {
+    "C-order": lambda rng: rng.standard_normal((100, 100, 50)),
+    "F-order": lambda rng: np.asfortranarray(rng.standard_normal((100, 100, 50))),
+    "slice-major": lambda rng: tensor.slice_major(rng.standard_normal((100, 100, 50))),
+    "strided": lambda rng: rng.standard_normal((100, 200, 50))[:, ::2, :],
+    "1x1x1": lambda rng: rng.standard_normal((1, 1, 1)),
+    "1x1x200000": lambda rng: rng.standard_normal((1, 1, 200000)),
+    "2000x600x1": lambda rng: rng.standard_normal((2000, 600, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RKT_INPUTS))
+def test_write_rkt_streams_blocks_of_slices_with_the_same_bytes(tmp_path, name):
+    # The bytes of one whole-tensor column-major flatten, written with at most
+    # one block of slices (one slice, if larger) held beside the input.
+    t = RKT_INPUTS[name](np.random.default_rng(2))
+    path = tmp_path / "t.rkt"
+    tracemalloc.start()
+    try:
+        fileio.write_rkt(path, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m, n, N = t.shape
+    assert path.read_bytes() == (fileio.RKT_MAGIC + struct.pack("<3Q", m, n, N)
+                                 + t.reshape(-1, order="F").astype("<f8").tobytes())
+    assert peak <= max(fileio._SCAN_BYTES, 8 * m * n) + (64 << 10), name
 
 
 def test_rkt_rejections(tmp_path):

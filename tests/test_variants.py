@@ -413,15 +413,15 @@ def test_ladmm3_runs_and_reduces_error():
         assert rel_error(model.reconstruct(), low_rank) <= 1e-3, variant
 
 
-def test_ladmm_block_objectives_never_increase():
+def test_ladmm_block_objectives_never_increase(monkeypatch):
     spec = SynthSpec(m=15, n=12, n_slices=4, rank_a=2, rank_b=2, p_clean=0.8, seed=24)
     _, _, X = synth_generate(spec)
     for variant in ("ladmm2", "ladmm3_fro"):
-        log = []
+        log = reference.log_blocks(monkeypatch)
         cfg = SolverConfig(
             rank=4, alpha=1e-4, tol=1e-10, max_iters=300, variant=variant
         )
-        variants.solve_variant(X, cfg, block_log=log)
+        variants.solve_variant(X, cfg)
         assert log, "expected logged block steps"
         worst = max(entry["after"] - entry["before"] for entry in log)
         assert worst <= 1e-10, f"{variant} worst block increase {worst}"

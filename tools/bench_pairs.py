@@ -35,7 +35,9 @@ at least 9 of every 10 pairs (a tie counts for neither side) and its median
 beats the parent's by more than the parent's q25-q75 spread.
 ``within_bound``: the change's median is no worse than the parent's by more
 than the metric's bound, a share of the parent's median.  One verdict line
-per workload is printed.
+per workload is printed, ending in the change/parent ratios of the median
+``round_s`` and ``reference_s``, so that a shift in the reference pass shows
+next to ``time_to_tol_rel``.
 """
 
 import argparse
@@ -109,12 +111,17 @@ def within_bound(result, lower, bound):
     return change <= parent * (1 + bound) if lower else change >= parent * (1 - bound)
 
 
-def verdict(workload, metrics):
-    """One line: the metrics whose claim is met, and those out of bound."""
+def verdict(workload, summary):
+    """One line from ``summarise``'s ``summary``: the metrics whose claim is
+    met, those out of bound, and the change/parent ratios of the medians of
+    ``round_s`` and ``reference_s``."""
+    metrics = summary["metrics"]
     met = [name for name, res in metrics.items() if res["claim_met"]]
     out = [name for name, res in metrics.items() if not res["within_bound"]]
+    ratios = ", ".join(f"{name} {summary[name]['median_ratio']:.3f}"
+                       for name in ("round_s", "reference_s"))
     return (f"{workload}: claim met: {', '.join(met) or 'none'}; "
-            f"out of bound: {', '.join(out) or 'none'}")
+            f"out of bound: {', '.join(out) or 'none'}; change/parent medians: {ratios}")
 
 
 def solve_seconds(res):
@@ -236,7 +243,7 @@ def main(argv=None):
         summary = summarise(runs, benchmark["end_to_end"])
         summary["command"] = " ".join(command(workload, args.seed))
         bench["workloads"][workload + tag] = summary
-        print(verdict(workload + tag, summary["metrics"]), flush=True)
+        print(verdict(workload + tag, summary), flush=True)
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
 
 
