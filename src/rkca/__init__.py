@@ -6,7 +6,7 @@ ADMM and linearised-ADMM solvers, three regularizer families and
 missing-value completion.
 """
 
-from .admm import SolverAbort, solve
+from .admm import SolverAbort
 from .data import Metrics, SynthSpec, add_salt_pepper, make_mask, metrics, roc_auc, synth_generate
 from .fileio import read_pgm, read_ppm, read_rkt, write_pgm, write_ppm, write_rkt
 from .linalg import (
@@ -43,7 +43,6 @@ __all__ = [
     "reconstruct",
     "roc_auc",
     "soft_shrink",
-    "solve",
     "solve_variant",
     "symmetric_eig",
     "synth_generate",

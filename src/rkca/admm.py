@@ -162,23 +162,17 @@ def _sq_norms(t):
     return np.einsum("...ij,...ij->...", s, s)
 
 
-def _slice_ratio(diff, den):
-    """Worst per-slice ratio ||diff_i||^2 / den_i, with ``den`` the reference's
-    :func:`_sq_norms`; a zero den_i counts as 1."""
-    return _worst_ratio(_sq_norms(diff), np.where(den > 0, den, 1.0))
-
-
 def _worst_ratio(num, den):
-    """max_i num_i / den_i over a nonzero ``den``, taken in ``num``, the
+    """max_i num_i / den_i, a zero den_i counting as 1, taken in ``num``, the
     caller's own array; 0 for no slices."""
-    num /= den
+    num /= np.where(den > 0, den, 1.0)
     return float(np.maximum.reduce(num)) if num.size else 0.0
 
 
 def _x_norms(state, X):
-    """:func:`_sq_norms` of X, a zero counting as 1, once per X (by identity)."""
+    """:func:`_sq_norms` of X, once per X (by identity)."""
     if state.x_norms is None or state.x_norms[0] is not X:
-        state.x_norms = (X, np.where((norms := _sq_norms(X)) > 0, norms, 1.0))
+        state.x_norms = (X, _sq_norms(X))
     return state.x_norms[1]
 
 
@@ -223,10 +217,10 @@ def _init_tucker(X, cfg, data_mu=None):
     the largest residual, and E turns on at the second iteration instead of
     idling at 0 while mu grows.  The bound keeps a near-exact fit, whose
     residual is round-off, from starting mu at the scale of 1/eps.  Under a
-    mask the start fits zero-filled data, its residual is start error rather
-    than outliers, and mu is kept; so it is for a zero, non-finite or
-    overflowed scale.  mu_cap follows mu.  Zero input gives zero bases and
-    mu = eta.
+    mask the start fits X, hidden entries included, its residual is start
+    error rather than outliers, and mu is kept; so it is for a zero,
+    non-finite or overflowed scale.  mu_cap follows mu.  Zero input gives
+    zero bases and mu = eta.
     """
     (m, n, N), r = X.shape, cfg.rank
     a, b = np.zeros((m, r)), np.zeros((n, r))
@@ -542,11 +536,11 @@ def _grow_mu(state, rho):
 
 
 def _split_ratio(diff, primal):
-    """A split's residual, :func:`_slice_ratio` over the core's slices or, for
-    a basis, one slice, two dots.  Finite only if diff and primal are: an inf
-    in primal makes it inf/inf."""
+    """A split's residual, :func:`_worst_ratio` of the slice norms of diff and
+    primal over the core's slices or, for a basis, one slice, two dots.
+    Finite only if diff and primal are: an inf in primal makes it inf/inf."""
     if diff.ndim == 3:
-        return _slice_ratio(diff, _sq_norms(primal))
+        return _worst_ratio(_sq_norms(diff), _sq_norms(primal))
     num, den = float(np.vdot(diff, diff)), float(np.vdot(primal, primal))
     return num / den if den > 0 else num
 
@@ -597,46 +591,37 @@ def _tail(state, X, views, carriers, target, spare, diffs, rho):
     ``views`` of :func:`_block_views`.
 
     It grows mu by ``rho`` first (:func:`_grow_mu`), c = mu/mu', then builds
-    L' = left K right^T from ``carriers`` in ``spare``, the new scaled dual
-    U' over ``target`` and the next E step's T' = (X - L') + U'
-    (:func:`_shrink_arg`) over the old U:
-
-    * with splits, whose residuals ``diffs`` holds (:func:`_split_diff`):
-      P = Delta - L' from the sweep's target Delta = Xt + U, then U' = c*P,
-      the scaled-form ascent (U + X - L' - E) * c without X - L' - E;
-    * otherwise (LADMM): D = (X - L') - E, then U' = (U + D) * c.
-
-    Once mu is capped, c = 1 and U' is not multiplied.  err_rec takes the
-    residual D = X - E - A R B^T's slice norms.  Where L' shares the model's
-    A and B (admm2) it comes from D, A^T D_i B and the first split's R - K
-    (:func:`_rec_ratio`): D = P - U is formed over the old U, and a finite
-    sum of D's norms proves U' finite.  Otherwise (degree 3) A R B^T is
-    built over the old U once U' is formed, D = (X - A R B^T) - E there, and
-    the squared norm of each block of U', one dot taken while in cache,
-    proves it.  Returns (L', T',
-    err_rec, finite), ``finite`` False if U' may hold a non-finite value.
+    L' = left K right^T from ``carriers`` in ``spare``, P = Delta - L' over
+    the sweep's target Delta = Xt + U, the new scaled dual U' = c*P (the
+    scaled-form ascent (U + X - L' - E) * c; once mu is capped, c = 1 and P
+    is not multiplied) and the next E step's T' = (X - L') + U'
+    (:func:`_shrink_arg`) over the old U.  err_rec takes the residual
+    D = X - E - A R B^T's slice norms.  Where L' shares the model's A and B
+    (admm2, LADMM), D = P - U over the old U, and a finite c * sum of D's
+    norms proves U' finite; admm2's L' uses K for R, so its err_rec also
+    takes A^T D_i B and the first split's R - K in ``diffs``
+    (:func:`_split_diff`, :func:`_rec_ratio`).  Degree 3 builds A R B^T over
+    the old U once U' is formed, D = (X - A R B^T) - E there, and the
+    squared norm of each block of U', one dot taken while in cache, proves
+    U' finite.  Returns (L', T', err_rec, finite), ``finite`` False if U'
+    may hold a non-finite value.
     """
     left, core, right = carriers
     model, u, N = state.model, state.Lam, X.shape[2]
     a, b = model.a, model.b
     c = _grow_mu(state, rho)
-    derived, shares = bool(diffs), left is a and right is b
+    shares = left is a and right is b
     num = np.empty(N)
-    cross = np.empty((N, a.shape[1], b.shape[1])) if derived and shares else None
+    cross = np.empty((N, a.shape[1], b.shape[1])) if shares and diffs else None
     a_t, proof, (blocks, views) = a.T, 0.0, views
     arrays = (views[id(t)] for t in (X, state.E, target, u, spare))
     for blk, x, e, new, old, out in zip(blocks, *arrays):
         l = tensor.reconstruct(left, core[:, :, blk], right, out=out)
-        if not derived:
-            d = np.subtract(x, l, out=new)
-            d -= e
+        new -= l
+        if shares:
+            d = np.subtract(new, old, out=old)
             num[blk] = _sq_norms(d)
-            d += old
-        else:
-            new -= l
-            if shares:
-                d = np.subtract(new, old, out=old)
-                num[blk] = _sq_norms(d)
+            if cross is not None:
                 cross[blk] = (a_t @ _slices(d)) @ b
         if c != 1.0:
             new *= c
@@ -645,12 +630,11 @@ def _tail(state, X, views, carriers, target, spare, diffs, rho):
             np.subtract(x, d, out=d)
             d -= e
             num[blk] = _sq_norms(d)
-        if cross is None:
             flat = _slices(new)
             proof += float(np.vdot(flat, flat))
         _shrink_arg(x, l, new, old)
     state.Lam = target
-    finite = math.isfinite(proof if cross is None else c * float(num.sum()))
+    finite = math.isfinite(c * float(num.sum()) if shares else proof)
     delta = None if cross is None else _slices(diffs[0])
     return spare, u, _rec_ratio(state, X, num, cross, delta), finite
 
@@ -662,11 +646,11 @@ def _state_arrays(state):
     return [("A", "model.a"), ("B", "model.b"), ("R", "model.core"), *own]
 
 
-def _proven(state, summed, values):
+def _proven(state, splits, values):
     """Whether one Python-float sum of the scalars ``values`` and the squared
-    norms of the arrays that the getters ``summed`` return is finite, which
-    proves them all finite; an overflow, which warns nowhere, is a false alarm."""
-    arrays = (get(state).ravel("K") for get in summed)
+    norms of the ``splits``' duals, which nothing else proves, is finite: if
+    so, they all are.  An overflow, which warns nowhere, is a false alarm."""
+    arrays = (getattr(state, row.dual).ravel("K") for row in splits)
     return math.isfinite(sum(values) + sum(float(np.vdot(a, a)) for a in arrays))
 
 
@@ -709,11 +693,6 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=()):
         state = start(X, cfg)
         recon, shrink_arg = np.empty_like(X), np.empty_like(X)
         views = _block_views(X, (X, cfg.mask, state.E, state.Lam, recon, shrink_arg))
-        # What neither a split's residual nor the objective proves is summed.
-        arrays = _state_arrays(state)
-        proven = {"model.a", "model.b", "model.core",
-                  *(path for row in splits for path in (row.primal, row.copy))}
-        summed = [attrgetter(path) for _, path in arrays if path not in proven]
         tensor.reconstruct(*carriers(state), out=recon)
         _shrink_arg(X, recon, state.Lam, shrink_arg)
         support = np.empty(_slices(views[1][id(X)][0]).shape, dtype=bool)
@@ -738,9 +717,9 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=()):
             objective = {"l1_sparse": lam * l1_sparse, **penalty(state, cfg)}
             report.append(IterationRecord(iter=it, mu=state.mu, mu_K=state.mu_K, nnz_E=nnz_E,
                                           elapsed_ms=elapsed_ms, objective=objective, **errs))
-            if not (lam_finite and _proven(state, summed, (*errs.values(),
+            if not (lam_finite and _proven(state, splits, (*errs.values(),
                                                             *objective.values()))):
-                named = {name: attrgetter(path)(state) for name, path in arrays}
+                named = {name: attrgetter(path)(state) for name, path in _state_arrays(state)}
                 if not lam_finite:
                     named["Lam"] = state.Lam
                 _check_finite(state, report, {**named, **errs})

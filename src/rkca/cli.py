@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -321,13 +322,16 @@ def _apply_config_file(args, argv):
 
 
 def build_parser():
+    # Flags are spelled in full, the only spelling _apply_config_file knows.
     parser = argparse.ArgumentParser(
         prog="rkca",
         description="Robust Kronecker-separable low-rank tensor decomposition",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = partial(sub.add_parser, allow_abbrev=False)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic instance")
+    p_synth = add("synth", help="generate a synthetic instance")
     p_synth.add_argument("--m", type=int, required=True)
     p_synth.add_argument("--n", type=int, required=True)
     p_synth.add_argument("--N", type=int, required=True)
@@ -338,7 +342,7 @@ def build_parser():
     p_synth.add_argument("--out-dir", required=True)
     p_synth.set_defaults(func=cmd_synth)
 
-    p_dec = sub.add_parser("decompose", help="decompose a tensor file")
+    p_dec = add("decompose", help="decompose a tensor file")
     p_dec.add_argument("--input", required=True)
     p_dec.add_argument("--mask", default=None)
     p_dec.add_argument("--out-dir", required=True)
@@ -346,7 +350,7 @@ def build_parser():
     _add_solver_flags(p_dec)
     p_dec.set_defaults(func=cmd_decompose)
 
-    p_den = sub.add_parser("denoise", help="denoise a directory of images")
+    p_den = add("denoise", help="denoise a directory of images")
     p_den.add_argument("--images", required=True)
     p_den.add_argument("--clean", default=None, help="clean reference directory")
     p_den.add_argument("--noise-level", dest="noise_level", type=float, default=0.0)
@@ -356,7 +360,7 @@ def build_parser():
     _add_solver_flags(p_den)
     p_den.set_defaults(func=cmd_denoise)
 
-    p_com = sub.add_parser("complete", help="complete a partially observed tensor")
+    p_com = add("complete", help="complete a partially observed tensor")
     p_com.add_argument("--input", required=True)
     p_com.add_argument("--mask", required=True)
     p_com.add_argument("--truth", default=None)
@@ -366,7 +370,7 @@ def build_parser():
     _add_solver_flags(p_com)
     p_com.set_defaults(func=cmd_complete)
 
-    p_eval = sub.add_parser("eval", help="compare estimates against ground truth")
+    p_eval = add("eval", help="compare estimates against ground truth")
     p_eval.add_argument("--estimate", required=True)
     p_eval.add_argument("--truth", required=True)
     p_eval.add_argument("--sparse-estimate", dest="sparse_estimate", default=None)

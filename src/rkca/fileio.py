@@ -91,14 +91,16 @@ def scan_rkt(path):
 
 def read_rkt(path):
     """Load an RKT1 tensor, checked as :func:`read_rkt_dims` checks it and
-    for non-finite values."""
+    for non-finite values; the payload is read straight into the result."""
     m, n, N = read_rkt_dims(path)
+    flat = np.empty(m * n * N, dtype="<f8")
     with open(path, "rb") as fh:
-        payload = fh.read()
-    flat = np.frombuffer(payload, dtype="<f8", count=m * n * N, offset=_HEADER_BYTES)
-    if not np.all(np.isfinite(flat)):
+        fh.seek(_HEADER_BYTES)
+        if fh.readinto(flat) != flat.nbytes:
+            raise ValueError(f"{path}: truncated RKT1 payload")
+    if not np.isfinite(flat).all():
         raise ValueError(f"{path}: non-finite values in tensor")
-    return flat.astype(np.float64).reshape((m, n, N), order="F")
+    return flat.reshape((m, n, N), order="F")
 
 
 def _read_pnm_header(payload, path, magic):

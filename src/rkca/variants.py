@@ -89,7 +89,7 @@ def _basis_norm(mat, variant, cache=None):
 
 def _core_weight(a, b, cfg, cache=None):
     """Weight of ||R||_1 in the objective: alpha, times |A| |B| at degree 3."""
-    if cfg.variant in ("ladmm2", "admm2"):
+    if cfg.variant == "ladmm2":
         return cfg.alpha
     return (cfg.alpha * _basis_norm(a, cfg.variant, cache)
             * _basis_norm(b, cfg.variant, cache))
@@ -152,7 +152,7 @@ def ladmm_update_B(state, a_delta, cfg):
 
 def _low_rank_penalty(model, cfg, norms=None, grams=None):
     penalty = _core_weight(model.a, model.b, cfg, norms) * tensor.l1(_slices(model.core))
-    if cfg.variant in ("ladmm2", "admm2"):
+    if cfg.variant == "ladmm2":
         penalty += admm._frobenius_penalty(model, grams)
     return penalty
 

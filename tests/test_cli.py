@@ -244,6 +244,23 @@ def test_decompose_config_file(tmp_path):
     assert report["config"]["max_iters"] == 7
 
 
+def test_abbreviated_flags_are_refused(tmp_path, capsys):
+    # A flag given on the command line beats --config, which knows it by its
+    # full spelling; an abbreviation such as --max-it is a usage error, not a
+    # flag the config file silently overrides.
+    x_path = tmp_path / "X.rkt"
+    fileio.write_rkt(x_path, np.ones((8, 7, 3)))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"max_iters": 7}))
+    out = tmp_path / "dec"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("decompose", "--input", x_path, "--rank", 2, "--config", config,
+                "--max-it", 3, "--out-dir", out)
+    assert exc.value.code == 2
+    assert "--max-it" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_alone_can_set_rank(tmp_path):
     # README: the file takes the same keys as the flags, rank included.
     x_path = tmp_path / "X.rkt"

@@ -76,6 +76,22 @@ def test_write_rkt_streams_blocks_of_slices_with_the_same_bytes(tmp_path, name):
     assert peak <= max(fileio._SCAN_BYTES, 8 * m * n) + (64 << 10), name
 
 
+def test_read_rkt_reads_the_payload_into_its_result(tmp_path):
+    # The payload goes straight into the float64 result: the read holds the
+    # tensor and its finiteness check, not a bytes copy beside it.
+    t = np.random.default_rng(3).standard_normal((100, 100, 50))
+    path = tmp_path / "t.rkt"
+    fileio.write_rkt(path, t)
+    tracemalloc.start()
+    try:
+        back = fileio.read_rkt(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, t) and back.dtype == np.float64
+    assert peak <= 1.2 * t.nbytes
+
+
 def test_rkt_rejections(tmp_path):
     rng = np.random.default_rng(1)
     t = rng.standard_normal((2, 2, 2))
