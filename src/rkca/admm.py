@@ -663,6 +663,9 @@ def _check_finite(state, report, named):
             raise SolverAbort(msg, report)
 
 
+# Overflow and invalid values warn nowhere in a run: the loop proves every
+# array finite and aborts, naming the first that is not (_check_finite).
+@np.errstate(all="ignore")
 def _iterate(X, cfg, start, sweep, penalty, carriers, splits=()):
     """Run the iteration loop shared by every variant; returns (model, E, report).
 

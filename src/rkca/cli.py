@@ -8,6 +8,7 @@ fully-resolved configuration so a run can be replayed exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from functools import partial
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, fileio, tensor
+from . import data, fileio
 from .admm import SolverAbort
 from .linalg import NumericalError
 from .model import VARIANTS, SolverConfig
@@ -56,71 +57,62 @@ def _positive_range(text):
 
 
 def _add_solver_flags(parser):
-    """Add the solver flags; returns their argparse actions."""
+    """Add --config and the solver flags, each None unless given; returns
+    the solver flags' argparse actions, whose dests are SolverConfig's fields."""
+    parser.add_argument("--config", help="JSON file with flag defaults")
     return [
-        parser.add_argument(
-            "--variant", choices=sorted(VARIANT_FLAGS), default="admm2",
-            help="solver variant (default admm2)",
-        ),
+        parser.add_argument("--variant", choices=sorted(VARIANT_FLAGS),
+                            help=f"solver variant (default {SolverConfig.variant})"),
         parser.add_argument("--rank", type=int, help="rank upper bound r (required)"),
-        parser.add_argument("--alpha", type=float, default=1e-2),
+        parser.add_argument("--alpha", type=float),
         parser.add_argument(
-            "--lambda", dest="lam", type=float, default=None,
+            "--lambda", dest="lam", type=float,
             help="sparsity weight; defaults to 1/sqrt(N*max(m,n))",
         ),
-        parser.add_argument("--rho", type=float, default=1.1),
-        parser.add_argument("--tol", type=float, default=1e-5),
-        parser.add_argument("--max-iters", type=int, default=1000),
+        parser.add_argument("--rho", type=float),
+        parser.add_argument("--tol", type=float),
+        parser.add_argument("--max-iters", type=int),
     ]
 
 
-def _solver_config(args):
-    """The solver flags as a SolverConfig (no mask yet); bad values and a
-    missing rank are usage errors."""
-    if args.rank is None:
-        raise UsageError("--rank is required, on the command line or in the --config file")
+_SOLVER_FLAGS = _add_solver_flags(argparse.ArgumentParser(add_help=False))
+# A config key is a solver flag's dest or its spelling without the dashes.
+_CONFIG_KEYS = {key: action for action in _SOLVER_FLAGS
+               for key in (action.dest, *(opt.lstrip("-") for opt in action.option_strings))}
+
+
+def _usage_checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError from it is a usage error."""
     try:
-        return SolverConfig(
-            rank=args.rank,
-            alpha=args.alpha,
-            lam=args.lam,
-            rho=args.rho,
-            tol=args.tol,
-            max_iters=args.max_iters,
-            variant=VARIANT_FLAGS[args.variant],
-        )
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
+def _solver_config(args):
+    """The solver flags that are set as a SolverConfig (no mask yet), whose
+    defaults fill the rest; bad values and a missing rank are usage errors."""
+    if args.rank is None:
+        raise UsageError("--rank is required, on the command line or in the --config file")
+    given = {a.dest: getattr(args, a.dest) for a in _SOLVER_FLAGS
+             if getattr(args, a.dest) is not None}
+    if "variant" in given:
+        given["variant"] = VARIANT_FLAGS[given["variant"]]
+    return _usage_checked(SolverConfig, **given)
+
+
 def cmd_synth(args):
-    spec = data.SynthSpec(
-        m=args.m,
-        n=args.n,
-        n_slices=args.N,
-        rank_a=args.rank_a,
-        rank_b=args.rank_b,
-        p_clean=args.p_clean,
-        seed=args.seed,
-    )
+    fields = dataclasses.fields(data.SynthSpec)
+    spec = _usage_checked(data.SynthSpec, **{f.name: getattr(args, f.name) for f in fields})
     low_rank, sparse, observed = data.synth_generate(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_rkt(out / "L_true.rkt", low_rank)
     fileio.write_rkt(out / "E_true.rkt", sparse)
     fileio.write_rkt(out / "X.rkt", observed)
-    _write_json(
-        out / "spec.json",
-        {
-            "m": spec.m,
-            "n": spec.n,
-            "N": spec.n_slices,
-            "rank_a": spec.rank_a,
-            "rank_b": spec.rank_b,
-            "p_clean": spec.p_clean,
-            "seed": spec.seed,
-        },
-    )
+    manifest = dataclasses.asdict(spec)
+    manifest["N"] = manifest.pop("n_slices")
+    _write_json(out / "spec.json", manifest)
     return EXIT_OK
 
 
@@ -144,14 +136,9 @@ def _run_solver(X, cfg, out):
     return low_rank
 
 
-def _read_input(path):
-    """A tensor file, slice-major so that the solve takes no second copy."""
-    return tensor.slice_major(fileio.read_rkt(path))
-
-
 def cmd_decompose(args):
     cfg = _solver_config(args)
-    X = _read_input(args.input)
+    X = fileio.read_rkt(args.input)
     if args.mask is not None:
         cfg.mask = fileio.read_rkt(args.mask) != 0
     cfg.validate_for(X.shape)
@@ -188,8 +175,9 @@ def cmd_denoise(args):
     if clean is not None and clean.shape != X.shape:
         raise ValueError("clean reference dims do not match input images")
     noisy = X
-    if args.noise_level > 0:
-        noisy, _ = data.add_salt_pepper(X, args.noise_level, 0.0, 1.0, args.seed)
+    if args.noise_level != 0:  # so a nan or negative level is refused too
+        noisy, _ = _usage_checked(data.add_salt_pepper, X, args.noise_level, 0.0, 1.0,
+                                  args.seed)
     cfg.validate_for(noisy.shape)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -223,8 +211,8 @@ def _hidden_norms(completed, truth, hidden):
 
 def cmd_complete(args):
     cfg = _solver_config(args)
-    observed = _read_input(args.input)
-    mask = cfg.mask = tensor.slice_major(fileio.read_rkt(args.mask) != 0)
+    observed = fileio.read_rkt(args.input)
+    mask = cfg.mask = fileio.read_rkt(args.mask) != 0
     cfg.validate_for(observed.shape)
     # The truth is scanned before the solve, which writes the factors.
     if args.truth is not None and fileio.scan_rkt(args.truth) != observed.shape:
@@ -295,11 +283,10 @@ def _config_value(action, key, value):
     return value
 
 
-def _apply_config_file(args, argv):
-    """Fill solver flags from the --config JSON object; flags given on the
-    command line win."""
+def _apply_config_file(args):
+    """Fill the solver flags left unset (None) from the --config JSON object."""
     if getattr(args, "config", None) is None:
-        return args
+        return
     raw = Path(args.config).read_bytes()
     try:  # JSON text is UTF-8 (RFC 8259); a leading BOM is tolerated
         overrides = json.loads(raw.decode("utf-8-sig"))
@@ -307,22 +294,17 @@ def _apply_config_file(args, argv):
         raise UsageError(f"config file {args.config}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise UsageError(f"config file {args.config} must hold a JSON object")
-    actions = {}
-    for action in _add_solver_flags(argparse.ArgumentParser(add_help=False)):
-        actions[action.dest] = action
-        actions.update((opt.lstrip("-"), action) for opt in action.option_strings)
-    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
+    unset = {a.dest for a in _SOLVER_FLAGS if getattr(args, a.dest) is None}
     for key, value in overrides.items():
-        action = actions.get(key) or actions.get(key.replace("_", "-"))
+        action = _CONFIG_KEYS.get(key)
         if action is None:
             raise UsageError(f"unknown config key {key!r}")
-        if given.isdisjoint(action.option_strings):
+        if action.dest in unset:
             setattr(args, action.dest, _config_value(action, key, value))
-    return args
 
 
 def build_parser():
-    # Flags are spelled in full, the only spelling _apply_config_file knows.
+    # Each flag has one spelling, the one its config key uses.
     parser = argparse.ArgumentParser(
         prog="rkca",
         description="Robust Kronecker-separable low-rank tensor decomposition",
@@ -334,60 +316,55 @@ def build_parser():
     p_synth = add("synth", help="generate a synthetic instance")
     p_synth.add_argument("--m", type=int, required=True)
     p_synth.add_argument("--n", type=int, required=True)
-    p_synth.add_argument("--N", type=int, required=True)
-    p_synth.add_argument("--rank-a", dest="rank_a", type=int, required=True)
-    p_synth.add_argument("--rank-b", dest="rank_b", type=int, required=True)
-    p_synth.add_argument("--p-clean", dest="p_clean", type=float, required=True)
+    p_synth.add_argument("--N", dest="n_slices", metavar="N", type=int, required=True)
+    p_synth.add_argument("--rank-a", type=int, required=True)
+    p_synth.add_argument("--rank-b", type=int, required=True)
+    p_synth.add_argument("--p-clean", type=float, required=True)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out-dir", required=True)
     p_synth.set_defaults(func=cmd_synth)
 
     p_dec = add("decompose", help="decompose a tensor file")
     p_dec.add_argument("--input", required=True)
-    p_dec.add_argument("--mask", default=None)
+    p_dec.add_argument("--mask")
     p_dec.add_argument("--out-dir", required=True)
-    p_dec.add_argument("--config", default=None, help="JSON file with flag defaults")
     _add_solver_flags(p_dec)
     p_dec.set_defaults(func=cmd_decompose)
 
     p_den = add("denoise", help="denoise a directory of images")
     p_den.add_argument("--images", required=True)
-    p_den.add_argument("--clean", default=None, help="clean reference directory")
-    p_den.add_argument("--noise-level", dest="noise_level", type=float, default=0.0)
+    p_den.add_argument("--clean", help="clean reference directory")
+    p_den.add_argument("--noise-level", type=float, default=0.0)
     p_den.add_argument("--seed", type=int, default=0)
     p_den.add_argument("--out-dir", required=True)
-    p_den.add_argument("--config", default=None)
     _add_solver_flags(p_den)
     p_den.set_defaults(func=cmd_denoise)
 
     p_com = add("complete", help="complete a partially observed tensor")
     p_com.add_argument("--input", required=True)
     p_com.add_argument("--mask", required=True)
-    p_com.add_argument("--truth", default=None)
+    p_com.add_argument("--truth")
     p_com.add_argument("--range", type=_positive_range, default=1.0)
     p_com.add_argument("--out-dir", required=True)
-    p_com.add_argument("--config", default=None)
     _add_solver_flags(p_com)
     p_com.set_defaults(func=cmd_complete)
 
     p_eval = add("eval", help="compare estimates against ground truth")
     p_eval.add_argument("--estimate", required=True)
     p_eval.add_argument("--truth", required=True)
-    p_eval.add_argument("--sparse-estimate", dest="sparse_estimate", default=None)
-    p_eval.add_argument("--sparse-truth", dest="sparse_truth", default=None)
+    p_eval.add_argument("--sparse-estimate")
+    p_eval.add_argument("--sparse-truth")
     p_eval.add_argument("--range", type=_positive_range, default=1.0)
-    p_eval.add_argument("--out", default=None)
+    p_eval.add_argument("--out")
     p_eval.set_defaults(func=cmd_eval)
 
     return parser
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args = _apply_config_file(args, argv)
+        _apply_config_file(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ generator), so every artefact is reproducible from its integer seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,6 +53,8 @@ class SynthSpec:
             raise ValueError(f"rank_b={self.rank_b} out of range")
         if not 0.0 <= self.p_clean <= 1.0:
             raise ValueError(f"p_clean={self.p_clean} not in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} is negative")
 
 
 @dataclass(frozen=True)
@@ -65,14 +67,7 @@ class Metrics:
     roc_auc: float | None
 
     def to_dict(self):
-        return {
-            "rel_error_L": self.rel_error_L,
-            "rel_error_E": self.rel_error_E,
-            "density_E": self.density_E,
-            "support_f1": self.support_f1,
-            "psnr": self.psnr,
-            "roc_auc": self.roc_auc,
-        }
+        return asdict(self)
 
 
 def synth_generate(spec):

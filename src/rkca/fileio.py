@@ -31,9 +31,9 @@ __all__ = [
 
 RKT_MAGIC = b"RKTENS1\x00"
 
-# write_rkt writes, and scan_rkt reads, the payload in chunks of about this
-# many bytes.
-_SCAN_BYTES = 1 << 20
+# write_rkt writes, and scan_rkt and read_rkt read, the payload in blocks of
+# about this many bytes.
+_SCAN_BYTES = 1 << 18
 
 
 def write_rkt(path, t):
@@ -90,17 +90,27 @@ def scan_rkt(path):
 
 
 def read_rkt(path):
-    """Load an RKT1 tensor, checked as :func:`read_rkt_dims` checks it and
-    for non-finite values; the payload is read straight into the result."""
+    """Load an RKT1 tensor slice-major (:func:`tensor.slice_major`'s layout),
+    checked as :func:`read_rkt_dims` checks it and for non-finite values.
+
+    The payload is read a block of whole slices (about _SCAN_BYTES, one slice
+    at least) at a time into one scratch block, checked, and transposed into
+    place, so the read holds the result and that block.
+    """
     m, n, N = read_rkt_dims(path)
-    flat = np.empty(m * n * N, dtype="<f8")
+    out = np.empty((N, m, n))
+    step = max(1, _SCAN_BYTES // (8 * m * n))
+    block = np.empty((min(step, N), n, m), dtype="<f8")  # (k, j, i): file order
     with open(path, "rb") as fh:
         fh.seek(_HEADER_BYTES)
-        if fh.readinto(flat) != flat.nbytes:
-            raise ValueError(f"{path}: truncated RKT1 payload")
-    if not np.isfinite(flat).all():
-        raise ValueError(f"{path}: non-finite values in tensor")
-    return flat.reshape((m, n, N), order="F")
+        for k in range(0, N, step):
+            part = block[:N - k]
+            if fh.readinto(part) != part.nbytes:
+                raise ValueError(f"{path}: truncated RKT1 payload")
+            if not np.isfinite(part).all():
+                raise ValueError(f"{path}: non-finite values in tensor")
+            out[k:k + len(part)] = part.transpose(0, 2, 1)
+    return out.transpose(1, 2, 0)
 
 
 def _read_pnm_header(payload, path, magic):

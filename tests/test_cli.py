@@ -779,3 +779,93 @@ def test_denoise_checks_the_clean_stack_before_the_solve(tmp_path):
     assert run_cli("denoise", "--images", tmp_path / "imgs", "--clean", tmp_path / "clean",
                    "--rank", 3, "--max-iters", 3, "--out-dir", out) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", sorted(cli.VARIANT_FLAGS))
+def test_near_overflow_input_aborts_without_warnings(tmp_path, variant):
+    # N(0,1)*1e300 overflows the slice norms of the start: every variant exits
+    # 4 with its partial report, and no RuntimeWarning is printed on the way.
+    x_path = tmp_path / "X.rkt"
+    fileio.write_rkt(x_path, np.random.default_rng(3).standard_normal((6, 5, 3)) * 1e300)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("decompose", "--input", x_path, "--rank", 2, "--variant", variant,
+                       "--out-dir", out)
+    assert code == 4
+    assert json.loads((out / "report.json").read_text())["termination"] == "abort"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("synth", {"m": 0}),
+    ("synth", {"p-clean": 1.5}),
+    ("synth", {"p-clean": "nan"}),
+    ("synth", {"seed": -1}),
+    ("denoise", {"noise-level": 1.5}),
+    ("denoise", {"noise-level": "nan"}),
+    ("denoise", {"noise-level": -0.5}),
+    ("denoise", {"noise-level": 0.3, "seed": -3}),
+], ids=["synth-m-0", "synth-p-clean-1.5", "synth-p-clean-nan", "synth-seed-neg",
+        "denoise-noise-1.5", "denoise-noise-nan", "denoise-noise-neg", "denoise-seed-neg"])
+def test_bad_synth_and_denoise_flags_are_usage_errors(tmp_path, capsys, command, flags):
+    # A flag value the command cannot use is a usage error, as a bad solver
+    # flag is: exit 2 with a one-line message and no output directory.
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = synth_args(out, **flags)
+    else:
+        write_grayscale_stack(tmp_path / "imgs", low_rank_images(m=12, n=10, n_img=3))
+        argv = ["denoise", "--images", tmp_path / "imgs", "--rank", 2, "--out-dir", out]
+        for key, val in flags.items():
+            argv += [f"--{key}", val]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_unset_solver_flags_take_the_solver_config_defaults(tmp_path, how):
+    # With no solver flag but the rank, on the command line or in the config
+    # file, the report's config is SolverConfig's own for that rank.
+    gen = tmp_path / "gen"
+    assert run_cli(*synth_args(gen)) == 0
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"rank": 3}))
+    rank = ["--rank", 3] if how == "flag" else ["--config", config]
+    out = tmp_path / "out"
+    assert run_cli("decompose", "--input", gen / "X.rkt", *rank, "--out-dir", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"] == SolverConfig(rank=3).resolved((20, 18, 5))
+
+
+@pytest.mark.parametrize("lam_key, iters_key", [("lambda", "max_iters"), ("lam", "max-iters")])
+def test_every_solver_flag_beats_the_config_file(tmp_path, lam_key, iters_key):
+    # Each solver flag on the command line wins over the file's value for it,
+    # under either spelling of a key.
+    x_path = tmp_path / "X.rkt"
+    fileio.write_rkt(x_path, np.random.default_rng(4).standard_normal((8, 7, 3)))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"variant": "admm3-fro", "rank": 2, "alpha": 0.5,
+                                  lam_key: 0.3, "rho": 1.5, "tol": 1e-3, iters_key: 2}))
+    out = tmp_path / "out"
+    assert run_cli("decompose", "--input", x_path, "--config", config, "--variant", "ladmm2",
+                   "--rank", 3, "--alpha", 0.02, "--lambda", 0.1, "--rho", 1.2,
+                   "--tol", 1e-4, "--max-iters", 3, "--out-dir", out) == 0
+    want = SolverConfig(rank=3, alpha=0.02, lam=0.1, rho=1.2, tol=1e-4, max_iters=3,
+                        variant="ladmm2")
+    assert json.loads((out / "report.json").read_text())["config"] == want.resolved((8, 7, 3))
+
+
+def test_a_config_value_a_flag_overrides_is_not_converted(tmp_path):
+    # "0.1" is not a number, but --alpha replaces it, so it is never used and
+    # the run succeeds with the flag's value.
+    x_path = tmp_path / "X.rkt"
+    fileio.write_rkt(x_path, np.ones((6, 5, 2)))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"alpha": "0.1"}))
+    out = tmp_path / "out"
+    assert run_cli("decompose", "--input", x_path, "--rank", 2, "--config", config,
+                   "--alpha", 0.2, "--max-iters", 2, "--out-dir", out) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["alpha"] == 0.2

@@ -76,6 +76,25 @@ def test_write_rkt_streams_blocks_of_slices_with_the_same_bytes(tmp_path, name):
     assert peak <= max(fileio._SCAN_BYTES, 8 * m * n) + (64 << 10), name
 
 
+@pytest.mark.parametrize("name", sorted(RKT_INPUTS))
+def test_read_rkt_streams_blocks_of_slices_into_a_slice_major_result(tmp_path, name):
+    # The values written, in a slice-major result, read with at most one block
+    # of slices (one slice, if larger) and its finiteness mask held beside it.
+    t = RKT_INPUTS[name](np.random.default_rng(4))
+    path = tmp_path / "t.rkt"
+    fileio.write_rkt(path, t)
+    tracemalloc.start()
+    try:
+        back = fileio.read_rkt(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m, n, N = t.shape
+    assert np.array_equal(back, t) and back.dtype == np.float64
+    assert back.transpose(2, 0, 1).flags.c_contiguous
+    assert peak <= t.nbytes + 1.125 * max(fileio._SCAN_BYTES, 8 * m * n) + (64 << 10), name
+
+
 def test_read_rkt_reads_the_payload_into_its_result(tmp_path):
     # The payload goes straight into the float64 result: the read holds the
     # tensor and its finiteness check, not a bytes copy beside it.
