@@ -5,9 +5,10 @@ outliers E, a sweep of block steps on the separable factors ``A R_i B^T``,
 then dual ascent under capped penalties that grow geometrically, faster
 once E's support size holds (:func:`_growth`).
 :func:`_iterate` is the loop all of them run, from a table: the start, the
-sweep, the factors whose reconstruction L carries X = L + E, and one
-:class:`Split` row per split constraint, whose copy, dual and penalty every
-start opens (:func:`_open_splits`).  It runs on one copy of each shared
+sweep, and one :class:`Split` row per split constraint, whose copy, dual and
+penalty every start opens (:func:`_open_splits`).  The reconstruction L
+that carries X = L + E is built from A, R and B, each split's copy in place
+of its primal.  It runs on one copy of each shared
 kernel: residual shrinkage (selective under an observation mask, for robust
 completion), per-slice ratios, the batched Stein core update and the basis
 normal-equation solve, both resting on :func:`linalg.symmetric_eig`.  Here
@@ -666,13 +667,13 @@ def _check_finite(state, report, named):
 # Overflow and invalid values warn nowhere in a run: the loop proves every
 # array finite and aborts, naming the first that is not (_check_finite).
 @np.errstate(all="ignore")
-def _iterate(X, cfg, start, sweep, penalty, carriers, splits=()):
+def _iterate(X, cfg, start, sweep, penalty, splits=()):
     """Run the iteration loop shared by every variant; returns (model, E, report).
 
-    ``start(X, cfg)`` returns the first state.  An iteration runs the E step
-    (:func:`_e_step`) on the last L, the reconstruction from ``carriers``
-    (attribute paths of left, core and right), and on T = X - L + U, which
-    the last tail built; it also counts nnz(E).  Then
+    ``start(X, cfg)`` returns the first state.  L is built from the model's
+    A, R and B, each replaced by its copy where one of the ``splits`` holds
+    it.  An iteration runs the E step (:func:`_e_step`) on the last L and on
+    T = X - L + U, which the last tail built; it also counts nnz(E).  Then
     ``sweep(state, X, target, cfg, report)`` runs the block steps on
     Xt = X - E, each yielding its name first, so that a wrapper of the sweep
     sees every block boundary.  Xt is never formed:
@@ -690,7 +691,8 @@ def _iterate(X, cfg, start, sweep, penalty, carriers, splits=()):
     """
     lam = cfg.resolved_lambda(X.shape)
     report = RunReport(variant=cfg.variant, config=cfg.resolved(X.shape))
-    carriers = attrgetter(*carriers)
+    copies = {row.primal: row.copy for row in splits}
+    carriers = attrgetter(*(copies.get(p, p) for p in ("model.a", "model.core", "model.b")))
     state = None
     try:
         state = start(X, cfg)
@@ -772,5 +774,4 @@ def solve(X, cfg):
     if cfg.variant != "admm2":
         raise ValueError(f"admm.solve handles the admm2 variant, got {cfg.variant!r}")
     start = _init_balanced if cfg.mask is None else initialize
-    return _iterate(X, cfg, start, _admm2_sweep, _admm2_penalty,
-                    ("model.a", "K", "model.b"), (CORE_SPLIT,))
+    return _iterate(X, cfg, start, _admm2_sweep, _admm2_penalty, (CORE_SPLIT,))

@@ -239,12 +239,12 @@ def cmd_complete(args):
 
 
 def cmd_eval(args):
+    if (args.sparse_estimate is None) != (args.sparse_truth is None):
+        raise UsageError("--sparse-estimate and --sparse-truth go together")
     estimate = fileio.read_rkt(args.estimate)
     truth = fileio.read_rkt(args.truth)
     if estimate.shape != truth.shape:
         raise ValueError("estimate and truth dims differ")
-    if (args.sparse_estimate is None) != (args.sparse_truth is None):
-        raise ValueError("--sparse-estimate and --sparse-truth go together")
     if args.sparse_estimate is not None:
         sparse_est = fileio.read_rkt(args.sparse_estimate)
         sparse_tru = fileio.read_rkt(args.sparse_truth)

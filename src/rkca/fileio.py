@@ -12,47 +12,50 @@ format.  Pixel values are scaled to [0, 1] on read, and writing at maxval
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import struct
 
 import numpy as np
 
-__all__ = [
-    "RKT_MAGIC",
-    "read_rkt",
-    "read_rkt_dims",
-    "scan_rkt",
-    "write_rkt",
-    "read_pgm",
-    "read_ppm",
-    "write_pgm",
-    "write_ppm",
-]
+__all__ = ["RKT_MAGIC", "read_rkt", "read_rkt_dims", "scan_rkt", "write_rkt",
+           "read_pgm", "read_ppm", "write_pgm", "write_ppm"]
 
 RKT_MAGIC = b"RKTENS1\x00"
+_HEADER_BYTES = len(RKT_MAGIC) + 24
 
 # write_rkt writes, and scan_rkt and read_rkt read, the payload in blocks of
 # about this many bytes.
 _SCAN_BYTES = 1 << 18
 
 
+def _rkt_blocks(m, n, N):
+    """The RKT1 block plan of an (m, n, N) tensor: the (slices, columns)
+    shape of its largest block, and each block's (slices, columns) index
+    pair in file order.  A block is a run of whole slices while one slice
+    fits in _SCAN_BYTES, else a run of whole columns (one at least) of one
+    slice."""
+    cols = max(1, _SCAN_BYTES // (8 * m))
+    if cols < n:
+        return (1, cols), ((slice(k, k + 1), slice(j, j + cols))
+                           for k in range(N) for j in range(0, n, cols))
+    step = min(N, _SCAN_BYTES // (8 * m * n))
+    return (step, n), ((slice(k, k + step), slice(None)) for k in range(0, N, step))
+
+
 def write_rkt(path, t):
-    """Serialise a 3-way tensor to the RKT1 format, a block of whole slices
-    (about _SCAN_BYTES, one slice at least) at a time: each block takes one
-    column-major float64 copy, none where it is one already."""
+    """Serialise a 3-way tensor to the RKT1 format a block of the block plan
+    at a time: each block takes one column-major float64 copy, none where it
+    is one already."""
     t = np.asarray(t)
     if t.ndim != 3:
         raise ValueError(f"expected a 3-way tensor, got shape {t.shape}")
-    m, n, N = t.shape
-    step = max(1, _SCAN_BYTES // max(1, 8 * m * n))
     with open(path, "wb") as fh:
-        fh.write(RKT_MAGIC)
-        fh.write(struct.pack("<3Q", m, n, N))
-        for k in range(0, N, step):
-            fh.write(np.asarray(t[:, :, k:k + step], dtype="<f8", order="F").ravel(order="F"))
-
-
-_HEADER_BYTES = len(RKT_MAGIC) + 24
+        fh.write(RKT_MAGIC + struct.pack("<3Q", *t.shape))
+        if t.size:  # an empty tensor is its header alone
+            for ks, cols in _rkt_blocks(*t.shape)[1]:
+                fh.write(np.asarray(t[:, cols, ks], dtype="<f8", order="F").ravel(order="F"))
 
 
 def read_rkt_dims(path):
@@ -93,118 +96,92 @@ def read_rkt(path):
     """Load an RKT1 tensor slice-major (:func:`tensor.slice_major`'s layout),
     checked as :func:`read_rkt_dims` checks it and for non-finite values.
 
-    The payload is read a block of whole slices (about _SCAN_BYTES, one slice
-    at least) at a time into one scratch block, checked, and transposed into
-    place, so the read holds the result and that block.
+    The payload is read a block of the block plan at a time into one scratch
+    block, checked, and transposed into place, so the read holds the result
+    and that block.
     """
     m, n, N = read_rkt_dims(path)
     out = np.empty((N, m, n))
-    step = max(1, _SCAN_BYTES // (8 * m * n))
-    block = np.empty((min(step, N), n, m), dtype="<f8")  # (k, j, i): file order
+    (slices, cols), blocks = _rkt_blocks(m, n, N)
+    scratch = np.empty(slices * cols * m, dtype="<f8")
     with open(path, "rb") as fh:
         fh.seek(_HEADER_BYTES)
-        for k in range(0, N, step):
-            part = block[:N - k]
+        for ks, cs in blocks:
+            dst = out[ks, :, cs]
+            part = scratch[:dst.size].reshape(len(dst), -1, m)  # (k, j, i): file order
             if fh.readinto(part) != part.nbytes:
                 raise ValueError(f"{path}: truncated RKT1 payload")
             if not np.isfinite(part).all():
                 raise ValueError(f"{path}: non-finite values in tensor")
-            out[k:k + len(part)] = part.transpose(0, 2, 1)
+            dst[...] = part.transpose(0, 2, 1)
     return out.transpose(1, 2, 0)
 
 
-def _read_pnm_header(payload, path, magic):
+# The netpbm header after its magic: width, height and maxval, each after any
+# whitespace and '#' comments (a comment runs to its newline), then one
+# whitespace byte.  A digit run never splits, so the match cannot backtrack
+# more than linearly.
+_PNM_HEADER = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*(\d+)(?!\d)" * 3 + rb"\s")
+# magic -> (trailing axes of the array, what the array must be)
+_PNM = {b"P5": ((), "a matrix"), b"P6": ((3,), "an (m, n, 3) tensor")}
+
+
+def _samples(maxval):
+    """The sample type at ``maxval``: big-endian 16-bit above 255, else a byte."""
+    return np.dtype(">u2" if maxval > 255 else "u1")
+
+
+def _read_pnm(path, magic):
+    with open(path, "rb") as fh:
+        payload = fh.read()
     if payload[:2] != magic:
         raise ValueError(f"{path}: expected {magic.decode()} file")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        if pos >= len(payload):
-            raise ValueError(f"{path}: truncated header")
-        ch = payload[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < len(payload) and payload[pos : pos + 1] not in (b"\n", b""):
-                pos += 1
-        elif ch.isdigit():
-            start = pos
-            while pos < len(payload) and payload[pos : pos + 1].isdigit():
-                pos += 1
-            fields.append(int(payload[start:pos]))
-        else:
-            raise ValueError(f"{path}: malformed header byte {ch!r}")
-    if pos >= len(payload) or not payload[pos : pos + 1].isspace():
-        raise ValueError(f"{path}: missing whitespace after maxval")
-    pos += 1
-    width, height, maxval = fields
+    header = _PNM_HEADER.match(payload, 2)
+    if header is None:
+        raise ValueError(f"{path}: malformed or truncated header")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad image dimensions {width}x{height}")
     if not 0 < maxval <= 65535:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    return width, height, maxval, pos
-
-
-def _read_raster(payload, pos, count, maxval, path):
-    if maxval > 255:
-        dtype = np.dtype(">u2")
-    else:
-        dtype = np.dtype("u1")
-    need = count * dtype.itemsize
-    if len(payload) - pos < need:
+    shape, dtype = (height, width, *_PNM[magic][0]), _samples(maxval)
+    count = math.prod(shape)
+    if len(payload) - header.end() < count * dtype.itemsize:
         raise ValueError(f"{path}: truncated raster data")
-    raw = np.frombuffer(payload, dtype=dtype, count=count, offset=pos)
+    raw = np.frombuffer(payload, dtype, count, header.end())
     if raw.max(initial=0) > maxval:
         raise ValueError(f"{path}: sample above maxval {maxval}")
-    return raw.astype(np.float64) / maxval
+    return (raw.astype(np.float64) / maxval).reshape(shape)
+
+
+def _write_pnm(path, img, maxval, magic):
+    img = np.asarray(img, dtype=np.float64)
+    channels, noun = _PNM[magic]
+    if img.ndim != 2 + len(channels) or img.shape[2:] != channels:
+        raise ValueError(f"expected {noun}, got shape {img.shape}")
+    if not 0 < maxval <= 65535:
+        raise ValueError(f"unsupported maxval {maxval}")
+    levels = np.clip(np.rint(img * maxval), 0, maxval).astype(_samples(maxval))
+    with open(path, "wb") as fh:
+        fh.write(f"{magic.decode()}\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii"))
+        fh.write(levels.tobytes())
 
 
 def read_pgm(path):
     """Read a binary (P5) grayscale image as an (m, n) matrix in [0, 1]."""
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    width, height, maxval, pos = _read_pnm_header(payload, path, b"P5")
-    values = _read_raster(payload, pos, width * height, maxval, path)
-    return values.reshape((height, width))
+    return _read_pnm(path, b"P5")
 
 
 def read_ppm(path):
     """Read a binary (P6) color image as an (m, n, 3) tensor in [0, 1]."""
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    width, height, maxval, pos = _read_pnm_header(payload, path, b"P6")
-    values = _read_raster(payload, pos, width * height * 3, maxval, path)
-    return values.reshape((height, width, 3))
-
-
-def _quantise(img, maxval):
-    levels = np.clip(np.rint(np.asarray(img, dtype=np.float64) * maxval), 0, maxval)
-    if maxval > 255:
-        return levels.astype(">u2").tobytes()
-    return levels.astype("u1").tobytes()
+    return _read_pnm(path, b"P6")
 
 
 def write_pgm(path, img, maxval=255):
     """Write an (m, n) matrix with values in [0, 1] as binary PGM."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {img.shape}")
-    if not 0 < maxval <= 65535:
-        raise ValueError(f"unsupported maxval {maxval}")
-    height, width = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
-        fh.write(_quantise(img, maxval))
+    _write_pnm(path, img, maxval, b"P5")
 
 
 def write_ppm(path, img, maxval=255):
     """Write an (m, n, 3) tensor with values in [0, 1] as binary PPM."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected an (m, n, 3) tensor, got shape {img.shape}")
-    if not 0 < maxval <= 65535:
-        raise ValueError(f"unsupported maxval {maxval}")
-    height, width = img.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{width} {height}\n{maxval}\n".encode("ascii"))
-        fh.write(_quantise(img, maxval))
+    _write_pnm(path, img, maxval, b"P6")

@@ -243,9 +243,7 @@ def solve_variant(X, cfg):
         return admm.solve(X, cfg)
     X, cfg = admm._prepare(X, cfg)
     if cfg.variant in LADMM_VARIANTS:
-        return admm._iterate(X, cfg, _init_tucker, _ladmm_sweep, _penalty,
-                             ("model.a", "model.core", "model.b"))
+        return admm._iterate(X, cfg, _init_tucker, _ladmm_sweep, _penalty)
     if cfg.variant in DEGREE3_SUB_VARIANTS:
-        return admm._iterate(X, cfg, _init_degree3, _degree3_sweep, _penalty,
-                             ("U", "K", "V"), DEGREE3_SPLITS)
+        return admm._iterate(X, cfg, _init_degree3, _degree3_sweep, _penalty, DEGREE3_SPLITS)
     raise ValueError(f"unknown variant {cfg.variant!r}")

@@ -16,7 +16,10 @@ block steps' augmented Lagrangian (``lagrangian``) is here too, with
 ``log_blocks``, which logs it around every block step of a solve.  The
 unfoldings, vectorisation, mode products and Kronecker products follow the
 column-major order of ``rkca.tensor``: entry (i, j, k) sits at flat position
-i + m*j + m*n*k, and unfoldings are explicit copies, never views.
+i + m*j + m*n*k, and unfoldings are explicit copies, never views.  The
+netpbm readers' byte tokenizer (``_read_pnm_header``) and raster reader
+(``_read_raster``), which ``fileio``'s one header pattern and one reader
+replace, are kept as they were, with ``read_pnm`` built from them.
 """
 
 from itertools import chain
@@ -285,6 +288,61 @@ def log_blocks(monkeypatch):
     monkeypatch.setattr(admm, "_e_step", logged_e_step)
     monkeypatch.setattr(variants, "_ladmm_sweep", logged_sweep)
     return log
+
+
+def _read_pnm_header(payload, path, magic):
+    if payload[:2] != magic:
+        raise ValueError(f"{path}: expected {magic.decode()} file")
+    pos = 2
+    fields = []
+    while len(fields) < 3:
+        if pos >= len(payload):
+            raise ValueError(f"{path}: truncated header")
+        ch = payload[pos : pos + 1]
+        if ch.isspace():
+            pos += 1
+        elif ch == b"#":
+            while pos < len(payload) and payload[pos : pos + 1] not in (b"\n", b""):
+                pos += 1
+        elif ch.isdigit():
+            start = pos
+            while pos < len(payload) and payload[pos : pos + 1].isdigit():
+                pos += 1
+            fields.append(int(payload[start:pos]))
+        else:
+            raise ValueError(f"{path}: malformed header byte {ch!r}")
+    if pos >= len(payload) or not payload[pos : pos + 1].isspace():
+        raise ValueError(f"{path}: missing whitespace after maxval")
+    pos += 1
+    width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: bad image dimensions {width}x{height}")
+    if not 0 < maxval <= 65535:
+        raise ValueError(f"{path}: unsupported maxval {maxval}")
+    return width, height, maxval, pos
+
+
+def _read_raster(payload, pos, count, maxval, path):
+    if maxval > 255:
+        dtype = np.dtype(">u2")
+    else:
+        dtype = np.dtype("u1")
+    need = count * dtype.itemsize
+    if len(payload) - pos < need:
+        raise ValueError(f"{path}: truncated raster data")
+    raw = np.frombuffer(payload, dtype=dtype, count=count, offset=pos)
+    if raw.max(initial=0) > maxval:
+        raise ValueError(f"{path}: sample above maxval {maxval}")
+    return raw.astype(np.float64) / maxval
+
+
+def read_pnm(payload, magic):
+    """The image in the netpbm file bytes ``payload`` of type ``magic`` (b"P5"
+    or b"P6"), read by the tokenizer and raster reader above."""
+    width, height, maxval, pos = _read_pnm_header(payload, "<bytes>", magic)
+    shape = (height, width) if magic == b"P5" else (height, width, 3)
+    count = width * height * (1 if magic == b"P5" else 3)
+    return _read_raster(payload, pos, count, maxval, "<bytes>").reshape(shape)
 
 
 def hidden_norms(completed, truth, hidden):

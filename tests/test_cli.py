@@ -494,6 +494,18 @@ def test_eval_without_sparse_pair_matches_metrics_bitwise(tmp_path, capsys):
     assert payload["rel_error_L"] == data.metrics(estimate, zeros, truth, zeros).rel_error_L
 
 
+@pytest.mark.parametrize("flag", ["--sparse-estimate", "--sparse-truth"])
+def test_eval_with_half_the_sparse_pair_is_a_usage_error(tmp_path, capsys, flag):
+    # The pair is checked before any file is read (the L files named here do
+    # not exist): exit 2, a one-line message and no --out file.
+    fileio.write_rkt(tmp_path / "E.rkt", np.zeros((2, 2, 2)))
+    missing, out = tmp_path / "missing.rkt", tmp_path / "metrics.json"
+    assert run_cli("eval", "--estimate", missing, "--truth", missing,
+                   flag, tmp_path / "E.rkt", "--out", out) == 2
+    assert capsys.readouterr().err == "error: --sparse-estimate and --sparse-truth go together\n"
+    assert not out.exists()
+
+
 def test_complete_full_mask_equals_decompose(tmp_path):
     gen = tmp_path / "gen"
     run_cli(*synth_args(gen, **{"p-clean": 0.7}))

@@ -1,6 +1,7 @@
 """File format tests: RKT1 golden bytes and netpbm image round trips."""
 
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -61,7 +62,8 @@ RKT_INPUTS = {
 @pytest.mark.parametrize("name", sorted(RKT_INPUTS))
 def test_write_rkt_streams_blocks_of_slices_with_the_same_bytes(tmp_path, name):
     # The bytes of one whole-tensor column-major flatten, written with at most
-    # one block of slices (one slice, if larger) held beside the input.
+    # one block held beside the input: whole slices, or whole columns of a
+    # slice larger than the block (one column, if larger).
     t = RKT_INPUTS[name](np.random.default_rng(2))
     path = tmp_path / "t.rkt"
     tracemalloc.start()
@@ -73,13 +75,14 @@ def test_write_rkt_streams_blocks_of_slices_with_the_same_bytes(tmp_path, name):
     m, n, N = t.shape
     assert path.read_bytes() == (fileio.RKT_MAGIC + struct.pack("<3Q", m, n, N)
                                  + t.reshape(-1, order="F").astype("<f8").tobytes())
-    assert peak <= max(fileio._SCAN_BYTES, 8 * m * n) + (64 << 10), name
+    assert peak <= max(fileio._SCAN_BYTES, 8 * m) + (64 << 10), name
 
 
 @pytest.mark.parametrize("name", sorted(RKT_INPUTS))
 def test_read_rkt_streams_blocks_of_slices_into_a_slice_major_result(tmp_path, name):
     # The values written, in a slice-major result, read with at most one block
-    # of slices (one slice, if larger) and its finiteness mask held beside it.
+    # (whole slices, or whole columns of a larger slice; one column at least)
+    # and its finiteness mask held beside it.
     t = RKT_INPUTS[name](np.random.default_rng(4))
     path = tmp_path / "t.rkt"
     fileio.write_rkt(path, t)
@@ -92,7 +95,7 @@ def test_read_rkt_streams_blocks_of_slices_into_a_slice_major_result(tmp_path, n
     m, n, N = t.shape
     assert np.array_equal(back, t) and back.dtype == np.float64
     assert back.transpose(2, 0, 1).flags.c_contiguous
-    assert peak <= t.nbytes + 1.125 * max(fileio._SCAN_BYTES, 8 * m * n) + (64 << 10), name
+    assert peak <= t.nbytes + 1.125 * max(fileio._SCAN_BYTES, 8 * m) + (64 << 10), name
 
 
 def test_read_rkt_reads_the_payload_into_its_result(tmp_path):
@@ -231,6 +234,32 @@ def test_pnm_malformed_headers(tmp_path):
         path.write_bytes(raw)
         with pytest.raises(ValueError):
             fileio.read_pgm(path)
+
+
+def test_pnm_header_of_many_comment_starts_is_read_in_linear_time(tmp_path):
+    # Thousands of "# " pairs: one comment running to the end of the file
+    # (rejected), or one comment per line before the fields (accepted).  The
+    # header pattern may not backtrack over the ways to split either.
+    cases = {"open.pgm": b"P5 " + b"# " * 5000,
+             "closed.pgm": b"P5\n" + b"# \n" * 5000 + b"1 1\n255\n\x80"}
+    for name, raw in cases.items():
+        path = tmp_path / name
+        path.write_bytes(raw)
+        start = time.perf_counter()
+        if name == "open.pgm":
+            with pytest.raises(ValueError, match="malformed or truncated header"):
+                fileio.read_pgm(path)
+        else:
+            assert fileio.read_pgm(path).tolist() == [[128 / 255]]
+        assert time.perf_counter() - start < 1.0, name
+
+
+def test_pnm_digit_run_never_splits(tmp_path):
+    # "1 12" is two fields, not the three of "1 1 2": the header has no maxval.
+    path = tmp_path / "two_fields.pgm"
+    path.write_bytes(b"P5 1 12\n\x01")
+    with pytest.raises(ValueError, match="malformed or truncated header"):
+        fileio.read_pgm(path)
 
 
 def test_pnm_sample_above_maxval_rejected(tmp_path):

@@ -1,7 +1,8 @@
-"""Property-based tests of the file readers: write -> read round trips, and
-truncated or mutated inputs that must raise ValueError and nothing else.
+"""Property-based tests of the file readers: write -> read round trips,
+truncated or mutated inputs that must raise ValueError and nothing else, and
+the netpbm reader against the byte tokenizer it replaced.
 
-Inputs stay small (every dimension at most 8) so the whole module runs in a
+Inputs stay small (every dimension at most 12) so the whole module runs in a
 few seconds.
 """
 
@@ -13,6 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from rkca import fileio
 
+import reference
+
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -21,6 +24,12 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 rkt_tensors = hnp.arrays(np.float64, st.tuples(side, side, side), elements=finite)
 PNM = {"pgm": (fileio.write_pgm, fileio.read_pgm, ()),
        "ppm": (fileio.write_ppm, fileio.read_ppm, (3,))}
+WHITESPACE = [bytes([c]) for c in b" \t\n\r\x0b\x0c"]
+# A header separator: one whitespace byte, or a comment that ends at its
+# newline or runs to the end of the file.
+separators = st.sampled_from(WHITESPACE) | st.builds(
+    lambda text, end: b"#" + text + end, st.binary(max_size=6),
+    st.sampled_from([b"\n", b"\r\n", b"\n\x0b", b""]))
 
 
 def _read_or_value_error(read, path):
@@ -44,6 +53,33 @@ def pnm_images(draw, channels):
     shape = (draw(side), draw(side), *channels)
     levels = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, maxval)))
     return levels / maxval, maxval
+
+
+@st.composite
+def pnm_files(draw, magic):
+    """File bytes at the edges of the netpbm header grammar: ``magic`` (or,
+    at times, another), then width, height and maxval (at times not maxval),
+    each a digit run (leading zeros allowed) after drawn separators, then one
+    drawn byte or none; at times a stray byte put anywhere in the header; a
+    raster of the size the fields give; and at times a truncation anywhere."""
+    header = bytearray(draw(st.sampled_from([magic] * 6 + [b"P5", b"P6", b"P4", b"P"])))
+    dims = st.sampled_from([1, 2, 3, 4, 1, 2, 0, 12])
+    fields = [draw(dims), draw(dims),
+              draw(st.sampled_from([255, 65535, 1, 256, 0, 65536]) | st.integers(0, 70000))]
+    # At times the last field is left out, so a digit run that split could
+    # stand for the missing one.
+    for i, value in enumerate(fields[:draw(st.sampled_from([3, 3, 3, 2]))]):
+        header += b"".join(draw(st.lists(separators, min_size=min(i, 1), max_size=3)))
+        header += b"0" * draw(st.integers(0, 2)) + str(value).encode()
+    header += draw(st.sampled_from(WHITESPACE * 2 + [b"", b"#", b"a", b"7"]))
+    if draw(st.integers(0, 5)) == 0:
+        header.insert(draw(st.integers(0, len(header))), draw(st.integers(0, 255)))
+    width, height, maxval = fields
+    size = width * height * (3 if magic == b"P6" else 1) * (2 if maxval > 255 else 1)
+    raw = bytes(header) + draw(st.binary(min_size=size, max_size=size))
+    if draw(st.integers(0, 5)) == 0:
+        raw = raw[:draw(st.integers(0, len(raw)))]
+    return raw
 
 
 @SETTINGS
@@ -127,3 +163,24 @@ def test_pnm_mutated_header_raises_only_value_error(tmp_path, kind, data):
     if back is not None:
         assert back.ndim == len(img.shape)
         assert np.all((back >= 0) & (back <= 1))
+
+
+@pytest.mark.parametrize("kind", sorted(PNM))
+@settings(SETTINGS, max_examples=300)
+@given(data=st.data())
+def test_pnm_reader_matches_the_byte_tokenizer(tmp_path, kind, data):
+    # The header pattern and the one raster reader against the tokenizer and
+    # raster reader they replaced: the same array, or a ValueError from both.
+    read, magic = PNM[kind][1], {"pgm": b"P5", "ppm": b"P6"}[kind]
+    raw = data.draw(pnm_files(magic))
+    path = tmp_path / "file.bin"
+    path.write_bytes(raw)
+    try:
+        want = reference.read_pnm(raw, magic)
+    except ValueError:
+        with pytest.raises(ValueError):
+            read(path)
+        return
+    got = read(path)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
