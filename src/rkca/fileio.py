@@ -19,8 +19,17 @@ import struct
 
 import numpy as np
 
-__all__ = ["RKT_MAGIC", "read_rkt", "read_rkt_dims", "scan_rkt", "write_rkt",
-           "read_pgm", "read_ppm", "write_pgm", "write_ppm"]
+__all__ = [
+    "RKT_MAGIC",
+    "read_rkt",
+    "read_rkt_dims",
+    "scan_rkt",
+    "write_rkt",
+    "read_pgm",
+    "read_ppm",
+    "write_pgm",
+    "write_ppm",
+]
 
 RKT_MAGIC = b"RKTENS1\x00"
 _HEADER_BYTES = len(RKT_MAGIC) + 24
@@ -31,17 +40,17 @@ _SCAN_BYTES = 1 << 18
 
 
 def _rkt_blocks(m, n, N):
-    """The RKT1 block plan of an (m, n, N) tensor: the (slices, columns)
-    shape of its largest block, and each block's (slices, columns) index
-    pair in file order.  A block is a run of whole slices while one slice
-    fits in _SCAN_BYTES, else a run of whole columns (one at least) of one
-    slice."""
+    """The RKT1 block plan of an (m, n, N) tensor: each block's (slices,
+    columns) index pair, in file order.  A block is a run of whole slices
+    (one at least) while one slice fits in _SCAN_BYTES, else a run of whole
+    columns (one at least) of one slice, so no block holds more than
+    max(_SCAN_BYTES // 8, m) values."""
     cols = max(1, _SCAN_BYTES // (8 * m))
     if cols < n:
-        return (1, cols), ((slice(k, k + 1), slice(j, j + cols))
-                           for k in range(N) for j in range(0, n, cols))
-    step = min(N, _SCAN_BYTES // (8 * m * n))
-    return (step, n), ((slice(k, k + step), slice(None)) for k in range(0, N, step))
+        return ((slice(k, k + 1), slice(j, j + cols))
+                for k in range(N) for j in range(0, n, cols))
+    step = max(1, _SCAN_BYTES // (8 * m * n))
+    return ((slice(k, k + step), slice(None)) for k in range(0, N, step))
 
 
 def write_rkt(path, t):
@@ -52,9 +61,10 @@ def write_rkt(path, t):
     if t.ndim != 3:
         raise ValueError(f"expected a 3-way tensor, got shape {t.shape}")
     with open(path, "wb") as fh:
-        fh.write(RKT_MAGIC + struct.pack("<3Q", *t.shape))
+        fh.write(RKT_MAGIC)
+        fh.write(struct.pack("<3Q", *t.shape))
         if t.size:  # an empty tensor is its header alone
-            for ks, cols in _rkt_blocks(*t.shape)[1]:
+            for ks, cols in _rkt_blocks(*t.shape):
                 fh.write(np.asarray(t[:, cols, ks], dtype="<f8", order="F").ravel(order="F"))
 
 
@@ -102,11 +112,10 @@ def read_rkt(path):
     """
     m, n, N = read_rkt_dims(path)
     out = np.empty((N, m, n))
-    (slices, cols), blocks = _rkt_blocks(m, n, N)
-    scratch = np.empty(slices * cols * m, dtype="<f8")
+    scratch = np.empty(min(m * n * N, max(_SCAN_BYTES // 8, m)), dtype="<f8")
     with open(path, "rb") as fh:
         fh.seek(_HEADER_BYTES)
-        for ks, cs in blocks:
+        for ks, cs in _rkt_blocks(m, n, N):
             dst = out[ks, :, cs]
             part = scratch[:dst.size].reshape(len(dst), -1, m)  # (k, j, i): file order
             if fh.readinto(part) != part.nbytes:
@@ -126,8 +135,10 @@ _PNM_HEADER = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*(\d+)(?!\d)" * 3 + rb"\s")
 _PNM = {b"P5": ((), "a matrix"), b"P6": ((3,), "an (m, n, 3) tensor")}
 
 
-def _samples(maxval):
-    """The sample type at ``maxval``: big-endian 16-bit above 255, else a byte."""
+def _samples(maxval, where=""):
+    """The sample type at ``maxval`` (1 to 65535): ``>u2`` above 255, else ``u1``."""
+    if not 0 < maxval <= 65535:
+        raise ValueError(f"{where}unsupported maxval {maxval}")
     return np.dtype(">u2" if maxval > 255 else "u1")
 
 
@@ -142,9 +153,8 @@ def _read_pnm(path, magic):
     width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad image dimensions {width}x{height}")
-    if not 0 < maxval <= 65535:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    shape, dtype = (height, width, *_PNM[magic][0]), _samples(maxval)
+    dtype = _samples(maxval, f"{path}: ")
+    shape = (height, width, *_PNM[magic][0])
     count = math.prod(shape)
     if len(payload) - header.end() < count * dtype.itemsize:
         raise ValueError(f"{path}: truncated raster data")
@@ -159,9 +169,8 @@ def _write_pnm(path, img, maxval, magic):
     channels, noun = _PNM[magic]
     if img.ndim != 2 + len(channels) or img.shape[2:] != channels:
         raise ValueError(f"expected {noun}, got shape {img.shape}")
-    if not 0 < maxval <= 65535:
-        raise ValueError(f"unsupported maxval {maxval}")
-    levels = np.clip(np.rint(img * maxval), 0, maxval).astype(_samples(maxval))
+    dtype = _samples(maxval)
+    levels = np.clip(np.rint(img * maxval), 0, maxval).astype(dtype)
     with open(path, "wb") as fh:
         fh.write(f"{magic.decode()}\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii"))
         fh.write(levels.tobytes())

@@ -56,6 +56,7 @@ RKT_INPUTS = {
     "1x1x1": lambda rng: rng.standard_normal((1, 1, 1)),
     "1x1x200000": lambda rng: rng.standard_normal((1, 1, 200000)),
     "2000x600x1": lambda rng: rng.standard_normal((2000, 600, 1)),
+    "40000x1x2": lambda rng: rng.standard_normal((40000, 1, 2)),
 }
 
 
