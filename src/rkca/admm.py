@@ -4,15 +4,16 @@ Every variant is one augmented-Lagrangian scheme: shrinkage of the
 outliers E, a sweep of block steps on the separable factors ``A R_i B^T``,
 then dual ascent under capped penalties that grow geometrically, faster
 once E's support size holds (:func:`_growth`).
-:func:`_iterate` is the loop all of them run, from a table: the start, the
-sweep, and one :class:`Split` row per split constraint, whose copy, dual and
-penalty every start opens (:func:`_open_splits`).  The reconstruction L
-that carries X = L + E is built from A, R and B, each split's copy in place
-of its primal.  It runs on one copy of each shared
-kernel: residual shrinkage (selective under an observation mask, for robust
-completion), per-slice ratios, the batched Stein core update and the basis
-normal-equation solve, both resting on :func:`linalg.symmetric_eig`.  Here
-too are the block steps of ``admm2``, which solves
+:func:`_iterate` is the loop all of them run, from the table that the one
+entry point, ``variants.solve_variant``, hands it: the start, the sweep, and
+one :class:`Split` row per split constraint, whose copy, dual and penalty
+every start opens (:func:`_open_splits`).  The reconstruction L that carries
+X = L + E is built from A, R and B, each split's copy in place of its
+primal.  It runs on one copy of each shared kernel: residual shrinkage
+(selective under an observation mask, for robust completion), per-slice
+ratios, the batched Stein core update and the basis normal-equation solve,
+both resting on :func:`linalg.symmetric_eig`.  Here too are the block steps
+of ``admm2``, which solves
 
     min  alpha*||R||_1 + lambda*||E||_1 + (||A||_F^2 + ||B||_F^2)/2
     s.t. X = K x_1 A x_2 B + E,   R = K,
@@ -61,7 +62,7 @@ from .model import FactorModel, IterationRecord, RunReport
 
 __all__ = [
     "ETA_INIT", "SolverAbort", "SolverState", "initialize", "update_A", "update_B",
-    "update_K", "update_R", "solve",
+    "update_K", "update_R",
 ]
 
 # Scaling coefficient for the initial penalty parameters.
@@ -80,9 +81,9 @@ class SolverAbort(linalg.NumericalError):
 
 @dataclass(kw_only=True)
 class SolverState:
-    """All primal/dual variables of one run; K, Y, mu_K and mu_K_cap stay
-    None in the linearised variants, which have no split.  ``Lam`` is the
-    scaled dual U = Lambda/mu of X = L + E.  ``x_norms`` caches X's norms
+    """All primal/dual variables of one run; each split's copy, dual, penalty
+    and cap (:class:`Split`) stay None until a start opens them.  ``Lam`` is
+    the scaled dual U = Lambda/mu of X = L + E.  ``x_norms`` caches X's norms
     (:func:`_x_norms`), ``basis_norms`` the norms of ``variants._basis_norm``
     and ``grams`` the Grams of :func:`_gram`, matched by identity."""
 
@@ -95,6 +96,14 @@ class SolverState:
     Y: np.ndarray | None = None
     mu_K: float | None = None
     mu_K_cap: float | None = None
+    U: np.ndarray | None = None
+    V: np.ndarray | None = None
+    Y_U: np.ndarray | None = None
+    Y_V: np.ndarray | None = None
+    mu_U: float | None = None
+    mu_V: float | None = None
+    mu_U_cap: float | None = None
+    mu_V_cap: float | None = None
     iters: int = 0
     x_norms: tuple | None = None
     basis_norms: list = field(default_factory=list)
@@ -760,18 +769,3 @@ def _admm2_penalty(state, cfg):
     return {"l1_core": cfg.alpha * tensor.l1(_slices(state.model.core)),
             "basis": _frobenius_penalty(state.model, state.grams)}
 
-
-def solve(X, cfg):
-    """Run the degree-2 ADMM solver; returns (model, E, report).
-
-    Starts from the balanced Tucker-2 fit (:func:`_init_balanced`), or from
-    per-slice SVDs (:func:`initialize`) under a mask, then iterates the
-    Algorithm-order updates (E, A, B, K, R, duals) until the worst
-    primal-feasibility error drops below ``cfg.tol`` or ``max_iters`` is
-    reached.  Deterministic for fixed inputs.
-    """
-    X, cfg = _prepare(X, cfg)
-    if cfg.variant != "admm2":
-        raise ValueError(f"admm.solve handles the admm2 variant, got {cfg.variant!r}")
-    start = _init_balanced if cfg.mask is None else initialize
-    return _iterate(X, cfg, start, _admm2_sweep, _admm2_penalty, (CORE_SPLIT,))

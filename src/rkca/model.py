@@ -96,7 +96,7 @@ class SolverConfig:
     mu <- min(mu_cap, rho*mu), rho*rho*mu in an iteration whose nnz(E)
     repeats the last one's, with mu_cap = mu_cap_factor * initial mu.
     ``rank`` and ``max_iters`` must be integers and the other numbers finite
-    reals; booleans are refused.
+    reals, kept as int and float; booleans are refused.
     """
 
     rank: int
@@ -134,6 +134,10 @@ class SolverConfig:
             raise ValueError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
+        self.rank, self.max_iters = int(self.rank), int(self.max_iters)
+        for name in ("alpha", "rho", "mu_cap_factor", "tol", "lam"):
+            if getattr(self, name) is not None:
+                setattr(self, name, float(getattr(self, name)))
 
     def validate_for(self, dims):
         """Check rank and mask against concrete data dims: the mask must have

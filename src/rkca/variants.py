@@ -14,13 +14,12 @@ and tables:
 
 Linearised block steps use directly computed Lipschitz bounds with a small
 safety margin, so each is a majorise-minimise step that never increases the
-augmented Lagrangian.  :func:`solve_variant` runs a variant in the loop.
+augmented Lagrangian.  :func:`solve_variant` is the one entry point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from . import admm, linalg, tensor
 from .admm import _init_tucker, _slices, _stack
 
 __all__ = [
-    "Degree3State", "ladmm_update_R", "ladmm_update_A", "ladmm_update_B",
+    "ladmm_update_R", "ladmm_update_A", "ladmm_update_B",
     "degree3_update_A_sub", "degree3_update_B_sub", "degree3_update_U", "degree3_update_V",
     "solve_variant",
 ]
@@ -41,21 +40,6 @@ DEGREE3_SUB_VARIANTS = ("admm3_fro", "admm3_nuc")
 # Their splits: R = K, and the substitution copies A = U and B = V.
 DEGREE3_SPLITS = (admm.CORE_SPLIT, admm.Split("err_A", "model.a", "U", "Y_U", "mu_U"),
                   admm.Split("err_B", "model.b", "V", "Y_V", "mu_V"))
-
-
-@dataclass(kw_only=True)
-class Degree3State(admm.SolverState):
-    """Substitution-method state: basis copies U, V carry the data constraint;
-    None until ``admm._open_splits`` opens the :data:`DEGREE3_SPLITS`."""
-
-    U: np.ndarray | None = None
-    V: np.ndarray | None = None
-    Y_U: np.ndarray | None = None
-    Y_V: np.ndarray | None = None
-    mu_U: float | None = None
-    mu_V: float | None = None
-    mu_U_cap: float | None = None
-    mu_V_cap: float | None = None
 
 
 def _bound(value):
@@ -216,7 +200,7 @@ def _init_degree3(X, cfg):
     gave mu.  Scaled by f itself, the splits took more iterations."""
     data_mu = admm._data_penalty(X)
     seed = _init_tucker(X, cfg, data_mu)
-    return admm._open_splits(Degree3State(**vars(seed)), cfg, DEGREE3_SPLITS, data_mu, p=0.5)
+    return admm._open_splits(seed, cfg, DEGREE3_SPLITS, data_mu, p=0.5)
 
 
 def _degree3_sweep(state, X, delta, cfg, report):
@@ -238,10 +222,13 @@ def _degree3_sweep(state, X, delta, cfg, report):
 
 
 def solve_variant(X, cfg):
-    """Dispatch on ``cfg.variant``; returns (model, E, report)."""
-    if cfg.variant == "admm2":
-        return admm.solve(X, cfg)
+    """Run ``cfg.variant``, ``admm2`` included, in the one loop; returns
+    (model, E, report).  Starts and sweeps are looked up at call time."""
     X, cfg = admm._prepare(X, cfg)
+    if cfg.variant == "admm2":
+        start = admm._init_balanced if cfg.mask is None else admm.initialize
+        return admm._iterate(X, cfg, start, admm._admm2_sweep, admm._admm2_penalty,
+                             (admm.CORE_SPLIT,))
     if cfg.variant in LADMM_VARIANTS:
         return admm._iterate(X, cfg, _init_tucker, _ladmm_sweep, _penalty)
     if cfg.variant in DEGREE3_SUB_VARIANTS:

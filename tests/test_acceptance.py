@@ -17,6 +17,7 @@ import rkca
 from rkca import admm, linalg, tensor, variants
 from rkca.data import SynthSpec, make_mask, metrics, psnr, synth_generate
 from rkca.model import SolverConfig, default_lambda
+from rkca.variants import solve_variant
 
 import reference
 from conftest import BENCH_SPEC
@@ -37,7 +38,7 @@ def sweep_admm2(observed, rank, alpha, factors=LAMBDA_SWEEP, tol=1e-10):
         cfg = SolverConfig(rank=rank, alpha=alpha, lam=fac * lam0, tol=tol,
                            max_iters=2000)
         start = time.perf_counter()
-        model, e_hat, report = admm.solve(observed, cfg)
+        model, e_hat, report = solve_variant(observed, cfg)
         runs.append((model, e_hat, report, time.perf_counter() - start))
     return runs
 
@@ -101,7 +102,7 @@ def test_a3_rank_recovery():
                      p_clean=0.7, seed=99)
     _, _, observed = synth_generate(spec)
     cfg = SolverConfig(rank=20, alpha=0.1, tol=1e-10, max_iters=2000)
-    model, _, _ = admm.solve(observed, cfg)
+    model, _, _ = solve_variant(observed, cfg)
     s_a = np.linalg.svd(model.a, compute_uv=False)
     s_b = np.linalg.svd(model.b, compute_uv=False)
     ratio_a = s_a[7] / s_a[0]
@@ -121,7 +122,7 @@ def test_a4_completion():
     observed = np.where(mask, observed_full, 0.0)
     cfg = SolverConfig(rank=10, alpha=1e-2, lam=1e4, tol=1e-10,
                        max_iters=2000, mask=mask)
-    model, _, report = admm.solve(observed, cfg)
+    model, _, report = solve_variant(observed, cfg)
     completed = model.reconstruct()
     hidden = ~mask
     rel_hidden = np.linalg.norm((completed - low_rank)[hidden]) / np.linalg.norm(
@@ -363,7 +364,7 @@ def test_a9_cross_solver_consistency(bench_instance):
     lam0 = default_lambda(observed.shape)
     cfg_admm = SolverConfig(rank=10, alpha=1e-2, lam=lam0, tol=1e-10,
                             max_iters=2000, variant="admm2")
-    _, e_admm, _ = admm.solve(observed, cfg_admm)
+    _, e_admm, _ = solve_variant(observed, cfg_admm)
     cfg_ladmm = SolverConfig(rank=10, alpha=1e-2, lam=2 * lam0, tol=1e-12,
                              max_iters=2000, variant="ladmm2")
     _, e_ladmm, _ = variants.solve_variant(observed, cfg_ladmm)
@@ -387,16 +388,16 @@ def test_a9_cross_solver_consistency(bench_instance):
 A10_SOLVES = """
 import json, sys
 import numpy as np
-from rkca import admm
 from rkca.data import SynthSpec, synth_generate
 from rkca.model import SolverConfig
+from rkca.variants import solve_variant
 per_iter = {}
 for n_slices in json.loads(sys.argv[1]):
     spec = SynthSpec(m=100, n=100, n_slices=n_slices, rank_a=5, rank_b=5,
                      p_clean=0.7, seed=123)
     _, _, observed = synth_generate(spec)
     cfg = SolverConfig(rank=15, alpha=1e-2, tol=1e-30, max_iters=12)
-    _, _, report = admm.solve(observed, cfg)
+    _, _, report = solve_variant(observed, cfg)
     per_iter[n_slices] = float(np.median([rec.elapsed_ms for rec in report.iterations[2:]]))
 print(json.dumps(per_iter))
 """
@@ -510,10 +511,10 @@ def test_a13_admm2_recovery_and_iteration_budget():
         spec = SynthSpec(**{**vars(BENCH_SPEC), "seed": seed})
         low_rank, sparse, observed = synth_generate(spec)
         cfg = SolverConfig(rank=10, alpha=1e-2, tol=1e-10)
-        model, e_hat, report = admm.solve(observed, cfg)
+        model, e_hat, report = solve_variant(observed, cfg)
         result = metrics(model.reconstruct(), e_hat, low_rank, sparse)
         default_tol = SolverConfig(rank=10, alpha=1e-2)
-        m_default, e_default, default_report = admm.solve(observed, default_tol)
+        m_default, e_default, default_report = solve_variant(observed, default_tol)
         f1_default = metrics(m_default.reconstruct(), e_default, low_rank, sparse).support_f1
         bad_tol = default_report.termination == "tol" and (
             not np.count_nonzero(e_default) or f1_default < 0.99)

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from rkca import admm, tensor
 from rkca.data import SynthSpec, synth_generate
 from rkca.model import FactorModel, SolverConfig
+from rkca.variants import solve_variant
 
 from conftest import rel_error
 from reference import dual_ascent, shrink_E
@@ -518,7 +519,7 @@ def test_residuals_zero_denominator():
 
 def test_solve_zero_input():
     cfg = SolverConfig(rank=2)
-    model, E, report = admm.solve(np.zeros((6, 5, 3)), cfg)
+    model, E, report = solve_variant(np.zeros((6, 5, 3)), cfg)
     assert report.n_iterations == 1 and report.termination == "tol"
     assert not model.reconstruct().any() and not E.any()
 
@@ -527,7 +528,7 @@ def test_solve_exact_low_rank_no_noise():
     spec = SynthSpec(m=20, n=20, n_slices=6, rank_a=3, rank_b=3, p_clean=1.0, seed=5)
     low_rank, _, X = synth_generate(spec)
     cfg = SolverConfig(rank=5, lam=1e4, tol=1e-12, max_iters=500)
-    model, E, report = admm.solve(X, cfg)
+    model, E, report = solve_variant(X, cfg)
     assert rel_error(model.reconstruct(), low_rank) <= 1e-5
     assert np.abs(E).max() <= 1e-6 * np.abs(low_rank).max()
 
@@ -536,7 +537,7 @@ def test_solve_penalty_monotone_and_capped():
     spec = SynthSpec(m=15, n=12, n_slices=4, rank_a=2, rank_b=2, p_clean=0.8, seed=6)
     _, _, X = synth_generate(spec)
     cfg = SolverConfig(rank=4, tol=1e-12, max_iters=250, mu_cap_factor=100.0)
-    _, _, report = admm.solve(X, cfg)
+    _, _, report = solve_variant(X, cfg)
     mus = [rec.mu for rec in report.iterations]
     assert all(b >= a for a, b in zip(mus, mus[1:]))
     assert max(mus) <= 100.0 * mus[0] + 1e-12
@@ -548,8 +549,8 @@ def test_solve_deterministic():
     spec = SynthSpec(m=15, n=12, n_slices=4, rank_a=2, rank_b=2, p_clean=0.8, seed=7)
     _, _, X = synth_generate(spec)
     cfg = SolverConfig(rank=4, tol=1e-8, max_iters=200)
-    model1, e1, rep1 = admm.solve(X, cfg)
-    model2, e2, rep2 = admm.solve(X, cfg)
+    model1, e1, rep1 = solve_variant(X, cfg)
+    model2, e2, rep2 = solve_variant(X, cfg)
     assert np.array_equal(model1.a, model2.a)
     assert np.array_equal(model1.core, model2.core)
     assert np.array_equal(e1, e2)
@@ -586,18 +587,18 @@ def test_solve_abort_on_nonfinite():
     X = np.full((4, 4, 2), 1e160)
     cfg = SolverConfig(rank=2, max_iters=5)
     with np.errstate(all="ignore"), pytest.raises(admm.SolverAbort) as excinfo:
-        admm.solve(X, cfg)
+        solve_variant(X, cfg)
     assert excinfo.value.report is not None
     assert excinfo.value.report.termination == "abort"
 
 
 def test_solve_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        admm.solve(np.zeros((4, 4, 2)), SolverConfig(rank=5))
+        solve_variant(np.zeros((4, 4, 2)), SolverConfig(rank=5))
     bad = np.zeros((3, 3, 2))
     bad[0, 0, 0] = np.inf
     with pytest.raises(ValueError):
-        admm.solve(bad, SolverConfig(rank=2))
+        solve_variant(bad, SolverConfig(rank=2))
 
 
 def _e_step_l1(X, lam, mask=None, scale=1.0):

@@ -11,7 +11,6 @@ import pytest
 
 from rkca import admm, linalg, tensor, variants
 from rkca.model import FactorModel, SolverConfig
-from rkca.variants import Degree3State
 
 import reference
 
@@ -27,7 +26,7 @@ def make_state(r, case, seed=0):
     N = 1 if case == "one-slice" else N_SLICES
     m, n = M, M - 3
     core = lambda: admm._stack(rng.standard_normal((N, r, r)))  # noqa: E731
-    state = Degree3State(
+    state = admm.SolverState(
         model=FactorModel(rng.standard_normal((m, r)), rng.standard_normal((n, r)), core()),
         E=tensor.slice_major(rng.standard_normal((m, n, N))),
         Lam=tensor.slice_major(rng.standard_normal((m, n, N))),

@@ -99,6 +99,23 @@ def test_solver_config_accepts_only_valid_values(field, value):
         assert not isinstance(got, bool) and math.isfinite(float(got))
 
 
+def test_numpy_typed_config_reports_as_the_python_typed_one():
+    # numpy scalars pass the checks and are kept as Python numbers, so the
+    # run's report serialises, to the JSON that Python numbers give.
+    X = np.random.default_rng(3).standard_normal((6, 5, 4))
+    given = dict(rank=3, max_iters=5, alpha=0.02, lam=0.3, rho=1.2, mu_cap_factor=1e6, tol=1e-6)
+    typed = {k: (np.int32 if isinstance(v, int) else np.float64)(v) for k, v in given.items()}
+    reports = []
+    for fields in (given, typed):
+        cfg = SolverConfig(**fields)
+        assert {type(getattr(cfg, k)) for k in given} == {int, float}
+        _, _, report = variants.solve_variant(X, cfg)
+        for rec in report.iterations:
+            rec.elapsed_ms = 0.0
+        reports.append(report.to_json())
+    assert reports[0] == reports[1]
+
+
 def test_report_round_trips_through_json():
     report = RunReport(variant="admm2", config={"rank": 3})
     report.append(IterationRecord(iter=1, err_rec=0.5, mu=1.0, elapsed_ms=2.0,
@@ -138,7 +155,7 @@ def test_update_A_warns_on_ill_conditioning():
     assert any(w.startswith("A-update") for w in report.warnings)
 
     # The degree-3 U copy goes through the same guarded solve.
-    d3 = variants.Degree3State(
+    d3 = admm.SolverState(
         model=model,
         E=np.zeros((m, n, N)),
         K=np.stack([scale, scale], axis=2),

@@ -3,6 +3,7 @@ against finite differences, substitution updates against plug-back oracles,
 and end-to-end behaviour of every variant."""
 
 import tracemalloc
+from dataclasses import fields
 from operator import attrgetter
 
 import numpy as np
@@ -11,8 +12,7 @@ from numpy.testing import assert_allclose
 
 from rkca import admm, linalg, tensor, variants
 from rkca.data import SynthSpec, make_mask, synth_generate, support_f1
-from rkca.model import VARIANTS, FactorModel, SolverConfig
-from rkca.variants import Degree3State
+from rkca.model import VARIANTS, FactorModel, IterationRecord, SolverConfig
 
 import reference
 from conftest import BENCH_SPEC, rel_error
@@ -41,7 +41,7 @@ def make_degree3_state(rng, m=6, n=5, N=3, r=3):
         b=rng.standard_normal((n, r)),
         core=rng.standard_normal((r, r, N)),
     )
-    return Degree3State(
+    return admm.SolverState(
         model=model,
         E=rng.standard_normal((m, n, N)),
         K=rng.standard_normal((r, r, N)),
@@ -69,6 +69,17 @@ def block_bounds(model):
 def a_delta(state, delta):
     # The sweep's A^T Delta_i for the B and R steps.
     return state.model.a.T @ admm._slices(delta)
+
+
+def test_one_state_class_holds_every_split_and_solve_variant_is_the_entry_point():
+    # Every split row names fields of the one state class and of the record,
+    # which _open_splits and the loop set and read by name.
+    state_fields = {f.name for f in fields(admm.SolverState)}
+    record_fields = {f.name for f in fields(IterationRecord)}
+    for row in (admm.CORE_SPLIT, *variants.DEGREE3_SPLITS):
+        assert {row.copy, row.dual, row.penalty, row.penalty + "_cap"} <= state_fields, row
+        assert row.err in record_fields, row
+    assert not hasattr(admm, "solve")
 
 
 def test_compute_lipschitz_identity_and_floor():
