@@ -31,10 +31,6 @@ EXIT_NUMERIC = 4
 
 VARIANT_FLAGS = {v.replace("_", "-"): v for v in VARIANTS}
 
-# What a --config value of a flag with this argparse type must be in JSON.
-JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-              None: ((str,), "a string")}
-
 
 class UsageError(ValueError):
     """Bad flags or config file: exit code 2."""
@@ -77,7 +73,7 @@ def _add_solver_flags(parser):
 
 _SOLVER_FLAGS = _add_solver_flags(argparse.ArgumentParser(add_help=False))
 # A config key is a solver flag's dest or its spelling without the dashes.
-_CONFIG_KEYS = {key: action for action in _SOLVER_FLAGS
+_CONFIG_KEYS = {key: action.dest for action in _SOLVER_FLAGS
                for key in (action.dest, *(opt.lstrip("-") for opt in action.option_strings))}
 
 
@@ -90,15 +86,36 @@ def _usage_checked(build, *args, **kwargs):
 
 
 def _solver_config(args):
-    """The solver flags that are set as a SolverConfig (no mask yet), whose
-    defaults fill the rest; bad values and a missing rank are usage errors."""
-    if args.rank is None:
+    """The solver settings as a SolverConfig (no mask yet): each flag that is
+    set, else the --config object's value under either spelling of its key,
+    else the default.  SolverConfig checks a file's value as a flag's; a
+    refused value, a null, an unknown key and a missing rank are usage errors."""
+    settings = {}
+    if args.config is not None:
+        try:  # JSON text is UTF-8 (RFC 8259); a leading BOM is tolerated
+            overrides = json.loads(Path(args.config).read_bytes().decode("utf-8-sig"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise UsageError(f"config file {args.config}: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
+        for key, value in overrides.items():
+            if key not in _CONFIG_KEYS:
+                raise UsageError(f"unknown config key {key!r}")
+            settings[_CONFIG_KEYS[key]] = value
+    for action in _SOLVER_FLAGS:
+        if getattr(args, action.dest) is not None:
+            settings[action.dest] = getattr(args, action.dest)
+        elif action.dest in settings and settings[action.dest] is None:
+            raise UsageError(f"{action.option_strings[0]} is null in the --config file")
+    if "rank" not in settings:
         raise UsageError("--rank is required, on the command line or in the --config file")
-    given = {a.dest: getattr(args, a.dest) for a in _SOLVER_FLAGS
-             if getattr(args, a.dest) is not None}
-    if "variant" in given:
-        given["variant"] = VARIANT_FLAGS[given["variant"]]
-    return _usage_checked(SolverConfig, **given)
+    if "variant" in settings:
+        variant = settings["variant"]
+        if not isinstance(variant, str) or variant not in VARIANT_FLAGS:
+            raise UsageError(f"--variant must be one of {', '.join(sorted(VARIANT_FLAGS))}, "
+                             f"got {variant!r}")
+        settings["variant"] = VARIANT_FLAGS[variant]
+    return _usage_checked(SolverConfig, **settings)
 
 
 def cmd_synth(args):
@@ -117,8 +134,11 @@ def cmd_synth(args):
 
 
 def _run_solver(X, cfg, out):
-    """Solve and write the factors, L, E and the report to ``out``; returns the
-    reconstruction L, or None after an abort (its report written if any)."""
+    """Check ``cfg`` against X's dims, then make ``out`` and solve, writing the
+    factors, L, E and the report there; returns the reconstruction L, or None
+    after an abort (its report written if any)."""
+    cfg.validate_for(X.shape)
+    out.mkdir(parents=True, exist_ok=True)
     try:
         model, sparse, report = solve_variant(X, cfg)
     except SolverAbort as exc:
@@ -141,10 +161,7 @@ def cmd_decompose(args):
     X = fileio.read_rkt(args.input)
     if args.mask is not None:
         cfg.mask = fileio.read_rkt(args.mask) != 0
-    cfg.validate_for(X.shape)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    low_rank = _run_solver(X, cfg, out)
+    low_rank = _run_solver(X, cfg, Path(args.out_dir))
     return EXIT_OK if low_rank is not None else EXIT_NUMERIC
 
 
@@ -178,9 +195,7 @@ def cmd_denoise(args):
     if args.noise_level != 0:  # so a nan or negative level is refused too
         noisy, _ = _usage_checked(data.add_salt_pepper, X, args.noise_level, 0.0, 1.0,
                                   args.seed)
-    cfg.validate_for(noisy.shape)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     low_rank = _run_solver(noisy, cfg, out)
     if low_rank is None:
         return EXIT_NUMERIC
@@ -220,7 +235,6 @@ def cmd_complete(args):
     # Zero-filled in place: the solve holds this one copy of the input.
     np.copyto(observed, 0.0, where=~mask)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     completed = _run_solver(observed, cfg, out)
     if completed is None:
         return EXIT_NUMERIC
@@ -261,46 +275,6 @@ def cmd_eval(args):
     else:
         print(text)
     return EXIT_OK
-
-
-def _config_value(action, key, value):
-    """Convert a config value as its flag converts a command-line value.
-
-    The JSON value must already be of the flag's kind: "0.1" is not a
-    number and 2.5 is not an integer.
-    """
-    kinds, noun = JSON_KINDS[action.type]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise UsageError(f"config key {key!r} must be {noun}, got {value!r}")
-    try:
-        value = value if action.type is None else action.type(value)
-    except OverflowError as exc:
-        raise UsageError(f"config key {key!r}: {exc}") from exc
-    if action.choices is not None and value not in action.choices:
-        raise UsageError(
-            f"config key {key!r} must be one of {', '.join(action.choices)}, got {value!r}"
-        )
-    return value
-
-
-def _apply_config_file(args):
-    """Fill the solver flags left unset (None) from the --config JSON object."""
-    if getattr(args, "config", None) is None:
-        return
-    raw = Path(args.config).read_bytes()
-    try:  # JSON text is UTF-8 (RFC 8259); a leading BOM is tolerated
-        overrides = json.loads(raw.decode("utf-8-sig"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise UsageError(f"config file {args.config}: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise UsageError(f"config file {args.config} must hold a JSON object")
-    unset = {a.dest for a in _SOLVER_FLAGS if getattr(args, a.dest) is None}
-    for key, value in overrides.items():
-        action = _CONFIG_KEYS.get(key)
-        if action is None:
-            raise UsageError(f"unknown config key {key!r}")
-        if action.dest in unset:
-            setattr(args, action.dest, _config_value(action, key, value))
 
 
 def build_parser():
@@ -364,7 +338,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        _apply_config_file(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

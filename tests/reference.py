@@ -19,15 +19,23 @@ column-major order of ``rkca.tensor``: entry (i, j, k) sits at flat position
 i + m*j + m*n*k, and unfoldings are explicit copies, never views.  The
 netpbm readers' byte tokenizer (``_read_pnm_header``) and raster reader
 (``_read_raster``), which ``fileio``'s one header pattern and one reader
-replace, are kept as they were, with ``read_pnm`` built from them.
+replace, are kept as they were, with ``read_pnm`` built from them.  So is
+the CLI's own checker of ``--config`` values (``JSON_KINDS``,
+``_config_value`` and ``_apply_config_file``, which filled the unset flags
+from the file before ``_solver_config`` built the SolverConfig), which
+``cli._solver_config`` replaces by handing file values to SolverConfig.
 """
 
+import json
 from itertools import chain
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
 from rkca import admm, linalg, tensor, variants
+from rkca.cli import _SOLVER_FLAGS, VARIANT_FLAGS, UsageError, _usage_checked
+from rkca.model import SolverConfig
 
 # A linearised-ADMM run has no split: its K, Y and mu_K stay None.
 LadmmState = admm.SolverState
@@ -351,6 +359,74 @@ def hidden_norms(completed, truth, hidden):
     diff = float(np.linalg.norm(scratch))
     np.copyto(scratch, truth, where=hidden)
     return diff, float(np.linalg.norm(scratch))
+
+
+# What a --config value of a flag with this argparse type must be in JSON.
+JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+              None: ((str,), "a string")}
+# A config key is a solver flag's dest or its spelling without the dashes.
+_CONFIG_KEYS = {key: action for action in _SOLVER_FLAGS
+               for key in (action.dest, *(opt.lstrip("-") for opt in action.option_strings))}
+
+
+def _config_value(action, key, value):
+    """Convert a config value as its flag converts a command-line value.
+
+    The JSON value must already be of the flag's kind: "0.1" is not a
+    number and 2.5 is not an integer.
+    """
+    kinds, noun = JSON_KINDS[action.type]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise UsageError(f"config key {key!r} must be {noun}, got {value!r}")
+    try:
+        value = value if action.type is None else action.type(value)
+    except OverflowError as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(
+            f"config key {key!r} must be one of {', '.join(action.choices)}, got {value!r}"
+        )
+    return value
+
+
+def _apply_config_file(args):
+    """Fill the solver flags left unset (None) from the --config JSON object."""
+    if getattr(args, "config", None) is None:
+        return
+    raw = Path(args.config).read_bytes()
+    try:  # JSON text is UTF-8 (RFC 8259); a leading BOM is tolerated
+        overrides = json.loads(raw.decode("utf-8-sig"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"config file {args.config}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise UsageError(f"config file {args.config} must hold a JSON object")
+    unset = {a.dest for a in _SOLVER_FLAGS if getattr(args, a.dest) is None}
+    for key, value in overrides.items():
+        action = _CONFIG_KEYS.get(key)
+        if action is None:
+            raise UsageError(f"unknown config key {key!r}")
+        if action.dest in unset:
+            setattr(args, action.dest, _config_value(action, key, value))
+
+
+def _solver_config(args):
+    """The solver flags that are set as a SolverConfig (no mask yet), whose
+    defaults fill the rest; bad values and a missing rank are usage errors."""
+    if args.rank is None:
+        raise UsageError("--rank is required, on the command line or in the --config file")
+    given = {a.dest: getattr(args, a.dest) for a in _SOLVER_FLAGS
+             if getattr(args, a.dest) is not None}
+    if "variant" in given:
+        given["variant"] = VARIANT_FLAGS[given["variant"]]
+    return _usage_checked(SolverConfig, **given)
+
+
+def solver_config(args):
+    """The SolverConfig that the parsed ``args`` give when the --config file
+    first fills their unset solver flags, each value checked by
+    ``_config_value``; ``args`` is changed."""
+    _apply_config_file(args)
+    return _solver_config(args)
 
 
 def unfold(t, mode):

@@ -382,8 +382,13 @@ def test_non_finite_mid_run_names_the_array(tmp_path, monkeypatch, capsys, varia
     ([], [{"rank": 2}]),
     ([], {"alpha": 10**400}),
     ([], {"variant": "bogus"}),
+    ([], {"lambda": None}),
+    ([], {"variant": None}),
+    ([], {"variant": ["admm2"]}),
+    ([], {"variant": "admm3_fro"}),
 ], ids=["tol-nan", "rho-inf", "alpha-nan", "config-str-alpha", "config-float-iters",
-        "config-list", "config-huge-int", "config-bad-choice"])
+        "config-list", "config-huge-int", "config-bad-choice", "config-null-lambda",
+        "config-null-variant", "config-list-variant", "config-underscore-variant"])
 def test_bad_solver_settings_are_usage_errors(tmp_path, capsys, flags, config):
     # Non-finite flags and mistyped config values stop before any solve, with
     # exit 2 and a one-line message.
@@ -399,6 +404,38 @@ def test_bad_solver_settings_are_usage_errors(tmp_path, capsys, flags, config):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"lam": "0.1"}, "error: lambda must be a real number, got '0.1'"),
+    ({"max-iters": 2.5}, "error: max_iters must be an integer, got 2.5"),
+    ({"lambda": None}, "error: --lambda is null in the --config file"),
+    ({"variant": "admm3_fro"}, "error: --variant must be one of admm2, admm3-fro"),
+], ids=["str-lam", "float-max-iters", "null-lambda", "underscore-variant"])
+def test_a_refused_config_value_is_named_by_its_setting(tmp_path, capsys, config, message):
+    # A file's value passes SolverConfig's checks, so the message names the
+    # setting as a flag's would, whichever spelling of the key the file used.
+    x_path = tmp_path / "X.rkt"
+    fileio.write_rkt(x_path, np.ones((6, 5, 2)))
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run_cli("decompose", "--input", x_path, "--rank", 2, "--config",
+                   tmp_path / "run.json", "--out-dir", tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_the_later_spelling_of_a_config_key_counts(tmp_path):
+    # Two spellings of one key act as a repeated JSON key: the later value is
+    # the one used, and the earlier one is never checked.
+    x_path = tmp_path / "X.rkt"
+    fileio.write_rkt(x_path, np.ones((6, 5, 2)))
+    config = tmp_path / "run.json"
+    config.write_text('{"lambda": "0.1", "lam": 0.2, "max_iters": 0, "max-iters": 2}')
+    out = tmp_path / "out"
+    assert run_cli("decompose", "--input", x_path, "--rank", 2, "--config", config,
+                   "--out-dir", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["lambda"] == 0.2 and report["config"]["max_iters"] == 2
 
 
 @pytest.mark.parametrize("raw, code", [

@@ -10,13 +10,16 @@ instance, writing under ``--work`` (a temporary directory by default):
 
 - ``synth`` (12 x 10 x 5);
 - ``decompose`` in all six variants, with and without ``--mask``;
+- ``decompose --config`` with a file that sets the variant, alpha, lambda,
+  the iteration cap and a rank that ``--rank`` overrides;
 - ``complete --truth``;
 - ``denoise`` on a PGM stack of the synthetic low-rank slices, with
   ``--clean`` and salt-and-pepper noise;
 - ``eval`` of admm2's decomposition with the sparse pair.
 
 The mask and the PGM stack are written by the checkout's own
-``data.make_mask``, ``fileio.write_rkt`` and ``fileio.write_pgm``, and each
+``data.make_mask``, ``fileio.write_rkt`` and ``fileio.write_pgm``, the
+config file by this script (``CONFIG``), and each
 command's exit code goes to ``exit_codes.json``; these files are compared
 too.  Every file either side wrote is compared byte by byte, a
 ``report.json`` after its ``elapsed_ms`` values are zeroed.  Each file that
@@ -35,6 +38,9 @@ from pathlib import Path
 VARIANTS = ("admm2", "ladmm2", "ladmm3-fro", "ladmm3-nuc", "admm3-fro", "admm3-nuc")
 SOLVER = ("--rank", "3", "--tol", "1e-8", "--max-iters", "100")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The --config run's file: lambda under its dest, max-iters under its flag's
+# spelling, and a rank that the run's --rank overrides.
+CONFIG = {"variant": "ladmm2", "alpha": 0.02, "lam": 0.3, "max-iters": 40, "rank": 2}
 
 
 def commands():
@@ -46,6 +52,9 @@ def commands():
             name = f"decompose-{variant}" + ("-masked" if mask else "")
             yield name, ["decompose", "--input", "gen/X.rkt", *mask, "--variant", variant,
                          *SOLVER, "--out-dir", name]
+    yield "decompose-config", ["decompose", "--input", "gen/X.rkt", "--config",
+                               "inputs/config.json", "--rank", "3", "--out-dir",
+                               "decompose-config"]
     yield "complete", ["complete", "--input", "gen/X.rkt", "--mask", "inputs/mask.rkt",
                        "--truth", "gen/L_true.rkt", *SOLVER, "--out-dir", "complete"]
     yield "denoise", ["denoise", "--images", "inputs/images", "--clean", "inputs/images",
@@ -68,6 +77,7 @@ def run_side(out):
             low_rank = fileio.read_rkt("gen/L_true.rkt")
             Path("inputs/images").mkdir(parents=True)
             fileio.write_rkt("inputs/mask.rkt", data.make_mask(low_rank.shape, 0.7, 5) * 1.0)
+            Path("inputs/config.json").write_text(json.dumps(CONFIG))
             lo, hi = low_rank.min(), low_rank.max()
             for i in range(low_rank.shape[2]):
                 fileio.write_pgm(f"inputs/images/slice{i}.pgm",
