@@ -40,11 +40,12 @@ Every iteration proves every state array finite by a value that an inf or
 nan in it would make non-finite, one the loop computes anyway where it can:
 E by ||E||_1 (:func:`_shrunk_l1`), U by the tail's sums (:func:`_tail`), a
 split's primal and copy (R and K; degree 3's A, U, B, V) by its residual
-(:func:`_split_ratio`), A, B and R by the objective's terms (alpha*||R||_1,
-||A||_F^2 + ||B||_F^2 from the Grams' traces, or |A| and |B|: a nuclear norm
-bounds every entry), and only the split duals by a sum of their own
-(:func:`_proven`).  A failed proof scans the arrays in a fixed order; the
-first non-finite one names the abort (:func:`_check_finite`).
+(:func:`_ascend`: an inf in the primal makes it inf/inf), A, B and R by the
+objective's terms (alpha*||R||_1, ||A||_F^2 + ||B||_F^2 from the Grams'
+traces, or |A| and |B|: a nuclear norm bounds every entry), and only the
+split duals by a sum of their own (:func:`_proven`).  A failed proof scans
+the arrays in a fixed order; the first non-finite one names the abort
+(:func:`_check_finite`).
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ class SolverAbort(linalg.NumericalError):
 class SolverState:
     """All primal/dual variables of one run; each split's copy, dual, penalty
     and cap (:class:`Split`) stay None until a start opens them.  ``Lam`` is
-    the scaled dual U = Lambda/mu of X = L + E.  ``x_norms`` caches X's norms
-    (:func:`_x_norms`), ``basis_norms`` the norms of ``variants._basis_norm``
-    and ``grams`` the Grams of :func:`_gram`, matched by identity."""
+    the scaled dual U = Lambda/mu of X = L + E.  ``basis_norms`` caches the
+    norms of ``variants._basis_norm`` and ``grams`` the Grams of
+    :func:`_gram`, matched by identity."""
 
     model: FactorModel
     E: np.ndarray
@@ -105,7 +106,6 @@ class SolverState:
     mu_U_cap: float | None = None
     mu_V_cap: float | None = None
     iters: int = 0
-    x_norms: tuple | None = None
     basis_norms: list = field(default_factory=list)
     grams: list = field(default_factory=list)
 
@@ -163,13 +163,11 @@ _stack = methodcaller("transpose", 1, 2, 0)
 
 def _sq_norms(t):
     """Per-slice squared Frobenius norms of a (m, n, N) tensor; a matrix is
-    one slice.  Contiguous slices, as of every slice-major tensor, take one
-    dot product each, whose bits do not depend on the other slices."""
-    s = _slices(t) if t.ndim == 3 else t
-    if s.ndim == 3 and s.flags.c_contiguous:
-        flat = s.reshape(len(s), 1, -1)
-        return (flat @ flat.transpose(0, 2, 1)).reshape(len(s))
-    return np.einsum("...ij,...ij->...", s, s)
+    one slice.  Each slice takes one dot product, whose bits do not depend on
+    the other slices; slices that are not contiguous are copied first."""
+    s = _slices(t) if t.ndim == 3 else t[None]
+    flat = s.reshape(len(s), 1, -1)
+    return (flat @ flat.transpose(0, 2, 1)).reshape(len(s))
 
 
 def _worst_ratio(num, den):
@@ -177,13 +175,6 @@ def _worst_ratio(num, den):
     caller's own array; 0 for no slices."""
     num /= np.where(den > 0, den, 1.0)
     return float(np.maximum.reduce(num)) if num.size else 0.0
-
-
-def _x_norms(state, X):
-    """:func:`_sq_norms` of X, once per X (by identity)."""
-    if state.x_norms is None or state.x_norms[0] is not X:
-        state.x_norms = (X, _sq_norms(X))
-    return state.x_norms[1]
 
 
 def _data_penalty(X, N=None):
@@ -545,16 +536,6 @@ def _grow_mu(state, rho):
     return mu / state.mu
 
 
-def _split_ratio(diff, primal):
-    """A split's residual, :func:`_worst_ratio` of the slice norms of diff and
-    primal over the core's slices or, for a basis, one slice, two dots.
-    Finite only if diff and primal are: an inf in primal makes it inf/inf."""
-    if diff.ndim == 3:
-        return _worst_ratio(_sq_norms(diff), _sq_norms(primal))
-    num, den = float(np.vdot(diff, diff)), float(np.vdot(primal, primal))
-    return num / den if den > 0 else num
-
-
 def _split_diff(state, row):
     """A split's residual primal - copy; a core's is formed on the slices'
     contiguous (N, r, r) views and returned as a (r, r, N) view."""
@@ -567,22 +548,25 @@ def _split_diff(state, row):
 def _ascend(state, splits, diffs, rho):
     """Ascend each of the ``splits`` by its own penalty on its residual in
     ``diffs`` (:func:`_split_diff`); the penalty then grows by ``rho`` up to
-    its cap, as mu does (:func:`_grow_mu`).  Returns each split's residual
-    (:func:`_split_ratio`) by its report name."""
+    its cap, as mu does (:func:`_grow_mu`).  Returns each split's residual,
+    :func:`_worst_ratio` of the slice norms (:func:`_sq_norms`) of diff and
+    primal, by its report name; a basis is one slice."""
     errs = {}
     for row, diff in zip(splits, diffs):
         mu = getattr(state, row.penalty)
         setattr(state, row.dual, getattr(state, row.dual) + mu * diff)
         setattr(state, row.penalty, min(getattr(state, row.penalty + "_cap"), rho * float(mu)))
-        errs[row.err] = _split_ratio(diff, attrgetter(row.primal)(state))
+        primal = attrgetter(row.primal)(state)
+        errs[row.err] = _worst_ratio(_sq_norms(diff), _sq_norms(primal))
     return errs
 
 
-def _rec_ratio(state, X, num, cross, delta):
-    """err_rec, max_i ||X_i - E_i - A R_i B^T||^2 / ||X_i||^2, from the
-    per-slice ||D_i||^2 (``num``) and A^T D_i B (``cross``, an (N, r, r)
-    batch) of the residual D = X - A K B^T - E of a reconstruction that shares
-    the model's bases, with ``delta`` the (N, r, r) batch Delta = R - K.
+def _rec_ratio(state, x_norms, num, cross, delta):
+    """err_rec, max_i ||X_i - E_i - A R_i B^T||^2 / ||X_i||^2, from X's
+    ``x_norms`` (:func:`_sq_norms`) and the per-slice ||D_i||^2 (``num``) and
+    A^T D_i B (``cross``, an (N, r, r) batch) of the residual
+    D = X - A K B^T - E of a reconstruction that shares the model's bases,
+    with ``delta`` the (N, r, r) batch Delta = R - K.
 
     The numerator is ||D_i||^2 - 2<A^T D_i B, Delta_i> +
     <A^T A Delta_i B^T B, Delta_i>, clamped at 0; ``cross`` is None where D
@@ -593,10 +577,10 @@ def _rec_ratio(state, X, num, cross, delta):
         cross -= _gram(state.model.a, state.grams) @ delta @ _gram(state.model.b, state.grams)
         num -= np.einsum("kij,kij->k", cross, delta)
         np.maximum(num, 0.0, out=num)
-    return _worst_ratio(num, _x_norms(state, X))
+    return _worst_ratio(num, x_norms)
 
 
-def _tail(state, X, views, carriers, target, spare, diffs, rho):
+def _tail(state, X, x_norms, views, carriers, target, spare, diffs, rho):
     """The loop's tail up to the split ascents, block by block on the
     ``views`` of :func:`_block_views`.
 
@@ -606,7 +590,8 @@ def _tail(state, X, views, carriers, target, spare, diffs, rho):
     scaled-form ascent (U + X - L' - E) * c; once mu is capped, c = 1 and P
     is not multiplied) and the next E step's T' = (X - L') + U'
     (:func:`_shrink_arg`) over the old U.  err_rec takes the residual
-    D = X - E - A R B^T's slice norms.  Where L' shares the model's A and B
+    D = X - E - A R B^T's slice norms over X's, ``x_norms``, once per block
+    while D is in cache.  Where L' shares the model's A and B
     (admm2, LADMM), D = P - U over the old U, and a finite c * sum of D's
     norms proves U' finite; admm2's L' uses K for R, so its err_rec also
     takes A^T D_i B and the first split's R - K in ``diffs``
@@ -630,7 +615,6 @@ def _tail(state, X, views, carriers, target, spare, diffs, rho):
         new -= l
         if shares:
             d = np.subtract(new, old, out=old)
-            num[blk] = _sq_norms(d)
             if cross is not None:
                 cross[blk] = (a_t @ _slices(d)) @ b
         if c != 1.0:
@@ -639,14 +623,14 @@ def _tail(state, X, views, carriers, target, spare, diffs, rho):
             d = tensor.reconstruct(a, model.core[:, :, blk], b, out=old)
             np.subtract(x, d, out=d)
             d -= e
-            num[blk] = _sq_norms(d)
             flat = _slices(new)
             proof += float(np.vdot(flat, flat))
+        num[blk] = _sq_norms(d)
         _shrink_arg(x, l, new, old)
     state.Lam = target
     finite = math.isfinite(c * float(num.sum()) if shares else proof)
     delta = None if cross is None else _slices(diffs[0])
-    return spare, u, _rec_ratio(state, X, num, cross, delta), finite
+    return spare, u, _rec_ratio(state, x_norms, num, cross, delta), finite
 
 
 def _state_arrays(state):
@@ -710,7 +694,7 @@ def _iterate(X, cfg, start, sweep, penalty, splits=()):
         tensor.reconstruct(*carriers(state), out=recon)
         _shrink_arg(X, recon, state.Lam, shrink_arg)
         support = np.empty(_slices(views[1][id(X)][0]).shape, dtype=bool)
-        last_nnz = None
+        x_norms, last_nnz = _sq_norms(X), None
         for it in range(1, cfg.max_iters + 1):
             t0 = time.perf_counter()
             state.iters = it
@@ -725,7 +709,7 @@ def _iterate(X, cfg, start, sweep, penalty, splits=()):
                 pass
             diffs = [_split_diff(state, row) for row in splits]
             recon, shrink_arg, err_rec, lam_finite = _tail(
-                state, X, views, carriers(state), target, spare, diffs, rho)
+                state, X, x_norms, views, carriers(state), target, spare, diffs, rho)
             errs = {"err_rec": err_rec, **_ascend(state, splits, diffs, rho)}
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             objective = {"l1_sparse": lam * l1_sparse, **penalty(state, cfg)}

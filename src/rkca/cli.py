@@ -92,9 +92,11 @@ def _solver_config(args):
     refused value, a null, an unknown key and a missing rank are usage errors."""
     settings = {}
     if args.config is not None:
-        try:  # JSON text is UTF-8 (RFC 8259); a leading BOM is tolerated
+        # JSON text is UTF-8 (RFC 8259), a leading BOM tolerated; bad UTF-8,
+        # malformed JSON, an int past the digit limit or deep nesting is refused.
+        try:
             overrides = json.loads(Path(args.config).read_bytes().decode("utf-8-sig"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise UsageError(f"config file {args.config}: {exc}") from exc
         if not isinstance(overrides, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
@@ -345,7 +347,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -229,8 +229,8 @@ def loop_tail(state, X, cfg, carriers, derived):
     target, spare = X - state.E + state.Lam, np.empty_like(X)
     views = admm._block_views(X, (X, state.E, state.Lam, target, spare))
     diffs = [admm._split_diff(state, admm.CORE_SPLIT)]
-    _, _, err_rec, finite = admm._tail(state, X, views, carriers, target, spare,
-                                       diffs if derived else [], cfg.rho)
+    _, _, err_rec, finite = admm._tail(state, X, admm._sq_norms(X), views, carriers, target,
+                                       spare, diffs if derived else [], cfg.rho)
     assert finite
     return err_rec, admm._ascend(state, (admm.CORE_SPLIT,), diffs, cfg.rho)["err_R"]
 

@@ -136,6 +136,29 @@ def test_decompose_usage_and_data_errors(tmp_path):
                    "--out-dir", tmp_path / "o") == 3
 
 
+@pytest.mark.parametrize("command", ["synth", "decompose"])
+def test_an_input_too_large_for_memory_is_a_data_error(tmp_path, capsys, monkeypatch, command):
+    # A tensor that cannot be allocated, stood in for by a MemoryError from
+    # the generator or the reader (nothing is allocated), exits 3 with a
+    # one-line message before the output directory is made.
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(100000, 100000, 100) and data type float64")
+
+    monkeypatch.setattr(data, "synth_generate", refuse)
+    monkeypatch.setattr(fileio, "read_rkt", refuse)
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = synth_args(out, m=100000, n=100000, N=100)
+    else:
+        argv = ["decompose", "--input", tmp_path / "X.rkt", "--rank", 2, "--out-dir", out]
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_decompose_numeric_abort_exit_code(tmp_path, monkeypatch):
     x_path = tmp_path / "X.rkt"
     fileio.write_rkt(x_path, np.ones((4, 4, 2)))
@@ -386,16 +409,21 @@ def test_non_finite_mid_run_names_the_array(tmp_path, monkeypatch, capsys, varia
     ([], {"variant": None}),
     ([], {"variant": ["admm2"]}),
     ([], {"variant": "admm3_fro"}),
+    ([], "[" * 100000),
+    ([], '{"rank": ' + "1" * 5000 + "}"),
 ], ids=["tol-nan", "rho-inf", "alpha-nan", "config-str-alpha", "config-float-iters",
         "config-list", "config-huge-int", "config-bad-choice", "config-null-lambda",
-        "config-null-variant", "config-list-variant", "config-underscore-variant"])
+        "config-null-variant", "config-list-variant", "config-underscore-variant",
+        "config-deep-nesting", "config-int-past-digit-limit"])
 def test_bad_solver_settings_are_usage_errors(tmp_path, capsys, flags, config):
-    # Non-finite flags and mistyped config values stop before any solve, with
-    # exit 2 and a one-line message.
+    # Non-finite flags, mistyped config values and config text that Python's
+    # JSON reader refuses (a string, written verbatim) stop before any solve,
+    # with exit 2 and a one-line message.
     x_path = tmp_path / "X.rkt"
     fileio.write_rkt(x_path, np.ones((6, 5, 2)))
     if config is not None:
-        (tmp_path / "run.json").write_text(json.dumps(config))
+        text = config if isinstance(config, str) else json.dumps(config)
+        (tmp_path / "run.json").write_text(text)
         flags = ["--config", tmp_path / "run.json"]
     capsys.readouterr()
     code = run_cli("decompose", "--input", x_path, "--rank", 2, *flags,

@@ -1,6 +1,7 @@
 """The solvers' r x r kernels, and the starts' opened splits, give the bits
 of their direct forms in ``reference``: random inputs at r in {1, 10, 15},
-with zero slices, a zero basis and a single slice."""
+with zero slices, a zero basis and a single slice, and for the split ascents
+inputs that are not contiguous."""
 
 import copy
 import math
@@ -104,20 +105,27 @@ def test_rec_ratio_keeps_the_bits(r, case):
     norms = admm._sq_norms(X)
     delta = admm._slices(admm._split_diff(state, admm.CORE_SPLIT))
     for passed in (cross, None):
-        got = admm._rec_ratio(state, X, num.copy(), None if passed is None else passed.copy(),
+        got = admm._rec_ratio(state, norms, num.copy(), None if passed is None else passed.copy(),
                               delta)
         assert got == reference.rec_ratio(state, norms, num, passed, state.K)
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", [*CASES, "non-contiguous"])
 @pytest.mark.parametrize("r", [1, 10, 15])
 def test_ascents_keep_the_bits(r, case):
+    # "non-contiguous" holds F-ordered bases and C-ordered (r, r, N) cores,
+    # whose slices the residual kernel copies before its dots.
     splits = (admm.CORE_SPLIT, admm.Split("err_A", "model.a", "U", "Y_U", "mu_U"),
               admm.Split("err_B", "model.b", "V", "Y_V", "mu_V"))
     cfg = SolverConfig(rank=r, rho=1.25)
-    state = make_state(r, case)[0]
+    state = make_state(r, "random" if case == "non-contiguous" else case)[0]
     if case == "zero-basis":
         state.V[:] = 0.0
+    if case == "non-contiguous":
+        model = state.model
+        model.a, model.b, state.U, state.V, state.Y_U, state.Y_V = map(
+            np.asfortranarray, (model.a, model.b, state.U, state.V, state.Y_U, state.Y_V))
+        model.core, state.K, state.Y = map(np.ascontiguousarray, (model.core, state.K, state.Y))
     twin = copy.deepcopy(state)
     diffs = [admm._split_diff(state, row) for row in splits]
     assert admm._ascend(state, splits, diffs, cfg.rho) == reference.ascend(twin, splits, cfg)
