@@ -215,17 +215,6 @@ def cmd_denoise(args):
     return EXIT_OK
 
 
-def _hidden_norms(completed, truth, hidden):
-    """||completed - truth|| and ||truth|| over the ``hidden`` entries, in one
-    scratch array that a product with the mask zeroes elsewhere; both
-    arrays are finite, so no nan*0 enters the norms."""
-    scratch = np.subtract(completed, truth, out=np.empty(truth.shape))
-    scratch *= hidden
-    diff = float(np.linalg.norm(scratch))
-    np.multiply(truth, hidden, out=scratch)
-    return diff, float(np.linalg.norm(scratch))
-
-
 def cmd_complete(args):
     cfg = _solver_config(args)
     observed = fileio.read_rkt(args.input)
@@ -234,19 +223,19 @@ def cmd_complete(args):
     # The truth is scanned before the solve, which writes the factors.
     if args.truth is not None and fileio.scan_rkt(args.truth) != observed.shape:
         raise ValueError("truth dims do not match data dims")
+    hidden = ~mask
     # Zero-filled in place: the solve holds this one copy of the input.
-    np.copyto(observed, 0.0, where=~mask)
+    np.copyto(observed, 0.0, where=hidden)
     out = Path(args.out_dir)
     completed = _run_solver(observed, cfg, out)
     if completed is None:
         return EXIT_NUMERIC
     if args.truth is not None:
         truth = fileio.read_rkt(args.truth)
-        diff, ref = _hidden_norms(completed, truth, ~mask)
         _write_json(
             out / "metrics.json",
             {
-                "rel_error_unobserved": diff / ref if ref > 0 else diff,
+                "rel_error_unobserved": data._rel_error(completed, truth, hidden),
                 "psnr_completed": data.psnr(completed, truth, args.range),
                 "psnr_zero_filled": data.psnr(observed, truth, args.range),
             },
@@ -267,10 +256,8 @@ def cmd_eval(args):
         result = data.metrics(estimate, sparse_est, truth, sparse_tru, args.range)
         payload = result.to_dict()
     else:
-        payload = {
-            "rel_error_L": data._rel_error(estimate, truth),
-            "psnr": data.psnr(estimate, truth, args.range),
-        }
+        rel_error, psnr = data._error_and_psnr(estimate, truth, args.range)
+        payload = {"rel_error_L": rel_error, "psnr": psnr}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out is not None:
         Path(args.out).write_text(text + "\n", encoding="ascii")

@@ -6,6 +6,7 @@ generator), so every artefact is reproducible from its integer seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -109,36 +110,45 @@ def make_mask(dims, observed_fraction, seed):
     return rng.random(tuple(dims)) < observed_fraction
 
 
-def _rel_error(estimate, truth):
-    diff = float(np.linalg.norm((estimate - truth).ravel()))
-    ref = float(np.linalg.norm(np.asarray(truth).ravel()))
+def _diff_norm(estimate, truth, where=None):
+    """||(estimate - truth) * where||, ``where`` all True when None: one dot
+    over a C-order scratch, so equal inputs give the same bits whatever their
+    memory layouts.  A non-finite entry outside ``where`` still reads nan."""
+    scratch = np.subtract(estimate, truth, out=np.empty(np.shape(estimate)))
+    if where is not None:
+        scratch *= where
+    return float(np.linalg.norm(scratch))
+
+
+def _rel_error(estimate, truth, where=None):
+    """||(estimate - truth) * where|| / ||truth * where||, or the numerator
+    when the denominator is 0."""
+    diff, ref = _diff_norm(estimate, truth, where), _diff_norm(truth, 0.0, where)
     return diff / ref if ref > 0 else diff
 
 
-def _sum_sq_diff(estimate, truth):
-    """sum((estimate - truth)**2), reduced slice by slice (last axis, 3-D and
-    up) in a fixed order over C-order copies of one slice's difference, so
-    equal arrays give the same bits whatever their memory layout."""
-    pairs = (zip(np.moveaxis(estimate, -1, 0), np.moveaxis(truth, -1, 0))
-             if estimate.ndim >= 3 else ((np.atleast_1d(estimate), np.atleast_1d(truth)),))
-    total = 0.0
-    for est_i, tru_i in pairs:
-        diff = np.subtract(est_i, tru_i, order="C")
-        total += float(np.square(diff, out=diff).sum())
-    return total
+def _psnr(diff, size, data_range):
+    """20*log10(range / RMSE) for ``diff`` = ||estimate - truth|| over ``size``
+    entries, +inf when exact; a sum of logs, so no range overflows it."""
+    if diff == 0.0:
+        return PSNR_EXACT
+    return 20.0 * math.log10(data_range) - 20.0 * math.log10(diff) + 10.0 * math.log10(size)
 
 
 def psnr(estimate, truth, data_range=1.0):
-    """Peak signal-to-noise ratio 10*log10(range^2 / MSE), +inf when exact;
+    """Peak signal-to-noise ratio 20*log10(range / RMSE), +inf when exact;
     the same bits for any memory layout of equal inputs."""
     estimate = np.asarray(estimate, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if estimate.shape != truth.shape:
         raise ValueError(f"shape mismatch: {estimate.shape} vs {truth.shape}")
-    mse = _sum_sq_diff(estimate, truth) / estimate.size if estimate.size else np.nan
-    if mse == 0.0:
-        return PSNR_EXACT
-    return float(10.0 * np.log10(data_range**2 / mse))
+    return _psnr(_diff_norm(estimate, truth), truth.size, data_range)
+
+
+def _error_and_psnr(estimate, truth, data_range):
+    """The relative error and PSNR of ``estimate``, from one difference norm."""
+    diff, ref = _diff_norm(estimate, truth), _diff_norm(truth, 0.0)
+    return (diff / ref if ref > 0 else diff), _psnr(diff, truth.size, data_range)
 
 
 def support_f1(estimate, truth):
@@ -169,12 +179,13 @@ def metrics(l_hat, e_hat, l_true, e_true, data_range=1.0):
     auc = None
     if 0 < np.count_nonzero(support) < support.size:
         auc = roc_auc(np.abs(e_hat), support)
+    rel_error_l, psnr_l = _error_and_psnr(l_hat, l_true, data_range)
     return Metrics(
-        rel_error_L=_rel_error(l_hat, l_true),
+        rel_error_L=rel_error_l,
         rel_error_E=_rel_error(e_hat, e_true),
         density_E=float(np.count_nonzero(e_hat)) / e_hat.size,
         support_f1=support_f1(e_hat, e_true),
-        psnr=psnr(l_hat, l_true, data_range),
+        psnr=psnr_l,
         roc_auc=auc,
     )
 

@@ -24,6 +24,9 @@ the CLI's own checker of ``--config`` values (``JSON_KINDS``,
 ``_config_value`` and ``_apply_config_file``, which filled the unset flags
 from the file before ``_solver_config`` built the SolverConfig), which
 ``cli._solver_config`` replaces by handing file values to SolverConfig.
+The metrics' former difference norms are kept as they were too: the
+relative error without a mask (``_rel_error``) and the PSNR's slice-by-slice
+square-sum (``_sum_sq_diff``), which ``data._diff_norm`` replaces.
 """
 
 import json
@@ -353,8 +356,28 @@ def read_pnm(payload, magic):
     return _read_raster(payload, pos, count, maxval, "<bytes>").reshape(shape)
 
 
+def _rel_error(estimate, truth):
+    diff = float(np.linalg.norm((estimate - truth).ravel()))
+    ref = float(np.linalg.norm(np.asarray(truth).ravel()))
+    return diff / ref if ref > 0 else diff
+
+
+def _sum_sq_diff(estimate, truth):
+    """sum((estimate - truth)**2), reduced slice by slice (last axis, 3-D and
+    up) in a fixed order over C-order copies of one slice's difference, so
+    equal arrays give the same bits whatever their memory layout."""
+    pairs = (zip(np.moveaxis(estimate, -1, 0), np.moveaxis(truth, -1, 0))
+             if estimate.ndim >= 3 else ((np.atleast_1d(estimate), np.atleast_1d(truth)),))
+    total = 0.0
+    for est_i, tru_i in pairs:
+        diff = np.subtract(est_i, tru_i, order="C")
+        total += float(np.square(diff, out=diff).sum())
+    return total
+
+
 def hidden_norms(completed, truth, hidden):
-    """``cli._hidden_norms`` written through ``where=`` into a zeroed array."""
+    """The norms over the ``hidden`` entries of ``data._rel_error``, written
+    through ``where=`` into a zeroed array."""
     scratch = np.subtract(completed, truth, out=np.zeros(truth.shape), where=hidden)
     diff = float(np.linalg.norm(scratch))
     np.copyto(scratch, truth, where=hidden)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests driving main() in-process."""
 
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -645,6 +646,37 @@ def test_range_must_be_positive_finite(tmp_path, capsys, command, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [1e200, 1e-200])
+@pytest.mark.parametrize("command", ["eval", "eval-sparse", "complete"])
+def test_any_accepted_range_gives_a_finite_psnr(tmp_path, command, value):
+    # A range whose square overflows (1e200) or underflows (1e-200) is still
+    # a valid range: each run exits 0, and each psnr field is finite, the
+    # range-1 PSNR plus 20*log10(range).
+    gen = tmp_path / "gen"
+    run_cli(*synth_args(gen, m=8, n=7, N=4))
+    fileio.write_rkt(tmp_path / "mask.rkt", data.make_mask((8, 7, 4), 0.7, seed=1) * 1.0)
+    truth = ["--truth", gen / "L_true.rkt", f"--range={value}"]
+    sparse = ["--sparse-estimate", gen / "E_true.rkt", "--sparse-truth", gen / "E_true.rkt"]
+    out = tmp_path / "out"
+    args = {"eval": ["--estimate", gen / "X.rkt", "--out", tmp_path / "out.json"],
+            "eval-sparse": ["--estimate", gen / "X.rkt", *sparse, "--out", tmp_path / "out.json"],
+            "complete": ["--input", gen / "X.rkt", "--mask", tmp_path / "mask.rkt",
+                         "--rank", 2, "--max-iters", 5, "--out-dir", out]}[command]
+    assert run_cli(command.split("-")[0], *args, *truth) == 0
+    result = json.loads((out / "metrics.json" if command == "complete"
+                         else tmp_path / "out.json").read_text())
+    low_rank = fileio.read_rkt(gen / "L_true.rkt")
+    estimates = {"psnr": fileio.read_rkt(gen / "X.rkt")}
+    if command == "complete":
+        mask = fileio.read_rkt(tmp_path / "mask.rkt") != 0
+        estimates = {"psnr_completed": fileio.read_rkt(out / "L.rkt"),
+                     "psnr_zero_filled": np.where(mask, estimates["psnr"], 0.0)}
+    for field, estimate in estimates.items():
+        assert math.isfinite(result[field])
+        want = data.psnr(estimate, low_rank, 1.0) + 20 * math.log10(value)
+        assert result[field] == pytest.approx(want, rel=1e-12)
+
+
 def test_complete_improves_psnr(tmp_path):
     gen = tmp_path / "gen"
     run_cli(*synth_args(gen, **{"p-clean": 1.0, "m": 30, "n": 30, "N": 8}))
@@ -806,9 +838,9 @@ def test_report_records_the_support_size_of_E(tmp_path, command):
 
 
 def test_hidden_norms_keep_the_bits_of_the_where_form():
-    # The mask-multiplied norms equal the where= form's bit for bit over the
-    # layouts a completion mixes: a column-major truth, slice-major
-    # reconstruction and mask, and C-order arrays.
+    # The difference-norm kernel's mask-multiplied norms equal the where=
+    # form's bit for bit over the layouts a completion mixes: a column-major
+    # truth, slice-major reconstruction and mask, and C-order arrays.
     rng = np.random.default_rng(12)
     shape = (9, 7, 5)
     for seed in range(3):
@@ -819,9 +851,15 @@ def test_hidden_norms_keep_the_bits_of_the_where_form():
                    (completed, truth, hidden),
                    (np.asfortranarray(completed), tensor.slice_major(truth), hidden)]
         for args in layouts:
-            assert cli._hidden_norms(*args) == reference.hidden_norms(*args)
+            assert hidden_norms(*args) == reference.hidden_norms(*args)
     none = np.zeros(shape, dtype=bool)
-    assert cli._hidden_norms(completed, truth, none) == (0.0, 0.0)
+    assert hidden_norms(completed, truth, none) == (0.0, 0.0)
+
+
+def hidden_norms(completed, truth, hidden):
+    """||completed - truth|| and ||truth|| over the ``hidden`` entries, as
+    ``data._rel_error`` takes them."""
+    return data._diff_norm(completed, truth, hidden), data._diff_norm(truth, 0.0, hidden)
 
 
 @pytest.mark.parametrize("truth", ["missing", "mismatched", "truncated", "nan", "inf"])

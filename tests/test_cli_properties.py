@@ -2,15 +2,16 @@
 3 data/IO error, 4 numeric abort, each leaving the outputs it promises.
 
 Drawn runs of ``decompose`` (with and without ``--mask``) and ``complete``
-over all six variants, on small RKT inputs whose entries mix N(0,1) values
-with zeros, subnormals and values near the largest float, under drawn masks,
-flags and ``--config`` objects; and drawn runs of ``denoise`` on small PGM
-stacks or a PPM image, at times a directory that it refuses, with drawn
-``--clean``, ``--noise-level`` and ``--seed`` flags.  Every run stops within
-20 iterations, and the examples are derandomized, so the module runs in a
-few seconds.  A third test, which runs no solve, checks the settings that
-``--config`` objects and solver flags resolve to against the CLI's former
-checker of config values, kept in ``reference``.
+(at drawn ``--range`` values) over all six variants, on small RKT inputs
+whose entries mix N(0,1) values with zeros, subnormals and values near the
+largest float, under drawn masks, flags and ``--config`` objects; and
+drawn runs of ``denoise`` on small PGM stacks or a PPM image, at times a
+directory that it refuses, with drawn ``--clean``, ``--noise-level`` and
+``--seed`` flags.  Every run stops within 20 iterations, and the examples
+are derandomized, so the module runs in a few seconds.  A third test, which
+runs no solve, checks the settings that ``--config`` objects and solver
+flags resolve to against the CLI's former checker of config values, kept in
+``reference``.
 """
 
 import json
@@ -43,15 +44,23 @@ FLAG_VALUES = {
 SPELLINGS = {"lambda": ["lambda", "lam"], "max-iters": ["max-iters", "max_iters"]}
 # --config values beyond the flags': mistyped, out of range or not finite.
 CONFIG_EXTRAS = st.sampled_from([True, None, "0.1", 2.5, -3, 10**400, float("inf"), [1]])
+# --range values of complete: the default, a pixel range, and ranges whose
+# square underflows or overflows.
+RANGES = (1.0, 255.0, 1e-200, 1e200)
 # --noise-level values: valid, then out of [0, 1] or not a number.
 NOISE_LEVELS = st.sampled_from([0.0, 0.1, 1.0, float("nan"), -0.1, 2.0])
 
 
+# One generator per example, seeded by a drawn integer, as ``tensors`` draws
+# its values: hypothesis repeats and favours small integers, so a seed per
+# choice would not give each share its 1/n.
+EXAMPLE_RNG = st.shared(st.integers(0, 2**32 - 1).map(np.random.default_rng), key="one_in")
+
+
 def one_in(n):
-    """True one time in ``n``: a byte that falls in the middle one of n equal
-    ranges.  Hypothesis favours a list's first element and the ends of a
-    range, so True is neither; 0, the simplest byte, is False."""
-    return st.integers(0, 255).map(lambda k: k * n // 256 == n // 2)
+    """True one time in ``n``: the example's generator's next uniform draw
+    falls below 1/n."""
+    return EXAMPLE_RNG.map(lambda rng: rng.random() * n < 1)
 
 
 def flag_values(flag, refused=st.nothing()):
@@ -160,6 +169,8 @@ def test_every_run_keeps_the_exit_code_contract(data):
         if command == "complete" and data.draw(st.booleans()):
             fileio.write_rkt(tmp / "truth.rkt", np.random.default_rng(1).random(X.shape))
             args += ["--truth", tmp / "truth.rkt"]
+        if command == "complete":
+            args.append(f"--range={data.draw(st.sampled_from(RANGES))}")
         if data.draw(st.booleans()):
             (tmp / "config.json").write_text(json.dumps(data.draw(configs())))
             args += ["--config", tmp / "config.json"]

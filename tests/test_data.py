@@ -5,6 +5,8 @@ import pytest
 
 from rkca import data, tensor
 
+import reference
+
 
 def binomial_3sigma(count, n, p):
     return abs(count - n * p) <= 3 * np.sqrt(n * p * (1 - p)) + 1e-9
@@ -104,6 +106,52 @@ def test_psnr_bits_do_not_depend_on_memory_layout(seed):
     values = {data.psnr(e, g) for e in copies[0] for g in copies[1]}
     assert len(values) == 1
     assert values.pop() == pytest.approx(-10 * np.log10(np.mean((x - t) ** 2)), rel=1e-14)
+
+
+def layouts(a):
+    """C-order, column-major and slice-major copies of ``a``."""
+    return np.ascontiguousarray(a), np.asfortranarray(a), tensor.slice_major(a)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rel_error_keeps_the_bits_of_the_former_forms(seed):
+    # The one difference norm gives the former relative error bit for bit
+    # without a mask, and the former hidden-entry error (the where= form)
+    # with one, an all-False mask among them, over every pairing of layouts;
+    # metrics' rel_error_L and rel_error_E keep their bits too.
+    rng = np.random.default_rng(seed)
+    shape = (7, 6, 5)
+    est, tru = rng.standard_normal(shape), rng.standard_normal(shape)
+    sparse_est = np.where(rng.random(shape) < 0.3, rng.standard_normal(shape), 0.0)
+    sparse_tru = np.where(rng.random(shape) < 0.3, 1.0, 0.0)
+    masks = [data.make_mask(shape, 0.4, seed), np.zeros(shape, bool), np.ones(shape, bool)]
+    for e, t in [(e, t) for e in layouts(est) for t in layouts(tru)] + [(est, 0 * tru)]:
+        assert data._rel_error(e, t) == reference._rel_error(e, t)
+        for where in (w for mask in masks for w in layouts(mask)):
+            diff, ref = reference.hidden_norms(e, t, where)
+            assert data._rel_error(e, t, where) == (diff / ref if ref > 0 else diff)
+    for pair in zip(layouts(est), layouts(sparse_est), layouts(tru), layouts(sparse_tru)):
+        result = data.metrics(*pair)
+        assert result.rel_error_L == reference._rel_error(pair[0], pair[2])
+        assert result.rel_error_E == reference._rel_error(pair[1], pair[3])
+
+
+@pytest.mark.parametrize("data_range", [1.0, 255.0, 1e-3, 1e150, 1e-150, 1e200, 1e-200])
+def test_psnr_agrees_with_the_former_form_wherever_it_is_finite(data_range):
+    # 20*log10(range) - 20*log10(||e - t||) + 10*log10(size) is the former
+    # 10*log10(range**2 / MSE) to 1e-12 relative where range**2 and the
+    # quotient are finite and nonzero; beyond that only the new form is.
+    rng = np.random.default_rng(8)
+    for scale in (1e-100, 1e-3, 1.0, 1e3, 1e100):
+        est, tru = scale * rng.random((9, 8, 4)), scale * rng.random((9, 8, 4))
+        got = data.psnr(est, tru, data_range)
+        with np.errstate(all="ignore"):
+            mse = reference._sum_sq_diff(est, tru) / est.size
+            former = 10.0 * np.log10(np.float64(data_range) ** 2 / mse)
+        assert np.isfinite(got)
+        if np.isfinite(former):
+            assert got == pytest.approx(former, rel=1e-12)
+    assert data.psnr(tru, tru, data_range) == data.PSNR_EXACT
 
 
 def test_metrics_formula_oracle():

@@ -23,7 +23,7 @@ def test_the_repository_has_the_same_outputs_as_itself(tmp_path):
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout.endswith(" files differ\n") and run.stdout.startswith("0 of ")
     codes = json.loads((tmp_path / "change" / "exit_codes.json").read_text())
-    assert len(codes) == 17 and set(codes.values()) == {0}
+    assert len(codes) == 18 and set(codes.values()) == {0}
     report = json.loads((tmp_path / "change" / "decompose-admm3-nuc-masked" / "report.json")
                         .read_text())
     assert report["config"]["masked"] and report["iterations"]

@@ -15,7 +15,8 @@ instance, writing under ``--work`` (a temporary directory by default):
 - ``complete --truth``;
 - ``denoise`` on a PGM stack of the synthetic low-rank slices, with
   ``--clean`` and salt-and-pepper noise;
-- ``eval`` of admm2's decomposition with the sparse pair.
+- ``eval`` of admm2's decomposition with the sparse pair, and of its L
+  alone with ``--range 255``.
 
 The mask and the PGM stack are written by the checkout's own
 ``data.make_mask``, ``fileio.write_rkt`` and ``fileio.write_pgm``, the
@@ -62,6 +63,8 @@ def commands():
     yield "eval", ["eval", "--estimate", "decompose-admm2/L.rkt", "--truth", "gen/L_true.rkt",
                    "--sparse-estimate", "decompose-admm2/E.rkt",
                    "--sparse-truth", "gen/E_true.rkt", "--out", "eval.json"]
+    yield "eval-range", ["eval", "--estimate", "decompose-admm2/L.rkt", "--truth",
+                         "gen/L_true.rkt", "--range", "255", "--out", "eval-range.json"]
 
 
 def run_side(out):
